@@ -30,7 +30,7 @@ from dataclasses import replace
 import numpy as np
 
 from .analysis import trajectory_shift_analysis, verify_control
-from .config import ConfigError, RunConfig, load_config
+from .config import ConfigError, RunConfig, load_config, sweep_label
 from .device import (
     FluxRangeError,
     TransmonSpec,
@@ -90,16 +90,19 @@ SETTINGS_KIND = {
 }
 
 
+#: Rows formatted per write; bounds the text held in memory at once.
+TABLE_CHUNK_ROWS = 4096
+
+
 def _write_table(path: str, header: list[str], columns) -> None:
-    data = np.column_stack([np.asarray(c, dtype=float) for c in columns])
-    np.savetxt(
-        path,
-        data,
-        fmt="%.17g",
-        delimiter="\t",
-        header="\t".join(header),
-        comments="",
-    )
+    """Tab-separated table, byte-identical to ``np.savetxt(fmt="%.17g")``."""
+    cols = [np.asarray(c, dtype=float) for c in columns]
+    row_fmt = "\t".join(["%.17g"] * len(cols)) + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\t".join(header) + "\n")
+        for start in range(0, len(cols[0]), TABLE_CHUNK_ROWS):
+            block = np.column_stack([c[start : start + TABLE_CHUNK_ROWS] for c in cols])
+            fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
 
 
 def _write_summary(path: str, summary: dict) -> None:
@@ -298,10 +301,11 @@ def run_single(
         n_ref = cfg.reference_steps or default_step_count(cfg.t_ref)
         sta_model = None
         ref = solve_reference(sweep, TimeGrid(0.0, cfg.t_ref, n_ref))
+    pops = ref.populations()
     _write_table(
         os.path.join(out_dir, "populations_reference.tsv"),
         ["t", "p1", "p2"],
-        [ref.grid.times, ref.populations()[:, 0], ref.populations()[:, 1]],
+        [ref.grid.times, pops[:, 0], pops[:, 1]],
     )
     p1_end, p2_end = ref.final_state.populations()
     summary["reference"] = {
@@ -458,7 +462,7 @@ def run_pipeline(cfg: RunConfig, out_dir: str, stage: str, threads: int) -> dict
     errors: list[tuple[float, Exception]] = []
 
     def one(tf: float) -> tuple[float, dict]:
-        sub = os.path.join(out_dir, "tf-%g" % tf)
+        sub = os.path.join(out_dir, "tf-" + sweep_label(tf))
         return tf, run_single(cfg, tf, sub, depth, do_device, stage)
 
     with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
@@ -466,7 +470,7 @@ def run_pipeline(cfg: RunConfig, out_dir: str, stage: str, threads: int) -> dict
         for tf in cfg.t_final:
             try:
                 _, summary = futures[tf].result()
-                runs["%g" % tf] = summary
+                runs[sweep_label(tf)] = summary
             except Exception as exc:
                 errors.append((tf, exc))
     if errors:
@@ -476,7 +480,7 @@ def run_pipeline(cfg: RunConfig, out_dir: str, stage: str, threads: int) -> dict
         "schema_version": cfg.schema_version,
         "stage": stage,
         "scenario": cfg.scenario,
-        "sweep": ["%g" % tf for tf in cfg.t_final],
+        "sweep": [sweep_label(tf) for tf in cfg.t_final],
         "runs": runs,
     }
     _write_summary(os.path.join(out_dir, "summary.json"), aggregate)

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import yaml
 
+from .drives import MAX_STEPS, default_step_count
+
 SCHEMA_VERSION = 1
 
 SCENARIOS = ("accelerate", "decelerate", "sta", "reference-only", "device-map")
@@ -25,6 +27,11 @@ BASELINES = {
     "device-map": (),
 }
 BRIDGE_MODES = ("local", "detached")
+
+
+def sweep_label(t_final: float) -> str:
+    """Name of one sweep value in output directories and summary keys."""
+    return "%g" % t_final
 
 
 class ConfigError(ValueError):
@@ -203,9 +210,20 @@ def parse_config(text: str) -> RunConfig:
     else:
         chk.fail("t_final", "expected a number or a non-empty list of numbers")
         t_final = (1.0,)
+    first_named: dict[str, int] = {}
     for i, v in enumerate(t_final):
         if v <= 0:
             chk.fail(f"t_final[{i}]", f"must be positive, got {v}")
+        name = sweep_label(v)
+        if name in first_named:
+            j = first_named[name]
+            chk.fail(
+                f"t_final[{i}]",
+                f"{v!r} and t_final[{j}] = {t_final[j]!r} share the sweep name "
+                f"{name!r}, so one run would overwrite the other",
+            )
+        else:
+            first_named[name] = i
 
     grid = chk.expect_mapping(doc.get("grid"), "grid")
     chk.reject_unknown(
@@ -215,6 +233,29 @@ def parse_config(text: str) -> RunConfig:
     control_steps = chk.integer(grid, "control_steps", "grid.", minimum=100)
     scan_points = chk.integer(grid, "scan_points", "grid.", default=16_000, minimum=100)
     cost_points = chk.integer(grid, "cost_points", "grid.", default=4_000, minimum=100)
+    for key, steps in (
+        ("reference_steps", reference_steps),
+        ("control_steps", control_steps),
+    ):
+        if steps is not None and steps > MAX_STEPS:
+            chk.fail(f"grid.{key}", f"must be at most {MAX_STEPS}, got {steps}")
+    # durations that get the default grid: the reference runs over t_ref
+    # (over t_final for sta), the control over t_final
+    defaulted = []
+    if reference_steps is None and scenario != "sta":
+        defaulted.append(("t_ref", t_ref))
+    if t_final_raw is not None and (
+        control_steps is None or (reference_steps is None and scenario == "sta")
+    ):
+        defaulted.extend((f"t_final[{i}]", v) for i, v in enumerate(t_final))
+    for path, duration in defaulted:
+        n_default = default_step_count(duration)
+        if n_default > MAX_STEPS:
+            chk.fail(
+                path,
+                f"{duration!r} needs {n_default} integration steps on the "
+                f"default grid, above the budget of {MAX_STEPS}",
+            )
 
     plan = chk.expect_mapping(doc.get("crossing_plan"), "crossing_plan")
     chk.reject_unknown(plan, {"kind", "times"}, "crossing_plan")

@@ -30,6 +30,10 @@ MAX_STEP = 3e-4
 #: Floor on the number of integration steps regardless of duration.
 MIN_STEPS = 20_000
 
+#: Most integration steps one run may take (the paper's budget); the
+#: default step count reaches it at a duration of 30.
+MAX_STEPS = 100_000
+
 
 def default_step_count(duration: float) -> int:
     """Default integration step count for a run of the given duration."""

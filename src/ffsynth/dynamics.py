@@ -14,6 +14,13 @@ The integrator is a fixed-step classical Runge-Kutta scheme.  Each step
 consumes the drive at the two bounding nodes and at the interval midpoint,
 so a :class:`DriveSchedule` carries (or interpolates) midpoint samples in
 addition to the node samples.
+
+Because the equation is linear, one RK4 step is a 2x2 transfer matrix
+built from those samples.  :func:`integrate_schrodinger` builds the
+matrices of a block of steps with numpy, takes their running products with
+a Hillis-Steele prefix scan, applies them to the state carried in from the
+previous block, and moves on.  The original one-step-at-a-time loop lives
+on in the tests as the oracle the scan is checked against.
 """
 
 from __future__ import annotations
@@ -202,12 +209,81 @@ class ReferenceTrajectory:
         return self._interpolators
 
 
+#: Steps per block of the prefix-scan propagator.  Memory is O(block); 8192
+#: was the fastest of 2048 to 32768 on 2e4- and 1e5-step grids.
+SCAN_BLOCK = 8192
+
+
+def _rk4_step(p1, p2, h: float, d, g, s):
+    """One classical RK4 step of (p1, p2).
+
+    ``d``, ``g`` and ``s`` are the (start, midpoint, end) samples of the
+    detuning, the coupling and the common diagonal shift.  Works elementwise
+    on arrays, one step per element.
+    """
+    (d0, dm, d1), (g0, gm, g1), (s0, sm, s1) = d, g, s
+    a1 = -1j * ((d0 + s0) * p1 + g0 * p2)
+    b1 = -1j * (g0 * p1 + s0 * p2)
+    q1 = p1 + 0.5 * h * a1
+    q2 = p2 + 0.5 * h * b1
+    a2 = -1j * ((dm + sm) * q1 + gm * q2)
+    b2 = -1j * (gm * q1 + sm * q2)
+    q1 = p1 + 0.5 * h * a2
+    q2 = p2 + 0.5 * h * b2
+    a3 = -1j * ((dm + sm) * q1 + gm * q2)
+    b3 = -1j * (gm * q1 + sm * q2)
+    q1 = p1 + h * a3
+    q2 = p2 + h * b3
+    a4 = -1j * ((d1 + s1) * q1 + g1 * q2)
+    b4 = -1j * (g1 * q1 + s1 * q2)
+    return (
+        p1 + (h / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4),
+        p2 + (h / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4),
+    )
+
+
+def _transfer_matrices(h: float, d, g, s):
+    """Entries (m11, m12, m21, m22) of the step matrices, psi_k+1 = M_k psi_k.
+
+    The ODE is linear, so an RK4 step is linear in the state: column j of
+    M_k is the step applied to the basis vector e_j.
+    """
+    m11, m21 = _rk4_step(1.0, 0.0, h, d, g, s)
+    m12, m22 = _rk4_step(0.0, 1.0, h, d, g, s)
+    return m11, m12, m21, m22
+
+
+def _prefix_products(m11, m12, m21, m22):
+    """Running products M_k ... M_1 M_0 of a stack of 2x2 matrices, in place.
+
+    Hillis-Steele scan: after the pass with stride ``d``, entry k holds the
+    product of the ``min(k + 1, 2 d)`` matrices ending at k.  Elementwise
+    products on four arrays beat ``np.matmul`` on a stack of tiny matrices.
+    """
+    d = 1
+    while d < len(m11):
+        x11, x12, x21, x22 = m11[d:], m12[d:], m21[d:], m22[d:]
+        y11, y12, y21, y22 = m11[:-d], m12[:-d], m21[:-d], m22[:-d]
+        (m11[d:], m12[d:], m21[d:], m22[d:]) = (
+            x11 * y11 + x12 * y21,
+            x11 * y12 + x12 * y22,
+            x21 * y11 + x22 * y21,
+            x21 * y12 + x22 * y22,
+        )
+        d *= 2
+    return m11, m12, m21, m22
+
+
 def integrate_schrodinger(
     drive: DriveSchedule,
     initial: TwoLevelState,
     common_shift: np.ndarray | None = None,
 ) -> ReferenceTrajectory:
     """Propagate ``initial`` under ``drive`` with fixed-step RK4.
+
+    Steps are taken ``SCAN_BLOCK`` at a time as a prefix product of the
+    per-step transfer matrices; the amplitude bound is checked after each
+    block, before the next one starts.
 
     Parameters
     ----------
@@ -248,52 +324,38 @@ def integrate_schrodinger(
 
     phi1 = np.empty(n + 1, dtype=complex)
     phi2 = np.empty(n + 1, dtype=complex)
-    p1 = complex(initial.phi1)
-    p2 = complex(initial.phi2)
-    phi1[0] = p1
-    phi2[0] = p2
+    p1 = phi1[0] = complex(initial.phi1)
+    p2 = phi2[0] = complex(initial.phi2)
 
-    for k in range(n):
-        d0 = dw[k]
-        dm = dw_mid[k]
-        d1 = dw[k + 1]
-        g0 = g[k]
-        gm = g_mid[k]
-        g1 = g[k + 1]
-        if s_node is not None:
-            s0 = s_node[k]
-            sm = s_mid[k]
-            s1 = s_node[k + 1]
-        else:
-            s0 = sm = s1 = 0.0
-
-        a1 = -1j * ((d0 + s0) * p1 + g0 * p2)
-        b1 = -1j * (g0 * p1 + s0 * p2)
-        q1 = p1 + 0.5 * h * a1
-        q2 = p2 + 0.5 * h * b1
-        a2 = -1j * ((dm + sm) * q1 + gm * q2)
-        b2 = -1j * (gm * q1 + sm * q2)
-        q1 = p1 + 0.5 * h * a2
-        q2 = p2 + 0.5 * h * b2
-        a3 = -1j * ((dm + sm) * q1 + gm * q2)
-        b3 = -1j * (gm * q1 + sm * q2)
-        q1 = p1 + h * a3
-        q2 = p2 + h * b3
-        a4 = -1j * ((d1 + s1) * q1 + g1 * q2)
-        b4 = -1j * (g1 * q1 + s1 * q2)
-        p1 = p1 + (h / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-        p2 = p2 + (h / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-
-        # abs() of a nan or inf amplitude is not < any bound, so one
-        # comparison catches both overflow and nan propagation
-        if not (abs(p1) + abs(p2) < 1e3):
-            t_bad = grid.t0 + (k + 1) * h
-            raise IntegrationError(
-                f"integration produced a non-finite amplitude at time index "
-                f"{k + 1} (t = {t_bad:.9g})"
+    # a blow-up overflows the running products; the bound check reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k0 in range(0, n, SCAN_BLOCK):
+            k1 = min(k0 + SCAN_BLOCK, n)
+            lo, hi = slice(k0, k1), slice(k0 + 1, k1 + 1)
+            s = (0.0, 0.0, 0.0)
+            if s_node is not None:
+                s = (s_node[lo], s_mid[lo], s_node[hi])
+            m11, m12, m21, m22 = _prefix_products(
+                *_transfer_matrices(
+                    h, (dw[lo], dw_mid[lo], dw[hi]), (g[lo], g_mid[lo], g[hi]), s
+                )
             )
-        phi1[k + 1] = p1
-        phi2[k + 1] = p2
+            b1 = m11 * p1 + m12 * p2
+            b2 = m21 * p1 + m22 * p2
+            # abs() of a nan or inf amplitude is not < any bound, so one
+            # comparison catches both overflow and nan propagation
+            bad = ~(np.abs(b1) + np.abs(b2) < 1e3)
+            if bad.any():
+                k = k0 + int(np.argmax(bad)) + 1
+                t_bad = grid.t0 + k * h
+                raise IntegrationError(
+                    f"integration produced a non-finite amplitude at time index "
+                    f"{k} (t = {t_bad:.9g})"
+                )
+            phi1[hi] = b1
+            phi2[hi] = b2
+            p1 = b1[-1]
+            p2 = b2[-1]
 
     return ReferenceTrajectory(grid=grid, phi1=phi1, phi2=phi2, drive=drive)
 

@@ -8,7 +8,7 @@ import os
 import numpy as np
 import pytest
 
-from ffsynth.cli import main
+from ffsynth.cli import TABLE_CHUNK_ROWS, _write_table, main
 
 DECEL_FAST = """\
 schema_version: 1
@@ -63,6 +63,36 @@ def decel_runs(tmp_path_factory):
          "--require-fidelity", "0.99999999999"]
     )
     return rc_a, out_a, rc_b, out_b
+
+
+class TestTableWriter:
+    @pytest.mark.parametrize(
+        "n_rows",
+        [0, 1, TABLE_CHUNK_ROWS - 1, TABLE_CHUNK_ROWS, TABLE_CHUNK_ROWS + 1,
+         2 * TABLE_CHUNK_ROWS + 1],
+    )
+    def test_bytes_match_savetxt(self, tmp_path, n_rows):
+        special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e17, 3.0, -12.0,
+                   0.1, 1.0 / 3.0, 2.0**53 + 1.0, -1.7976931348623157e308]
+        values = np.resize(np.array(special), 3 * n_rows)
+        n_rest = max(0, 3 * n_rows - len(special))
+        values[len(special):] += np.linspace(-5.0, 5.0, n_rest)
+        data = values.reshape(n_rows, 3)
+        ours = tmp_path / "ours.tsv"
+        _write_table(str(ours), ["t", "p1", "p2"], [data[:, 0], data[:, 1], data[:, 2]])
+        ref = tmp_path / "ref.tsv"
+        np.savetxt(str(ref), data, fmt="%.17g", delimiter="\t", header="t\tp1\tp2",
+                   comments="")
+        assert ours.read_bytes() == ref.read_bytes()
+
+    def test_single_column(self, tmp_path):
+        col = np.array([np.nan, -0.0, 1e17, 7.0])
+        ours = tmp_path / "ours.tsv"
+        _write_table(str(ours), ["x"], [col])
+        ref = tmp_path / "ref.tsv"
+        np.savetxt(str(ref), col[:, None], fmt="%.17g", delimiter="\t", header="x",
+                   comments="")
+        assert ours.read_bytes() == ref.read_bytes()
 
 
 class TestReferenceStage:
@@ -173,6 +203,18 @@ class TestSweepFanOut:
             assert len(summary["branches"]) >= 2
             assert len(summary["gaps"]) >= 1
             assert os.path.exists(os.path.join(sub, "beta_map.tsv"))
+
+
+    def test_colliding_sweep_names_exit_2(self, tmp_path, capsys):
+        cfg = _config(
+            tmp_path, ACCEL_SWEEP.replace("[0.9, 0.95]", "[1.0000001, 1.0000002]")
+        )
+        out = tmp_path / "out"
+        rc = main(["map", "--config", cfg, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "1.0000001" in err and "1.0000002" in err
+        assert not out.exists()
 
 
 class TestDeviceStage:

@@ -170,6 +170,79 @@ require_fidelity: 1.5
         assert any("device.ej_max: must be positive" in e for e in errors)
 
 
+class TestStepBudget:
+    def test_explicit_step_counts_bounded(self):
+        errors = _errors_of(
+            MINIMAL + "grid: {reference_steps: 100001, control_steps: 200000}"
+        )
+        assert errors == [
+            "grid.reference_steps: must be at most 100000, got 100001",
+            "grid.control_steps: must be at most 100000, got 200000",
+        ]
+
+    def test_explicit_budget_edge_passes(self):
+        cfg = parse_config(
+            MINIMAL + "grid: {reference_steps: 100000, control_steps: 100000}"
+        )
+        assert cfg.reference_steps == cfg.control_steps == 100_000
+
+    def test_long_default_grid_rejected(self):
+        errors = _errors_of(
+            "schema_version: 1\nscenario: sta\nt_final: [30.0, 30.5, 10.0]"
+        )
+        assert len(errors) == 1
+        assert errors[0].startswith("t_final[1]: 30.5 needs 101667 integration steps")
+
+    def test_long_t_ref_rejected(self):
+        errors = _errors_of(MINIMAL + "t_ref: 31.0")
+        assert len(errors) == 1
+        assert errors[0].startswith("t_ref: 31.0 needs 103334 integration steps")
+
+    def test_duration_30_is_exactly_the_budget(self):
+        assert parse_config(
+            "schema_version: 1\nscenario: sta\nt_final: 30.0"
+        ).t_final == (30.0,)
+        assert parse_config(MINIMAL + "t_ref: 30.0").t_ref == 30.0
+
+    def test_explicit_steps_allow_long_durations(self):
+        cfg = parse_config(
+            "schema_version: 1\nscenario: sta\nt_final: 40.0\n"
+            "grid: {reference_steps: 100000, control_steps: 100000}"
+        )
+        assert cfg.t_final == (40.0,)
+
+    def test_sta_reference_follows_t_final(self):
+        # with only control_steps given, the sta reference still runs on the
+        # default grid over t_final
+        errors = _errors_of(
+            "schema_version: 1\nscenario: sta\nt_final: 40.0\n"
+            "grid: {control_steps: 100000}"
+        )
+        assert len(errors) == 1 and errors[0].startswith("t_final[0]: 40.0 needs")
+
+
+class TestSweepNames:
+    def test_colliding_names_rejected(self):
+        errors = _errors_of(
+            "schema_version: 1\nscenario: sta\nt_final: [1.0000001, 1.0000002]"
+        )
+        assert errors == [
+            "t_final[1]: 1.0000002 and t_final[0] = 1.0000001 share the sweep "
+            "name '1', so one run would overwrite the other"
+        ]
+
+    def test_exact_duplicates_rejected(self):
+        errors = _errors_of("schema_version: 1\nscenario: sta\nt_final: [20, 10, 20]")
+        assert len(errors) == 1
+        assert errors[0].startswith("t_final[2]: 20.0 and t_final[0] = 20.0")
+
+    def test_distinct_names_pass(self):
+        cfg = parse_config(
+            "schema_version: 1\nscenario: sta\nt_final: [1.00001, 1.00002]"
+        )
+        assert cfg.t_final == (1.00001, 1.00002)
+
+
 class TestDocumentShape:
     def test_invalid_yaml(self):
         with pytest.raises(ConfigError, match="not valid YAML"):

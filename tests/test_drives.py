@@ -15,7 +15,10 @@ from ffsynth import (
 
 # Frozen from this build after verifying eighth-step refinement moves the
 # value by less than 1e-12; guards against silent integrator changes.
-PINNED_P2_FINAL = 0.08731534978931912
+# Re-frozen when the scalar RK4 loop gave way to the blocked prefix scan,
+# which moved it by 4.7e-15 from 0.08731534978931912; that value stays
+# pinned for the scalar oracle in test_dynamics.
+PINNED_P2_FINAL = 0.08731534978931443
 
 
 class TestStepCount:

@@ -11,6 +11,7 @@ from ffsynth import (
     CosineSweepSpec,
     DriveSchedule,
     IntegrationError,
+    ReferenceTrajectory,
     TimeGrid,
     TwoLevelState,
     build_cosine_sweep,
@@ -20,15 +21,100 @@ from ffsynth import (
     solve_reference,
     state_at,
 )
+from ffsynth.dynamics import SCAN_BLOCK
 
 SWEEP = CosineSweepSpec(30.0, 1.0)
 START = TwoLevelState(1.0 + 0.0j, 0.0j)
+
+# Final upper-level population of the canonical 20k-step reference under the
+# scalar oracle below, to the bit.  The production pin is in test_drives.
+ORACLE_P2_FINAL = 0.08731534978931912
+
+
+def scalar_rk4(drive, initial, common_shift=None) -> ReferenceTrajectory:
+    """The original one-step-at-a-time RK4 loop, kept as the test oracle."""
+    grid = drive.grid
+    n = grid.n_steps
+    h = grid.h
+    dw = drive.delta_omega
+    g = drive.coupling
+    dw_mid, g_mid = drive.midpoint_samples()
+    if common_shift is not None:
+        s_node = np.asarray(common_shift, dtype=float)[::2]
+        s_mid = np.asarray(common_shift, dtype=float)[1::2]
+    else:
+        s_node = s_mid = None
+
+    phi1 = np.empty(n + 1, dtype=complex)
+    phi2 = np.empty(n + 1, dtype=complex)
+    p1 = complex(initial.phi1)
+    p2 = complex(initial.phi2)
+    phi1[0] = p1
+    phi2[0] = p2
+    for k in range(n):
+        d0 = dw[k]
+        dm = dw_mid[k]
+        d1 = dw[k + 1]
+        g0 = g[k]
+        gm = g_mid[k]
+        g1 = g[k + 1]
+        if s_node is not None:
+            s0 = s_node[k]
+            sm = s_mid[k]
+            s1 = s_node[k + 1]
+        else:
+            s0 = sm = s1 = 0.0
+
+        a1 = -1j * ((d0 + s0) * p1 + g0 * p2)
+        b1 = -1j * (g0 * p1 + s0 * p2)
+        q1 = p1 + 0.5 * h * a1
+        q2 = p2 + 0.5 * h * b1
+        a2 = -1j * ((dm + sm) * q1 + gm * q2)
+        b2 = -1j * (gm * q1 + sm * q2)
+        q1 = p1 + 0.5 * h * a2
+        q2 = p2 + 0.5 * h * b2
+        a3 = -1j * ((dm + sm) * q1 + gm * q2)
+        b3 = -1j * (gm * q1 + sm * q2)
+        q1 = p1 + h * a3
+        q2 = p2 + h * b3
+        a4 = -1j * ((d1 + s1) * q1 + g1 * q2)
+        b4 = -1j * (g1 * q1 + s1 * q2)
+        p1 = p1 + (h / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+        p2 = p2 + (h / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+
+        if not (abs(p1) + abs(p2) < 1e3):
+            t_bad = grid.t0 + (k + 1) * h
+            raise IntegrationError(
+                f"integration produced a non-finite amplitude at time index "
+                f"{k + 1} (t = {t_bad:.9g})"
+            )
+        phi1[k + 1] = p1
+        phi2[k + 1] = p2
+    return ReferenceTrajectory(grid=grid, phi1=phi1, phi2=phi2, drive=drive)
 
 
 def _rabi_drive(n_steps: int, duration: float = 1.0) -> DriveSchedule:
     grid = TimeGrid(0.0, duration, n_steps)
     zero = np.zeros(n_steps + 1)
     return DriveSchedule(grid=grid, delta_omega=zero, coupling=np.ones(n_steps + 1))
+
+
+def _smooth_drive(n_steps: int) -> DriveSchedule:
+    """Varying detuning and coupling at step 1e-3; midpoints interpolated."""
+    grid = TimeGrid(0.0, 1e-3 * n_steps, n_steps)
+    t = grid.times
+    return DriveSchedule(
+        grid=grid,
+        delta_omega=5.0 * np.sin(3.0 * t) + 2.0,
+        coupling=1.0 + 0.3 * np.cos(t),
+    )
+
+
+def _assert_matches_oracle(drive, initial, common_shift=None):
+    scan = integrate_schrodinger(drive, initial, common_shift=common_shift)
+    loop = scalar_rk4(drive, initial, common_shift=common_shift)
+    assert np.max(np.abs(scan.phi1 - loop.phi1)) <= 1e-12
+    assert np.max(np.abs(scan.phi2 - loop.phi2)) <= 1e-12
 
 
 class TestTimeGrid:
@@ -139,6 +225,60 @@ class TestIntegrator:
         bad = TwoLevelState(2.0e3 + 0.0j, 0.0j)
         with pytest.raises(IntegrationError, match="time index"):
             integrate_schrodinger(_rabi_drive(100), bad)
+
+
+class TestScanMatchesScalarLoop:
+    def test_oracle_pin(self, reference):
+        p2 = abs(scalar_rk4(reference.drive, START).final_state.phi2) ** 2
+        assert p2 == ORACLE_P2_FINAL
+
+    def test_reference(self, reference):
+        _assert_matches_oracle(reference.drive, START)
+
+    def test_long_grid(self):
+        grid = TimeGrid(0.0, 30.0, 100_000)
+        drive = build_cosine_sweep(CosineSweepSpec(30.0, 30.0), grid)
+        _assert_matches_oracle(drive, START)
+
+    def test_rabi(self):
+        _assert_matches_oracle(_rabi_drive(4000), START)
+
+    def test_common_shift(self, reference):
+        shift = 3.0 * np.sin(2.0 * reference.grid.half_times) + 1.0
+        _assert_matches_oracle(reference.drive, START, common_shift=shift)
+
+    def test_reversed_drive(self, reference):
+        drive = reference.drive
+        back = DriveSchedule(
+            grid=drive.grid,
+            delta_omega=drive.delta_omega[::-1],
+            coupling=drive.coupling[::-1],
+            delta_omega_mid=drive.delta_omega_mid[::-1],
+            coupling_mid=drive.coupling_mid[::-1],
+        )
+        fin = reference.final_state
+        _assert_matches_oracle(back, TwoLevelState(np.conj(fin.phi1), np.conj(fin.phi2)))
+
+    @pytest.mark.parametrize(
+        "n_steps",
+        [1, 2, 3, SCAN_BLOCK - 1, SCAN_BLOCK, SCAN_BLOCK + 1, 2 * SCAN_BLOCK + 1],
+    )
+    def test_block_edges(self, n_steps):
+        _assert_matches_oracle(_smooth_drive(n_steps), TwoLevelState(0.6 + 0.0j, 0.8j))
+
+    @pytest.mark.parametrize("start", [5, SCAN_BLOCK - 2, SCAN_BLOCK + 3000])
+    def test_blowup_index_matches_loop(self, start):
+        # h * dw = 4 lies outside RK4's stability interval on the imaginary
+        # axis, so the norm grows about 7.6-fold per step from ``start`` on
+        drive = _smooth_drive(2 * SCAN_BLOCK + 1)
+        dw = drive.delta_omega.copy()
+        dw[start:] = 4000.0
+        drive = DriveSchedule(grid=drive.grid, delta_omega=dw, coupling=drive.coupling)
+        with pytest.raises(IntegrationError) as loop:
+            scalar_rk4(drive, START)
+        with pytest.raises(IntegrationError) as scan:
+            integrate_schrodinger(drive, START)
+        assert str(scan.value) == str(loop.value)
 
 
 class TestTrajectoryAccess:
