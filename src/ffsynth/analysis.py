@@ -13,13 +13,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import (
+    DriveSchedule,
     ReferenceTrajectory,
     TimeGrid,
     TwoLevelState,
     fidelity,
     integrate_schrodinger,
 )
-from .ffst import ControlSchedule, FfstPhaseModel, MagnificationProfile, build_magnification
+from .ffst import FfstPhaseModel, build_magnification
 from .zerocurves import DEGENERATE_FLOOR, SpeedControlledTrajectory
 
 #: Dominance hysteresis for shift counting, suppressing chatter where
@@ -44,13 +45,13 @@ class FidelityReport:
 
 
 def verify_control(
-    control: ControlSchedule,
+    control: DriveSchedule,
     initial: TwoLevelState,
     target: TwoLevelState,
     label: str = "",
 ) -> FidelityReport:
     """Re-integrate a control and score it against the target state."""
-    traj = integrate_schrodinger(control.to_drive(), initial)
+    traj = integrate_schrodinger(control, initial)
     final = traj.final_state
     return FidelityReport(
         fidelity=fidelity(final, target),
@@ -102,8 +103,7 @@ def _branch_overlaps(
 def trajectory_shift_analysis(
     trajectory: ReferenceTrajectory,
     scts: list[SpeedControlledTrajectory],
-    ref: ReferenceTrajectory,
-    prof: MagnificationProfile,
+    model: FfstPhaseModel,
     hysteresis: float = SHIFT_HYSTERESIS,
     stride: int = 10,
 ) -> TrajectoryShiftSeries:
@@ -127,9 +127,7 @@ def trajectory_shift_analysis(
     psi1 = trajectory.phi1[idx]
     psi2 = trajectory.phi2[idx]
 
-    model = FfstPhaseModel(ref, prof)
-    lam = prof.lambda_at(times)
-    p1, p2 = model.states_at(lam)
+    p1, p2 = model.states_at(model.prof.lambda_at(times))
 
     ox = _branch_overlaps(trajectory, x, p1, p2, times, psi1, psi2)
     oy = _branch_overlaps(trajectory, y, p1, p2, times, psi1, psi2)
@@ -232,7 +230,7 @@ def gap_direction_scan(
 
 
 def global_phase_check(
-    control: ControlSchedule,
+    control: DriveSchedule,
     shift,
     initial: TwoLevelState,
     target: TwoLevelState | None = None,
@@ -251,9 +249,8 @@ def global_phase_check(
     else:
         shift_samples = np.asarray(shift, dtype=float)
 
-    drive = control.to_drive()
-    base = integrate_schrodinger(drive, initial)
-    shifted = integrate_schrodinger(drive, initial, common_shift=shift_samples)
+    base = integrate_schrodinger(control, initial)
+    shifted = integrate_schrodinger(control, initial, common_shift=shift_samples)
     if target is None:
         target = base.final_state.normalized()
     return abs(fidelity(base.final_state, target) - fidelity(shifted.final_state, target))

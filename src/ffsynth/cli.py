@@ -24,7 +24,6 @@ import json
 import os
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -45,13 +44,11 @@ from .drives import CosineSweepSpec, default_step_count, solve_reference
 from .dynamics import TimeGrid, TwoLevelState
 from .ffst import (
     LN_BETA_FLOOR,
-    ControlSchedule,
     FfstPhaseModel,
     SynthesisError,
     alpha_scaled_control,
+    build_beta_map,
     build_magnification,
-    detect_phase_gaps,
-    extract_scts,
     naive_control,
     synthesize_control,
 )
@@ -63,13 +60,8 @@ from .itt import (
     plan_through_gaps,
     plan_with_crossings,
 )
-from .sta import (
-    StaPhaseModel,
-    adiabatic_target,
-    extract_sta_branches,
-    synthesize_sta_control,
-)
-from .zerocurves import branch_touch_times, detect_gaps
+from .sta import StaPhaseModel, adiabatic_target, synthesize_sta_control
+from .zerocurves import branch_touch_times, detect_gaps, link_branches
 
 DEPTH = {
     "reference": 0,
@@ -133,14 +125,10 @@ def _write_branches(path: str, scts) -> None:
                 fh.write("%s\t%.17g\t%.17g\n" % (b.branch_id, t, f))
 
 
-def _write_beta_table(path: str, model, t_final: float) -> None:
-    times = np.linspace(0.0, t_final, 501)
-    phases = -np.pi + 2.0 * np.pi * np.arange(512) / 512
-    c, d, phi0 = model.sine_params(times)
-    beta = c[:, None] - d[:, None] * np.sin(phases[None, :] + phi0[:, None])
-    ln_beta = np.log(np.maximum(np.abs(beta), LN_BETA_FLOOR))
-    tcol = np.repeat(times, len(phases))
-    pcol = np.tile(phases, len(times))
+def _write_beta_map(path: str, bmap) -> None:
+    ln_beta = np.log(np.maximum(np.abs(bmap.values), LN_BETA_FLOOR))
+    tcol = np.repeat(bmap.times, len(bmap.phases))
+    pcol = np.tile(bmap.phases, len(bmap.times))
     _write_table(path, ["t", "f2", "ln_abs_beta"], [tcol, pcol, ln_beta.ravel()])
 
 
@@ -151,19 +139,6 @@ def _write_shift_table(path: str, series) -> None:
             series.times, series.overlap_x, series.overlap_y, series.dominant
         ):
             fh.write("%.17g\t%.17g\t%.17g\t%s\n" % (t, ox, oy, dom))
-
-
-def _drive_as_control(drive, label: str) -> ControlSchedule:
-    dw = np.asarray(drive.delta_omega, dtype=float)
-    return ControlSchedule(
-        grid=drive.grid,
-        delta_omega=dw,
-        derivative=np.gradient(dw, drive.grid.h, edge_order=2),
-        coupling=np.asarray(drive.coupling, dtype=float),
-        delta_omega_mid=drive.delta_omega_mid,
-        coupling_mid=drive.coupling_mid,
-        label=label,
-    )
 
 
 def _bridge_settings(cfg: RunConfig, t_final: float):
@@ -288,18 +263,20 @@ def run_single(
     if cfg.scenario == "device-map":
         depth = 0
 
-    # reference stage: the trajectory everything else is scored against
+    # reference stage: the trajectory everything else is scored against.
+    # The sta model sets its initial state, so it is built here; the ffst
+    # model needs the control grid and is built in the map stage.
     if is_sta:
         sweep = CosineSweepSpec(cfg.delta_omega0, t_final)
         n_ref = cfg.reference_steps or default_step_count(t_final)
-        sta_model = StaPhaseModel(sweep)
+        model = StaPhaseModel(sweep)
         ref = solve_reference(
-            sweep, TimeGrid(0.0, t_final, n_ref), initial=sta_model.initial_state()
+            sweep, TimeGrid(0.0, t_final, n_ref), initial=model.initial_state()
         )
     else:
         sweep = CosineSweepSpec(cfg.delta_omega0, cfg.t_ref)
         n_ref = cfg.reference_steps or default_step_count(cfg.t_ref)
-        sta_model = None
+        model = None
         ref = solve_reference(sweep, TimeGrid(0.0, cfg.t_ref, n_ref))
     pops = ref.populations()
     _write_table(
@@ -314,23 +291,16 @@ def run_single(
         "norm_drift": float(np.max(np.abs(ref.norms() - 1.0))),
     }
 
-    prof = None
-    model = None
     scts: list = []
     gaps: list = []
     if depth >= 1:
         n_ctrl = cfg.control_steps or default_step_count(t_final)
         grid_c = TimeGrid(0.0, t_final, n_ctrl)
-        if is_sta:
-            model = sta_model
-            scts = extract_sta_branches(model, n_scan=cfg.scan_points)
-            gaps = detect_gaps(model, scts, n_scan=cfg.scan_points)
-        else:
-            prof = build_magnification(cfg.t_ref, grid_c)
-            model = FfstPhaseModel(ref, prof)
-            scts = extract_scts(ref, prof, n_scan=cfg.scan_points)
-            gaps = detect_phase_gaps(ref, prof, scts, n_scan=cfg.scan_points)
-        _write_beta_table(os.path.join(out_dir, "beta_map.tsv"), model, t_final)
+        if not is_sta:
+            model = FfstPhaseModel(ref, build_magnification(cfg.t_ref, grid_c))
+        scts = link_branches(model, n_scan=cfg.scan_points)
+        gaps = detect_gaps(model, scts, n_scan=cfg.scan_points)
+        _write_beta_map(os.path.join(out_dir, "beta_map.tsv"), build_beta_map(model))
         _write_branches(os.path.join(out_dir, "branches.tsv"), scts)
         summary["branches"] = [_branch_record(b) for b in scts]
         summary["gaps"] = [
@@ -358,16 +328,16 @@ def run_single(
             alpha_nodes = np.ones_like(grid_c.times)
             lam_nodes = grid_c.times
         else:
-            control = synthesize_control(vt, ref, prof, label="itt")
-            alpha_nodes = prof.alpha_at(grid_c.times)
-            lam_nodes = prof.lambda_at(grid_c.times)
+            control = synthesize_control(vt, model, label="itt")
+            alpha_nodes = model.prof.alpha_at(grid_c.times)
+            lam_nodes = model.prof.lambda_at(grid_c.times)
         _write_table(
             os.path.join(out_dir, "control.tsv"),
             ["t", "delta_omega", "derivative", "coupling", "f2", "alpha", "lambda"],
             [
                 grid_c.times,
                 control.delta_omega,
-                control.derivative,
+                np.gradient(control.delta_omega, grid_c.h, edge_order=2),
                 control.coupling,
                 vt.f2,
                 alpha_nodes,
@@ -391,19 +361,19 @@ def run_single(
 
     if depth >= 3:
         if is_sta:
-            initial = sta_model.initial_state()
+            initial = model.initial_state()
             target = adiabatic_target(sweep, grid_c).state
             arms = [control]
             if "unmodified" in cfg.baselines:
-                arms.append(synthesize_sta_control(None, sta_model, grid_c, label="unmodified"))
+                arms.append(synthesize_sta_control(None, model, grid_c, label="unmodified"))
         else:
             initial = TwoLevelState(1.0 + 0.0j, 0.0j)
             target = ref.final_state
             arms = [control]
             if "naive" in cfg.baselines:
-                arms.append(naive_control(ref, prof))
+                arms.append(naive_control(model))
             if "alpha-scaled" in cfg.baselines:
-                arms.append(alpha_scaled_control(ref, prof))
+                arms.append(alpha_scaled_control(model))
         fidelities = {}
         primary_report = None
         for arm in arms:
@@ -425,9 +395,7 @@ def run_single(
 
         labeled = {b.branch_id for b in scts}
         if not is_sta and {"X", "Y"} <= labeled:
-            series = trajectory_shift_analysis(
-                primary_report.trajectory, scts, ref, prof
-            )
+            series = trajectory_shift_analysis(primary_report.trajectory, scts, model)
             _write_shift_table(os.path.join(out_dir, "shifts.tsv"), series)
             summary["shift_analysis"] = {
                 "count": int(series.shift_count),
@@ -441,15 +409,18 @@ def run_single(
             summary["fidelity_ok"] = bool(primary >= floor)
 
     if do_device:
-        sweep_control = _drive_as_control(ref.drive, "reference")
-        summary["device"] = _device_section(cfg, sweep_control, control, out_dir)
+        summary["device"] = _device_section(cfg, ref.drive, control, out_dir)
 
     _write_summary(os.path.join(out_dir, "summary.json"), summary)
     return summary
 
 
-def run_pipeline(cfg: RunConfig, out_dir: str, stage: str, threads: int) -> dict:
-    """Fan a sweep out over t_final values; single runs write in place."""
+def run_pipeline(cfg: RunConfig, out_dir: str, stage: str) -> dict:
+    """Run each t_final value in turn; single runs write in place.
+
+    A failing value does not stop the values after it.  The first failure
+    is re-raised at the end with a message naming every failed value.
+    """
     depth = DEPTH[stage]
     do_device = stage in ("device", "full") or (
         cfg.scenario == "device-map" and stage != "reference"
@@ -459,22 +430,20 @@ def run_pipeline(cfg: RunConfig, out_dir: str, stage: str, threads: int) -> dict
 
     os.makedirs(out_dir, exist_ok=True)
     runs: dict[str, dict] = {}
-    errors: list[tuple[float, Exception]] = []
-
-    def one(tf: float) -> tuple[float, dict]:
-        sub = os.path.join(out_dir, "tf-" + sweep_label(tf))
-        return tf, run_single(cfg, tf, sub, depth, do_device, stage)
-
-    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
-        futures = {tf: pool.submit(one, tf) for tf in cfg.t_final}
-        for tf in cfg.t_final:
-            try:
-                _, summary = futures[tf].result()
-                runs[sweep_label(tf)] = summary
-            except Exception as exc:
-                errors.append((tf, exc))
+    errors: list[tuple[str, Exception]] = []
+    for tf in cfg.t_final:
+        label = sweep_label(tf)
+        sub = os.path.join(out_dir, "tf-" + label)
+        try:
+            runs[label] = run_single(cfg, tf, sub, depth, do_device, stage)
+        except Exception as exc:
+            errors.append((label, exc))
     if errors:
-        raise errors[0][1]
+        # rewrite the message in place: the class picks the exit code, and
+        # not every error class can be rebuilt from a plain string
+        first = errors[0][1]
+        first.args = ("\n".join(f"t_final={label}: {exc}" for label, exc in errors),)
+        raise first
 
     aggregate = {
         "schema_version": cfg.schema_version,
@@ -516,12 +485,6 @@ def build_parser() -> argparse.ArgumentParser:
             type=float,
             default=None,
             help="fail with exit code 4 if the primary arm scores below this",
-        )
-        p.add_argument(
-            "--threads",
-            type=int,
-            default=1,
-            help="worker threads for sweep fan-out",
         )
         p.add_argument(
             "--seed-free",
@@ -566,7 +529,7 @@ def main(argv=None) -> int:
         np_state = _np_random_fingerprint()
 
     try:
-        summary = run_pipeline(cfg, out_dir, args.command, args.threads)
+        summary = run_pipeline(cfg, out_dir, args.command)
     except ConfigError as exc:
         print(exc, file=sys.stderr)
         return 2

@@ -18,7 +18,6 @@ SCHEMA_VERSION = 1
 
 SCENARIOS = ("accelerate", "decelerate", "sta", "reference-only", "device-map")
 PLAN_KINDS = ("auto", "vt-a", "vt-b", "times")
-EXPORT_FORMATS = ("tsv", "json")
 BASELINES = {
     "accelerate": ("naive", "alpha-scaled"),
     "decelerate": ("naive", "alpha-scaled"),
@@ -79,7 +78,6 @@ class RunConfig:
     baselines: tuple[str, ...]
     require_fidelity: float | None
     out_dir: str
-    formats: tuple[str, ...]
     device: DeviceConfig
     schema_version: int = SCHEMA_VERSION
 
@@ -357,24 +355,8 @@ def parse_config(text: str) -> RunConfig:
         chk.fail("require_fidelity", f"must be in (0, 1], got {require_fidelity}")
 
     output = chk.expect_mapping(doc.get("output"), "output")
-    chk.reject_unknown(output, {"directory", "formats"}, "output")
+    chk.reject_unknown(output, {"directory"}, "output")
     out_dir = chk.text(output, "directory", "output.", default="out")
-    formats_raw = output.get("formats")
-    if formats_raw is None:
-        formats = EXPORT_FORMATS
-    elif not isinstance(formats_raw, list):
-        chk.fail("output.formats", "expected a list")
-        formats = EXPORT_FORMATS
-    else:
-        fmts = []
-        for i, v in enumerate(formats_raw):
-            if not isinstance(v, str) or v not in EXPORT_FORMATS:
-                chk.fail(
-                    f"output.formats[{i}]", f"must be one of {list(EXPORT_FORMATS)}"
-                )
-            else:
-                fmts.append(v)
-        formats = tuple(fmts) if fmts else EXPORT_FORMATS
 
     dev = chk.expect_mapping(doc.get("device"), "device")
     chk.reject_unknown(
@@ -412,7 +394,6 @@ def parse_config(text: str) -> RunConfig:
         baselines=baselines,
         require_fidelity=require_fidelity,
         out_dir=out_dir,
-        formats=formats,
         device=device,
         schema_version=SCHEMA_VERSION,
     )

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import TimeGrid
-from .ffst import ControlSchedule
+from .dynamics import DriveSchedule, TimeGrid
 
 #: E_J / E_C ratio below which the transmon frequency formula degrades.
 TRANSMON_RATIO_FLOOR = 20.0
@@ -149,7 +148,7 @@ def _invert_frequency(
 
 
 def flux_schedule_for(
-    control: ControlSchedule,
+    control: DriveSchedule,
     spec: TransmonSpec,
     omega2: float | None = None,
     g_phys: float = 0.009,
@@ -205,7 +204,7 @@ class RwaSchedule:
     metadata: dict
 
 
-def rwa_emulation_map(control: ControlSchedule, rabi: float = 1.0) -> RwaSchedule:
+def rwa_emulation_map(control: DriveSchedule, rabi: float = 1.0) -> RwaSchedule:
     """Re-label a two-qubit-subspace control as drive detuning + Rabi rate.
 
     The dynamics are identical up to a global phase (the Hamiltonians

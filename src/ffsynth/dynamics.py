@@ -13,7 +13,10 @@ nothing in this module assumes a particular waveform.
 The integrator is a fixed-step classical Runge-Kutta scheme.  Each step
 consumes the drive at the two bounding nodes and at the interval midpoint,
 so a :class:`DriveSchedule` carries (or interpolates) midpoint samples in
-addition to the node samples.
+addition to the node samples.  It is the one waveform type of the package:
+reference sweeps, synthesized controls and baselines are all drive
+schedules, and the synthesis modules build theirs from interleaved
+node/midpoint samples with :meth:`DriveSchedule.from_half_samples`.
 
 Because the equation is linear, one RK4 step is a 2x2 transfer matrix
 built from those samples.  :func:`integrate_schrodinger` builds the
@@ -121,7 +124,8 @@ class DriveSchedule:
     ``delta_omega`` and ``coupling`` hold node samples (``n_steps + 1``
     values each).  Midpoint samples may be supplied when the waveform is
     known in closed form; otherwise they are interpolated with a cubic
-    stencil, which keeps the integrator at its nominal order.
+    stencil, which keeps the integrator at its nominal order.  ``label``
+    names the schedule in verification reports and output file names.
     """
 
     grid: TimeGrid
@@ -129,6 +133,32 @@ class DriveSchedule:
     coupling: np.ndarray
     delta_omega_mid: np.ndarray | None = None
     coupling_mid: np.ndarray | None = None
+    label: str = ""
+
+    @classmethod
+    def from_half_samples(
+        cls, grid: TimeGrid, delta_omega, coupling, label: str = ""
+    ) -> "DriveSchedule":
+        """Schedule from samples on ``grid.half_times`` (2 n_steps + 1 each).
+
+        Even samples are the nodes and odd samples the midpoints.
+        """
+        want = 2 * grid.n_steps + 1
+        dw = np.asarray(delta_omega, dtype=float)
+        g = np.asarray(coupling, dtype=float)
+        for name, arr in (("delta_omega", dw), ("coupling", g)):
+            if arr.shape != (want,):
+                raise ValueError(
+                    f"{name} must have {want} node/midpoint samples, got {arr.shape}"
+                )
+        return cls(
+            grid=grid,
+            delta_omega=dw[::2],
+            coupling=g[::2],
+            delta_omega_mid=dw[1::2],
+            coupling_mid=g[1::2],
+            label=label,
+        )
 
     def __post_init__(self) -> None:
         n = self.grid.n_steps

@@ -17,6 +17,11 @@ equal to zero.  The synthesized detuning that realizes a chosen path is
 which reduces to the fixed-coupling control for g_ff = g and to the
 trivially rescaled drive (alpha * dw(Lambda), with zero path) for
 g_ff = alpha * g.
+
+A run builds one :class:`FfstPhaseModel` from its (reference,
+magnification) pair; the residual map, the synthesis and the baselines
+all take that model, and every waveform they return is a
+:class:`~ffsynth.dynamics.DriveSchedule`.
 """
 
 from __future__ import annotations
@@ -28,11 +33,10 @@ import numpy as np
 from .dynamics import DriveSchedule, ReferenceTrajectory, TimeGrid
 from .zerocurves import (
     Gap,
-    PhaseRoots,
+    PhaseResidualModel,
     SpeedControlledTrajectory,
     detect_gaps,
     link_branches,
-    sine_roots,
 )
 
 #: Clamp floor applied to |beta| before taking logarithms in exports.
@@ -131,11 +135,12 @@ def build_magnification(t_ref: float, grid: TimeGrid) -> MagnificationProfile:
     return MagnificationProfile(grid=grid, alpha=alpha, lam=lam, t_ref=t_ref)
 
 
-class FfstPhaseModel:
+class FfstPhaseModel(PhaseResidualModel):
     """Phase residual of a (reference, magnification) pair.
 
-    Caches spline interpolants of the reference amplitudes so the residual
-    and its closed-form roots can be evaluated at arbitrary times.
+    Holds spline interpolants of the reference amplitudes (shared with the
+    reference's own) and of its drive, so the residual, its closed-form
+    roots and the rescaled drive can be evaluated at arbitrary times.
     """
 
     def __init__(self, ref: ReferenceTrajectory, prof: MagnificationProfile):
@@ -145,8 +150,7 @@ class FfstPhaseModel:
         self.prof = prof
         self.t_final = prof.t_final
         t = ref.grid.times
-        self._p1 = CubicSpline(t, ref.phi1)
-        self._p2 = CubicSpline(t, ref.phi2)
+        self._p1, self._p2 = ref.interpolators()
         self._dw = CubicSpline(t, ref.drive.delta_omega)
         self._g = CubicSpline(t, ref.drive.coupling)
 
@@ -169,29 +173,6 @@ class FfstPhaseModel:
         b = prod.imag
         return alpha * g * b, g * np.hypot(a, b), np.arctan2(b, a)
 
-    def residual(self, t, f2):
-        c, d, phi0 = self.sine_params(t)
-        return c - d * np.sin(np.asarray(f2) + phi0)
-
-    def roots_at(self, t: float) -> PhaseRoots:
-        c, d, phi0 = self.sine_params(float(t))
-        r = sine_roots(float(c), float(d), float(phi0))
-        return PhaseRoots(
-            t=float(t), roots=r.roots, degenerate=r.degenerate, singular=r.singular
-        )
-
-
-def beta_ff(t, f2, ref: ReferenceTrajectory, prof: MagnificationProfile):
-    """Phase residual beta(t, f2); zero marks an exactly scalable path."""
-    return FfstPhaseModel(ref, prof).residual(t, f2)
-
-
-def solve_phase_roots(
-    t: float, ref: ReferenceTrajectory, prof: MagnificationProfile
-) -> PhaseRoots:
-    """Closed-form roots of beta(t, .) in [-pi, pi) at one time."""
-    return FfstPhaseModel(ref, prof).roots_at(t)
-
 
 @dataclass(frozen=True)
 class BetaMap:
@@ -209,20 +190,16 @@ class BetaMap:
 
 
 def build_beta_map(
-    ref: ReferenceTrajectory,
-    prof: MagnificationProfile,
-    n_phase: int = 512,
-    n_time: int = 500,
+    model: PhaseResidualModel, n_phase: int = 512, n_time: int = 500
 ) -> BetaMap:
-    """Sample beta on a uniform grid; phase axis covers [-pi, pi).
+    """Sample a model's residual on a uniform grid; phases cover [-pi, pi).
 
     The phase axis excludes the duplicate +pi column: the residual is
     2*pi periodic, so that column would repeat the first one.
     """
     if n_phase < 256:
         raise ValueError(f"n_phase must be at least 256, got {n_phase}")
-    model = FfstPhaseModel(ref, prof)
-    times = np.linspace(0.0, prof.t_final, n_time + 1)
+    times = np.linspace(0.0, model.t_final, n_time + 1)
     phases = -np.pi + 2.0 * np.pi * np.arange(n_phase) / n_phase
     c, d, phi0 = model.sine_params(times)
     values = c[:, None] - d[:, None] * np.sin(phases[None, :] + phi0[:, None])
@@ -235,7 +212,12 @@ def extract_scts(
     n_scan: int = 16_000,
     threshold: float = 0.2,
 ) -> list[SpeedControlledTrajectory]:
-    """Link the residual's zero curves into speed-controlled trajectories."""
+    """Link the residual's zero curves into speed-controlled trajectories.
+
+    Builds its own model; a run that already has one calls
+    :func:`~ffsynth.zerocurves.link_branches` with it instead.  The name
+    stays because ``bench/layers.py`` probes it.
+    """
     return link_branches(FfstPhaseModel(ref, prof), n_scan=n_scan, threshold=threshold)
 
 
@@ -245,39 +227,13 @@ def detect_phase_gaps(
     branches,
     n_scan: int = 16_000,
 ) -> list[Gap]:
-    """Time intervals with no speed-controlled trajectory to follow."""
+    """Time intervals with no speed-controlled trajectory to follow.
+
+    Builds its own model; a run that already has one calls
+    :func:`~ffsynth.zerocurves.detect_gaps` with it instead.  The name
+    stays because ``bench/layers.py`` probes it.
+    """
     return detect_gaps(FfstPhaseModel(ref, prof), branches, n_scan=n_scan)
-
-
-@dataclass
-class ControlSchedule:
-    """Synthesized detuning waveform with its derivative and coupling."""
-
-    grid: TimeGrid
-    delta_omega: np.ndarray
-    derivative: np.ndarray
-    coupling: np.ndarray
-    delta_omega_mid: np.ndarray | None = None
-    coupling_mid: np.ndarray | None = None
-    label: str = ""
-
-    def __post_init__(self) -> None:
-        for name in ("delta_omega", "derivative", "coupling"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.shape != (self.grid.n_steps + 1,):
-                raise ValueError(f"{name} must be sampled on the grid nodes")
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} contains non-finite samples")
-            setattr(self, name, arr)
-
-    def to_drive(self) -> DriveSchedule:
-        return DriveSchedule(
-            grid=self.grid,
-            delta_omega=self.delta_omega,
-            coupling=self.coupling,
-            delta_omega_mid=self.delta_omega_mid,
-            coupling_mid=self.coupling_mid,
-        )
 
 
 def _path_lift(path, t: np.ndarray) -> np.ndarray:
@@ -327,22 +283,17 @@ def _fill_singular(
     return out
 
 
-def synthesize_control_tunable(
-    path,
-    ref: ReferenceTrajectory,
-    prof: MagnificationProfile,
-    coupling_ff=None,
-    label: str = "",
-) -> ControlSchedule:
+def synthesize_control(
+    path, model: FfstPhaseModel, coupling_ff=None, label: str = ""
+) -> DriveSchedule:
     """Detuning waveform that drives the scaled state along ``path``.
 
     ``coupling_ff`` may be None (keep the rescaled reference coupling,
     the fixed-coupling control), a callable of time, or samples on the
     interleaved node/midpoint grid.
     """
-    model = FfstPhaseModel(ref, prof)
+    prof = model.prof
     grid = prof.grid
-    n = grid.n_steps
     th = grid.half_times
     h2 = th[1] - th[0]
 
@@ -385,76 +336,35 @@ def synthesize_control_tunable(
     brackets[sing1] = np.abs(br1[sing1]) / scale[sing1]
     brackets[sing2] = np.maximum(brackets[sing2], np.abs(br2[sing2]) / scale[sing2])
     dw = _fill_singular(th, dw, bad, brackets)
-
-    return ControlSchedule(
-        grid=grid,
-        delta_omega=dw[::2],
-        derivative=np.gradient(dw[::2], grid.h, edge_order=2),
-        coupling=g_ff[::2],
-        delta_omega_mid=dw[1::2],
-        coupling_mid=g_ff[1::2],
-        label=label,
-    )
+    return DriveSchedule.from_half_samples(grid, dw, g_ff, label=label)
 
 
-def synthesize_control(
-    path,
-    ref: ReferenceTrajectory,
-    prof: MagnificationProfile,
-    label: str = "",
-) -> ControlSchedule:
-    """Fixed-coupling control: the coupling stays at its reference value."""
-    return synthesize_control_tunable(path, ref, prof, coupling_ff=None, label=label)
-
-
-def _resampled_reference(model: FfstPhaseModel, prof: MagnificationProfile):
-    th = prof.grid.half_times
-    lam = prof.lambda_at(th)
-    return th, model._dw(lam), model._g(lam)
-
-
-def naive_control(
-    ref: ReferenceTrajectory, prof: MagnificationProfile
-) -> ControlSchedule:
+def naive_control(model: FfstPhaseModel) -> DriveSchedule:
     """Reference waveform replayed on the compressed/stretched clock.
 
     No scaling correction at all: dw(Lambda(t)) with the reference
     coupling.  Serves as the uncorrected baseline.
     """
-    model = FfstPhaseModel(ref, prof)
-    th, dw_ref, g_ref = _resampled_reference(model, prof)
-    grid = prof.grid
-    return ControlSchedule(
-        grid=grid,
-        delta_omega=dw_ref[::2],
-        derivative=np.gradient(dw_ref[::2], grid.h, edge_order=2),
-        coupling=g_ref[::2],
-        delta_omega_mid=dw_ref[1::2],
-        coupling_mid=g_ref[1::2],
-        label="naive",
+    prof = model.prof
+    lam = prof.lambda_at(prof.grid.half_times)
+    return DriveSchedule.from_half_samples(
+        prof.grid, model._dw(lam), model._g(lam), label="naive"
     )
 
 
-def alpha_scaled_control(
-    ref: ReferenceTrajectory, prof: MagnificationProfile
-) -> ControlSchedule:
+def alpha_scaled_control(model: FfstPhaseModel) -> DriveSchedule:
     """Magnification-scaled detuning with the coupling left untouched.
 
     Scaling both the detuning and the coupling by alpha would reproduce
     the reference exactly; hardware with a fixed coupling can only scale
     the detuning, which is the baseline this constructor provides.
     """
-    model = FfstPhaseModel(ref, prof)
-    th, dw_ref, g_ref = _resampled_reference(model, prof)
-    alpha = prof.alpha_at(th)
-    dw = alpha * dw_ref
-    grid = prof.grid
-    return ControlSchedule(
-        grid=grid,
-        delta_omega=dw[::2],
-        derivative=np.gradient(dw[::2], grid.h, edge_order=2),
-        coupling=g_ref[::2],
-        delta_omega_mid=dw[1::2],
-        coupling_mid=g_ref[1::2],
+    prof = model.prof
+    th = prof.grid.half_times
+    lam = prof.lambda_at(th)
+    return DriveSchedule.from_half_samples(
+        prof.grid,
+        prof.alpha_at(th) * model._dw(lam),
+        model._g(lam),
         label="alpha-scaled",
     )

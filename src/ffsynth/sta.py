@@ -21,9 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .drives import CosineSweepSpec, default_step_count
-from .dynamics import TimeGrid, TwoLevelState
-from .ffst import ControlSchedule, _fill_singular, _path_lift
-from .zerocurves import PhaseRoots, SpeedControlledTrajectory, link_branches, sine_roots
+from .dynamics import DriveSchedule, TimeGrid, TwoLevelState
+from .ffst import _fill_singular, _path_lift
+from .zerocurves import PhaseResidualModel, SpeedControlledTrajectory, link_branches
 
 #: Amplitude below which the eigenstate components count as singular.
 EIGEN_FLOOR = 1e-9
@@ -56,8 +56,8 @@ def eigenpair(delta_omega: float, branch: str = "upper", g: float = 1.0) -> Eige
     raise ValueError(f"branch must be 'upper' or 'lower', got {branch!r}")
 
 
-class StaPhaseModel:
-    """Phase residual of an eigenstate-following sweep."""
+class StaPhaseModel(PhaseResidualModel):
+    """Phase residual of an eigenstate-following sweep (phi0 = 0)."""
 
     def __init__(self, spec: CosineSweepSpec, g: float = 1.0):
         self.spec = spec
@@ -83,17 +83,6 @@ class StaPhaseModel:
     def sine_params(self, t):
         u, v, chi_dot = self._angles(t)
         return -v * chi_dot, self.g * v, np.zeros_like(v)
-
-    def residual(self, t, f2):
-        c, d, _ = self.sine_params(t)
-        return c - d * np.sin(np.asarray(f2))
-
-    def roots_at(self, t: float) -> PhaseRoots:
-        c, d, phi0 = self.sine_params(float(t))
-        r = sine_roots(float(c), float(d), float(phi0))
-        return PhaseRoots(
-            t=float(t), roots=r.roots, degenerate=r.degenerate, singular=r.singular
-        )
 
 
 @dataclass(frozen=True)
@@ -125,20 +114,14 @@ def adiabatic_target(
     )
 
 
-def beta_sta(t, f2, model: StaPhaseModel):
-    """Residual of the eigenstate-following condition along a path."""
-    return model.residual(t, f2)
-
-
-def solve_sta_phase(t: float, model: StaPhaseModel) -> PhaseRoots:
-    """Closed-form roots of the residual in [-pi, pi) at one time."""
-    return model.roots_at(t)
-
-
 def extract_sta_branches(
     model: StaPhaseModel, n_scan: int = 16_000, threshold: float = 0.2
 ) -> list[SpeedControlledTrajectory]:
-    """Link the residual's zero curves into followable branches."""
+    """Link the residual's zero curves into followable branches.
+
+    Same as :func:`~ffsynth.zerocurves.link_branches`; the name stays
+    because ``bench/layers.py`` probes it.
+    """
     return link_branches(model, n_scan=n_scan, threshold=threshold)
 
 
@@ -147,7 +130,7 @@ def synthesize_sta_control(
     model: StaPhaseModel,
     grid: TimeGrid | None = None,
     label: str = "",
-) -> ControlSchedule:
+) -> DriveSchedule:
     """Detuning waveform realizing ``path`` on top of the sweep.
 
     ``path`` may be None for the zero path, which reproduces the input
@@ -177,13 +160,6 @@ def synthesize_sta_control(
     brackets[~bad] = 0.0
     dw_ff = _fill_singular(th, dw_ff, bad, brackets)
 
-    g_arr = np.full_like(th, model.g)
-    return ControlSchedule(
-        grid=grid,
-        delta_omega=dw_ff[::2],
-        derivative=np.gradient(dw_ff[::2], grid.h, edge_order=2),
-        coupling=g_arr[::2],
-        delta_omega_mid=dw_ff[1::2],
-        coupling_mid=g_arr[1::2],
-        label=label,
+    return DriveSchedule.from_half_samples(
+        grid, dw_ff, np.full_like(th, model.g), label=label
     )

@@ -7,9 +7,11 @@ residual of the common form
     residual(t, f) = C(t) - D(t) * sin(f + phi0(t)),   D >= 0,
 
 whose zero set in the (t, f) plane consists of curves ("branches").
-This module solves the residual for f in closed form, links per-time
-roots into continuous branches, and detects the time intervals where no
-root exists.
+Both models derive from :class:`PhaseResidualModel`, which holds the
+residual and its roots on top of each model's ``sine_params``.  This
+module solves the residual for f in closed form, links per-time roots
+into continuous branches, and detects the time intervals where no root
+exists.
 
 Phases are canonicalized to [-pi, pi); pi and -pi label the same
 physical point because the residual is 2*pi periodic in f.
@@ -17,8 +19,8 @@ physical point because the residual is 2*pi periodic in f.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Protocol, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -36,16 +38,6 @@ LINKING_THRESHOLD = 0.2
 def wrap_phase(x):
     """Map angles to the canonical interval [-pi, pi)."""
     return (np.asarray(x) + np.pi) % TWO_PI - np.pi
-
-
-class PhaseResidualModel(Protocol):
-    """Anything that exposes the sinusoidal residual of a scenario."""
-
-    t_final: float
-
-    def sine_params(self, t): ...
-
-    def residual(self, t, f): ...
 
 
 @dataclass(frozen=True)
@@ -82,6 +74,29 @@ def sine_roots(c: float, d: float, phi0: float) -> PhaseRoots:
         return PhaseRoots(t=np.nan, roots=(x1,))
     x2 = float(wrap_phase(np.pi - np.arcsin(s) - phi0))
     return PhaseRoots(t=np.nan, roots=(x1, x2))
+
+
+class PhaseResidualModel:
+    """Sinusoidal residual of one scenario over [0, t_final].
+
+    Subclasses set ``t_final`` and implement ``sine_params(t)``, which
+    returns (C, D, phi0); the residual and its roots follow from those.
+    """
+
+    t_final: float
+
+    def sine_params(self, t):
+        raise NotImplementedError
+
+    def residual(self, t, f):
+        """C - D sin(f + phi0); zero marks a followable phase path."""
+        c, d, phi0 = self.sine_params(t)
+        return c - d * np.sin(np.asarray(f) + phi0)
+
+    def roots_at(self, t: float) -> PhaseRoots:
+        """Closed-form roots of the residual in [-pi, pi) at one time."""
+        c, d, phi0 = self.sine_params(float(t))
+        return replace(sine_roots(float(c), float(d), float(phi0)), t=float(t))
 
 
 @dataclass

@@ -61,7 +61,7 @@ def _scaling_bundle(reference, t_final: float, plan_kind: str, settings_kind: st
         plan = plan_with_crossings(scts, times, t_final)
     settings = default_bridge_settings(settings_kind, t_final)
     vt, cost = optimize_virtual_trajectory(plan, model, grid, settings)
-    control = synthesize_control(vt, reference, prof, label="itt")
+    control = synthesize_control(vt, model, label="itt")
     initial = TwoLevelState(1.0 + 0.0j, 0.0j)
     target = reference.final_state
     report = verify_control(control, initial, target)
@@ -104,23 +104,17 @@ def accel(reference):
 
 @pytest.fixture(scope="session")
 def decel_baselines(reference, decel_a):
-    naive = verify_control(
-        naive_control(reference, decel_a.prof), decel_a.initial, decel_a.target
-    )
+    naive = verify_control(naive_control(decel_a.model), decel_a.initial, decel_a.target)
     scaled = verify_control(
-        alpha_scaled_control(reference, decel_a.prof), decel_a.initial, decel_a.target
+        alpha_scaled_control(decel_a.model), decel_a.initial, decel_a.target
     )
     return SimpleNamespace(naive=naive, alpha_scaled=scaled)
 
 
 @pytest.fixture(scope="session")
 def accel_baselines(reference, accel):
-    naive = verify_control(
-        naive_control(reference, accel.prof), accel.initial, accel.target
-    )
-    scaled = verify_control(
-        alpha_scaled_control(reference, accel.prof), accel.initial, accel.target
-    )
+    naive = verify_control(naive_control(accel.model), accel.initial, accel.target)
+    scaled = verify_control(alpha_scaled_control(accel.model), accel.initial, accel.target)
     return SimpleNamespace(naive=naive, alpha_scaled=scaled)
 
 

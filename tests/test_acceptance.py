@@ -12,13 +12,12 @@ import numpy as np
 import pytest
 
 from ffsynth import (
-    ControlSchedule,
     CosineSweepSpec,
     DriveSchedule,
+    FfstPhaseModel,
     TimeGrid,
     TravelPlan,
     TwoLevelState,
-    beta_ff,
     build_magnification,
     default_bridge_settings,
     default_transmon_spec,
@@ -32,7 +31,6 @@ from ffsynth import (
     solve_reference,
     squid_ej,
     synthesize_control,
-    synthesize_control_tunable,
     to_physical_time,
     trajectory_shift_analysis,
     transmon_frequency,
@@ -122,10 +120,10 @@ def test_criterion_04_eigenstate_following_fast(sta20, sta10):
 
 def test_criterion_05_shift_counts(reference, decel_a, decel_b):
     series_a = trajectory_shift_analysis(
-        decel_a.report.trajectory, decel_a.scts, reference, decel_a.prof
+        decel_a.report.trajectory, decel_a.scts, decel_a.model
     )
     series_b = trajectory_shift_analysis(
-        decel_b.report.trajectory, decel_b.scts, reference, decel_b.prof
+        decel_b.report.trajectory, decel_b.scts, decel_b.model
     )
     ok = series_a.shift_count == 1 and series_b.shift_count == 3
     _line(
@@ -261,7 +259,7 @@ def test_criterion_08_scaling_consistency(reference, decel_a):
     plan = TravelPlan(branches=(y,), crossings=(), t_final=decel_a.t_final)
     settings = default_bridge_settings("decelerate", decel_a.t_final)
     vt, cost = optimize_virtual_trajectory(plan, decel_a.model, decel_a.grid, settings)
-    control = synthesize_control(vt, reference, decel_a.prof, label="y-only")
+    control = synthesize_control(vt, decel_a.model, label="y-only")
     f_y = verify_control(control, decel_a.initial, decel_a.target).fidelity
     branch_ok = f_y > 1.0 - 1e-6 and cost.evaluations == 0
 
@@ -270,7 +268,9 @@ def test_criterion_08_scaling_consistency(reference, decel_a):
     # lookup of the scaled clock and may move by an ulp
     grid = TimeGrid(0.0, 1.0, reference.grid.n_steps)
     prof_id = build_magnification(1.0, grid)
-    ident = synthesize_control(lambda t: np.zeros_like(t), reference, prof_id)
+    ident = synthesize_control(
+        lambda t: np.zeros_like(t), FfstPhaseModel(reference, prof_id)
+    )
     mid_err = float(
         np.max(np.abs(ident.delta_omega_mid - reference.drive.delta_omega_mid))
     )
@@ -281,10 +281,9 @@ def test_criterion_08_scaling_consistency(reference, decel_a):
     )
 
     # scaling the coupling along with the detuning is the textbook limit
-    trivial = synthesize_control_tunable(
+    trivial = synthesize_control(
         lambda t: np.zeros_like(t),
-        reference,
-        decel_a.prof,
+        decel_a.model,
         coupling_ff=decel_a.prof.alpha_at,
         label="trivial",
     )
@@ -313,8 +312,8 @@ def test_criterion_09_frame_invariances(reference, decel_a):
 
     t = np.linspace(0.0, decel_a.t_final, 401)
     f = np.linspace(-np.pi, np.pi, 401)
-    b0 = beta_ff(t, f, reference, decel_a.prof)
-    b1 = beta_ff(t, f + 2.0 * np.pi, reference, decel_a.prof)
+    b0 = decel_a.model.residual(t, f)
+    b1 = decel_a.model.residual(t, f + 2.0 * np.pi)
     period = float(np.max(np.abs(b1 - b0)))
     period_ok = period < 1e-12
 
@@ -347,10 +346,9 @@ def test_criterion_10_hardware_mapping(reference):
 
     spec = default_transmon_spec()
     drive = reference.drive
-    control = ControlSchedule(
+    control = DriveSchedule(
         grid=drive.grid,
         delta_omega=drive.delta_omega,
-        derivative=np.gradient(drive.delta_omega, drive.grid.h, edge_order=2),
         coupling=drive.coupling,
     )
     wave = flux_schedule_for(control, spec)

@@ -46,14 +46,14 @@ class TestVerifyControl:
 class TestShiftAnalysis:
     def test_single_crossing_shifts_once(self, reference, decel_a):
         series = trajectory_shift_analysis(
-            decel_a.report.trajectory, decel_a.scts, reference, decel_a.prof
+            decel_a.report.trajectory, decel_a.scts, decel_a.model
         )
         assert series.shift_count == 1
         assert abs(series.shift_times[0] - decel_a.plan.crossings[0][0]) < 0.02
 
     def test_triple_crossing_shifts_three_times(self, reference, decel_b):
         series = trajectory_shift_analysis(
-            decel_b.report.trajectory, decel_b.scts, reference, decel_b.prof
+            decel_b.report.trajectory, decel_b.scts, decel_b.model
         )
         assert series.shift_count == 3
 
@@ -63,8 +63,7 @@ class TestShiftAnalysis:
             series = trajectory_shift_analysis(
                 decel_a.report.trajectory,
                 decel_a.scts,
-                reference,
-                decel_a.prof,
+                decel_a.model,
                 stride=stride,
             )
             counts.add(series.shift_count)
@@ -72,7 +71,7 @@ class TestShiftAnalysis:
 
     def test_dominance_sequence(self, reference, decel_b):
         series = trajectory_shift_analysis(
-            decel_b.report.trajectory, decel_b.scts, reference, decel_b.prof
+            decel_b.report.trajectory, decel_b.scts, decel_b.model
         )
         labels = [d for d in series.dominant if d]
         # starts on X, ends on Y after an odd number of swaps
@@ -81,9 +80,7 @@ class TestShiftAnalysis:
 
     def test_requires_labeled_branches(self, reference, accel):
         with pytest.raises(ValueError, match="X and Y"):
-            trajectory_shift_analysis(
-                accel.report.trajectory, accel.scts, reference, accel.prof
-            )
+            trajectory_shift_analysis(accel.report.trajectory, accel.scts, accel.model)
 
 
 @pytest.fixture(scope="module")
@@ -112,11 +109,11 @@ class TestGapDirectionScan:
 
     def test_reference_keeps_zero_path(self, scan, reference, decel_a):
         # on the unscaled run the zero path solves the residual everywhere
-        from ffsynth import beta_ff, build_magnification, TimeGrid
+        from ffsynth import FfstPhaseModel, build_magnification, TimeGrid
 
         prof = build_magnification(1.0, TimeGrid(0.0, 1.0, 2000))
         t = np.linspace(0.0, 1.0, 300)
-        beta = beta_ff(t, np.zeros_like(t), reference, prof)
+        beta = FfstPhaseModel(reference, prof).residual(t, np.zeros_like(t))
         assert np.max(np.abs(beta)) < 1e-9
 
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from ffsynth.cli import TABLE_CHUNK_ROWS, _write_table, main
+from ffsynth.ffst import FfstPhaseModel
 
 DECEL_FAST = """\
 schema_version: 1
@@ -26,6 +27,17 @@ schema_version: 1
 scenario: reference-only
 grid:
   reference_steps: 4000
+"""
+
+STA_FAST = """\
+schema_version: 1
+scenario: sta
+t_final: 10.0
+grid:
+  reference_steps: 4000
+  control_steps: 4000
+  scan_points: 4000
+  cost_points: 1000
 """
 
 ACCEL_SWEEP = """\
@@ -190,7 +202,7 @@ class TestSweepFanOut:
     def test_map_stage_sweep(self, tmp_path):
         cfg = _config(tmp_path, ACCEL_SWEEP)
         out = str(tmp_path / "out")
-        rc = main(["map", "--config", cfg, "--out", out, "--threads", "2"])
+        rc = main(["map", "--config", cfg, "--out", out])
         assert rc == 0
 
         aggregate = _read_summary(out)
@@ -205,6 +217,22 @@ class TestSweepFanOut:
             assert os.path.exists(os.path.join(sub, "beta_map.tsv"))
 
 
+    def test_failure_names_its_sweep_value(self, tmp_path, capsys):
+        # speedups (0.9, 0.95) have no X/Y branch pair for the crossing
+        # plan; the slowdown 1.1 between them still succeeds
+        cfg = _config(
+            tmp_path,
+            "schema_version: 1\nscenario: decelerate\nt_ref: 1.0\n"
+            "t_final: [0.9, 1.1, 0.95]\ncrossing_plan: {kind: vt-a}\n",
+        )
+        rc = main(["verify", "--config", cfg, "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.startswith("synthesis failed: t_final=0.9: crossing plan 'vt-a'")
+        assert "\nt_final=0.95: crossing plan 'vt-a'" in err
+        assert "t_final=1.1" not in err
+        assert (tmp_path / "out" / "tf-1.1" / "summary.json").exists()
+
     def test_colliding_sweep_names_exit_2(self, tmp_path, capsys):
         cfg = _config(
             tmp_path, ACCEL_SWEEP.replace("[0.9, 0.95]", "[1.0000001, 1.0000002]")
@@ -215,6 +243,26 @@ class TestSweepFanOut:
         assert rc == 2
         assert "1.0000001" in err and "1.0000002" in err
         assert not out.exists()
+
+
+class TestOneModelPerRun:
+    @pytest.mark.parametrize(
+        "command, text, builds", [("verify", DECEL_FAST, 1), ("sta", STA_FAST, 0)]
+    )
+    def test_residual_model_built_once(
+        self, tmp_path, monkeypatch, command, text, builds
+    ):
+        built = []
+        original = FfstPhaseModel.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(FfstPhaseModel, "__init__", counting)
+        cfg = _config(tmp_path, text)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert len(built) == builds
 
 
 class TestDeviceStage:

@@ -37,7 +37,6 @@ class TestDefaults:
         assert cfg.baselines == ("naive", "alpha-scaled")
         assert cfg.require_fidelity is None
         assert cfg.out_dir == "out"
-        assert cfg.formats == ("tsv", "json")
         assert cfg.device.g_ghz == 0.009
         assert cfg.schema_version == 1
 
@@ -70,7 +69,7 @@ crossing_plan: {kind: vt-b}
 bridge: {width_bounds: [0.01, 0.05], mode: local, amp_max: 7.0}
 baselines: [naive]
 require_fidelity: 0.999
-output: {directory: results, formats: [json]}
+output: {directory: results}
 device: {g_ghz: 0.012, ej_max: 25.0}
 """
         )
@@ -82,7 +81,6 @@ device: {g_ghz: 0.012, ej_max: 25.0}
         assert cfg.baselines == ("naive",)
         assert cfg.require_fidelity == 0.999
         assert cfg.out_dir == "results"
-        assert cfg.formats == ("json",)
         assert cfg.device.g_ghz == 0.012
         assert cfg.device.ej_max == 25.0
 
@@ -162,8 +160,10 @@ require_fidelity: 1.5
         assert any("must be one of ['local', 'detached']" in e for e in errors)
 
     def test_bad_format(self):
-        errors = _errors_of(MINIMAL + "output: {formats: [csv]}")
-        assert any("output.formats[0]" in e for e in errors)
+        # no writer reads a format list, so the key is not accepted at all
+        for formats in ("[csv]", "[json]"):
+            errors = _errors_of(MINIMAL + f"output: {{formats: {formats}}}")
+            assert "output.formats: unknown key" in errors
 
     def test_device_positivity(self):
         errors = _errors_of(MINIMAL + "device: {ej_max: -3}")

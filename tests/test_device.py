@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ffsynth import (
-    ControlSchedule,
+    DriveSchedule,
     FluxRangeError,
     FluxWaveform,
     TimeGrid,
@@ -25,11 +25,10 @@ from ffsynth import (
 SPEC = default_transmon_spec()
 
 
-def _as_control(drive) -> ControlSchedule:
-    return ControlSchedule(
+def _as_control(drive) -> DriveSchedule:
+    return DriveSchedule(
         grid=drive.grid,
         delta_omega=drive.delta_omega,
-        derivative=np.gradient(drive.delta_omega, drive.grid.h, edge_order=2),
         coupling=drive.coupling,
         delta_omega_mid=drive.delta_omega_mid,
         coupling_mid=drive.coupling_mid,
@@ -131,12 +130,7 @@ class TestFluxSchedule:
     def test_out_of_band_raises(self, reference):
         grid = TimeGrid(0.0, 1.0, 10)
         dw = np.full(11, 100.0)
-        control = ControlSchedule(
-            grid=grid,
-            delta_omega=dw,
-            derivative=np.zeros(11),
-            coupling=np.ones(11),
-        )
+        control = DriveSchedule(grid=grid, delta_omega=dw, coupling=np.ones(11))
         with pytest.raises(FluxRangeError, match="outside the tunable band"):
             flux_schedule_for(control, SPEC)
         with pytest.raises(FluxRangeError, match="t = "):

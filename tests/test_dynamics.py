@@ -168,6 +168,35 @@ class TestTwoLevelState:
         assert f == pytest.approx(fidelity(t, s), abs=1e-12)
 
 
+class TestDriveScheduleFromHalfSamples:
+    def test_splits_nodes_and_midpoints_bitwise(self):
+        grid = TimeGrid(0.0, 1.0, 5)
+        dw = np.cos(7.0 * grid.half_times)
+        g = 1.0 + np.sin(3.0 * grid.half_times)
+        drive = DriveSchedule.from_half_samples(grid, dw, g)
+        assert np.array_equal(drive.delta_omega, dw[::2])
+        assert np.array_equal(drive.delta_omega_mid, dw[1::2])
+        assert np.array_equal(drive.coupling, g[::2])
+        assert np.array_equal(drive.coupling_mid, g[1::2])
+        assert np.array_equal(drive.midpoint_samples()[0], dw[1::2])
+
+    @pytest.mark.parametrize("n_samples", [5, 6, 10, 12])
+    def test_rejects_sample_count_other_than_2n_plus_1(self, n_samples):
+        grid = TimeGrid(0.0, 1.0, 5)
+        with pytest.raises(ValueError, match="11 node/midpoint samples"):
+            DriveSchedule.from_half_samples(grid, np.zeros(n_samples), np.ones(11))
+        with pytest.raises(ValueError, match="11 node/midpoint samples"):
+            DriveSchedule.from_half_samples(grid, np.zeros(11), np.ones(n_samples))
+
+    def test_keeps_label(self):
+        grid = TimeGrid(0.0, 1.0, 4)
+        drive = DriveSchedule.from_half_samples(
+            grid, np.zeros(9), np.ones(9), label="itt"
+        )
+        assert drive.label == "itt"
+        assert DriveSchedule.from_half_samples(grid, np.zeros(9), np.ones(9)).label == ""
+
+
 class TestIntegrator:
     def test_rabi_closed_form(self):
         traj = integrate_schrodinger(_rabi_drive(4000), START)

@@ -7,18 +7,16 @@ import pytest
 
 from ffsynth import (
     BetaMap,
-    CosineSweepSpec,
+    DriveSchedule,
+    FfstPhaseModel,
     SynthesisError,
     TimeGrid,
     TwoLevelState,
-    beta_ff,
     build_beta_map,
     build_magnification,
     fidelity,
     integrate_schrodinger,
-    solve_phase_roots,
     synthesize_control,
-    synthesize_control_tunable,
     verify_control,
 )
 
@@ -62,15 +60,15 @@ class TestMagnification:
 
 
 class TestResidualMap:
-    def test_beta_map_shape_and_phase_axis(self, reference, decel_a):
-        bmap = build_beta_map(reference, decel_a.prof, n_phase=256, n_time=50)
+    def test_beta_map_shape_and_phase_axis(self, decel_a):
+        bmap = build_beta_map(decel_a.model, n_phase=256, n_time=50)
         assert bmap.values.shape == (51, 256)
         assert bmap.phases[0] == pytest.approx(-np.pi)
         assert bmap.phases[-1] < np.pi  # duplicate +pi column excluded
 
-    def test_min_phase_resolution_enforced(self, reference, decel_a):
+    def test_min_phase_resolution_enforced(self, decel_a):
         with pytest.raises(ValueError):
-            build_beta_map(reference, decel_a.prof, n_phase=128)
+            build_beta_map(decel_a.model, n_phase=128)
 
     def test_betamap_validation(self):
         with pytest.raises(ValueError):
@@ -78,28 +76,25 @@ class TestResidualMap:
         with pytest.raises(ValueError):
             BetaMap(np.zeros(2), np.zeros(2), np.full((2, 2), np.nan))
 
-    def test_residual_periodicity(self, reference, decel_a):
+    def test_residual_periodicity(self, decel_a):
         t = np.linspace(0.0, 1.1, 200)
         f = np.linspace(-3.0, 3.0, 200)
-        b0 = beta_ff(t, f, reference, decel_a.prof)
-        b1 = beta_ff(t, f + 2.0 * np.pi, reference, decel_a.prof)
+        b0 = decel_a.model.residual(t, f)
+        b1 = decel_a.model.residual(t, f + 2.0 * np.pi)
         assert np.max(np.abs(b0 - b1)) < 1e-10
 
-    def test_roots_zero_residual(self, reference, decel_a):
+    def test_roots_zero_residual(self, decel_a):
         for t in (0.2, 0.55, 0.9):
-            roots = solve_phase_roots(t, reference, decel_a.prof)
+            roots = decel_a.model.roots_at(t)
             for r in roots.roots:
-                val = beta_ff(np.array([t]), np.array([r]), reference, decel_a.prof)
+                val = decel_a.model.residual(np.array([t]), np.array([r]))
                 assert abs(val[0]) < 1e-9
 
-    def test_map_agrees_with_direct_residual(self, reference, decel_a):
-        bmap = build_beta_map(reference, decel_a.prof, n_phase=256, n_time=20)
+    def test_map_agrees_with_direct_residual(self, decel_a):
+        bmap = build_beta_map(decel_a.model, n_phase=256, n_time=20)
         k, j = 7, 100
-        direct = beta_ff(
-            np.array([bmap.times[k]]),
-            np.array([bmap.phases[j]]),
-            reference,
-            decel_a.prof,
+        direct = decel_a.model.residual(
+            np.array([bmap.times[k]]), np.array([bmap.phases[j]])
         )
         assert bmap.values[k, j] == pytest.approx(direct[0], abs=1e-12)
 
@@ -108,7 +103,7 @@ class TestSynthesis:
     def test_identity_reproduces_reference_nodes_bitwise(self, reference):
         grid = TimeGrid(0.0, 1.0, 20_000)
         prof = build_magnification(1.0, grid)
-        control = synthesize_control(_zero_path, reference, prof)
+        control = synthesize_control(_zero_path, FfstPhaseModel(reference, prof))
         assert np.array_equal(control.delta_omega, reference.drive.delta_omega)
         assert np.array_equal(control.coupling, reference.drive.coupling)
 
@@ -120,8 +115,8 @@ class TestSynthesis:
         def scaled_coupling(t):
             return prof.alpha_at(t)
 
-        control = synthesize_control_tunable(
-            _zero_path, reference, prof, coupling_ff=scaled_coupling
+        control = synthesize_control(
+            _zero_path, decel_a.model, coupling_ff=scaled_coupling
         )
         report = verify_control(control, START, reference.final_state)
         assert report.fidelity > 1.0 - 1e-8
@@ -131,8 +126,8 @@ class TestSynthesis:
         # with g_ff = alpha * g the correction terms cancel identically:
         # the waveform is exactly alpha * dw(Lambda) plus the path slope
         prof = decel_a.prof
-        control = synthesize_control_tunable(
-            _zero_path, reference, prof, coupling_ff=lambda t: prof.alpha_at(t)
+        control = synthesize_control(
+            _zero_path, decel_a.model, coupling_ff=lambda t: prof.alpha_at(t)
         )
         t = prof.grid.times
         expected = prof.alpha_at(t) * np.interp(
@@ -143,41 +138,41 @@ class TestSynthesis:
     def test_synthesized_control_is_finite(self, decel_a, accel):
         for bundle in (decel_a, accel):
             assert np.all(np.isfinite(bundle.control.delta_omega))
-            assert np.all(np.isfinite(bundle.control.derivative))
+            # the derivative column of control.tsv, computed as the CLI does
+            derivative = np.gradient(
+                bundle.control.delta_omega, bundle.grid.h, edge_order=2
+            )
+            assert np.all(np.isfinite(derivative))
             assert np.all(np.isfinite(bundle.control.delta_omega_mid))
 
     def test_singular_start_raises(self, reference, decel_a):
         # a path pinned to pi at t = 0 demands travel while the second
         # amplitude is exactly zero: the required detuning diverges
         with pytest.raises(SynthesisError, match="t = "):
-            synthesize_control(
-                lambda t: np.full_like(t, np.pi), reference, decel_a.prof
-            )
+            synthesize_control(lambda t: np.full_like(t, np.pi), decel_a.model)
 
     def test_coupling_sample_count_checked(self, reference, decel_a):
         with pytest.raises(ValueError, match="samples"):
-            synthesize_control_tunable(
-                _zero_path, reference, decel_a.prof, coupling_ff=np.ones(7)
-            )
+            synthesize_control(_zero_path, decel_a.model, coupling_ff=np.ones(7))
 
 
 class TestBaselines:
-    def test_labels(self, reference, decel_a):
+    def test_labels(self, decel_a):
         from ffsynth import alpha_scaled_control, naive_control
 
-        assert naive_control(reference, decel_a.prof).label == "naive"
-        assert alpha_scaled_control(reference, decel_a.prof).label == "alpha-scaled"
+        assert naive_control(decel_a.model).label == "naive"
+        assert alpha_scaled_control(decel_a.model).label == "alpha-scaled"
 
-    def test_alpha_scaled_leaves_coupling_alone(self, reference, decel_a):
+    def test_alpha_scaled_leaves_coupling_alone(self, decel_a):
         from ffsynth import alpha_scaled_control
 
-        control = alpha_scaled_control(reference, decel_a.prof)
+        control = alpha_scaled_control(decel_a.model)
         assert np.allclose(control.coupling, 1.0, atol=1e-12)
 
     def test_naive_replays_reference_samples(self, reference, decel_a):
         from ffsynth import naive_control
 
-        control = naive_control(reference, decel_a.prof)
+        control = naive_control(decel_a.model)
         t = decel_a.grid.times
         expected = np.interp(
             decel_a.prof.lambda_at(t),
@@ -187,22 +182,16 @@ class TestBaselines:
         assert np.allclose(control.delta_omega, expected, atol=1e-6)
 
 
-class TestControlSchedule:
-    def test_to_drive_round_trip(self, decel_a):
-        drive = decel_a.control.to_drive()
-        assert drive.grid is decel_a.control.grid
-        assert np.array_equal(drive.delta_omega, decel_a.control.delta_omega)
-        traj = integrate_schrodinger(drive, START)
+class TestDriveSchedule:
+    def test_reintegration_round_trip(self, decel_a):
+        traj = integrate_schrodinger(decel_a.control, START)
         assert fidelity(traj.final_state, decel_a.report.final_state) > 1.0 - 1e-12
 
     def test_validation_rejects_shape_mismatch(self, decel_a):
-        from ffsynth import ControlSchedule
-
         c = decel_a.control
         with pytest.raises(ValueError):
-            ControlSchedule(
+            DriveSchedule(
                 grid=c.grid,
                 delta_omega=c.delta_omega[:-1],
-                derivative=c.derivative,
                 coupling=c.coupling,
             )

@@ -10,9 +10,7 @@ from ffsynth import (
     StaPhaseModel,
     TimeGrid,
     adiabatic_target,
-    beta_sta,
     eigenpair,
-    solve_sta_phase,
     synthesize_sta_control,
 )
 
@@ -91,14 +89,14 @@ class TestStaResidual:
         model = StaPhaseModel(CosineSweepSpec(30.0, 20.0))
         t = np.linspace(0.0, 20.0, 500)
         c, d, _ = model.sine_params(t)
-        assert np.allclose(beta_sta(t, np.zeros_like(t), model), c, atol=1e-14)
+        assert np.allclose(model.residual(t, np.zeros_like(t)), c, atol=1e-14)
         assert np.all(d >= 0.0)
 
     @pytest.mark.parametrize("duration", [10.0, 20.0])
     def test_root_count_two_zero_two(self, duration):
         model = StaPhaseModel(CosineSweepSpec(30.0, duration))
         t = np.linspace(0.01, duration - 0.01, 801)
-        counts = np.array([len(solve_sta_phase(tt, model).roots) for tt in t])
+        counts = np.array([len(model.roots_at(tt).roots) for tt in t])
         assert counts[0] == 2 and counts[-1] == 2
         assert np.any(counts == 0)
         # one contiguous rootless window: pattern is 2 -> 0 -> 2
@@ -108,7 +106,7 @@ class TestStaResidual:
     def test_root_count_stays_two_for_long_sweep(self):
         model = StaPhaseModel(CosineSweepSpec(30.0, 30.0))
         t = np.linspace(0.01, 29.99, 801)
-        counts = [len(solve_sta_phase(tt, model).roots) for tt in t]
+        counts = [len(model.roots_at(tt).roots) for tt in t]
         assert all(c == 2 for c in counts)
 
 
@@ -136,7 +134,7 @@ class TestStaSynthesis:
         for n in (2000, 4000):
             grid = TimeGrid(0.0, 1.0, n)
             control = synthesize_sta_control(None, model, grid)
-            traj = integrate_schrodinger(control.to_drive(), model.initial_state())
+            traj = integrate_schrodinger(control, model.initial_state())
             h = grid.h
             numeric = (traj.phi1[2:] - traj.phi1[:-2]) / (2.0 * h)
             dw = control.delta_omega[1:-1]
