@@ -85,7 +85,6 @@ class TrajectoryShiftSeries:
 
 
 def _branch_overlaps(
-    trajectory: ReferenceTrajectory,
     branch: SpeedControlledTrajectory,
     p1: np.ndarray,
     p2: np.ndarray,
@@ -129,8 +128,8 @@ def trajectory_shift_analysis(
 
     p1, p2 = model.states_at(model.prof.lambda_at(times))
 
-    ox = _branch_overlaps(trajectory, x, p1, p2, times, psi1, psi2)
-    oy = _branch_overlaps(trajectory, y, p1, p2, times, psi1, psi2)
+    ox = _branch_overlaps(x, p1, p2, times, psi1, psi2)
+    oy = _branch_overlaps(y, p1, p2, times, psi1, psi2)
 
     dominant = np.full(len(times), "", dtype=object)
     shifts: list[float] = []

@@ -32,10 +32,8 @@ from .analysis import trajectory_shift_analysis, verify_control
 from .config import ConfigError, RunConfig, load_config, sweep_label
 from .device import (
     FluxRangeError,
-    TransmonSpec,
     coupling_strength,
     default_transmon_spec,
-    ecc_for_coupling,
     flux_schedule_for,
     rwa_emulation_map,
     transmon_frequency,
@@ -141,20 +139,6 @@ def _write_shift_table(path: str, series) -> None:
             fh.write("%.17g\t%.17g\t%.17g\t%s\n" % (t, ox, oy, dom))
 
 
-def _bridge_settings(cfg: RunConfig, t_final: float):
-    settings = default_bridge_settings(SETTINGS_KIND[cfg.scenario], t_final)
-    overrides = {}
-    if cfg.width_bounds is not None:
-        overrides["width_bounds"] = cfg.width_bounds
-    if cfg.center_slack is not None:
-        overrides["center_slack"] = cfg.center_slack
-    if cfg.bridge_mode is not None:
-        overrides["mode"] = cfg.bridge_mode
-    if cfg.amp_max is not None:
-        overrides["amp_max"] = cfg.amp_max
-    return replace(settings, **overrides) if overrides else settings
-
-
 def _build_plan(cfg: RunConfig, scts, gaps, t_final: float):
     if cfg.plan_kind == "auto":
         return plan_through_gaps(scts, gaps, t_final)
@@ -167,31 +151,13 @@ def _build_plan(cfg: RunConfig, scts, gaps, t_final: float):
     touches = branch_touch_times(labeled["X"], labeled["Y"])
     if not touches:
         raise ConstructionError("no corridor found between the X and Y branches")
-    if cfg.plan_kind == "vt-a":
-        times = [touches[len(touches) // 2]]
-    elif cfg.plan_kind == "vt-b":
-        times = list(touches)
-    else:
-        times = sorted({min(touches, key=lambda c: abs(c - t)) for t in cfg.crossing_times})
+    times = [touches[len(touches) // 2]] if cfg.plan_kind == "vt-a" else touches
     return plan_with_crossings(scts, times, t_final)
 
 
 def _device_section(cfg: RunConfig, sweep_control, primary_control, out_dir: str):
-    dev = cfg.device
-    base = default_transmon_spec(dev.g_ghz)
-    ej_max = base.ej_max if dev.ej_max is None else dev.ej_max
-    ej_fixed = base.ej_fixed if dev.ej_fixed is None else dev.ej_fixed
-    ec = base.ec if dev.ec is None else dev.ec
-    asym = base.d if dev.d is None else dev.d
-    if dev.ecc is not None:
-        ecc = dev.ecc
-    elif (dev.ej_max, dev.ej_fixed, dev.ec) == (None, None, None):
-        ecc = base.ecc
-    else:
-        ecc = ecc_for_coupling(ej_max, ej_fixed, ec, ec, dev.g_ghz)
-    spec = TransmonSpec(ej_max=ej_max, ej_fixed=ej_fixed, ec=ec, ecc=ecc, d=asym)
-
-    wave = flux_schedule_for(sweep_control, spec, omega2=dev.omega2, g_phys=dev.g_ghz)
+    spec = default_transmon_spec(cfg.g_ghz)
+    wave = flux_schedule_for(sweep_control, spec, g_phys=cfg.g_ghz)
     _write_table(
         os.path.join(out_dir, "device_reference.tsv"),
         ["t_ns", "flux"],
@@ -203,11 +169,7 @@ def _device_section(cfg: RunConfig, sweep_control, primary_control, out_dir: str
             float(transmon_frequency(spec.ej_max * spec.d, spec.ec)),
             float(transmon_frequency(spec.ej_max, spec.ec)),
         ],
-        "omega2_ghz": float(
-            dev.omega2
-            if dev.omega2 is not None
-            else transmon_frequency(spec.ej_fixed, spec.ec)
-        ),
+        "omega2_ghz": float(transmon_frequency(spec.ej_fixed, spec.ec)),
         "coupling_ghz": float(coupling_strength(spec)),
         "duration_ns": float(wave.grid.t_end),
         "flux_range": [float(np.min(wave.flux)), float(np.max(wave.flux))],
@@ -217,16 +179,14 @@ def _device_section(cfg: RunConfig, sweep_control, primary_control, out_dir: str
             "ec": float(spec.ec),
             "ecc": float(spec.ecc),
             "d": float(spec.d),
-            "g_ghz": float(dev.g_ghz),
+            "g_ghz": float(cfg.g_ghz),
         },
         "rwa": {k: (float(v) if isinstance(v, (int, float)) else v)
                 for k, v in rwa.metadata.items()},
     }
     if primary_control is not None:
         try:
-            cwave = flux_schedule_for(
-                primary_control, spec, omega2=dev.omega2, g_phys=dev.g_ghz
-            )
+            cwave = flux_schedule_for(primary_control, spec, g_phys=cfg.g_ghz)
             _write_table(
                 os.path.join(out_dir, "device_control.tsv"),
                 ["t_ns", "flux"],
@@ -311,17 +271,12 @@ def run_single(
     control = None
     if depth >= 2:
         plan = _build_plan(cfg, scts, gaps, t_final)
-        settings = _bridge_settings(cfg, t_final)
-        if plan.n_bridges == 0 and cfg.bridge_mode is None:
+        settings = default_bridge_settings(SETTINGS_KIND[cfg.scenario], t_final)
+        if plan.n_bridges == 0:
             # with nothing to bridge, follow the planned branch directly
             settings = replace(settings, mode="local")
         vt, cost = optimize_virtual_trajectory(
-            plan,
-            model,
-            grid_c,
-            settings,
-            init=cfg.bridge_init,
-            n_cost=cfg.cost_points,
+            plan, model, grid_c, settings, n_cost=cfg.cost_points
         )
         if is_sta:
             control = synthesize_sta_control(vt, model, grid_c, label="sta")
@@ -418,8 +373,10 @@ def run_single(
 def run_pipeline(cfg: RunConfig, out_dir: str, stage: str) -> dict:
     """Run each t_final value in turn; single runs write in place.
 
-    A failing value does not stop the values after it.  The first failure
-    is re-raised at the end with a message naming every failed value.
+    A failing value does not stop the values after it.  The aggregate
+    summary is written either way, listing each failed value's message
+    under ``failed``; then the first failure is re-raised with a message
+    naming every failed value.
     """
     depth = DEPTH[stage]
     do_device = stage in ("device", "full") or (
@@ -438,12 +395,6 @@ def run_pipeline(cfg: RunConfig, out_dir: str, stage: str) -> dict:
             runs[label] = run_single(cfg, tf, sub, depth, do_device, stage)
         except Exception as exc:
             errors.append((label, exc))
-    if errors:
-        # rewrite the message in place: the class picks the exit code, and
-        # not every error class can be rebuilt from a plain string
-        first = errors[0][1]
-        first.args = ("\n".join(f"t_final={label}: {exc}" for label, exc in errors),)
-        raise first
 
     aggregate = {
         "schema_version": cfg.schema_version,
@@ -452,7 +403,15 @@ def run_pipeline(cfg: RunConfig, out_dir: str, stage: str) -> dict:
         "sweep": [sweep_label(tf) for tf in cfg.t_final],
         "runs": runs,
     }
+    if errors:
+        aggregate["failed"] = {label: str(exc) for label, exc in errors}
     _write_summary(os.path.join(out_dir, "summary.json"), aggregate)
+    if errors:
+        # rewrite the message in place: the class picks the exit code, and
+        # not every error class can be rebuilt from a plain string
+        first = errors[0][1]
+        first.args = ("\n".join(f"t_final={label}: {exc}" for label, exc in errors),)
+        raise first
     return aggregate
 
 

@@ -17,7 +17,7 @@ from .drives import MAX_STEPS, default_step_count
 SCHEMA_VERSION = 1
 
 SCENARIOS = ("accelerate", "decelerate", "sta", "reference-only", "device-map")
-PLAN_KINDS = ("auto", "vt-a", "vt-b", "times")
+PLAN_KINDS = ("auto", "vt-a", "vt-b")
 BASELINES = {
     "accelerate": ("naive", "alpha-scaled"),
     "decelerate": ("naive", "alpha-scaled"),
@@ -25,7 +25,6 @@ BASELINES = {
     "reference-only": (),
     "device-map": (),
 }
-BRIDGE_MODES = ("local", "detached")
 
 
 def sweep_label(t_final: float) -> str:
@@ -44,19 +43,6 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True)
-class DeviceConfig:
-    """Physical-mapping inputs; None falls back to the nominal device."""
-
-    g_ghz: float = 0.009
-    ej_max: float | None = None
-    ej_fixed: float | None = None
-    ec: float | None = None
-    ecc: float | None = None
-    d: float | None = None
-    omega2: float | None = None
-
-
-@dataclass(frozen=True)
 class RunConfig:
     """Validated inputs for one pipeline invocation."""
 
@@ -69,16 +55,10 @@ class RunConfig:
     scan_points: int
     cost_points: int
     plan_kind: str
-    crossing_times: tuple[float, ...]
-    width_bounds: tuple[float, float] | None
-    center_slack: float | None
-    bridge_mode: str | None
-    amp_max: float | None
-    bridge_init: tuple[tuple[float, float, float], ...] | None
     baselines: tuple[str, ...]
     require_fidelity: float | None
     out_dir: str
-    device: DeviceConfig
+    g_ghz: float
     schema_version: int = SCHEMA_VERSION
 
 
@@ -256,77 +236,16 @@ def parse_config(text: str) -> RunConfig:
             )
 
     plan = chk.expect_mapping(doc.get("crossing_plan"), "crossing_plan")
-    chk.reject_unknown(plan, {"kind", "times"}, "crossing_plan")
+    chk.reject_unknown(plan, {"kind"}, "crossing_plan")
     default_kind = "vt-a" if scenario == "decelerate" else "auto"
     plan_kind = chk.text(
         plan, "kind", "crossing_plan.", default=default_kind, choices=PLAN_KINDS
     )
-    times_raw = plan.get("times")
-    crossing_times: tuple[float, ...] = ()
-    if times_raw is not None:
-        if not isinstance(times_raw, list):
-            chk.fail("crossing_plan.times", "expected a list of times")
-        else:
-            vals = []
-            for i, v in enumerate(times_raw):
-                if isinstance(v, bool) or not isinstance(v, (int, float)):
-                    chk.fail(
-                        f"crossing_plan.times[{i}]",
-                        f"expected a number, got {type(v).__name__}",
-                    )
-                else:
-                    vals.append(float(v))
-            crossing_times = tuple(vals)
-    if plan_kind == "times" and not crossing_times:
-        chk.fail("crossing_plan.times", "required when kind is 'times'")
-    if plan_kind != "times" and crossing_times:
-        chk.fail("crossing_plan.times", f"not allowed when kind is {plan_kind!r}")
 
+    # bridge bounds come from itt.default_bridge_settings per scenario;
+    # the section accepts no key; it stays so that an old key is named
     bridge = chk.expect_mapping(doc.get("bridge"), "bridge")
-    chk.reject_unknown(
-        bridge, {"width_bounds", "center_slack", "mode", "amp_max", "init"}, "bridge"
-    )
-    width_bounds = None
-    wb_raw = bridge.get("width_bounds")
-    if wb_raw is not None:
-        if (
-            not isinstance(wb_raw, list)
-            or len(wb_raw) != 2
-            or any(
-                isinstance(v, bool) or not isinstance(v, (int, float)) for v in wb_raw
-            )
-        ):
-            chk.fail("bridge.width_bounds", "expected [lower, upper] numbers")
-        elif not (0 < wb_raw[0] < wb_raw[1]):
-            chk.fail("bridge.width_bounds", "must satisfy 0 < lower < upper")
-        else:
-            width_bounds = (float(wb_raw[0]), float(wb_raw[1]))
-    center_slack = chk.number(bridge, "center_slack", "bridge.", positive=True)
-    bridge_mode = chk.text(bridge, "mode", "bridge.", choices=BRIDGE_MODES)
-    amp_max = chk.number(bridge, "amp_max", "bridge.", positive=True)
-    bridge_init = None
-    init_raw = bridge.get("init")
-    if init_raw is not None:
-        if not isinstance(init_raw, list):
-            chk.fail("bridge.init", "expected a list of [center, width, amplitude]")
-        else:
-            triples = []
-            for i, item in enumerate(init_raw):
-                if (
-                    not isinstance(item, list)
-                    or len(item) != 3
-                    or any(
-                        isinstance(v, bool) or not isinstance(v, (int, float))
-                        for v in item
-                    )
-                ):
-                    chk.fail(
-                        f"bridge.init[{i}]",
-                        "expected [center, width, amplitude] numbers",
-                    )
-                else:
-                    triples.append(tuple(float(v) for v in item))
-            bridge_init = tuple(triples) if triples else None
+    chk.reject_unknown(bridge, (), "bridge")
 
     baselines_raw = doc.get("baselines")
     allowed_baselines = BASELINES.get(scenario or "", ())
@@ -359,18 +278,8 @@ def parse_config(text: str) -> RunConfig:
     out_dir = chk.text(output, "directory", "output.", default="out")
 
     dev = chk.expect_mapping(doc.get("device"), "device")
-    chk.reject_unknown(
-        dev, {"g_ghz", "ej_max", "ej_fixed", "ec", "ecc", "d", "omega2"}, "device"
-    )
-    device = DeviceConfig(
-        g_ghz=chk.number(dev, "g_ghz", "device.", default=0.009, positive=True),
-        ej_max=chk.number(dev, "ej_max", "device.", positive=True),
-        ej_fixed=chk.number(dev, "ej_fixed", "device.", positive=True),
-        ec=chk.number(dev, "ec", "device.", positive=True),
-        ecc=chk.number(dev, "ecc", "device.", positive=True),
-        d=chk.number(dev, "d", "device.", positive=True),
-        omega2=chk.number(dev, "omega2", "device.", positive=True),
-    )
+    chk.reject_unknown(dev, {"g_ghz"}, "device")
+    g_ghz = chk.number(dev, "g_ghz", "device.", default=0.009, positive=True)
 
     if chk.errors:
         raise ConfigError(chk.errors)
@@ -385,16 +294,10 @@ def parse_config(text: str) -> RunConfig:
         scan_points=scan_points,
         cost_points=cost_points,
         plan_kind=plan_kind,
-        crossing_times=crossing_times,
-        width_bounds=width_bounds,
-        center_slack=center_slack,
-        bridge_mode=bridge_mode,
-        amp_max=amp_max,
-        bridge_init=bridge_init,
         baselines=baselines,
         require_fidelity=require_fidelity,
         out_dir=out_dir,
-        device=device,
+        g_ghz=g_ghz,
         schema_version=SCHEMA_VERSION,
     )
 

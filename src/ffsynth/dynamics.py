@@ -59,9 +59,6 @@ class TwoLevelState:
     def populations(self) -> tuple[float, float]:
         return (abs(self.phi1) ** 2, abs(self.phi2) ** 2)
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.phi1, self.phi2], dtype=complex)
-
 
 @dataclass(frozen=True)
 class TimeGrid:
@@ -204,13 +201,6 @@ class ReferenceTrajectory:
     phi2: np.ndarray
     drive: DriveSchedule
     _interpolators: tuple | None = field(default=None, repr=False, compare=False)
-
-    @property
-    def states(self) -> tuple[TwoLevelState, ...]:
-        return tuple(
-            TwoLevelState(complex(a), complex(b))
-            for a, b in zip(self.phi1, self.phi2)
-        )
 
     def state(self, k: int) -> TwoLevelState:
         return TwoLevelState(complex(self.phi1[k]), complex(self.phi2[k]))

@@ -51,7 +51,6 @@ class BridgeSettings:
     width_bounds: tuple[float, float]
     center_slack: float
     mode: str = "local"
-    amp_max: float = AMP_MAX
 
     def __post_init__(self) -> None:
         lo, hi = self.width_bounds
@@ -212,27 +211,53 @@ def _flatten_params(params) -> np.ndarray:
     return arr
 
 
+def _bridges(plan: TravelPlan, params, settings: BridgeSettings) -> list[tuple]:
+    """Clamped ``(center, width, amplitude, lo, hi)`` of each bridge, where
+    ``[lo, hi]`` is its window (the whole run for a detached bump).  Total
+    in its inputs: widths and centers outside bounds are clamped, never
+    rejected, so the simplex search sees a flat (not discontinuous)
+    landscape there.
+    """
+    sig_lo, sig_hi = settings.width_bounds
+    out = []
+    for i, (glo, ghi) in enumerate(plan.crossings):
+        c, sig, amp = params[3 * i : 3 * i + 3]
+        sig = min(max(abs(sig), sig_lo), sig_hi)
+        gc = 0.5 * (glo + ghi)
+        c = min(max(c, gc - settings.center_slack), gc + settings.center_slack)
+        if settings.mode == "detached":
+            lo, hi = 0.0, plan.t_final
+        else:
+            lo = max(0.0, min(c - 3.0 * sig, glo))
+            hi = min(plan.t_final, max(c + 3.0 * sig, ghi))
+        out.append((c, sig, amp, lo, hi))
+    return out
+
+
+def _realignment_shifts(plan: TravelPlan) -> list[float]:
+    """Whole turns added to each branch so it meets the previous one at
+    the crossing center; the connector then never sweeps a spurious 2 pi."""
+    shifts = [0.0]
+    for (glo, ghi), fin, fout in zip(plan.crossings, plan.branches, plan.branches[1:]):
+        gc = 0.5 * (glo + ghi)
+        step = fout.values_at(gc) - (fin.values_at(gc) + shifts[-1])
+        shifts.append(-TWO_PI * np.round(step / TWO_PI))
+    return shifts
+
+
 def _assemble_lift(
     t_eval: np.ndarray,
     plan: TravelPlan,
     params: np.ndarray,
     settings: BridgeSettings,
 ) -> np.ndarray:
-    """Raw spliced lift before endpoint pinning.  Total in its inputs:
-    widths and centers outside bounds are clamped, never rejected, so
-    the simplex search sees a flat (not discontinuous) landscape there.
-    """
+    """Raw spliced lift before endpoint pinning."""
     t_f = plan.t_final
-    sig_lo, sig_hi = settings.width_bounds
+    bridges = _bridges(plan, params, settings)
 
     if settings.mode == "detached":
         f = np.zeros_like(t_eval)
-        for i in range(plan.n_bridges):
-            c, sig, amp = params[3 * i : 3 * i + 3]
-            sig = min(max(abs(sig), sig_lo), sig_hi)
-            glo, ghi = plan.crossings[i]
-            gc = 0.5 * (glo + ghi)
-            c = min(max(c, gc - settings.center_slack), gc + settings.center_slack)
+        for c, sig, amp, _, _ in bridges:
             g = np.exp(-((t_eval - c) ** 2) / (2.0 * sig**2))
             g0 = np.exp(-(c**2) / (2.0 * sig**2))
             g1 = np.exp(-((t_f - c) ** 2) / (2.0 * sig**2))
@@ -240,20 +265,9 @@ def _assemble_lift(
         return f
 
     branches = plan.branches
+    shifts = _realignment_shifts(plan)
     f = branches[0].values_at(t_eval)
-    cur_shift = 0.0
-    for i, (glo, ghi) in enumerate(plan.crossings):
-        c, sig, amp = params[3 * i : 3 * i + 3]
-        sig = min(max(abs(sig), sig_lo), sig_hi)
-        gc = 0.5 * (glo + ghi)
-        c = min(max(c, gc - settings.center_slack), gc + settings.center_slack)
-        lo = max(0.0, min(c - 3.0 * sig, glo))
-        hi = min(t_f, max(c + 3.0 * sig, ghi))
-        # realign the outgoing branch by whole turns at the gap center
-        fin_c = branches[i].values_at(gc) + cur_shift
-        fout_c = branches[i + 1].values_at(gc)
-        out_shift = -TWO_PI * np.round((fout_c - fin_c) / TWO_PI)
-
+    for i, (c, sig, amp, lo, hi) in enumerate(bridges):
         z_lo = erf((lo - c) / (np.sqrt(2.0) * sig))
         z_hi = erf((hi - c) / (np.sqrt(2.0) * sig))
         w = np.clip(
@@ -267,41 +281,22 @@ def _assemble_lift(
         base = g_lo + (g_hi - g_lo) * (t_eval - lo) / (hi - lo)
         bump = np.where((t_eval > lo) & (t_eval < hi), g - base, 0.0)
 
-        fi = branches[i].values_at(t_eval) + cur_shift
-        fo = branches[i + 1].values_at(t_eval) + out_shift
+        fi = branches[i].values_at(t_eval) + shifts[i]
+        fo = branches[i + 1].values_at(t_eval) + shifts[i + 1]
         blend = fi * (1.0 - w) + fo * w + amp * bump
         f = np.where(t_eval <= lo, f, blend)
-        cur_shift = out_shift
     return f
 
 
-def _effective_params(
-    plan: TravelPlan, params: np.ndarray, settings: BridgeSettings
-) -> list[tuple[float, float, float]]:
-    sig_lo, sig_hi = settings.width_bounds
-    out = []
-    for i in range(plan.n_bridges):
-        c, sig, amp = params[3 * i : 3 * i + 3]
-        sig = min(max(abs(sig), sig_lo), sig_hi)
-        gc = 0.5 * (plan.crossings[i][0] + plan.crossings[i][1])
-        c = min(max(c, gc - settings.center_slack), gc + settings.center_slack)
-        out.append((float(c), float(sig), float(amp)))
-    return out
-
-
-def _bridge_windows(
-    plan: TravelPlan, params: np.ndarray, settings: BridgeSettings
-) -> list[tuple[float, float]]:
-    if settings.mode == "detached":
-        return [(0.0, plan.t_final)] * plan.n_bridges
-    windows = []
-    for (c, sig, _), (glo, ghi) in zip(
-        _effective_params(plan, params, settings), plan.crossings
-    ):
-        lo = max(0.0, min(c - 3.0 * sig, glo))
-        hi = min(plan.t_final, max(c + 3.0 * sig, ghi))
-        windows.append((lo, hi))
-    return windows
+def _pinned_lift(t, plan: TravelPlan, params, settings: BridgeSettings, ends=None):
+    """Spliced lift minus the linear ramp that pins both ends to zero, and
+    the ramp's ``ends``: the wrapped raw lift at t = 0 and t = T_F, read
+    off ``t[0]`` and ``t[-1]`` unless given."""
+    raw = _assemble_lift(t, plan, params, settings)
+    if ends is None:
+        ends = (float(wrap_phase(raw[0])), float(wrap_phase(raw[-1])))
+    e0, e1 = ends
+    return raw - (e0 + (e1 - e0) * t / plan.t_final), ends
 
 
 @dataclass(frozen=True, eq=False)
@@ -329,9 +324,8 @@ class VirtualTrajectory:
     def values_at(self, t) -> np.ndarray:
         """Continuous lift at arbitrary times, endpoint ramp included."""
         t = np.asarray(t, dtype=float)
-        f = _assemble_lift(t, self._plan, self._raw_params, self._settings)
-        e0, e1 = self._ramp
-        return f - (e0 + (e1 - e0) * t / self._plan.t_final)
+        p = self._raw_params
+        return _pinned_lift(t, self._plan, p, self._settings, self._ramp)[0]
 
 
 def build_virtual_trajectory(
@@ -353,27 +347,23 @@ def build_virtual_trajectory(
         )
     for i in range(plan.n_bridges):
         amp = p[3 * i + 2]
-        if abs(amp) > settings.amp_max:
+        if abs(amp) > AMP_MAX:
             raise ConstructionError(
                 f"bridge {i} amplitude {amp:.4g} exceeds the bound "
-                f"{settings.amp_max:.4g}; endpoints unreachable"
+                f"{AMP_MAX:.4g}; endpoints unreachable"
             )
 
-    t = grid.times
-    raw = _assemble_lift(t, plan, p, settings)
-    e0 = float(wrap_phase(raw[0]))
-    e1 = float(wrap_phase(raw[-1]))
-    lift = raw - (e0 + (e1 - e0) * t / plan.t_final)
+    lift, ends = _pinned_lift(grid.times, plan, p, settings)
     if abs(wrap_phase(lift[0])) > 1e-9 or abs(wrap_phase(lift[-1])) > 1e-9:
         raise ConstructionError("endpoint pinning failed to reach phase zero")
     canonical = wrap_phase(lift)
     canonical[0] = 0.0
     canonical[-1] = 0.0
 
-    windows = _bridge_windows(plan, p, settings)
+    bridges = _bridges(plan, p, settings)
     segments: list[tuple[tuple[float, float], str]] = []
     cursor = 0.0
-    for i, (lo, hi) in enumerate(windows):
+    for i, (_, _, _, lo, hi) in enumerate(bridges):
         if lo > cursor:
             segments.append(((cursor, lo), plan.branches[i].branch_id))
         segments.append(((max(lo, cursor), hi), f"bridge-{i}"))
@@ -386,11 +376,13 @@ def build_virtual_trajectory(
         f2=canonical,
         f2_lift=lift,
         segments=tuple(segments),
-        bridge_params=tuple(_effective_params(plan, p, settings)),
+        bridge_params=tuple(
+            (float(c), float(sig), float(amp)) for c, sig, amp, _, _ in bridges
+        ),
         _plan=plan,
         _raw_params=p,
         _settings=settings,
-        _ramp=(e0, e1),
+        _ramp=ends,
     )
 
 
@@ -426,7 +418,7 @@ def itt_cost(
     absbeta = np.abs(c - d * np.sin(f + phi0))
     total = float(np.trapezoid(absbeta, tt))
     per_gap = []
-    for lo, hi in _bridge_windows(plan, vt._raw_params, vt._settings):
+    for _, _, _, lo, hi in _bridges(plan, vt._raw_params, vt._settings):
         mask = (tt >= lo) & (tt <= hi)
         per_gap.append(float(np.trapezoid(absbeta[mask], tt[mask])))
     return IttCostReport(
@@ -474,10 +466,7 @@ def optimize_virtual_trajectory(
 
     def cost(p: np.ndarray) -> float:
         evals[0] += 1
-        raw = _assemble_lift(tt, plan, p, settings)
-        e0 = wrap_phase(raw[0])
-        e1 = wrap_phase(raw[-1])
-        f = raw - (e0 + (e1 - e0) * tt / t_f)
+        f = _pinned_lift(tt, plan, p, settings)[0]
         value = float(np.trapezoid(np.abs(c - d * np.sin(f + phi0)), tt))
         if not np.isfinite(value):
             raise OptimizerError(

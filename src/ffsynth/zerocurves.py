@@ -266,10 +266,6 @@ class Gap:
     def midpoint(self) -> float:
         return 0.5 * (self.t_start + self.t_end)
 
-    @property
-    def phase_difference(self) -> float:
-        return float(wrap_phase(self.right_phase - self.left_phase))
-
 
 def detect_gaps(
     model: PhaseResidualModel,

@@ -25,9 +25,7 @@ from ffsynth import (
     default_bridge_settings,
     default_step_count,
     detect_gaps,
-    detect_phase_gaps,
-    extract_scts,
-    extract_sta_branches,
+    link_branches,
     naive_control,
     optimize_virtual_trajectory,
     plan_through_gaps,
@@ -49,8 +47,8 @@ def _scaling_bundle(reference, t_final: float, plan_kind: str, settings_kind: st
     grid = TimeGrid(0.0, t_final, default_step_count(t_final))
     prof = build_magnification(1.0, grid)
     model = FfstPhaseModel(reference, prof)
-    scts = extract_scts(reference, prof)
-    gaps = detect_phase_gaps(reference, prof, scts)
+    scts = link_branches(model)
+    gaps = detect_gaps(model, scts)
     touches = []
     if plan_kind == "auto":
         plan = plan_through_gaps(scts, gaps, t_final)
@@ -122,7 +120,7 @@ def _sta_bundle(duration: float):
     sweep = CosineSweepSpec(30.0, duration)
     model = StaPhaseModel(sweep)
     grid = TimeGrid(0.0, duration, default_step_count(duration))
-    branches = extract_sta_branches(model)
+    branches = link_branches(model)
     gaps = detect_gaps(model, branches)
     plan = plan_through_gaps(branches, gaps, duration)
     settings = default_bridge_settings("sta", duration)

@@ -50,6 +50,23 @@ grid:
   scan_points: 4000
 """
 
+# config keys that no longer exist, and the error each one now raises
+REMOVED_KEYS = [
+    ("bridge: {width_bounds: [0.01, 0.05]}", "bridge.width_bounds: unknown key"),
+    ("bridge: {center_slack: 0.05}", "bridge.center_slack: unknown key"),
+    ("bridge: {mode: local}", "bridge.mode: unknown key"),
+    ("bridge: {amp_max: 7.0}", "bridge.amp_max: unknown key"),
+    ("bridge: {init: [[0.9, 0.02, 0.3]]}", "bridge.init: unknown key"),
+    ("crossing_plan: {times: [0.5]}", "crossing_plan.times: unknown key"),
+    ("crossing_plan: {kind: times}", "crossing_plan.kind: must be one of"),
+    ("device: {ej_max: 30.0}", "device.ej_max: unknown key"),
+    ("device: {ej_fixed: 27.7}", "device.ej_fixed: unknown key"),
+    ("device: {ec: 0.203}", "device.ec: unknown key"),
+    ("device: {ecc: 0.01}", "device.ecc: unknown key"),
+    ("device: {d: 0.85}", "device.d: unknown key"),
+    ("device: {omega2: 6.5}", "device.omega2: unknown key"),
+]
+
 
 def _config(tmp_path, text, name="run.yaml") -> str:
     path = tmp_path / name
@@ -232,6 +249,14 @@ class TestSweepFanOut:
         assert "\nt_final=0.95: crossing plan 'vt-a'" in err
         assert "t_final=1.1" not in err
         assert (tmp_path / "out" / "tf-1.1" / "summary.json").exists()
+        # the aggregate keeps the value that succeeded and names the others
+        aggregate = _read_summary(str(tmp_path / "out"))
+        assert aggregate["sweep"] == ["0.9", "1.1", "0.95"]
+        assert set(aggregate["runs"]) == {"1.1"}
+        assert aggregate["runs"]["1.1"]["fidelities"]["itt"] > 0.999
+        assert set(aggregate["failed"]) == {"0.9", "0.95"}
+        for message in aggregate["failed"].values():
+            assert message.startswith("crossing plan 'vt-a' needs the two full-span")
 
     def test_colliding_sweep_names_exit_2(self, tmp_path, capsys):
         cfg = _config(
@@ -310,14 +335,13 @@ class TestFailureModes:
         assert rc == 2
         assert "(0, 1]" in capsys.readouterr().err
 
-    def test_wrong_bridge_count_exits_3(self, tmp_path, capsys):
-        cfg = _config(
-            tmp_path,
-            DECEL_FAST
-            + "bridge:\n  init: [[0.9, 0.02, 0.3], [1.0, 0.02, 0.3], [0.7, 0.02, 0.3]]\n",
-        )
-        rc = main(["synthesize", "--config", cfg, "--out", str(tmp_path / "out")])
-        captured = capsys.readouterr()
-        assert rc == 3
-        assert captured.err.startswith("synthesis failed:")
-        assert "initial parameters" in captured.err
+    @pytest.mark.parametrize(
+        "line, message", REMOVED_KEYS, ids=[m.split(":")[0] for _, m in REMOVED_KEYS]
+    )
+    def test_removed_key_exits_2(self, tmp_path, capsys, line, message):
+        cfg = _config(tmp_path, DECEL_FAST + line + "\n")
+        out = tmp_path / "out"
+        rc = main(["verify", "--config", cfg, "--out", str(out)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()

@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import glob
+import importlib
+import os
+
 import pytest
 
 from ffsynth import ConfigError, load_config, parse_config
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 MINIMAL = """
 schema_version: 1
@@ -31,13 +37,10 @@ class TestDefaults:
         assert cfg.scan_points == 16_000
         assert cfg.cost_points == 4_000
         assert cfg.plan_kind == "vt-a"
-        assert cfg.crossing_times == ()
-        assert cfg.width_bounds is None
-        assert cfg.bridge_mode is None
         assert cfg.baselines == ("naive", "alpha-scaled")
         assert cfg.require_fidelity is None
         assert cfg.out_dir == "out"
-        assert cfg.device.g_ghz == 0.009
+        assert cfg.g_ghz == 0.009
         assert cfg.schema_version == 1
 
     def test_accelerate_plans_automatically(self):
@@ -66,29 +69,18 @@ scenario: decelerate
 t_final: 1.1
 grid: {control_steps: 4000, scan_points: 2000}
 crossing_plan: {kind: vt-b}
-bridge: {width_bounds: [0.01, 0.05], mode: local, amp_max: 7.0}
 baselines: [naive]
 require_fidelity: 0.999
 output: {directory: results}
-device: {g_ghz: 0.012, ej_max: 25.0}
+device: {g_ghz: 0.012}
 """
         )
         assert cfg.control_steps == 4000
         assert cfg.plan_kind == "vt-b"
-        assert cfg.width_bounds == (0.01, 0.05)
-        assert cfg.bridge_mode == "local"
-        assert cfg.amp_max == 7.0
         assert cfg.baselines == ("naive",)
         assert cfg.require_fidelity == 0.999
         assert cfg.out_dir == "results"
-        assert cfg.device.g_ghz == 0.012
-        assert cfg.device.ej_max == 25.0
-
-    def test_bridge_init_triples(self):
-        cfg = parse_config(
-            MINIMAL + "bridge: {init: [[0.9, 0.02, 0.3], [1.0, 0.03, -0.2]]}"
-        )
-        assert cfg.bridge_init == ((0.9, 0.02, 0.3), (1.0, 0.03, -0.2))
+        assert cfg.g_ghz == 0.012
 
 
 class TestErrorCollection:
@@ -131,33 +123,18 @@ require_fidelity: 1.5
             MINIMAL + "t_ref: true"
         )
 
-    def test_times_only_with_kind_times(self):
-        errors = _errors_of(MINIMAL + "crossing_plan: {kind: vt-a, times: [0.5]}")
-        assert any("not allowed when kind is 'vt-a'" in e for e in errors)
-
-    def test_kind_times_requires_times(self):
-        errors = _errors_of(MINIMAL + "crossing_plan: {kind: times}")
-        assert any("required when kind is 'times'" in e for e in errors)
-
     def test_baseline_scenario_membership(self):
         errors = _errors_of(
             "schema_version: 1\nscenario: sta\nt_final: 20.0\nbaselines: [naive]"
         )
         assert any("not available for scenario 'sta'" in e for e in errors)
 
-    def test_width_bounds_ordering(self):
-        errors = _errors_of(MINIMAL + "bridge: {width_bounds: [0.05, 0.01]}")
-        assert any("0 < lower < upper" in e for e in errors)
-
-    def test_init_shape(self):
-        errors = _errors_of(MINIMAL + "bridge: {init: [[0.9, 0.02]]}")
-        assert any(
-            "bridge.init[0]: expected [center, width, amplitude]" in e for e in errors
-        )
-
     def test_bad_bridge_mode(self):
-        errors = _errors_of(MINIMAL + "bridge: {mode: global}")
-        assert any("must be one of ['local', 'detached']" in e for e in errors)
+        # the mode follows the scenario (itt.default_bridge_settings), so the
+        # key is not accepted at all
+        for mode in ("global", "local", "detached"):
+            errors = _errors_of(MINIMAL + f"bridge: {{mode: {mode}}}")
+            assert errors == ["bridge.mode: unknown key"]
 
     def test_bad_format(self):
         # no writer reads a format list, so the key is not accepted at all
@@ -166,8 +143,8 @@ require_fidelity: 1.5
             assert "output.formats: unknown key" in errors
 
     def test_device_positivity(self):
-        errors = _errors_of(MINIMAL + "device: {ej_max: -3}")
-        assert any("device.ej_max: must be positive" in e for e in errors)
+        errors = _errors_of(MINIMAL + "device: {g_ghz: -3}")
+        assert errors == ["device.g_ghz: must be positive, got -3"]
 
 
 class TestStepBudget:
@@ -266,3 +243,20 @@ class TestLoadConfig:
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             load_config(str(tmp_path / "absent.yaml"))
+
+
+def test_shipped_and_benchmark_configs_parse(tmp_path, monkeypatch):
+    """Every shipped config and every benchmark workload document is valid."""
+    shipped = sorted(glob.glob(os.path.join(ROOT, "configs", "*.yaml")))
+    assert shipped
+    for path in shipped:
+        load_config(path)
+
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "bench"))
+    workloads = importlib.import_module("workloads")
+    for workload in workloads.WORKLOADS.values():
+        for seed in (0, 7):
+            doc, _ = workloads.make_config(workload, seed, str(tmp_path / "out"))
+            path = str(tmp_path / f"{workload.name}-{seed}.yaml")
+            workloads.write_config(path, doc)
+            assert load_config(path).scenario == doc["scenario"]
