@@ -21,7 +21,7 @@ from .dynamics import (
     integrate_schrodinger,
 )
 from .ffst import FfstPhaseModel, build_magnification
-from .zerocurves import DEGENERATE_FLOOR, SpeedControlledTrajectory
+from .zerocurves import SpeedControlledTrajectory, mask_runs, root_table
 
 #: Dominance hysteresis for shift counting, suppressing chatter where
 #: the two branch overlaps are nearly equal.
@@ -171,18 +171,8 @@ class GapDirectionProfile:
     @property
     def zero_intervals(self) -> list[tuple[float, float]]:
         """Maximal time intervals with no root at all."""
-        out = []
-        inside = False
-        start = 0.0
-        for t, c in zip(self.times, self.counts):
-            if c == 0 and not inside:
-                inside, start = True, t
-            elif c != 0 and inside:
-                inside = False
-                out.append((start, t))
-        if inside:
-            out.append((start, float(self.times[-1])))
-        return out
+        t = self.times.tolist()
+        return [(t[i], t[min(j, len(t) - 1)]) for i, j in mask_runs(self.counts == 0)]
 
 
 def gap_direction_scan(
@@ -196,8 +186,9 @@ def gap_direction_scan(
     Slowing down splits the branches horizontally (roots persist, count
     stays positive); speeding up opens root-free intervals (vertical
     opening).  The unscaled run keeps the zero path available throughout.
-    Degenerate samples (residual amplitude at the floor) admit any phase
-    and are counted as -1.
+    Counts come from ``root_table``: degenerate samples (residual
+    identically zero) admit any phase and count -1, and samples where the
+    amplitude vanishes but the offset does not admit none and count 0.
     """
     t_ref = ref.grid.t_end
     out: dict[float, GapDirectionProfile] = {}
@@ -206,11 +197,7 @@ def gap_direction_scan(
         prof = build_magnification(t_ref, grid)
         model = FfstPhaseModel(ref, prof)
         times = np.linspace(0.0, t_f, n_scan + 1)
-        c, d, phi0 = model.sine_params(times)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            s = np.abs(c / d)
-        counts = np.where(s > 1.0 + 1e-12, 0, np.where(np.abs(s - 1.0) < 1e-12, 1, 2))
-        counts = np.where(d < DEGENERATE_FLOOR, -1, counts)
+        counts = root_table(*model.sine_params(times))[2]
         interior_zero = np.any(counts[1:-1] == 0)
         alpha = prof.alpha_at(times)
         if interior_zero:
@@ -222,7 +209,7 @@ def gap_direction_scan(
         out[float(t_f)] = GapDirectionProfile(
             t_final=float(t_f),
             times=times,
-            counts=counts.astype(int),
+            counts=counts,
             classification=classification,
         )
     return out

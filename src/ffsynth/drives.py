@@ -65,8 +65,8 @@ def _antisymmetrize(values: np.ndarray) -> np.ndarray:
     """Mirror the first half onto the second so v[m-k] == -v[k] bitwise."""
     v = values.copy()
     m = len(v) - 1
-    for k in range((m + 1) // 2):
-        v[m - k] = -v[k]
+    h = (m + 1) // 2
+    v[m - h + 1 :] = -v[:h][::-1]
     if m % 2 == 0:
         v[m // 2] = 0.0
     return v

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erf
 
 from .dynamics import TimeGrid
 from .zerocurves import TWO_PI, Gap, SpeedControlledTrajectory, wrap_phase
@@ -263,6 +262,8 @@ def _assemble_lift(
             g1 = np.exp(-((t_f - c) ** 2) / (2.0 * sig**2))
             f = f + amp * (g - (g0 + (g1 - g0) * t_eval / t_f))
         return f
+
+    from scipy.special import erf
 
     branches = plan.branches
     shifts = _realignment_shifts(plan)

@@ -9,9 +9,10 @@ residual of the common form
 whose zero set in the (t, f) plane consists of curves ("branches").
 Both models derive from :class:`PhaseResidualModel`, which holds the
 residual and its roots on top of each model's ``sine_params``.  This
-module solves the residual for f in closed form, links per-time roots
-into continuous branches, and detects the time intervals where no root
-exists.
+module solves the residual for f in closed form on a whole scan at once
+(``root_table``, the one place that decides where roots exist), links
+the roots into continuous branches, and detects the time intervals
+where no root exists.
 
 Phases are canonicalized to [-pi, pi); pi and -pi label the same
 physical point because the residual is 2*pi periodic in f.
@@ -45,35 +46,51 @@ class PhaseRoots:
     """Roots of the residual at one time.
 
     ``degenerate`` marks times where the residual vanishes identically
-    (every phase is a root); ``singular`` marks times where the amplitude
-    D vanishes but the offset C does not, so no phase can be a root.
+    (every phase is a root).
     """
 
     t: float
     roots: tuple[float, ...]
     degenerate: bool = False
-    singular: bool = False
+
+
+def root_table(c, d, phi0):
+    """Solve C = D sin(f + phi0) for f in [-pi, pi) at every sample.
+
+    Returns arrays ``(x1, x2, count)``.  ``count`` is -1 where the
+    residual vanishes identically (D and |C| at the floor), 0 where no
+    phase is a root (|C/D| > 1, or D at the floor while C is not), 1 where
+    |C/D| sits within 1e-12 of 1 and the pair collapses to ``x1``, and 2
+    otherwise.  Roots that do not exist are nan.
+    """
+    c, d, phi0 = (np.asarray(v, dtype=float) for v in (c, d, phi0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = c / d
+    clipped = np.clip(s, -1.0, 1.0)
+    count = np.where(
+        np.abs(s) > 1.0 + 1e-12, 0, np.where(np.abs(np.abs(clipped) - 1.0) < 1e-12, 1, 2)
+    )
+    flat = d < DEGENERATE_FLOOR
+    count = np.where(flat, np.where(np.abs(c) <= DEGENERATE_FLOOR, -1, 0), count)
+    a = np.arcsin(clipped)
+    x1 = np.where(count >= 1, wrap_phase(a - phi0), np.nan)
+    x2 = np.where(count == 2, wrap_phase(np.pi - a - phi0), np.nan)
+    return x1, x2, count
 
 
 def sine_roots(c: float, d: float, phi0: float) -> PhaseRoots:
-    """Solve C = D sin(f + phi0) for f in [-pi, pi).
+    """Roots of C = D sin(f + phi0) in [-pi, pi): one row of ``root_table``."""
+    x1, x2, n = root_table(c, d, phi0)
+    return PhaseRoots(
+        t=np.nan, roots=(float(x1), float(x2))[: max(int(n), 0)], degenerate=bool(n < 0)
+    )
 
-    Returns zero, one, or two roots.  The pair collapses to a single root
-    when |C/D| sits within 1e-12 of 1, and to none when |C/D| > 1.
-    """
-    if d < DEGENERATE_FLOOR:
-        if abs(c) <= DEGENERATE_FLOOR:
-            return PhaseRoots(t=np.nan, roots=(), degenerate=True)
-        return PhaseRoots(t=np.nan, roots=(), singular=True)
-    s = c / d
-    if abs(s) > 1.0 + 1e-12:
-        return PhaseRoots(t=np.nan, roots=())
-    s = min(1.0, max(-1.0, s))
-    x1 = float(wrap_phase(np.arcsin(s) - phi0))
-    if abs(abs(s) - 1.0) < 1e-12:
-        return PhaseRoots(t=np.nan, roots=(x1,))
-    x2 = float(wrap_phase(np.pi - np.arcsin(s) - phi0))
-    return PhaseRoots(t=np.nan, roots=(x1, x2))
+
+def mask_runs(mask) -> list[tuple[int, int]]:
+    """Half-open index ranges [i, j) of the maximal runs of True in a mask."""
+    m = np.concatenate(([False], np.asarray(mask, dtype=bool), [False]))
+    edges = np.flatnonzero(m[1:] != m[:-1]).tolist()
+    return list(zip(edges[0::2], edges[1::2]))
 
 
 class PhaseResidualModel:
@@ -113,23 +130,18 @@ class SpeedControlledTrajectory:
     valid: np.ndarray
     branch_id: str
 
+    t_start: float = field(init=False)
+    t_end: float = field(init=False)
+    start_phase: float = field(init=False)
+    end_phase: float = field(init=False)
     _interp: object = field(default=None, repr=False, compare=False)
 
-    @property
-    def t_start(self) -> float:
-        return float(self.times[self.valid][0])
-
-    @property
-    def t_end(self) -> float:
-        return float(self.times[self.valid][-1])
-
-    @property
-    def start_phase(self) -> float:
-        return float(self.f2[self.valid][0])
-
-    @property
-    def end_phase(self) -> float:
-        return float(self.f2[self.valid][-1])
+    def __post_init__(self) -> None:
+        idx = np.flatnonzero(self.valid)
+        self.t_start = float(self.times[idx[0]])
+        self.t_end = float(self.times[idx[-1]])
+        self.start_phase = float(self.f2[idx[0]])
+        self.end_phase = float(self.f2[idx[-1]])
 
     @property
     def f2_canonical(self) -> np.ndarray:
@@ -185,21 +197,26 @@ def link_branches(
     while its canonical image crosses the -pi/pi seam.
     """
     t = np.linspace(0.0, model.t_final, n_scan + 1)
-    cs, ds, phis = model.sine_params(t)
+    x1, x2, count = root_table(*model.sine_params(t))
     active: list[dict] = []
     done: list[dict] = []
 
-    for k in range(n_scan + 1):
-        rts = sine_roots(float(cs[k]), float(ds[k]), float(phis[k]))
-        if rts.degenerate:
+    pi, two_pi = float(np.pi), float(TWO_PI)
+
+    def wrap(x: float) -> float:
+        # wrap_phase's float operations on a Python float, so lifts keep their bits
+        return (x + pi) % two_pi - pi
+
+    for k, (r1, r2, n) in enumerate(zip(x1.tolist(), x2.tolist(), count.tolist())):
+        if n < 0:
             # every phase is a root here; branches pass through untouched
             continue
-        roots = rts.roots
-        pairs = []
-        for bi, br in enumerate(active):
-            for ri, v in enumerate(roots):
-                pairs.append((abs(float(wrap_phase(v - br["last"]))), bi, ri))
-        pairs.sort()
+        roots = (r1, r2)[:n]
+        pairs = sorted(
+            (abs(wrap(v - br["fs"][-1])), bi, ri)
+            for bi, br in enumerate(active)
+            for ri, v in enumerate(roots)
+        )
         taken_b: set[int] = set()
         taken_r: set[int] = set()
         for dist, bi, ri in pairs:
@@ -209,14 +226,13 @@ def link_branches(
             taken_r.add(ri)
             br = active[bi]
             br["ks"].append(k)
-            br["fs"].append(br["fs"][-1] + float(wrap_phase(roots[ri] - br["last"])))
-            br["last"] = br["fs"][-1]
+            br["fs"].append(br["fs"][-1] + wrap(roots[ri] - br["fs"][-1]))
         survivors = []
         for bi, br in enumerate(active):
             (survivors if bi in taken_b else done).append(br)
         for ri, v in enumerate(roots):
             if ri not in taken_r:
-                survivors.append({"ks": [k], "fs": [v], "last": v})
+                survivors.append({"ks": [k], "fs": [v]})
         active = survivors
 
     done.extend(active)
@@ -275,12 +291,12 @@ def detect_gaps(
     """Maximal intervals not covered by any branch.
 
     Degenerate samples (residual identically zero) count as covered, so a
-    vanishing product of reference amplitudes does not open a gap.  Each
-    gap records the nearest branch phase on both sides.
+    vanishing product of reference amplitudes does not open a gap; samples
+    where no phase is a root do not.  Each gap records the nearest branch
+    phase on both sides.
     """
     t = np.linspace(0.0, model.t_final, n_scan + 1)
-    cs, ds, phis = model.sine_params(t)
-    covered = ds < DEGENERATE_FLOOR
+    covered = root_table(*model.sine_params(t))[2] < 0
     for br in branches:
         covered |= (t >= br.t_start - 1e-12) & (t <= br.t_end + 1e-12)
 
@@ -300,17 +316,9 @@ def detect_gaps(
         return best[1], best[2]
 
     gaps: list[Gap] = []
-    k = 0
-    n = n_scan + 1
-    while k < n:
-        if covered[k]:
-            k += 1
-            continue
-        j = k
-        while j < n and not covered[j]:
-            j += 1
+    for k, j in mask_runs(~covered):
         lo = t[k - 1] if k > 0 else t[0]
-        hi = t[j] if j < n else t[-1]
+        hi = t[j] if j < len(t) else t[-1]
         lb, lp = nearest(lo, before=True)
         rb, rp = nearest(hi, before=False)
         gaps.append(
@@ -323,7 +331,6 @@ def detect_gaps(
                 right_phase=float(rp),
             )
         )
-        k = j
     return gaps
 
 
@@ -342,14 +349,11 @@ def branch_touch_times(
     t1 = min(x.t_end, y.t_end)
     t = np.linspace(t0, t1, n_scan + 1)
     sep = np.abs(wrap_phase(x.values_at(t) - y.values_at(t)))
-    out = []
-    span = t1 - t0
-    for k in range(1, n_scan):
-        if (
-            sep[k] < sep[k - 1]
-            and sep[k] <= sep[k + 1]
-            and sep[k] < separation_threshold
-            and (t[k] - t0) > 0.05 * span
-        ):
-            out.append(float(t[k]))
-    return out
+    mid = sep[1:-1]
+    hit = (
+        (mid < sep[:-2])
+        & (mid <= sep[2:])
+        & (mid < separation_threshold)
+        & ((t[1:-1] - t0) > 0.05 * (t1 - t0))
+    )
+    return t[1:-1][hit].tolist()

@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import ffsynth
 from ffsynth.cli import TABLE_CHUNK_ROWS, _write_table, main
 from ffsynth.ffst import FfstPhaseModel
 
@@ -345,3 +348,18 @@ class TestFailureModes:
         assert rc == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_import_loads_no_scipy():
+    # scipy is imported where it is used, so the CLI starts without it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ffsynth.__file__)))
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path)
+    code = (
+        "import sys, ffsynth.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

@@ -12,6 +12,18 @@ from ffsynth import (
     default_step_count,
     solve_reference,
 )
+from ffsynth.drives import _antisymmetrize
+
+
+def _loop_antisymmetrize(values: np.ndarray) -> np.ndarray:
+    """Element loop ``_antisymmetrize`` replaced, kept as its oracle."""
+    v = values.copy()
+    m = len(v) - 1
+    for k in range((m + 1) // 2):
+        v[m - k] = -v[k]
+    if m % 2 == 0:
+        v[m // 2] = 0.0
+    return v
 
 # Frozen from this build after verifying eighth-step refinement moves the
 # value by less than 1e-12; guards against silent integrator changes.
@@ -53,6 +65,14 @@ class TestCosineSweep:
         drive = build_cosine_sweep(CosineSweepSpec(30.0, 1.0), grid)
         assert np.array_equal(drive.delta_omega, -drive.delta_omega[::-1])
         assert np.array_equal(drive.delta_omega_mid, -drive.delta_omega_mid[::-1])
+
+    def test_antisymmetrize_matches_loop(self):
+        rng = np.random.default_rng(3)
+        for n in [0, 1, 2, 3, 4, 5, 8, 9, 2001, 4000]:
+            values = rng.normal(size=n)
+            values[: min(n, 2)] = [np.nan, -0.0][: min(n, 2)]
+            got = _antisymmetrize(values)
+            assert got.tobytes() == _loop_antisymmetrize(values).tobytes(), n
 
     def test_unit_coupling(self):
         grid = TimeGrid(0.0, 1.0, 100)

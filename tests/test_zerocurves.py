@@ -8,8 +8,167 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from ffsynth import sine_roots, wrap_phase
-from ffsynth.zerocurves import DEGENERATE_FLOOR
+from ffsynth import (
+    CosineSweepSpec,
+    FfstPhaseModel,
+    PhaseResidualModel,
+    SpeedControlledTrajectory,
+    StaPhaseModel,
+    TimeGrid,
+    analysis,
+    branch_touch_times,
+    build_magnification,
+    default_step_count,
+    detect_gaps,
+    gap_direction_scan,
+    link_branches,
+    sine_roots,
+    wrap_phase,
+)
+from ffsynth.zerocurves import DEGENERATE_FLOOR, LINKING_THRESHOLD, root_table
+
+
+def _scalar_sine_roots(c: float, d: float, phi0: float):
+    """Per-sample root solver the root table replaced: (roots, degenerate)."""
+    if d < DEGENERATE_FLOOR:
+        return (), abs(c) <= DEGENERATE_FLOOR
+    s = c / d
+    if abs(s) > 1.0 + 1e-12:
+        return (), False
+    s = min(1.0, max(-1.0, s))
+    x1 = float(wrap_phase(np.arcsin(s) - phi0))
+    if abs(abs(s) - 1.0) < 1e-12:
+        return (x1,), False
+    x2 = float(wrap_phase(np.pi - np.arcsin(s) - phi0))
+    return (x1, x2), False
+
+
+def _oracle_link(model, n_scan=16_000, threshold=LINKING_THRESHOLD, min_samples=6):
+    """Per-sample branch linker the root-table linker replaced."""
+    t = np.linspace(0.0, model.t_final, n_scan + 1)
+    cs, ds, phis = model.sine_params(t)
+    active: list[dict] = []
+    done: list[dict] = []
+    for k in range(n_scan + 1):
+        roots, degenerate = _scalar_sine_roots(float(cs[k]), float(ds[k]), float(phis[k]))
+        if degenerate:
+            continue
+        pairs = []
+        for bi, br in enumerate(active):
+            for ri, v in enumerate(roots):
+                pairs.append((abs(float(wrap_phase(v - br["last"]))), bi, ri))
+        pairs.sort()
+        taken_b: set[int] = set()
+        taken_r: set[int] = set()
+        for dist, bi, ri in pairs:
+            if bi in taken_b or ri in taken_r or dist >= threshold:
+                continue
+            taken_b.add(bi)
+            taken_r.add(ri)
+            br = active[bi]
+            br["ks"].append(k)
+            br["fs"].append(br["fs"][-1] + float(wrap_phase(roots[ri] - br["last"])))
+            br["last"] = br["fs"][-1]
+        survivors = []
+        for bi, br in enumerate(active):
+            (survivors if bi in taken_b else done).append(br)
+        for ri, v in enumerate(roots):
+            if ri not in taken_r:
+                survivors.append({"ks": [k], "fs": [v], "last": v})
+        active = survivors
+    done.extend(active)
+
+    out = []
+    for br in done:
+        if len(br["ks"]) < min_samples:
+            continue
+        f2 = np.full(n_scan + 1, np.nan)
+        valid = np.zeros(n_scan + 1, dtype=bool)
+        f2[br["ks"]] = br["fs"]
+        valid[br["ks"]] = True
+        out.append(SpeedControlledTrajectory(times=t, f2=f2, valid=valid, branch_id=""))
+    out.sort(key=lambda b: (b.t_start, b.start_phase))
+    for i, b in enumerate(out):
+        b.branch_id = f"B{i}"
+    full = [b for b in out if b.spans_full_domain()]
+    if len(out) == 2 and len(full) == 2:
+        a, b = sorted(out, key=lambda s: abs(float(wrap_phase(s.end_phase))))
+        a.branch_id = "Y"
+        b.branch_id = "X"
+    return out
+
+
+def _oracle_touch_times(x, y, separation_threshold=1.2, n_scan=16_000):
+    """Per-sample local-minimum loop ``branch_touch_times`` replaced."""
+    t0 = max(x.t_start, y.t_start)
+    t1 = min(x.t_end, y.t_end)
+    t = np.linspace(t0, t1, n_scan + 1)
+    sep = np.abs(wrap_phase(x.values_at(t) - y.values_at(t)))
+    out = []
+    span = t1 - t0
+    for k in range(1, n_scan):
+        if (
+            sep[k] < sep[k - 1]
+            and sep[k] <= sep[k + 1]
+            and sep[k] < separation_threshold
+            and (t[k] - t0) > 0.05 * span
+        ):
+            out.append(float(t[k]))
+    return out
+
+
+def _assert_same_branches(got, want):
+    assert [b.branch_id for b in got] == [b.branch_id for b in want]
+    for g, w in zip(got, want):
+        assert np.array_equal(g.valid, w.valid), g.branch_id
+        assert g.f2.tobytes() == w.f2.tobytes(), g.branch_id
+        assert g.t_start == g.times[g.valid][0] and g.t_end == g.times[g.valid][-1]
+        assert g.start_phase == g.f2[g.valid][0] and g.end_phase == g.f2[g.valid][-1]
+
+
+class _TableModel(PhaseResidualModel):
+    """Residual given sample by sample on the integer times 0..n."""
+
+    def __init__(self, c, d, phi0):
+        self.c, self.d, self.phi0 = c, d, phi0
+        self.t_final = float(len(c) - 1)
+
+    def sine_params(self, t):
+        k = np.rint(np.asarray(t)).astype(int)
+        return self.c[k], self.d[k], self.phi0[k]
+
+
+class _SingularModel(PhaseResidualModel):
+    """Two roots everywhere except a middle stretch where D = 0 and C = 1."""
+
+    def __init__(self, t_final: float):
+        self.t_final = t_final
+
+    def sine_params(self, t):
+        t = np.asarray(t, dtype=float)
+        inside = (t > 0.4 * self.t_final) & (t < 0.6 * self.t_final)
+        c = np.where(inside, 1.0, 0.5)
+        d = np.where(inside, 0.0, 1.0)
+        return c, d, np.zeros_like(t)
+
+
+def _random_residual(seed: int, n: int = 3000):
+    """Seeded (C, D, phi0) samples with seam crossings, tangencies, jumps,
+    degenerate runs (D = C = 0) and singular runs (D = 0, C = 1)."""
+    rng = np.random.default_rng(seed)
+    phi0 = np.linspace(0.0, 6.0 * np.pi, n) + np.cumsum(rng.normal(0.0, 0.04, n))
+    phi0[rng.integers(0, n, 6)] += rng.choice([-1.0, 1.0], 6) * rng.uniform(0.1, 0.4, 6)
+    ratio = 1.4 * np.sin(np.cumsum(rng.normal(0.0, 0.02, n)) + rng.uniform(0, 2 * np.pi))
+    tangent = rng.integers(0, n, 40)
+    ratio[tangent] = rng.choice([-1.0, 1.0], 40) * (1.0 + rng.uniform(-9e-13, 9e-13, 40))
+    d = 1.0 + 0.5 * np.sin(np.linspace(0.0, 7.0, n))
+    c = ratio * d
+    for value in (0.0, 1.0):
+        for start in rng.integers(0, n - 30, 3):
+            width = rng.integers(1, 25)
+            d[start : start + width] = rng.choice([0.0, 1e-13])
+            c[start : start + width] = value
+    return c, d, phi0
 
 
 def _oracle_roots(c: float, d: float, phi0: float) -> list[float]:
@@ -140,3 +299,87 @@ class TestBranchLinking:
         chained = sta30.plan.branches[0]
         assert chained.is_connected()
         assert chained.spans_full_domain()
+
+
+class TestRootTable:
+    def test_rows_match_scalar_solver(self):
+        rng = np.random.default_rng(7)
+        n = 4000
+        d = rng.uniform(0.0, 2.0, n)
+        floor_values = [0.0, 1e-13, DEGENERATE_FLOOR, 2e-12]
+        d[rng.integers(0, n, 300)] = rng.choice(floor_values, 300)
+        c = d * rng.uniform(-1.6, 1.6, n)
+        c[rng.integers(0, n, 200)] = rng.choice([0.0, 1e-13, 1e-11, -0.5], 200)
+        near = rng.integers(0, n, 300)
+        sign = rng.choice([-1.0, 1.0], 300)
+        c[near] = d[near] * sign * (1.0 + rng.uniform(-2e-12, 2e-12, 300))
+        phi0 = rng.uniform(-10.0, 10.0, n)
+        x1, x2, count = root_table(c, d, phi0)
+        assert {-1, 0, 1, 2} <= set(count.tolist())
+        for k in range(n):
+            args = float(c[k]), float(d[k]), float(phi0[k])
+            roots, degenerate = _scalar_sine_roots(*args)
+            row = (float(x1[k]), float(x2[k]))[: max(int(count[k]), 0)]
+            assert row == roots and (count[k] < 0) == degenerate, k
+            one = sine_roots(*args)
+            assert one.roots == roots and one.degenerate == degenerate, k
+
+    def test_singular_samples_have_no_root(self):
+        x1, x2, count = root_table([1.0, 0.0, 0.5], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0])
+        assert count.tolist() == [0, -1, 2]
+        assert np.isnan(x1[:2]).all() and np.isnan(x2[:2]).all()
+
+
+class TestLinkerOracle:
+    @pytest.mark.parametrize(
+        "kind, t_final",
+        [("ffst", 0.9), ("ffst", 1.0), ("ffst", 1.1)]
+        + [("sta", 30.0), ("sta", 20.0), ("sta", 10.0)],
+    )
+    def test_shipped_scenarios(self, reference, kind, t_final):
+        if kind == "ffst":
+            grid = TimeGrid(0.0, t_final, default_step_count(t_final))
+            model = FfstPhaseModel(reference, build_magnification(1.0, grid))
+        else:
+            model = StaPhaseModel(CosineSweepSpec(30.0, t_final))
+        _assert_same_branches(link_branches(model), _oracle_link(model))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_residuals(self, seed):
+        c, d, phi0 = _random_residual(seed)
+        model = _TableModel(c, d, phi0)
+        n_scan = len(c) - 1
+        count = root_table(c, d, phi0)[2]
+        assert {-1, 0, 1, 2} <= set(count.tolist())
+        for min_samples in (1, 6):
+            got = link_branches(model, n_scan=n_scan, min_samples=min_samples)
+            want = _oracle_link(model, n_scan=n_scan, min_samples=min_samples)
+            assert got
+            _assert_same_branches(got, want)
+        # some lift leaves the canonical interval, so a seam was crossed
+        assert any(np.nanmax(np.abs(b.f2)) > np.pi for b in got)
+
+    def test_touch_times_match_loop(self, decel_a):
+        labeled = {b.branch_id: b for b in decel_a.scts}
+        x, y = labeled["X"], labeled["Y"]
+        for threshold, n_scan in ((1.2, 16_000), (0.5, 16_000), (3.0, 999)):
+            got = branch_touch_times(x, y, threshold, n_scan)
+            assert got == _oracle_touch_times(x, y, threshold, n_scan)
+
+
+class TestSingularStretch:
+    def test_opens_a_gap(self):
+        model = _SingularModel(1.0)
+        branches = link_branches(model, n_scan=1000)
+        gaps = detect_gaps(model, branches, n_scan=1000)
+        assert len(gaps) == 1
+        assert gaps[0].t_start == pytest.approx(0.4, abs=2e-3)
+        assert gaps[0].t_end == pytest.approx(0.6, abs=2e-3)
+
+    def test_counts_zero_in_gap_direction_scan(self, reference, monkeypatch):
+        toy = _SingularModel(1.1)
+        monkeypatch.setattr(analysis, "FfstPhaseModel", lambda ref, prof: toy)
+        profile = gap_direction_scan(reference, (1.1,), n_grid=200, n_scan=1000)[1.1]
+        assert profile.classification == "vertical"
+        (lo, hi), = profile.zero_intervals
+        assert lo == pytest.approx(0.44, abs=2e-3) and hi == pytest.approx(0.66, abs=2e-3)
