@@ -25,6 +25,7 @@ import os
 import random
 import sys
 from dataclasses import replace
+from itertools import chain
 
 import numpy as np
 
@@ -85,14 +86,18 @@ TABLE_CHUNK_ROWS = 4096
 
 
 def _write_table(path: str, header: list[str], columns) -> None:
-    """Tab-separated table, byte-identical to ``np.savetxt(fmt="%.17g")``."""
-    cols = [np.asarray(c, dtype=float) for c in columns]
-    row_fmt = "\t".join(["%.17g"] * len(cols)) + "\n"
+    """Tab-separated table: numeric columns as ``%.17g``, byte-identical to
+    ``np.savetxt(fmt="%.17g")``, and string columns as ``%s``."""
+    cols = [np.asarray(c) for c in columns]
+    is_text = [c.dtype.kind in "OSU" for c in cols]
+    cols = [c if text else np.asarray(c, dtype=float) for c, text in zip(cols, is_text)]
+    row_fmt = "\t".join("%s" if text else "%.17g" for text in is_text) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\t".join(header) + "\n")
         for start in range(0, len(cols[0]), TABLE_CHUNK_ROWS):
-            block = np.column_stack([c[start : start + TABLE_CHUNK_ROWS] for c in cols])
-            fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
+            block = [c[start : start + TABLE_CHUNK_ROWS].tolist() for c in cols]
+            values = tuple(chain.from_iterable(zip(*block)))
+            fh.write((row_fmt * len(block[0])) % values)
 
 
 def _write_summary(path: str, summary: dict) -> None:
@@ -114,13 +119,17 @@ def _branch_record(b) -> dict:
 
 
 def _write_branches(path: str, scts) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("branch\tt\tf2\n")
-        for b in scts:
-            tt = b.times[b.valid]
-            ff = b.f2_canonical[b.valid]
-            for t, f in zip(tt, ff):
-                fh.write("%s\t%.17g\t%.17g\n" % (b.branch_id, t, f))
+    # the trailing [] lets a run without branches write just the header
+    counts = [np.count_nonzero(b.valid) for b in scts]
+    _write_table(
+        path,
+        ["branch", "t", "f2"],
+        [
+            np.repeat([b.branch_id for b in scts], counts),
+            np.concatenate([b.times[b.valid] for b in scts] + [[]]),
+            np.concatenate([b.f2_canonical[b.valid] for b in scts] + [[]]),
+        ],
+    )
 
 
 def _write_beta_map(path: str, bmap) -> None:
@@ -128,15 +137,6 @@ def _write_beta_map(path: str, bmap) -> None:
     tcol = np.repeat(bmap.times, len(bmap.phases))
     pcol = np.tile(bmap.phases, len(bmap.times))
     _write_table(path, ["t", "f2", "ln_abs_beta"], [tcol, pcol, ln_beta.ravel()])
-
-
-def _write_shift_table(path: str, series) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("t\toverlap_x\toverlap_y\tdominant\n")
-        for t, ox, oy, dom in zip(
-            series.times, series.overlap_x, series.overlap_y, series.dominant
-        ):
-            fh.write("%.17g\t%.17g\t%.17g\t%s\n" % (t, ox, oy, dom))
 
 
 def _build_plan(cfg: RunConfig, scts, gaps, t_final: float):
@@ -351,7 +351,11 @@ def run_single(
         labeled = {b.branch_id for b in scts}
         if not is_sta and {"X", "Y"} <= labeled:
             series = trajectory_shift_analysis(primary_report.trajectory, scts, model)
-            _write_shift_table(os.path.join(out_dir, "shifts.tsv"), series)
+            _write_table(
+                os.path.join(out_dir, "shifts.tsv"),
+                ["t", "overlap_x", "overlap_y", "dominant"],
+                [series.times, series.overlap_x, series.overlap_y, series.dominant],
+            )
             summary["shift_analysis"] = {
                 "count": int(series.shift_count),
                 "times": [float(t) for t in series.shift_times],

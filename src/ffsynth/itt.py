@@ -244,13 +244,32 @@ def _realignment_shifts(plan: TravelPlan) -> list[float]:
     return shifts
 
 
+def _branch_samples(
+    t: np.ndarray, plan: TravelPlan, settings: BridgeSettings
+) -> tuple[list[np.ndarray], list[float]]:
+    """Each plan branch's samples on ``t`` and its realignment shift, or
+    nothing for the detached family, which ignores the branches.  They
+    depend on the plan alone, so a search over bridge parameters takes
+    them once."""
+    if settings.mode == "detached":
+        return [], []
+    return [b.values_at(t) for b in plan.branches], _realignment_shifts(plan)
+
+
 def _assemble_lift(
     t_eval: np.ndarray,
     plan: TravelPlan,
     params: np.ndarray,
     settings: BridgeSettings,
+    samples: tuple[list[np.ndarray], list[float]],
 ) -> np.ndarray:
-    """Raw spliced lift before endpoint pinning."""
+    """Raw spliced lift before endpoint pinning, on ascending ``t_eval``
+    with the ``_branch_samples`` taken there.
+
+    Each bridge changes only the samples after its window opens: inside
+    ``(lo, hi)`` the shifted branches are blended, and from ``hi`` on the
+    path is the outgoing shifted branch.
+    """
     t_f = plan.t_final
     bridges = _bridges(plan, params, settings)
 
@@ -265,35 +284,37 @@ def _assemble_lift(
 
     from scipy.special import erf
 
-    branches = plan.branches
-    shifts = _realignment_shifts(plan)
-    f = branches[0].values_at(t_eval)
+    values, shifts = samples
+    f = values[0].copy()
     for i, (c, sig, amp, lo, hi) in enumerate(bridges):
+        start = np.searchsorted(t_eval, lo, side="right")
+        stop = np.searchsorted(t_eval, hi, side="left")
+        t = t_eval[start:stop]
         z_lo = erf((lo - c) / (np.sqrt(2.0) * sig))
         z_hi = erf((hi - c) / (np.sqrt(2.0) * sig))
         w = np.clip(
-            (erf((t_eval - c) / (np.sqrt(2.0) * sig)) - z_lo) / (z_hi - z_lo), 0.0, 1.0
+            (erf((t - c) / (np.sqrt(2.0) * sig)) - z_lo) / (z_hi - z_lo), 0.0, 1.0
         )
-        w = np.where(t_eval <= lo, 0.0, np.where(t_eval >= hi, 1.0, w))
 
-        g = np.exp(-((t_eval - c) ** 2) / (2.0 * sig**2))
+        g = np.exp(-((t - c) ** 2) / (2.0 * sig**2))
         g_lo = np.exp(-((lo - c) ** 2) / (2.0 * sig**2))
         g_hi = np.exp(-((hi - c) ** 2) / (2.0 * sig**2))
-        base = g_lo + (g_hi - g_lo) * (t_eval - lo) / (hi - lo)
-        bump = np.where((t_eval > lo) & (t_eval < hi), g - base, 0.0)
+        base = g_lo + (g_hi - g_lo) * (t - lo) / (hi - lo)
 
-        fi = branches[i].values_at(t_eval) + shifts[i]
-        fo = branches[i + 1].values_at(t_eval) + shifts[i + 1]
-        blend = fi * (1.0 - w) + fo * w + amp * bump
-        f = np.where(t_eval <= lo, f, blend)
+        fi = values[i][start:stop] + shifts[i]
+        fo = values[i + 1][start:stop] + shifts[i + 1]
+        f[start:stop] = fi * (1.0 - w) + fo * w + amp * (g - base)
+        np.add(values[i + 1][stop:], shifts[i + 1], out=f[stop:])
     return f
 
 
-def _pinned_lift(t, plan: TravelPlan, params, settings: BridgeSettings, ends=None):
+def _pinned_lift(
+    t, plan: TravelPlan, params, settings: BridgeSettings, samples, ends=None
+):
     """Spliced lift minus the linear ramp that pins both ends to zero, and
     the ramp's ``ends``: the wrapped raw lift at t = 0 and t = T_F, read
     off ``t[0]`` and ``t[-1]`` unless given."""
-    raw = _assemble_lift(t, plan, params, settings)
+    raw = _assemble_lift(t, plan, params, settings, samples)
     if ends is None:
         ends = (float(wrap_phase(raw[0])), float(wrap_phase(raw[-1])))
     e0, e1 = ends
@@ -325,8 +346,16 @@ class VirtualTrajectory:
     def values_at(self, t) -> np.ndarray:
         """Continuous lift at arbitrary times, endpoint ramp included."""
         t = np.asarray(t, dtype=float)
-        p = self._raw_params
-        return _pinned_lift(t, self._plan, p, self._settings, self._ramp)[0]
+        flat = t.ravel()
+        # the bridge windows need ascending times; scatter back afterwards
+        order = np.argsort(flat, kind="stable")
+        ts = flat[order]
+        samples = _branch_samples(ts, self._plan, self._settings)
+        out = np.empty_like(flat)
+        out[order] = _pinned_lift(
+            ts, self._plan, self._raw_params, self._settings, samples, self._ramp
+        )[0]
+        return out.reshape(t.shape)
 
 
 def build_virtual_trajectory(
@@ -347,15 +376,21 @@ def build_virtual_trajectory(
             f"expected {3 * plan.n_bridges} bridge parameters, got {len(p)}"
         )
     for i in range(plan.n_bridges):
-        amp = p[3 * i + 2]
+        bridge = p[3 * i : 3 * i + 3]
+        if not np.all(np.isfinite(bridge)):
+            raise ConstructionError(
+                f"bridge {i} parameters {np.array2string(bridge)} are not all finite"
+            )
+        amp = bridge[2]
         if abs(amp) > AMP_MAX:
             raise ConstructionError(
                 f"bridge {i} amplitude {amp:.4g} exceeds the bound "
                 f"{AMP_MAX:.4g}; endpoints unreachable"
             )
 
-    lift, ends = _pinned_lift(grid.times, plan, p, settings)
-    if abs(wrap_phase(lift[0])) > 1e-9 or abs(wrap_phase(lift[-1])) > 1e-9:
+    samples = _branch_samples(grid.times, plan, settings)
+    lift, ends = _pinned_lift(grid.times, plan, p, settings, samples)
+    if not (abs(wrap_phase(lift[0])) <= 1e-9 and abs(wrap_phase(lift[-1])) <= 1e-9):
         raise ConstructionError("endpoint pinning failed to reach phase zero")
     canonical = wrap_phase(lift)
     canonical[0] = 0.0
@@ -463,11 +498,12 @@ def optimize_virtual_trajectory(
     c, d, phi0 = model.sine_params(tt)
     t_f = plan.t_final
     detached = settings.mode == "detached"
+    samples = _branch_samples(tt, plan, settings)
     evals = [0]
 
     def cost(p: np.ndarray) -> float:
         evals[0] += 1
-        f = _pinned_lift(tt, plan, p, settings)[0]
+        f = _pinned_lift(tt, plan, p, settings, samples)[0]
         value = float(np.trapezoid(np.abs(c - d * np.sin(f + phi0)), tt))
         if not np.isfinite(value):
             raise OptimizerError(

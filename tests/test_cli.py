@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import ffsynth
-from ffsynth.cli import TABLE_CHUNK_ROWS, _write_table, main
+from ffsynth.cli import TABLE_CHUNK_ROWS, _write_branches, _write_table, main
 from ffsynth.ffst import FfstPhaseModel
 
 DECEL_FAST = """\
@@ -124,6 +124,42 @@ class TestTableWriter:
         ref = tmp_path / "ref.tsv"
         np.savetxt(str(ref), col[:, None], fmt="%.17g", delimiter="\t", header="x",
                    comments="")
+        assert ours.read_bytes() == ref.read_bytes()
+
+
+    def test_branch_table_matches_row_writer(self, tmp_path, decel_a, accel):
+        """``branches.tsv`` keeps the bytes of the per-row writer it replaced."""
+        for scts in (decel_a.scts, accel.scts, []):
+            ours = tmp_path / "ours.tsv"
+            _write_branches(str(ours), scts)
+            ref = tmp_path / "ref.tsv"
+            with open(ref, "w", encoding="utf-8") as fh:
+                fh.write("branch\tt\tf2\n")
+                for b in scts:
+                    for t, f in zip(b.times[b.valid], b.f2_canonical[b.valid]):
+                        fh.write("%s\t%.17g\t%.17g\n" % (b.branch_id, t, f))
+            assert ours.read_bytes() == ref.read_bytes()
+
+    def test_shift_table_matches_row_writer(self, tmp_path, decel_b):
+        """``shifts.tsv`` keeps the bytes of the per-row writer it replaced,
+        including the empty labels before either branch leads."""
+        series = ffsynth.trajectory_shift_analysis(
+            decel_b.report.trajectory, decel_b.scts, decel_b.model
+        )
+        assert "" in set(series.dominant) and "X" in set(series.dominant)
+        ours = tmp_path / "ours.tsv"
+        _write_table(
+            str(ours),
+            ["t", "overlap_x", "overlap_y", "dominant"],
+            [series.times, series.overlap_x, series.overlap_y, series.dominant],
+        )
+        ref = tmp_path / "ref.tsv"
+        with open(ref, "w", encoding="utf-8") as fh:
+            fh.write("t\toverlap_x\toverlap_y\tdominant\n")
+            for t, ox, oy, dom in zip(
+                series.times, series.overlap_x, series.overlap_y, series.dominant
+            ):
+                fh.write("%.17g\t%.17g\t%.17g\t%s\n" % (t, ox, oy, dom))
         assert ours.read_bytes() == ref.read_bytes()
 
 

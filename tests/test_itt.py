@@ -5,10 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import ffsynth.itt as itt
 from ffsynth import (
     BridgeSettings,
     ConstructionError,
     OptimizerError,
+    SpeedControlledTrajectory,
     TravelPlan,
     build_virtual_trajectory,
     default_bridge_params,
@@ -19,6 +21,61 @@ from ffsynth import (
     plan_with_crossings,
     wrap_phase,
 )
+from ffsynth.itt import AMP_MAX, _branch_samples, _bridges, _realignment_shifts
+
+OTHER_NON_FINITE = {
+    "nan-width": (0.9, np.nan, 0.1),
+    "nan-amp": (0.9, 0.02, np.nan),
+    "+inf-amp": (0.9, 0.02, np.inf),
+    "-inf-amp": (0.9, 0.02, -np.inf),
+}
+NON_FINITE = {"nan-center": (np.nan, 0.02, 0.1), **OTHER_NON_FINITE}
+
+
+def _oracle_lift(t_eval, plan, params, settings):
+    """The raw lift evaluated on the whole of ``t_eval`` for every bridge,
+    re-evaluating each branch on every call: the reference for the
+    windowed lift on per-plan samples."""
+    from scipy.special import erf
+
+    bridges = _bridges(plan, params, settings)
+    branches = plan.branches
+    shifts = _realignment_shifts(plan)
+    f = branches[0].values_at(t_eval)
+    for i, (c, sig, amp, lo, hi) in enumerate(bridges):
+        z_lo = erf((lo - c) / (np.sqrt(2.0) * sig))
+        z_hi = erf((hi - c) / (np.sqrt(2.0) * sig))
+        w = np.clip(
+            (erf((t_eval - c) / (np.sqrt(2.0) * sig)) - z_lo) / (z_hi - z_lo), 0.0, 1.0
+        )
+        w = np.where(t_eval <= lo, 0.0, np.where(t_eval >= hi, 1.0, w))
+
+        g = np.exp(-((t_eval - c) ** 2) / (2.0 * sig**2))
+        g_lo = np.exp(-((lo - c) ** 2) / (2.0 * sig**2))
+        g_hi = np.exp(-((hi - c) ** 2) / (2.0 * sig**2))
+        base = g_lo + (g_hi - g_lo) * (t_eval - lo) / (hi - lo)
+        bump = np.where((t_eval > lo) & (t_eval < hi), g - base, 0.0)
+
+        fi = branches[i].values_at(t_eval) + shifts[i]
+        fo = branches[i + 1].values_at(t_eval) + shifts[i + 1]
+        blend = fi * (1.0 - w) + fo * w + amp * bump
+        f = np.where(t_eval <= lo, f, blend)
+    return f
+
+
+def _oracle_cost(bundle, params, n_cost=4000):
+    """The optimizer's objective computed on the oracle lift."""
+    tt = np.linspace(0.0, bundle.plan.t_final, n_cost + 1)
+    raw = _oracle_lift(tt, bundle.plan, params, bundle.settings)
+    e0, e1 = float(wrap_phase(raw[0])), float(wrap_phase(raw[-1]))
+    f = raw - (e0 + (e1 - e0) * tt / bundle.plan.t_final)
+    c, d, phi0 = bundle.model.sine_params(tt)
+    return float(np.trapezoid(np.abs(c - d * np.sin(f + phi0)), tt))
+
+
+def _lift(t, plan, params, settings):
+    samples = _branch_samples(t, plan, settings)
+    return itt._assemble_lift(t, plan, params, settings, samples)
 
 
 class TestBridgeSettings:
@@ -138,6 +195,26 @@ class TestVirtualTrajectory:
                 decel_a.plan, big, decel_a.grid, decel_a.settings
             )
 
+    @pytest.mark.parametrize("bad", NON_FINITE.values(), ids=NON_FINITE.keys())
+    def test_non_finite_params_rejected(self, decel_b, bad):
+        """A nan or infinite parameter used to come back as a path that was
+        nan everywhere but its two forced-zero endpoints."""
+        params = default_bridge_params(decel_b.plan, decel_b.settings)
+        params[1] = bad
+        with pytest.raises(ConstructionError, match="bridge 1 "):
+            build_virtual_trajectory(
+                decel_b.plan, params, decel_b.grid, decel_b.settings
+            )
+
+    def test_values_at_any_order_and_shape(self, accel):
+        vt = accel.vt
+        t = np.linspace(0.0, accel.t_final, 1001)
+        on_grid = vt.values_at(t)
+        perm = np.random.default_rng(3).permutation(len(t))
+        assert np.array_equal(vt.values_at(t[perm]), on_grid[perm])
+        assert np.array_equal(vt.values_at(t.reshape(7, 143)), on_grid.reshape(7, 143))
+        assert vt.values_at(t[500]) == on_grid[500]
+
     def test_param_count_checked(self, decel_a):
         with pytest.raises(ConstructionError, match="parameters"):
             build_virtual_trajectory(
@@ -189,6 +266,21 @@ class TestOptimizer:
                 init=[(np.nan, 0.02, 0.1)],
             )
 
+    @pytest.mark.parametrize(
+        "bad", OTHER_NON_FINITE.values(), ids=OTHER_NON_FINITE.keys()
+    )
+    def test_non_finite_seed_raises(self, decel_a, bad):
+        """A bad amplitude reaches only the samples inside its bridge's
+        window, which still makes the cost non-finite."""
+        with pytest.raises(OptimizerError, match="non-finite"):
+            optimize_virtual_trajectory(
+                decel_a.plan,
+                decel_a.model,
+                decel_a.grid,
+                decel_a.settings,
+                init=[bad],
+            )
+
     def test_init_length_checked(self, decel_a):
         with pytest.raises(ConstructionError, match="initial parameters"):
             optimize_virtual_trajectory(
@@ -198,3 +290,129 @@ class TestOptimizer:
                 decel_a.settings,
                 init=[(0.9, 0.02, 0.1)] * 3,
             )
+
+
+BUNDLES = ["accel", "decel_a", "decel_b"]
+
+
+class TestLiftOracle:
+    """The windowed lift on per-plan samples against the whole-grid lift."""
+
+    @staticmethod
+    def _assert_equal(plan, settings, params, t=None):
+        if t is None:
+            t = np.linspace(0.0, plan.t_final, 4001)
+        p = np.asarray(params, dtype=float).reshape(-1)
+        ours = _lift(t, plan, p, settings)
+        oracle = _oracle_lift(t, plan, p, settings)
+        assert np.array_equal(ours, oracle), (
+            f"max |diff| {np.max(np.abs(ours - oracle)):.3g} at {p}"
+        )
+
+    @pytest.mark.parametrize("name", BUNDLES)
+    def test_seed_and_optimum(self, request, name):
+        bundle = request.getfixturevalue(name)
+        seed = default_bridge_params(bundle.plan, bundle.settings)
+        for params in (seed, bundle.vt._raw_params):
+            self._assert_equal(bundle.plan, bundle.settings, params)
+            self._assert_equal(bundle.plan, bundle.settings, params, bundle.grid.times)
+
+    @pytest.mark.parametrize("name", BUNDLES)
+    def test_random_triples(self, request, name):
+        bundle = request.getfixturevalue(name)
+        rng = np.random.default_rng(20)
+        sig_hi = bundle.settings.width_bounds[1]
+        slack = bundle.settings.center_slack
+        centers = np.array([0.5 * (lo + hi) for lo, hi in bundle.plan.crossings])
+        for _ in range(50):
+            n = len(centers)
+            params = np.column_stack(
+                [
+                    centers + rng.uniform(-2.0, 2.0, n) * slack,
+                    rng.uniform(-1.5, 1.5, n) * sig_hi,
+                    rng.uniform(-AMP_MAX, AMP_MAX, n),
+                ]
+            )
+            self._assert_equal(bundle.plan, bundle.settings, params)
+
+    @pytest.mark.parametrize("name", BUNDLES)
+    def test_clamp_cases(self, request, name):
+        bundle = request.getfixturevalue(name)
+        plan, settings = bundle.plan, bundle.settings
+        sig_lo, sig_hi = settings.width_bounds
+        slack = settings.center_slack
+        centers = np.array([0.5 * (lo + hi) for lo, hi in plan.crossings])
+        n = len(centers)
+        amp = np.full(n, 0.7)
+        for c, sig in [
+            (centers, np.full(n, 0.1 * sig_lo)),
+            (centers, np.full(n, -0.1 * sig_lo)),
+            (centers, np.zeros(n)),
+            (centers, np.full(n, 10.0 * sig_hi)),
+            (centers - 3.0 * slack, np.full(n, sig_lo)),
+            (centers + 3.0 * slack, np.full(n, sig_hi)),
+        ]:
+            self._assert_equal(plan, settings, np.column_stack([c, sig, amp]))
+
+        # windows clipped at 0 and at T_F, on plans bridging near the edges
+        t_f = plan.t_final
+        two = plan.branches[:2]
+        for gc in (0.0, 0.01 * t_f, 0.99 * t_f, t_f):
+            edge = TravelPlan(branches=two, crossings=((gc, gc),), t_final=t_f)
+            for params in ([gc, sig_hi, -1.3], [gc, sig_lo, 2.0]):
+                (_, _, _, lo, hi), = _bridges(edge, params, settings)
+                assert lo == 0.0 or hi == t_f
+                self._assert_equal(edge, settings, params)
+
+        # the widest windows of neighbouring bridges overlap
+        if n > 1:
+            wide = np.column_stack([centers, np.full(n, sig_hi), amp])
+            windows = [(lo, hi) for *_, lo, hi in _bridges(plan, wide.ravel(), settings)]
+            assert any(hi > lo2 for (_, hi), (lo2, _) in zip(windows, windows[1:]))
+            self._assert_equal(plan, settings, wide)
+
+    @pytest.mark.parametrize("name", ["decel_a", "decel_b"])
+    def test_search_matches_oracle(self, request, monkeypatch, name):
+        """Nelder-Mead on the oracle cost takes the same steps to the same
+        bits, and the reported residual is the oracle cost at the optimum."""
+        bundle = request.getfixturevalue(name)
+        assert bundle.cost.integrated_residual == _oracle_cost(
+            bundle, bundle.vt._raw_params
+        )
+        monkeypatch.setattr(
+            itt,
+            "_assemble_lift",
+            lambda t, plan, params, settings, samples: _oracle_lift(
+                t, plan, params, settings
+            ),
+        )
+        vt, cost = optimize_virtual_trajectory(
+            bundle.plan, bundle.model, bundle.grid, bundle.settings
+        )
+        assert cost.evaluations == bundle.cost.evaluations
+        assert np.array_equal(vt._raw_params, bundle.vt._raw_params)
+        assert vt.bridge_params == bundle.vt.bridge_params
+        assert cost.integrated_residual == bundle.cost.integrated_residual
+
+
+def test_branch_evaluations_do_not_grow_with_the_search(monkeypatch, accel):
+    """The search evaluates each branch a fixed number of times, however
+    many cost evaluations it makes."""
+    calls = [0]
+    values_at = SpeedControlledTrajectory.values_at
+
+    def counting(self, t):
+        calls[0] += 1
+        return values_at(self, t)
+
+    monkeypatch.setattr(SpeedControlledTrajectory, "values_at", counting)
+    counts = []
+    for maxfev in (50, 400):
+        calls[0] = 0
+        _, cost = optimize_virtual_trajectory(
+            accel.plan, accel.model, accel.grid, accel.settings, maxfev=maxfev
+        )
+        assert cost.evaluations >= maxfev
+        counts.append(calls[0])
+    assert counts[0] == counts[1]
+    assert counts[0] <= 10 * len(accel.plan.branches)
