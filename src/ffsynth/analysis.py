@@ -103,7 +103,6 @@ def trajectory_shift_analysis(
     trajectory: ReferenceTrajectory,
     scts: list[SpeedControlledTrajectory],
     model: FfstPhaseModel,
-    hysteresis: float = SHIFT_HYSTERESIS,
     stride: int = 10,
 ) -> TrajectoryShiftSeries:
     """Which scaled branch the integrated state is riding, over time.
@@ -140,12 +139,12 @@ def trajectory_shift_analysis(
             continue
         delta = ox[k] - oy[k]
         if state is None:
-            if abs(delta) > hysteresis:
+            if abs(delta) > SHIFT_HYSTERESIS:
                 state = "X" if delta > 0 else "Y"
-        elif state == "X" and delta < -hysteresis:
+        elif state == "X" and delta < -SHIFT_HYSTERESIS:
             state = "Y"
             shifts.append(float(times[k]))
-        elif state == "Y" and delta > hysteresis:
+        elif state == "Y" and delta > SHIFT_HYSTERESIS:
             state = "X"
             shifts.append(float(times[k]))
         dominant[k] = state or ""

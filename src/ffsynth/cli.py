@@ -56,11 +56,10 @@ from .itt import (
     OptimizerError,
     default_bridge_settings,
     optimize_virtual_trajectory,
-    plan_through_gaps,
-    plan_with_crossings,
+    plan_travel,
 )
 from .sta import StaPhaseModel, adiabatic_target, synthesize_sta_control
-from .zerocurves import branch_touch_times, detect_gaps, link_branches
+from .zerocurves import detect_gaps, link_branches
 
 DEPTH = {
     "reference": 0,
@@ -137,22 +136,6 @@ def _write_beta_map(path: str, bmap) -> None:
     tcol = np.repeat(bmap.times, len(bmap.phases))
     pcol = np.tile(bmap.phases, len(bmap.times))
     _write_table(path, ["t", "f2", "ln_abs_beta"], [tcol, pcol, ln_beta.ravel()])
-
-
-def _build_plan(cfg: RunConfig, scts, gaps, t_final: float):
-    if cfg.plan_kind == "auto":
-        return plan_through_gaps(scts, gaps, t_final)
-    labeled = {b.branch_id: b for b in scts if b.spans_full_domain()}
-    if "X" not in labeled or "Y" not in labeled:
-        raise ConstructionError(
-            f"crossing plan {cfg.plan_kind!r} needs the two full-span "
-            "branches X and Y, which this run does not have"
-        )
-    touches = branch_touch_times(labeled["X"], labeled["Y"])
-    if not touches:
-        raise ConstructionError("no corridor found between the X and Y branches")
-    times = [touches[len(touches) // 2]] if cfg.plan_kind == "vt-a" else touches
-    return plan_with_crossings(scts, times, t_final)
 
 
 def _device_section(cfg: RunConfig, sweep_control, primary_control, out_dir: str):
@@ -270,11 +253,8 @@ def run_single(
 
     control = None
     if depth >= 2:
-        plan = _build_plan(cfg, scts, gaps, t_final)
+        plan = plan_travel(cfg.plan_kind, scts, gaps, t_final)
         settings = default_bridge_settings(SETTINGS_KIND[cfg.scenario], t_final)
-        if plan.n_bridges == 0:
-            # with nothing to bridge, follow the planned branch directly
-            settings = replace(settings, mode="local")
         vt, cost = optimize_virtual_trajectory(
             plan, model, grid_c, settings, n_cost=cfg.cost_points
         )
@@ -312,7 +292,7 @@ def run_single(
             "per_gap_residual": [float(v) for v in cost.per_gap_residual],
             "evaluations": int(cost.evaluations),
         }
-        summary["bridge_mode"] = settings.mode
+        summary["bridge_mode"] = vt.bridge_mode
 
     if depth >= 3:
         if is_sta:

@@ -13,11 +13,11 @@ from dataclasses import dataclass
 import yaml
 
 from .drives import MAX_STEPS, default_step_count
+from .itt import PLAN_KINDS
 
 SCHEMA_VERSION = 1
 
 SCENARIOS = ("accelerate", "decelerate", "sta", "reference-only", "device-map")
-PLAN_KINDS = ("auto", "vt-a", "vt-b")
 BASELINES = {
     "accelerate": ("naive", "alpha-scaled"),
     "decelerate": ("naive", "alpha-scaled"),
@@ -157,7 +157,7 @@ def parse_config(text: str) -> RunConfig:
     )
 
     version = chk.integer(doc, "schema_version", "", default=None)
-    if version is None and "schema_version" not in chk.errors:
+    if doc.get("schema_version") is None:
         chk.fail("schema_version", "required field missing")
     elif version is not None and version != SCHEMA_VERSION:
         chk.fail(

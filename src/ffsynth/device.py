@@ -74,12 +74,10 @@ def squid_ej(flux_ratio, ej_max: float, d: float):
     return ej_max * np.hypot(np.cos(x), d * np.sin(x))
 
 
-def coupling_strength(spec: TransmonSpec, ej1: float | None = None) -> float:
-    """Exchange coupling g = (E_Cc / sqrt 2)(E_J1 E_J2 / E_C1 E_C2)^(1/4)."""
-    if ej1 is None:
-        ej1 = spec.ej_max
+def coupling_strength(spec: TransmonSpec) -> float:
+    """Exchange coupling g = (E_Cc / sqrt 2)(E_J^max E_J2 / E_C1 E_C2)^(1/4)."""
     return float(
-        spec.ecc / np.sqrt(2.0) * (ej1 * spec.ej_fixed / spec.ec**2) ** 0.25
+        spec.ecc / np.sqrt(2.0) * (spec.ej_max * spec.ej_fixed / spec.ec**2) ** 0.25
     )
 
 
@@ -127,9 +125,7 @@ class FluxWaveform:
             raise ValueError("flux bias exceeds half a flux quantum")
 
 
-def _invert_frequency(
-    targets: np.ndarray, spec: TransmonSpec, iterations: int = 64
-) -> np.ndarray:
+def _invert_frequency(targets: np.ndarray, spec: TransmonSpec) -> np.ndarray:
     """Bisect Phi/Phi_0 in [0, 0.5] so the tunable qubit hits ``targets``.
 
     The frequency is monotone decreasing in flux on this interval for
@@ -138,7 +134,7 @@ def _invert_frequency(
     """
     lo = np.zeros_like(targets)
     hi = np.full_like(targets, 0.5)
-    for _ in range(iterations):
+    for _ in range(64):
         mid = 0.5 * (lo + hi)
         f_mid = transmon_frequency(squid_ej(mid, spec.ej_max, spec.d), spec.ec)
         toolow = f_mid < targets
@@ -150,17 +146,15 @@ def _invert_frequency(
 def flux_schedule_for(
     control: DriveSchedule,
     spec: TransmonSpec,
-    omega2: float | None = None,
     g_phys: float = 0.009,
 ) -> FluxWaveform:
-    """Flux waveform realizing omega1(t) = omega2 + delta_omega(t) * g_phys.
+    """Flux waveform realizing omega1(t) = omega2 + delta_omega(t) * g_phys,
+    where omega2 is the fixed partner's frequency.
 
-    ``omega2`` defaults to the fixed partner's frequency.  Every target
-    must lie inside the tunable band; the inversion is verified by a
-    forward round trip at each sample.
+    Every target must lie inside the tunable band; the inversion is
+    verified by a forward round trip at each sample.
     """
-    if omega2 is None:
-        omega2 = float(transmon_frequency(spec.ej_fixed, spec.ec))
+    omega2 = float(transmon_frequency(spec.ej_fixed, spec.ec))
     targets = omega2 + control.delta_omega * g_phys
 
     band_lo = float(transmon_frequency(spec.ej_max * spec.d, spec.ec))

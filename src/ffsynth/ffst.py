@@ -237,20 +237,10 @@ def detect_phase_gaps(
 
 
 def _path_lift(path, t: np.ndarray) -> np.ndarray:
-    """Evaluate a phase path on the given times.
-
-    Accepts anything with ``values_at`` (trajectory objects), a callable,
-    or a (times, values) pair which is resampled monotone-cubically.
-    """
-    if hasattr(path, "values_at"):
-        return np.asarray(path.values_at(t), dtype=float)
-    if callable(path):
-        return np.asarray(path(t), dtype=float)
-    times, values = path
-    from scipy.interpolate import PchipInterpolator
-
-    interp = PchipInterpolator(np.asarray(times), np.asarray(values))
-    return interp(np.clip(t, times[0], times[-1]))
+    """Evaluate a phase path on the ascending times ``t``: anything with
+    ``values_at`` (trajectory objects) or a callable."""
+    lift = path.values_at if hasattr(path, "values_at") else path
+    return np.asarray(lift(t), dtype=float)
 
 
 def _fill_singular(
@@ -286,7 +276,8 @@ def _fill_singular(
 def synthesize_control(
     path, model: FfstPhaseModel, coupling_ff=None, label: str = ""
 ) -> DriveSchedule:
-    """Detuning waveform that drives the scaled state along ``path``.
+    """Detuning waveform that drives the scaled state along ``path`` (an
+    object with ``values_at`` or a callable of ascending times).
 
     ``coupling_ff`` may be None (keep the rescaled reference coupling,
     the fixed-coupling control), a callable of time, or samples on the

@@ -20,10 +20,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import TimeGrid
-from .zerocurves import TWO_PI, Gap, SpeedControlledTrajectory, wrap_phase
+from .zerocurves import (
+    TWO_PI,
+    Gap,
+    SpeedControlledTrajectory,
+    branch_touch_times,
+    wrap_phase,
+)
 
 #: Largest admissible bridge amplitude, in radians.
 AMP_MAX = 4.0 * np.pi
+
+#: The travel plans ``plan_travel`` builds.
+PLAN_KINDS = ("auto", "vt-a", "vt-b")
 
 #: Fraction of the run duration within which a branch must start to
 #: count as a continuation candidate.
@@ -106,6 +115,12 @@ class TravelPlan:
         return len(self.crossings)
 
 
+def bridge_mode(plan: TravelPlan, settings: BridgeSettings) -> str:
+    """The bridge family of ``plan``: "detached" only when the settings ask
+    for it and there is a bridge; a plan with none follows its branches."""
+    return "detached" if settings.mode == "detached" and plan.n_bridges else "local"
+
+
 def plan_through_gaps(
     scts: list[SpeedControlledTrajectory],
     gaps: list[Gap],
@@ -146,29 +161,46 @@ def plan_through_gaps(
     return TravelPlan(branches=tuple(chain), crossings=crossings, t_final=t_final)
 
 
+def _x_and_y(scts, what: str):
+    """The two full-span branches that ``link_branches`` labelled X and Y."""
+    labeled = {b.branch_id: b for b in scts}
+    if "X" not in labeled or "Y" not in labeled:
+        raise ConstructionError(
+            f"{what} needs the two full-span branches X and Y, "
+            "which this run does not have"
+        )
+    return labeled["X"], labeled["Y"]
+
+
 def plan_with_crossings(
     scts: list[SpeedControlledTrajectory],
     crossing_times: list[float],
     t_final: float,
 ) -> TravelPlan:
-    """Alternate between two coexisting full-span branches.
-
-    Requires exactly two branches covering the whole run (the X and Y
-    trajectories); the path starts on X and swaps at every crossing.
-    """
-    full = [b for b in scts if b.spans_full_domain()]
-    if len(full) != 2:
-        raise ConstructionError(
-            f"crossing plans need exactly 2 full-span branches, found {len(full)}"
-        )
-    by_end = sorted(full, key=lambda b: abs(wrap_phase(b.end_phase)))
-    y, x = by_end[0], by_end[1]
+    """Alternate between the coexisting branches X and Y, starting on X
+    and swapping at every crossing."""
+    x, y = _x_and_y(scts, "a crossing plan")
     times = sorted(float(c) for c in crossing_times)
     if any(not (0.0 < c < t_final) for c in times):
         raise ConstructionError("crossing times must lie strictly inside the run")
     branches = tuple(x if i % 2 == 0 else y for i in range(len(times) + 1))
     crossings = tuple((c, c) for c in times)
     return TravelPlan(branches=branches, crossings=crossings, t_final=t_final)
+
+
+def plan_travel(kind: str, branches, gaps, t_final: float) -> TravelPlan:
+    """The travel plan of one of the ``PLAN_KINDS``: "auto" chains across
+    the root-free gaps; "vt-a" crosses from X to Y at the median corridor
+    (touch time) and "vt-b" alternates at every corridor."""
+    if kind not in PLAN_KINDS:
+        raise ValueError(f"plan kind must be one of {list(PLAN_KINDS)}, got {kind!r}")
+    if kind == "auto":
+        return plan_through_gaps(branches, gaps, t_final)
+    touches = branch_touch_times(*_x_and_y(branches, f"crossing plan {kind!r}"))
+    if not touches:
+        raise ConstructionError("no corridor found between the X and Y branches")
+    times = [touches[len(touches) // 2]] if kind == "vt-a" else touches
+    return plan_with_crossings(branches, times, t_final)
 
 
 def default_bridge_params(
@@ -186,7 +218,7 @@ def default_bridge_params(
     for i, (lo, hi) in enumerate(plan.crossings):
         center = 0.5 * (lo + hi)
         width = 0.5 * (hi - lo) if hi > lo else 0.02
-        if settings.mode == "detached":
+        if bridge_mode(plan, settings) == "detached":
             amp = 0.0
         elif hi > lo:
             amp = float(
@@ -224,7 +256,7 @@ def _bridges(plan: TravelPlan, params, settings: BridgeSettings) -> list[tuple]:
         sig = min(max(abs(sig), sig_lo), sig_hi)
         gc = 0.5 * (glo + ghi)
         c = min(max(c, gc - settings.center_slack), gc + settings.center_slack)
-        if settings.mode == "detached":
+        if bridge_mode(plan, settings) == "detached":
             lo, hi = 0.0, plan.t_final
         else:
             lo = max(0.0, min(c - 3.0 * sig, glo))
@@ -251,7 +283,7 @@ def _branch_samples(
     nothing for the detached family, which ignores the branches.  They
     depend on the plan alone, so a search over bridge parameters takes
     them once."""
-    if settings.mode == "detached":
+    if bridge_mode(plan, settings) == "detached":
         return [], []
     return [b.values_at(t) for b in plan.branches], _realignment_shifts(plan)
 
@@ -273,7 +305,7 @@ def _assemble_lift(
     t_f = plan.t_final
     bridges = _bridges(plan, params, settings)
 
-    if settings.mode == "detached":
+    if bridge_mode(plan, settings) == "detached":
         f = np.zeros_like(t_eval)
         for c, sig, amp, _, _ in bridges:
             g = np.exp(-((t_eval - c) ** 2) / (2.0 * sig**2))
@@ -329,7 +361,8 @@ class VirtualTrajectory:
     ``f2_lift`` is the continuous unwrapped lift used for
     differentiation.  Both endpoints of ``f2`` are exactly zero.
     ``segments`` lists (time interval, source id) in order, where the
-    source is a branch id or "bridge-<k>".
+    source is a branch id or "bridge-<k>".  ``bridge_mode`` is the bridge
+    family the path was built with (see the function ``bridge_mode``).
     """
 
     grid: TimeGrid
@@ -337,6 +370,7 @@ class VirtualTrajectory:
     f2_lift: np.ndarray
     segments: tuple[tuple[tuple[float, float], str], ...]
     bridge_params: tuple[tuple[float, float, float], ...]
+    bridge_mode: str
 
     _plan: TravelPlan = field(default=None, repr=False)
     _raw_params: np.ndarray = field(default=None, repr=False)
@@ -344,18 +378,18 @@ class VirtualTrajectory:
     _ramp: tuple[float, float] = field(default=(0.0, 0.0), repr=False)
 
     def values_at(self, t) -> np.ndarray:
-        """Continuous lift at arbitrary times, endpoint ramp included."""
+        """Continuous lift at times ascending in C order (any shape, or a
+        scalar; the bridge windows are found by binary search), endpoint
+        ramp included."""
         t = np.asarray(t, dtype=float)
         flat = t.ravel()
-        # the bridge windows need ascending times; scatter back afterwards
-        order = np.argsort(flat, kind="stable")
-        ts = flat[order]
-        samples = _branch_samples(ts, self._plan, self._settings)
-        out = np.empty_like(flat)
-        out[order] = _pinned_lift(
-            ts, self._plan, self._raw_params, self._settings, samples, self._ramp
+        if np.any(flat[1:] < flat[:-1]):
+            raise ValueError("values_at needs times in ascending order")
+        samples = _branch_samples(flat, self._plan, self._settings)
+        lift = _pinned_lift(
+            flat, self._plan, self._raw_params, self._settings, samples, self._ramp
         )[0]
-        return out.reshape(t.shape)
+        return lift.reshape(t.shape)
 
 
 def build_virtual_trajectory(
@@ -415,6 +449,7 @@ def build_virtual_trajectory(
         bridge_params=tuple(
             (float(c), float(sig), float(amp)) for c, sig, amp, _, _ in bridges
         ),
+        bridge_mode=bridge_mode(plan, settings),
         _plan=plan,
         _raw_params=p,
         _settings=settings,
@@ -472,7 +507,6 @@ def optimize_virtual_trajectory(
     init=None,
     n_cost: int = 4000,
     maxfev: int = 2000,
-    xatol: float = 1e-6,
 ) -> tuple[VirtualTrajectory, IttCostReport]:
     """Minimize the integrated residual over bridge parameters.
 
@@ -497,12 +531,14 @@ def optimize_virtual_trajectory(
     tt = np.linspace(0.0, plan.t_final, n_cost + 1)
     c, d, phi0 = model.sine_params(tt)
     t_f = plan.t_final
-    detached = settings.mode == "detached"
+    detached = bridge_mode(plan, settings) == "detached"
     samples = _branch_samples(tt, plan, settings)
     evals = [0]
 
     def cost(p: np.ndarray) -> float:
         evals[0] += 1
+        if not np.all(np.isfinite(p)):
+            raise OptimizerError(f"non-finite bridge parameters {np.array2string(p)}")
         f = _pinned_lift(tt, plan, p, settings, samples)[0]
         value = float(np.trapezoid(np.abs(c - d * np.sin(f + phi0)), tt))
         if not np.isfinite(value):
@@ -530,7 +566,7 @@ def optimize_virtual_trajectory(
         method="Nelder-Mead",
         options={
             "initial_simplex": np.asarray(simplex),
-            "xatol": xatol,
+            "xatol": 1e-6,
             "fatol": 1e-12,
             "maxfev": maxfev,
         },

@@ -135,7 +135,7 @@ def synthesize_sta_control(
 
     ``path`` may be None for the zero path, which reproduces the input
     sweep exactly, or anything accepted by the fixed-coupling synthesis
-    (an object with ``values_at``, a callable, or a (times, values) pair).
+    (an object with ``values_at`` or a callable).
     """
     spec = model.spec
     if grid is None:

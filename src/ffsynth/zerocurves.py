@@ -149,16 +149,13 @@ class SpeedControlledTrajectory:
         out[self.valid] = wrap_phase(self.f2[self.valid])
         return out
 
-    def travel(self) -> float:
-        """Net phase distance covered by the lift."""
-        return abs(self.end_phase - self.start_phase)
-
-    def spans_full_domain(self, coverage: float = 0.99) -> bool:
+    def spans_full_domain(self) -> bool:
+        """True when the branch covers at least 99% of the scan."""
         span = self.times[-1] - self.times[0]
-        return (self.t_end - self.t_start) >= coverage * span
+        return (self.t_end - self.t_start) >= 0.99 * span
 
-    def is_connected(self, tol: float = 0.05) -> bool:
-        """True when the lift starts and ends at phase 0.
+    def is_connected(self) -> bool:
+        """True when the lift starts and ends within 0.05 of phase 0.
 
         The test is on the unwrapped lift: a curve that returns to 0 only
         modulo 2*pi has wound around the cylinder and is not counted as
@@ -169,7 +166,7 @@ class SpeedControlledTrajectory:
             return False
         if (self.times[-1] - self.t_end) > 0.01 * full:
             return False
-        return abs(self.start_phase) < tol and abs(self.end_phase) < tol
+        return abs(self.start_phase) < 0.05 and abs(self.end_phase) < 0.05
 
     def values_at(self, t) -> np.ndarray:
         """Lift values at arbitrary times, clamped to the valid span."""

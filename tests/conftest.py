@@ -7,7 +7,6 @@ shared by the module tests and the acceptance gate.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -28,8 +27,7 @@ from ffsynth import (
     link_branches,
     naive_control,
     optimize_virtual_trajectory,
-    plan_through_gaps,
-    plan_with_crossings,
+    plan_travel,
     solve_reference,
     synthesize_control,
     synthesize_sta_control,
@@ -49,14 +47,11 @@ def _scaling_bundle(reference, t_final: float, plan_kind: str, settings_kind: st
     model = FfstPhaseModel(reference, prof)
     scts = link_branches(model)
     gaps = detect_gaps(model, scts)
+    plan = plan_travel(plan_kind, scts, gaps, t_final)
     touches = []
-    if plan_kind == "auto":
-        plan = plan_through_gaps(scts, gaps, t_final)
-    else:
+    if plan_kind != "auto":
         labeled = {b.branch_id: b for b in scts}
         touches = branch_touch_times(labeled["X"], labeled["Y"])
-        times = [touches[len(touches) // 2]] if plan_kind == "vt-a" else touches
-        plan = plan_with_crossings(scts, times, t_final)
     settings = default_bridge_settings(settings_kind, t_final)
     vt, cost = optimize_virtual_trajectory(plan, model, grid, settings)
     control = synthesize_control(vt, model, label="itt")
@@ -122,10 +117,8 @@ def _sta_bundle(duration: float):
     grid = TimeGrid(0.0, duration, default_step_count(duration))
     branches = link_branches(model)
     gaps = detect_gaps(model, branches)
-    plan = plan_through_gaps(branches, gaps, duration)
+    plan = plan_travel("auto", branches, gaps, duration)
     settings = default_bridge_settings("sta", duration)
-    if plan.n_bridges == 0:
-        settings = replace(settings, mode="local")
     vt, cost = optimize_virtual_trajectory(plan, model, grid, settings)
     control = synthesize_sta_control(vt, model, grid, label="sta")
     unmodified = synthesize_sta_control(None, model, grid, label="unmodified")

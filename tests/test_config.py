@@ -112,6 +112,11 @@ require_fidelity: 1.5
         errors = _errors_of("scenario: reference-only")
         assert errors == ["schema_version: required field missing"]
 
+    @pytest.mark.parametrize("value, kind", [('"1"', "str"), ("true", "bool")])
+    def test_wrong_typed_schema_version_is_one_error(self, value, kind):
+        errors = _errors_of(f"schema_version: {value}\nscenario: reference-only")
+        assert errors == [f"schema_version: expected an integer, got {kind}"]
+
     def test_missing_scenario(self):
         assert "scenario: required field missing" in _errors_of("schema_version: 1")
 

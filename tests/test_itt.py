@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,16 +14,20 @@ from ffsynth import (
     OptimizerError,
     SpeedControlledTrajectory,
     TravelPlan,
+    branch_touch_times,
     build_virtual_trajectory,
     default_bridge_params,
     default_bridge_settings,
     itt_cost,
     optimize_virtual_trajectory,
     plan_through_gaps,
+    plan_travel,
     plan_with_crossings,
     wrap_phase,
 )
-from ffsynth.itt import AMP_MAX, _branch_samples, _bridges, _realignment_shifts
+from ffsynth.itt import (
+    AMP_MAX, PLAN_KINDS, _branch_samples, _bridges, _realignment_shifts,
+)
 
 OTHER_NON_FINITE = {
     "nan-width": (0.9, np.nan, 0.1),
@@ -71,6 +77,38 @@ def _oracle_cost(bundle, params, n_cost=4000):
     f = raw - (e0 + (e1 - e0) * tt / bundle.plan.t_final)
     c, d, phi0 = bundle.model.sine_params(tt)
     return float(np.trapezoid(np.abs(c - d * np.sin(f + phi0)), tt))
+
+
+def _oracle_plan(kind, scts, gaps, t_final):
+    """The plan builder of the command line before ``plan_travel``, with
+    the crossing plan's own X/Y choice (the two full-span branches, Y the
+    one ending nearer phase zero): the reference for ``plan_travel``."""
+    if kind == "auto":
+        return plan_through_gaps(scts, gaps, t_final)
+    labeled = {b.branch_id: b for b in scts if b.spans_full_domain()}
+    if "X" not in labeled or "Y" not in labeled:
+        raise ConstructionError(
+            f"crossing plan {kind!r} needs the two full-span "
+            "branches X and Y, which this run does not have"
+        )
+    touches = branch_touch_times(labeled["X"], labeled["Y"])
+    if not touches:
+        raise ConstructionError("no corridor found between the X and Y branches")
+    times = [touches[len(touches) // 2]] if kind == "vt-a" else touches
+    full = [b for b in scts if b.spans_full_domain()]
+    y, x = sorted(full, key=lambda b: abs(wrap_phase(b.end_phase)))
+    branches = tuple(x if i % 2 == 0 else y for i in range(len(times) + 1))
+    crossings = tuple((c, c) for c in sorted(times))
+    return TravelPlan(branches=branches, crossings=crossings, t_final=t_final)
+
+
+def _flat_branch(times, phase, branch_id):
+    return SpeedControlledTrajectory(
+        times=times,
+        f2=np.full_like(times, phase),
+        valid=np.ones(len(times), dtype=bool),
+        branch_id=branch_id,
+    )
 
 
 def _lift(t, plan, params, settings):
@@ -133,6 +171,41 @@ class TestPlans:
     def test_chain_requires_start_branch(self, decel_a):
         with pytest.raises(ConstructionError, match="t = 0"):
             plan_through_gaps([], [], decel_a.t_final)
+
+    @pytest.mark.parametrize(
+        "name, kind", [("accel", "auto"), ("decel_a", "vt-a"), ("decel_a", "vt-b")]
+    )
+    def test_plan_travel_matches_oracle(self, request, name, kind):
+        bundle = request.getfixturevalue(name)
+        args = (kind, bundle.scts, bundle.gaps, bundle.t_final)
+        ours, oracle = plan_travel(*args), _oracle_plan(*args)
+        assert [b.branch_id for b in ours.branches] == [
+            b.branch_id for b in oracle.branches
+        ]
+        assert all(a is b for a, b in zip(ours.branches, oracle.branches))
+        assert ours.crossings == oracle.crossings
+        assert ours.t_final == oracle.t_final
+
+    @pytest.mark.parametrize("kind", ["vt-a", "vt-b"])
+    def test_plan_travel_names_missing_x_and_y(self, accel, kind):
+        with pytest.raises(ConstructionError) as excinfo:
+            plan_travel(kind, accel.scts, accel.gaps, accel.t_final)
+        assert str(excinfo.value) == (
+            f"crossing plan {kind!r} needs the two full-span branches X and Y, "
+            "which this run does not have"
+        )
+
+    def test_plan_travel_needs_a_corridor(self):
+        t = np.linspace(0.0, 1.0, 101)
+        apart = [_flat_branch(t, 0.0, "X"), _flat_branch(t, 2.0, "Y")]
+        with pytest.raises(ConstructionError) as excinfo:
+            plan_travel("vt-a", apart, [], 1.0)
+        assert str(excinfo.value) == "no corridor found between the X and Y branches"
+
+    def test_plan_travel_rejects_unknown_kind(self, decel_a):
+        assert PLAN_KINDS == ("auto", "vt-a", "vt-b")
+        with pytest.raises(ValueError, match="plan kind"):
+            plan_travel("vt-c", decel_a.scts, decel_a.gaps, decel_a.t_final)
 
 
 class TestDefaultParams:
@@ -210,8 +283,8 @@ class TestVirtualTrajectory:
         vt = accel.vt
         t = np.linspace(0.0, accel.t_final, 1001)
         on_grid = vt.values_at(t)
-        perm = np.random.default_rng(3).permutation(len(t))
-        assert np.array_equal(vt.values_at(t[perm]), on_grid[perm])
+        with pytest.raises(ValueError):
+            vt.values_at(t[::-1])
         assert np.array_equal(vt.values_at(t.reshape(7, 143)), on_grid.reshape(7, 143))
         assert vt.values_at(t[500]) == on_grid[500]
 
@@ -249,6 +322,27 @@ class TestOptimizer:
         assert sta30.vt.values_at(mid_t)[0] == pytest.approx(
             float(branch.values_at(mid_t)[0]), abs=0.05
         )
+
+    def test_plan_without_bridge_follows_its_branch(self, sta30):
+        """The sta preset asks for the detached family, which a plan with no
+        bridge cannot use: the search follows the branch, exactly as with
+        local settings, instead of returning the zero path."""
+        preset = default_bridge_settings("sta", sta30.duration)
+        assert preset.mode == "detached" and sta30.plan.n_bridges == 0
+        vt, cost = optimize_virtual_trajectory(
+            sta30.plan, sta30.model, sta30.grid, preset
+        )
+        local = replace(preset, mode="local")
+        vt_local, cost_local = optimize_virtual_trajectory(
+            sta30.plan, sta30.model, sta30.grid, local
+        )
+        assert vt.bridge_mode == vt_local.bridge_mode == "local"
+        assert np.array_equal(vt.f2, vt_local.f2)
+        assert cost.integrated_residual == cost_local.integrated_residual
+
+    def test_bridge_mode_per_run(self, decel_a, accel, sta20, sta10):
+        assert decel_a.vt.bridge_mode == accel.vt.bridge_mode == "local"
+        assert sta20.vt.bridge_mode == sta10.vt.bridge_mode == "detached"
 
     def test_per_gap_decomposition(self, accel):
         report = accel.cost

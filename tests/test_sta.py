@@ -152,7 +152,7 @@ class TestStaSynthesis:
     def test_connected_run_keeps_branch(self, sta30):
         assert sta30.gaps == []
         assert sta30.plan.n_bridges == 0
-        assert sta30.settings.mode == "local"
+        assert sta30.vt.bridge_mode == "local"
         assert sta30.cost.evaluations == 0
 
     def test_gap_position_scales_with_duration(self, sta20, sta10):
