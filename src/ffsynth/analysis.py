@@ -177,7 +177,6 @@ class GapDirectionProfile:
 def gap_direction_scan(
     ref: ReferenceTrajectory,
     t_f_values=(1.0, 0.95, 1.05, 0.9, 1.1),
-    n_grid: int = 4000,
     n_scan: int = 8000,
 ) -> dict[float, GapDirectionProfile]:
     """How the root structure opens as the run is sped up or slowed down.
@@ -192,10 +191,10 @@ def gap_direction_scan(
     t_ref = ref.grid.t_end
     out: dict[float, GapDirectionProfile] = {}
     for t_f in t_f_values:
-        grid = TimeGrid(0.0, t_f, n_grid)
+        grid = TimeGrid(0.0, t_f, n_scan)
         prof = build_magnification(t_ref, grid)
         model = FfstPhaseModel(ref, prof)
-        times = np.linspace(0.0, t_f, n_scan + 1)
+        times = grid.times
         counts = root_table(*model.sine_params(times))[2]
         interior_zero = np.any(counts[1:-1] == 0)
         alpha = prof.alpha_at(times)

@@ -166,7 +166,14 @@ def parse_config(text: str) -> RunConfig:
         )
 
     scenario = chk.text(doc, "scenario", "", required=True, choices=SCENARIOS)
-    t_ref = chk.number(doc, "t_ref", "", default=1.0, positive=True)
+    if scenario == "sta" and doc.get("t_ref") is not None:
+        # the sta reference runs over each t_final, so a t_ref would go unused
+        chk.fail(
+            "t_ref", "not used by scenario 'sta', whose reference runs over t_final"
+        )
+        t_ref = 1.0
+    else:
+        t_ref = chk.number(doc, "t_ref", "", default=1.0, positive=True)
     delta_omega0 = chk.number(doc, "delta_omega0", "", default=30.0)
 
     t_final_raw = doc.get("t_final")

@@ -26,7 +26,7 @@ all take that model, and every waveform they return is a
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,84 +55,47 @@ class SynthesisError(RuntimeError):
     """Raised when a control cannot be synthesized along the given path."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class MagnificationProfile:
-    """Sampled magnification alpha(t) and its running integral.
+    """Cosine-bump magnification for running [0, t_ref] in grid.t_end.
 
-    ``lam`` is the rescaled time Lambda(t), accumulated from the alpha
-    samples by the trapezoidal rule; the construction must return to the
-    reference duration at the final node.
+        alpha(t)  = 1 - k (1 - cos(2 pi t / T_F)),   k = (T_F - T) / T_F
+        Lambda(t) = t - k (t - (T_F / 2 pi) sin(2 pi t / T_F))
+
+    Lambda is the exact integral of alpha, so it runs from 0 to T over
+    [0, T_F].  T_F > T decelerates (alpha dips below 1), T_F < T
+    accelerates (alpha rises above 1), and T_F = T gives alpha = 1 and
+    Lambda = t bit for bit.
     """
 
     grid: TimeGrid
-    alpha: np.ndarray
-    lam: np.ndarray
     t_ref: float
 
-    _alpha_interp: object = field(default=None, repr=False, compare=False)
-    _lam_interp: object = field(default=None, repr=False, compare=False)
-
     def __post_init__(self) -> None:
-        n = self.grid.n_steps
-        self.alpha = np.asarray(self.alpha, dtype=float)
-        self.lam = np.asarray(self.lam, dtype=float)
-        if self.alpha.shape != (n + 1,) or self.lam.shape != (n + 1,):
-            raise ValueError("alpha and lam must be sampled on the grid nodes")
-        if not (np.all(np.isfinite(self.alpha)) and np.all(np.isfinite(self.lam))):
-            raise ValueError("alpha and lam must be finite")
-        if abs(self.alpha[0] - 1.0) > 1e-9 or abs(self.alpha[-1] - 1.0) > 1e-9:
-            raise ValueError("alpha must equal 1 at both ends of the run")
-        if self.lam[0] != 0.0:
-            raise ValueError("lam must start at 0")
-        if abs(self.lam[-1] - self.t_ref) > 1e-6:
-            raise ValueError(
-                f"lam({self.grid.t_end}) = {self.lam[-1]} does not reach the "
-                f"reference duration {self.t_ref} within 1e-6"
-            )
+        if abs(self.grid.t0) > 1e-12 * self.grid.span:
+            raise ValueError("magnification grid must start at t = 0")
 
     @property
     def t_final(self) -> float:
         return self.grid.t_end
 
-    def _interps(self):
-        if self._alpha_interp is None:
-            from scipy.interpolate import CubicSpline
-
-            t = self.grid.times
-            self._alpha_interp = CubicSpline(t, self.alpha)
-            self._lam_interp = CubicSpline(t, self.lam)
-        return self._alpha_interp, self._lam_interp
+    @property
+    def _k(self) -> float:
+        return (self.t_final - self.t_ref) / self.t_final
 
     def alpha_at(self, t):
-        ai, _ = self._interps()
-        return ai(t)
+        t = np.asarray(t, dtype=float)
+        return 1.0 - self._k * (1.0 - np.cos(2.0 * np.pi * t / self.t_final))
 
     def lambda_at(self, t):
-        _, li = self._interps()
-        return li(t)
+        t = np.asarray(t, dtype=float)
+        t_f = self.t_final
+        return t - self._k * (t - t_f / (2.0 * np.pi) * np.sin(2.0 * np.pi * t / t_f))
 
 
 def build_magnification(t_ref: float, grid: TimeGrid) -> MagnificationProfile:
-    """Cosine-bump magnification for running [0, t_ref] in grid.t_end.
-
-        alpha(t) = 1 - ((T_F - T) / T_F) * (1 - cos(2 pi t / T_F))
-
-    integrates to exactly T over [0, T_F].  T_F > T decelerates
-    (alpha dips below 1), T_F < T accelerates (alpha rises above 1).
-    """
-    if abs(grid.t0) > 1e-12 * grid.span:
-        raise ValueError("magnification grid must start at t = 0")
-    t_f = grid.t_end
-    t = grid.times
-    alpha = 1.0 - ((t_f - t_ref) / t_f) * (1.0 - np.cos(2.0 * np.pi * t / t_f))
-    if t_f == t_ref:
-        # identity profile: keep lam bitwise equal to t so downstream
-        # interpolation lands exactly on the reference knots
-        lam = t.copy()
-    else:
-        h = grid.h
-        lam = np.concatenate(([0.0], np.cumsum(0.5 * (alpha[1:] + alpha[:-1]) * h)))
-    return MagnificationProfile(grid=grid, alpha=alpha, lam=lam, t_ref=t_ref)
+    """The cosine-bump profile taking [0, t_ref] to [0, grid.t_end]."""
+    return MagnificationProfile(grid=grid, t_ref=t_ref)
 
 
 class FfstPhaseModel(PhaseResidualModel):
@@ -210,7 +173,6 @@ def extract_scts(
     ref: ReferenceTrajectory,
     prof: MagnificationProfile,
     n_scan: int = 16_000,
-    threshold: float = 0.2,
 ) -> list[SpeedControlledTrajectory]:
     """Link the residual's zero curves into speed-controlled trajectories.
 
@@ -218,7 +180,7 @@ def extract_scts(
     :func:`~ffsynth.zerocurves.link_branches` with it instead.  The name
     stays because ``bench/layers.py`` probes it.
     """
-    return link_branches(FfstPhaseModel(ref, prof), n_scan=n_scan, threshold=threshold)
+    return link_branches(FfstPhaseModel(ref, prof), n_scan=n_scan)
 
 
 def detect_phase_gaps(

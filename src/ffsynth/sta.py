@@ -115,14 +115,14 @@ def adiabatic_target(
 
 
 def extract_sta_branches(
-    model: StaPhaseModel, n_scan: int = 16_000, threshold: float = 0.2
+    model: StaPhaseModel, n_scan: int = 16_000
 ) -> list[SpeedControlledTrajectory]:
     """Link the residual's zero curves into followable branches.
 
     Same as :func:`~ffsynth.zerocurves.link_branches`; the name stays
     because ``bench/layers.py`` probes it.
     """
-    return link_branches(model, n_scan=n_scan, threshold=threshold)
+    return link_branches(model, n_scan=n_scan)
 
 
 def synthesize_sta_control(

@@ -182,7 +182,6 @@ class SpeedControlledTrajectory:
 def link_branches(
     model: PhaseResidualModel,
     n_scan: int = 16_000,
-    threshold: float = LINKING_THRESHOLD,
     min_samples: int = 6,
 ) -> list[SpeedControlledTrajectory]:
     """Scan the residual over time and link roots into branches.
@@ -217,7 +216,7 @@ def link_branches(
         taken_b: set[int] = set()
         taken_r: set[int] = set()
         for dist, bi, ri in pairs:
-            if bi in taken_b or ri in taken_r or dist >= threshold:
+            if bi in taken_b or ri in taken_r or dist >= LINKING_THRESHOLD:
                 continue
             taken_b.add(bi)
             taken_r.add(ri)

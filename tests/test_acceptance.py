@@ -264,8 +264,8 @@ def test_criterion_08_scaling_consistency(reference, decel_a):
     branch_ok = f_y > 1.0 - 1e-6 and cost.evaluations == 0
 
     # unit magnification with the zero path returns the reference drive
-    # bitwise at the grid nodes; midpoint samples pass through a spline
-    # lookup of the scaled clock and may move by an ulp
+    # bitwise at the grid nodes; midpoint samples pass through the spline
+    # lookup of the reference detuning and may move by an ulp
     grid = TimeGrid(0.0, 1.0, reference.grid.n_steps)
     prof_id = build_magnification(1.0, grid)
     ident = synthesize_control(

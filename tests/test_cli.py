@@ -374,6 +374,15 @@ class TestFailureModes:
         assert rc == 2
         assert "(0, 1]" in capsys.readouterr().err
 
+    def test_sta_t_ref_exits_2(self, tmp_path, capsys):
+        # the sta reference runs over t_final; a t_ref would be ignored
+        cfg = _config(tmp_path, STA_FAST + "t_ref: 5.0\n")
+        out = tmp_path / "out"
+        rc = main(["sta", "--config", cfg, "--out", str(out)])
+        assert rc == 2
+        assert "t_ref: not used by scenario 'sta'" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "line, message", REMOVED_KEYS, ids=[m.split(":")[0] for _, m in REMOVED_KEYS]
     )
@@ -386,13 +395,24 @@ class TestFailureModes:
         assert not out.exists()
 
 
-def test_import_loads_no_scipy():
+@pytest.mark.parametrize(
+    "work",
+    [
+        "import ffsynth.cli",
+        # the magnification profile is closed form: no interpolant behind it
+        "from ffsynth import TimeGrid, build_magnification; "
+        "p = build_magnification(1.0, TimeGrid(0.0, 1.1, 100)); "
+        "p.alpha_at(p.grid.times); p.lambda_at(p.grid.half_times)",
+    ],
+    ids=["cli", "magnification"],
+)
+def test_import_loads_no_scipy(work):
     # scipy is imported where it is used, so the CLI starts without it
     src = os.path.dirname(os.path.dirname(os.path.abspath(ffsynth.__file__)))
     path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
     env = dict(os.environ, PYTHONPATH=path)
     code = (
-        "import sys, ffsynth.cli; "
+        f"import sys; {work}; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
     out = subprocess.run(

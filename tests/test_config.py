@@ -147,6 +147,16 @@ require_fidelity: 1.5
             errors = _errors_of(MINIMAL + f"output: {{formats: {formats}}}")
             assert "output.formats: unknown key" in errors
 
+    @pytest.mark.parametrize("value", ["5.0", "1.0", "true"])
+    def test_sta_rejects_t_ref(self, value):
+        # the sta reference runs over each t_final, so a t_ref would go unused
+        errors = _errors_of(
+            f"schema_version: 1\nscenario: sta\nt_final: 10.0\nt_ref: {value}"
+        )
+        assert errors == [
+            "t_ref: not used by scenario 'sta', whose reference runs over t_final"
+        ]
+
     def test_device_positivity(self):
         errors = _errors_of(MINIMAL + "device: {g_ghz: -3}")
         assert errors == ["device.g_ghz: must be positive, got -3"]

@@ -27,36 +27,70 @@ def _zero_path(t):
     return np.zeros_like(t)
 
 
+def _sampled_profile(t_ref, grid):
+    """The sampled alpha and trapezoid-accumulated Lambda that the closed
+    form replaces, kept as the oracle."""
+    t_f = grid.t_end
+    t = grid.times
+    alpha = 1.0 - ((t_f - t_ref) / t_f) * (1.0 - np.cos(2.0 * np.pi * t / t_f))
+    h = grid.h
+    lam = np.concatenate(([0.0], np.cumsum(0.5 * (alpha[1:] + alpha[:-1]) * h)))
+    return alpha, lam
+
+
 class TestMagnification:
     @pytest.mark.parametrize("t_final", [0.9, 1.1])
     def test_profile_shape(self, t_final):
         grid = TimeGrid(0.0, t_final, 4000)
         prof = build_magnification(1.0, grid)
-        assert prof.alpha[0] == pytest.approx(1.0, abs=1e-12)
-        assert prof.alpha[-1] == pytest.approx(1.0, abs=1e-12)
-        assert prof.lam[0] == 0.0
-        assert abs(prof.lam[-1] - 1.0) < 1e-6
+        alpha = prof.alpha_at(grid.times)
+        lam = prof.lambda_at(grid.times)
+        assert alpha[0] == pytest.approx(1.0, abs=1e-12)
+        assert alpha[-1] == pytest.approx(1.0, abs=1e-12)
+        assert lam[0] == 0.0
+        assert abs(lam[-1] - 1.0) < 1e-6
 
     def test_alpha_symmetric_about_midpoint(self):
         grid = TimeGrid(0.0, 1.1, 4000)
-        prof = build_magnification(1.0, grid)
-        assert np.allclose(prof.alpha, prof.alpha[::-1], atol=1e-12)
+        alpha = build_magnification(1.0, grid).alpha_at(grid.times)
+        assert np.allclose(alpha, alpha[::-1], atol=1e-12)
 
     def test_decel_slows_and_accel_hurries(self):
-        decel = build_magnification(1.0, TimeGrid(0.0, 1.1, 2000))
-        accel = build_magnification(1.0, TimeGrid(0.0, 0.9, 2000))
-        assert np.min(decel.alpha) < 1.0 and np.max(decel.alpha) <= 1.0 + 1e-12
-        assert np.max(accel.alpha) > 1.0 and np.min(accel.alpha) >= 1.0 - 1e-12
+        grid_d = TimeGrid(0.0, 1.1, 2000)
+        grid_a = TimeGrid(0.0, 0.9, 2000)
+        decel = build_magnification(1.0, grid_d).alpha_at(grid_d.times)
+        accel = build_magnification(1.0, grid_a).alpha_at(grid_a.times)
+        assert np.min(decel) < 1.0 and np.max(decel) <= 1.0 + 1e-12
+        assert np.max(accel) > 1.0 and np.min(accel) >= 1.0 - 1e-12
 
     def test_identity_time_map_is_bitwise(self):
         grid = TimeGrid(0.0, 1.0, 2000)
         prof = build_magnification(1.0, grid)
-        assert np.array_equal(prof.lam, grid.times)
-        assert np.all(prof.alpha == 1.0)
+        assert np.array_equal(prof.lambda_at(grid.times), grid.times)
+        assert np.all(prof.alpha_at(grid.times) == 1.0)
 
     def test_lambda_monotone(self):
-        prof = build_magnification(1.0, TimeGrid(0.0, 1.1, 2000))
-        assert np.all(np.diff(prof.lam) > 0)
+        grid = TimeGrid(0.0, 1.1, 2000)
+        lam = build_magnification(1.0, grid).lambda_at(grid.times)
+        assert np.all(np.diff(lam) > 0)
+
+    @pytest.mark.parametrize(
+        "t_final, n_steps", [(0.9, 2000), (0.9, 20_000), (1.1, 20_000)]
+    )
+    def test_matches_sampled_profile(self, t_final, n_steps):
+        # alpha is the sampled expression at the nodes; Lambda differs from
+        # the trapezoid sum by at most its error bound t h^2 max|alpha''| / 12.
+        # The first interval attains that bound to about 1e-7 relative, so
+        # the two sums' rounding (under an ulp of t) is allowed on top.
+        grid = TimeGrid(0.0, t_final, n_steps)
+        prof = build_magnification(1.0, grid)
+        alpha, lam_trap = _sampled_profile(1.0, grid)
+        assert np.array_equal(prof.alpha_at(grid.times), alpha)
+        k = (t_final - 1.0) / t_final
+        max_curvature = abs(k) * (2.0 * np.pi / t_final) ** 2
+        bound = grid.times * grid.h**2 * max_curvature / 12.0
+        bound += 4 * np.spacing(grid.times)
+        assert np.all(np.abs(prof.lambda_at(grid.times) - lam_trap) <= bound)
 
 
 class TestResidualMap:

@@ -379,7 +379,7 @@ class TestSingularStretch:
     def test_counts_zero_in_gap_direction_scan(self, reference, monkeypatch):
         toy = _SingularModel(1.1)
         monkeypatch.setattr(analysis, "FfstPhaseModel", lambda ref, prof: toy)
-        profile = gap_direction_scan(reference, (1.1,), n_grid=200, n_scan=1000)[1.1]
+        profile = gap_direction_scan(reference, (1.1,), n_scan=1000)[1.1]
         assert profile.classification == "vertical"
         (lo, hi), = profile.zero_intervals
         assert lo == pytest.approx(0.44, abs=2e-3) and hi == pytest.approx(0.66, abs=2e-3)
