@@ -132,9 +132,13 @@ def _write_branches(path: str, scts) -> None:
 
 
 def _write_beta_map(path: str, bmap) -> None:
+    # the grid columns repeat few distinct values: format each once and
+    # pass the strings through as text
     ln_beta = np.log(np.maximum(np.abs(bmap.values), LN_BETA_FLOOR))
-    tcol = np.repeat(bmap.times, len(bmap.phases))
-    pcol = np.tile(bmap.phases, len(bmap.times))
+    times = np.array(["%.17g" % v for v in bmap.times.tolist()], dtype=object)
+    phases = np.array(["%.17g" % v for v in bmap.phases.tolist()], dtype=object)
+    tcol = np.repeat(times, len(phases))
+    pcol = np.tile(phases, len(times))
     _write_table(path, ["t", "f2", "ln_abs_beta"], [tcol, pcol, ln_beta.ravel()])
 
 
@@ -291,6 +295,8 @@ def run_single(
             "integrated_residual": float(cost.integrated_residual),
             "per_gap_residual": [float(v) for v in cost.per_gap_residual],
             "evaluations": int(cost.evaluations),
+            "max_evaluations": int(cost.max_evaluations),
+            "converged": bool(cost.converged),
         }
         summary["bridge_mode"] = vt.bridge_mode
 

@@ -35,6 +35,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .numerics import cubic_splines
+
 
 class IntegrationError(RuntimeError):
     """Raised when time evolution produces a non-finite amplitude."""
@@ -218,13 +220,10 @@ class ReferenceTrajectory:
 
     def interpolators(self):
         if self._interpolators is None:
-            from scipy.interpolate import CubicSpline
-
-            t = self.grid.times
             object.__setattr__(
                 self,
                 "_interpolators",
-                (CubicSpline(t, self.phi1), CubicSpline(t, self.phi2)),
+                tuple(cubic_splines(self.grid.times, self.phi1, self.phi2)),
             )
         return self._interpolators
 

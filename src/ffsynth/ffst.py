@@ -31,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import DriveSchedule, ReferenceTrajectory, TimeGrid
+from .numerics import cubic_splines
 from .zerocurves import (
     Gap,
     PhaseResidualModel,
@@ -107,15 +108,13 @@ class FfstPhaseModel(PhaseResidualModel):
     """
 
     def __init__(self, ref: ReferenceTrajectory, prof: MagnificationProfile):
-        from scipy.interpolate import CubicSpline
-
         self.ref = ref
         self.prof = prof
         self.t_final = prof.t_final
-        t = ref.grid.times
         self._p1, self._p2 = ref.interpolators()
-        self._dw = CubicSpline(t, ref.drive.delta_omega)
-        self._g = CubicSpline(t, ref.drive.coupling)
+        self._dw, self._g = cubic_splines(
+            ref.grid.times, ref.drive.delta_omega, ref.drive.coupling
+        )
 
     def states_at(self, lam):
         """Renormalized reference amplitudes at rescaled times."""

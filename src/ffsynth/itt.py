@@ -15,11 +15,12 @@ Bridge parameters are chosen by minimizing the integrated residual
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .dynamics import TimeGrid
+from .numerics import erf, nelder_mead
 from .zerocurves import (
     TWO_PI,
     Gap,
@@ -314,19 +315,25 @@ def _assemble_lift(
             f = f + amp * (g - (g0 + (g1 - g0) * t_eval / t_f))
         return f
 
-    from scipy.special import erf
-
     values, shifts = samples
     f = values[0].copy()
-    for i, (c, sig, amp, lo, hi) in enumerate(bridges):
-        start = np.searchsorted(t_eval, lo, side="right")
-        stop = np.searchsorted(t_eval, hi, side="left")
+    windows, args = [], []
+    for c, sig, _, lo, hi in bridges:
+        start = int(np.searchsorted(t_eval, lo, side="right"))
+        stop = int(np.searchsorted(t_eval, hi, side="left"))
+        windows.append((start, stop))
+        args.append((np.append(t_eval[start:stop], (lo, hi)) - c) / (np.sqrt(2.0) * sig))
+    # one erf call per lift, on every window and its two ends: a call
+    # costs far more than its samples
+    z = erf(np.concatenate(args)) if args else None
+
+    k = 0
+    for i, ((c, sig, amp, lo, hi), (start, stop)) in enumerate(zip(bridges, windows)):
         t = t_eval[start:stop]
-        z_lo = erf((lo - c) / (np.sqrt(2.0) * sig))
-        z_hi = erf((hi - c) / (np.sqrt(2.0) * sig))
-        w = np.clip(
-            (erf((t - c) / (np.sqrt(2.0) * sig)) - z_lo) / (z_hi - z_lo), 0.0, 1.0
-        )
+        n = stop - start
+        z_t, (z_lo, z_hi) = z[k : k + n], z[k + n : k + n + 2]
+        k += n + 2
+        w = np.clip((z_t - z_lo) / (z_hi - z_lo), 0.0, 1.0)
 
         g = np.exp(-((t - c) ** 2) / (2.0 * sig**2))
         g_lo = np.exp(-((lo - c) ** 2) / (2.0 * sig**2))
@@ -459,23 +466,29 @@ def build_virtual_trajectory(
 
 @dataclass(frozen=True)
 class IttCostReport:
-    """Integrated path residual and its decomposition over bridges."""
+    """Integrated path residual, its decomposition over bridges, and the
+    search that chose the bridges: ``evaluations`` of at most
+    ``max_evaluations``, and ``converged`` when the simplex met its
+    tolerance rule before that cap.  A path that no search chose (a plan
+    without bridges, or a bare ``itt_cost``) reports 0 evaluations and
+    counts as converged."""
 
     integrated_residual: float
     per_gap_residual: tuple[float, ...]
-    evaluations: int
+    evaluations: int = 0
+    max_evaluations: int = 0
+    converged: bool = True
 
     def __post_init__(self) -> None:
         if not (self.integrated_residual >= 0.0):
             raise ValueError("integrated residual must be non-negative")
+        if not (0 <= self.evaluations <= self.max_evaluations):
+            raise ValueError("evaluations must lie within [0, max_evaluations]")
+        if not self.converged and self.evaluations != self.max_evaluations:
+            raise ValueError("a search can stop unconverged only at its evaluation cap")
 
 
-def itt_cost(
-    vt: VirtualTrajectory,
-    model,
-    n_cost: int = 4000,
-    evaluations: int = 1,
-) -> IttCostReport:
+def itt_cost(vt: VirtualTrajectory, model, n_cost: int = 4000) -> IttCostReport:
     """Trapezoidal integral of |beta| along the path.
 
     ``model`` is any phase-residual model (FFST or eigenstate-following)
@@ -492,11 +505,7 @@ def itt_cost(
     for _, _, _, lo, hi in _bridges(plan, vt._raw_params, vt._settings):
         mask = (tt >= lo) & (tt <= hi)
         per_gap.append(float(np.trapezoid(absbeta[mask], tt[mask])))
-    return IttCostReport(
-        integrated_residual=total,
-        per_gap_residual=tuple(per_gap),
-        evaluations=evaluations,
-    )
+    return IttCostReport(integrated_residual=total, per_gap_residual=tuple(per_gap))
 
 
 def optimize_virtual_trajectory(
@@ -510,15 +519,14 @@ def optimize_virtual_trajectory(
 ) -> tuple[VirtualTrajectory, IttCostReport]:
     """Minimize the integrated residual over bridge parameters.
 
-    Deterministic Nelder-Mead with an explicit initial simplex; the
+    Deterministic Nelder-Mead with an explicit initial simplex, stopped
+    by its tolerance rule or after ``maxfev`` cost evaluations; the
     default start follows ``default_bridge_params``.  A plan with no
     bridges returns the (pinned) branch path unchanged.
     """
-    from scipy.optimize import minimize
-
     if plan.n_bridges == 0:
         vt = build_virtual_trajectory(plan, [], grid, settings)
-        return vt, itt_cost(vt, model, n_cost=n_cost, evaluations=0)
+        return vt, replace(itt_cost(vt, model, n_cost=n_cost), max_evaluations=maxfev)
 
     if init is None:
         init = default_bridge_params(plan, settings)
@@ -533,10 +541,8 @@ def optimize_virtual_trajectory(
     t_f = plan.t_final
     detached = bridge_mode(plan, settings) == "detached"
     samples = _branch_samples(tt, plan, settings)
-    evals = [0]
 
     def cost(p: np.ndarray) -> float:
-        evals[0] += 1
         if not np.all(np.isfinite(p)):
             raise OptimizerError(f"non-finite bridge parameters {np.array2string(p)}")
         f = _pinned_lift(tt, plan, p, settings, samples)[0]
@@ -560,17 +566,12 @@ def optimize_virtual_trajectory(
             q[j] += -0.9 if detached else 0.3
         simplex.append(q)
 
-    res = minimize(
-        cost,
-        p0,
-        method="Nelder-Mead",
-        options={
-            "initial_simplex": np.asarray(simplex),
-            "xatol": 1e-6,
-            "fatol": 1e-12,
-            "maxfev": maxfev,
-        },
-    )
+    res = nelder_mead(cost, simplex, xatol=1e-6, fatol=1e-12, maxfev=maxfev)
     vt = build_virtual_trajectory(plan, res.x, grid, settings)
-    report = itt_cost(vt, model, n_cost=n_cost, evaluations=evals[0])
+    report = replace(
+        itt_cost(vt, model, n_cost=n_cost),
+        evaluations=res.evaluations,
+        max_evaluations=maxfev,
+        converged=res.converged,
+    )
     return vt, report

@@ -1,0 +1,391 @@
+"""Interpolation, the error function and a simplex search on numpy alone.
+
+The package needs four numerical routines: a not-a-knot cubic spline, a
+shape-preserving PCHIP interpolant, ``erf`` and a Nelder-Mead search.
+They are written here in numpy so that a run imports nothing heavier.
+
+Each routine follows the operation order of the established
+implementation it mirrors, so its results are reproducible bit for bit:
+
+- both interpolants are :class:`PiecewiseCubic` values, built like
+  SciPy's ``CubicSpline`` and ``PchipInterpolator`` and evaluated in
+  ``PPoly``'s term order;
+- the spline's tridiagonal system is eliminated in the order of LAPACK's
+  xGTSV (partial pivoting by rows), on Python floats;
+- PCHIP takes its node slopes from Fritsch and Carlson, SIAM J. Numer.
+  Anal. 17, 238 (1980), with the one-sided three-point end slopes of
+  Moler's ``pchiptx``;
+- ``erf`` is the Cephes rational approximation (``ndtr.c``; the erfc
+  branch after Cody, Math. Comp. 23, 631 (1969));
+- :func:`nelder_mead` is the simplex method of Nelder and Mead, Comput.
+  J. 7, 308 (1965), with the standard coefficients (1, 2, 1/2, 1/2).
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+
+@dataclass(frozen=True, eq=False)
+class PiecewiseCubic:
+    """A cubic on each interval ``[x[i], x[i+1]]``, extrapolated from the
+    end pieces.  With ``s = t - x[i]`` the value is
+    ``c[0, i] s^3 + c[1, i] s^2 + c[2, i] s + c[3, i]``; ``c`` may be
+    complex."""
+
+    x: np.ndarray
+    c: np.ndarray
+
+    def __call__(self, t):
+        t = np.asarray(t, dtype=float)
+        flat = t.ravel()
+        i = np.searchsorted(self.x, flat, side="right") - 1
+        np.clip(i, 0, len(self.x) - 2, out=i)
+        s = flat - self.x[i]
+        c0, c1, c2, c3 = (row[i] for row in self.c)
+        # PPoly's order: lowest power first, powers accumulated as z *= s
+        z = s * s
+        out = 0.0 + c3 + c2 * s + c1 * z + c0 * (z * s)
+        return out.reshape(t.shape)
+
+
+def _hermite(x: np.ndarray, y: np.ndarray, dydx: np.ndarray) -> PiecewiseCubic:
+    """The cubic Hermite interpolant of values ``y`` and slopes ``dydx``."""
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    t = (dydx[:-1] + dydx[1:] - 2 * slope) / dx
+    c = np.stack((t / dx, (slope - dydx[:-1]) / dx - t, dydx[:-1], y[:-1]))
+    return PiecewiseCubic(x=x, c=c)
+
+
+def _knots(x) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1 or len(x) < 4:
+        raise ValueError("knots must be a 1-D array of at least 4 values")
+    if not np.all(np.isfinite(x)) or np.any(np.diff(x) <= 0):
+        raise ValueError("knots must be finite and strictly increasing")
+    return x
+
+
+def _values(x: np.ndarray, y) -> np.ndarray:
+    y = np.asarray(y)
+    y = y.astype(complex if np.iscomplexobj(y) else float, copy=False)
+    if y.shape != x.shape:
+        raise ValueError(f"values of shape {y.shape} do not match {len(x)} knots")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("values must be finite")
+    return y
+
+
+class _Tridiagonal:
+    """The row-pivoted LU elimination of a tridiagonal matrix, in xGTSV's
+    order, kept so that any number of right-hand sides can be solved."""
+
+    def __init__(self, dl: list, d: list, du: list):
+        n = len(d)
+        self.fact = [0.0] * (n - 1)
+        self.swap = [False] * (n - 1)
+        du2 = [0.0] * (n - 1)  # second superdiagonal, filled by interchanges
+        for i in range(n - 1):
+            if abs(d[i]) >= abs(dl[i]):
+                if d[i] == 0.0:
+                    raise ValueError(f"singular tridiagonal system at row {i + 1}")
+                f = dl[i] / d[i]
+                d[i + 1] = d[i + 1] - f * du[i]
+            else:
+                f = d[i] / dl[i]
+                d[i] = dl[i]
+                temp = d[i + 1]
+                d[i + 1] = du[i] - f * temp
+                if i < n - 2:
+                    du2[i] = du[i + 1]
+                    du[i + 1] = -f * du2[i]
+                du[i] = temp
+                self.swap[i] = True
+            self.fact[i] = f
+        if d[-1] == 0.0:
+            raise ValueError(f"singular tridiagonal system at row {n}")
+        self.d, self.du, self.du2 = d, du, du2
+
+    def solve(self, b: list) -> list:
+        d, du, du2 = self.d, self.du, self.du2
+        for i, (f, swap) in enumerate(zip(self.fact, self.swap)):
+            if swap:
+                b[i], b[i + 1] = b[i + 1], b[i] - f * b[i + 1]
+            else:
+                b[i + 1] = b[i + 1] - f * b[i]
+        n = len(b)
+        b[n - 1] = b[n - 1] / d[n - 1]
+        b[n - 2] = (b[n - 2] - du[n - 2] * b[n - 1]) / d[n - 2]
+        for i in range(n - 3, -1, -1):
+            b[i] = (b[i] - du[i] * b[i + 1] - du2[i] * b[i + 2]) / d[i]
+        return b
+
+
+def cubic_splines(x, *ys) -> list[PiecewiseCubic]:
+    """Not-a-knot cubic splines through each of ``ys`` on the knots ``x``.
+
+    The knot slopes solve one tridiagonal system per ``y``; the system
+    depends on ``x`` alone, so it is eliminated once for all of them.  A
+    complex ``y`` solves its real and imaginary parts as two systems.
+    """
+    x = _knots(x)
+    dx = np.diff(x)
+    n = len(x)
+    # the banded rows of SciPy's CubicSpline: sub-, main and superdiagonal
+    d = np.empty(n)
+    d[1:-1] = 2 * (dx[:-1] + dx[1:])
+    d[0] = dx[1]
+    d[-1] = dx[-2]
+    du = np.empty(n - 1)
+    du[1:] = dx[:-1]
+    du[0] = x[2] - x[0]
+    dl = np.empty(n - 1)
+    dl[:-1] = dx[1:]
+    dl[-1] = x[-1] - x[-3]
+    system = _Tridiagonal(dl.tolist(), d.tolist(), du.tolist())
+
+    d0 = x[2] - x[0]
+    d1 = x[-1] - x[-3]
+    out = []
+    for y in ys:
+        y = _values(x, y)
+        slope = np.diff(y) / dx
+        b = np.empty_like(y)
+        b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+        b[0] = ((dx[0] + 2 * d0) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d0
+        b[-1] = (dx[-1] ** 2 * slope[-2] + (2 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1
+        s = np.empty_like(y)
+        if np.iscomplexobj(y):
+            s.real = system.solve(b.real.tolist())
+            s.imag = system.solve(b.imag.tolist())
+        else:
+            s[:] = system.solve(b.tolist())
+        out.append(_hermite(x, y, s))
+    return out
+
+
+def _pchip_end_slope(h0, h1, m0, m1):
+    # one-sided three-point estimate for the derivative
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+
+    # try to preserve shape
+    mask = np.sign(d) != np.sign(m0)
+    mask2 = (np.sign(m0) != np.sign(m1)) & (np.abs(d) > 3.0 * np.abs(m0))
+    mmm = (~mask) & mask2
+
+    d[mask] = 0.0
+    d[mmm] = 3.0 * m0[mmm]
+    return d
+
+
+def pchip(x, y) -> PiecewiseCubic:
+    """The monotone piecewise-cubic (PCHIP) interpolant of real ``y``."""
+    x = _knots(x)
+    y = _values(x, y)
+    if np.iscomplexobj(y):
+        raise ValueError("pchip interpolates real values only")
+    hk = x[1:] - x[:-1]
+    mk = (y[1:] - y[:-1]) / hk
+
+    smk = np.sign(mk)
+    condition = (smk[1:] != smk[:-1]) | (mk[1:] == 0) | (mk[:-1] == 0)
+
+    w1 = 2 * hk[1:] + hk[:-1]
+    w2 = hk[1:] + 2 * hk[:-1]
+
+    # where the weighted harmonic mean divides by zero, ``condition`` holds
+    # and the slope is set to zero instead
+    with np.errstate(divide="ignore", invalid="ignore"):
+        whmean = (w1 / mk[:-1] + w2 / mk[1:]) / (w1 + w2)
+
+    dk = np.zeros_like(y)
+    dk[1:-1][~condition] = 1.0 / whmean[~condition]
+    dk[:1] = _pchip_end_slope(hk[:1], hk[1:2], mk[:1], mk[1:2])
+    dk[-1:] = _pchip_end_slope(hk[-1:], hk[-2:-1], mk[-1:], mk[-2:-1])
+    return _hermite(x, y, dk)
+
+
+# Cephes ndtr.c: erf(x) = x T(x^2) / U(x^2) for |x| <= 1, and
+# erfc(x) = exp(-x^2) P(x) / Q(x) for 1 < x < 8 (U and Q are monic).
+_ERF_T = (
+    9.60497373987051638749e0,
+    9.00260197203842689217e1,
+    2.23200534594684319226e3,
+    7.00332514112805075473e3,
+    5.55923013010394962768e4,
+)
+_ERF_U = (
+    3.35617141647503099647e1,
+    5.21357949780152679795e2,
+    4.59432382970980127987e3,
+    2.26290000613890934246e4,
+    4.92673942608635921086e4,
+)
+_ERFC_P = (
+    2.46196981473530512524e-10,
+    5.64189564831068821977e-1,
+    7.46321056442269912687e0,
+    4.86371970985681366614e1,
+    1.96520832956077098242e2,
+    5.26445194995477358631e2,
+    9.34528527171957607540e2,
+    1.02755188689515710272e3,
+    5.57535335369399327526e2,
+)
+_ERFC_Q = (
+    1.32281951154744992508e1,
+    8.67072140885989742329e1,
+    3.54937778887819891062e2,
+    9.75708501743205489753e2,
+    1.82390916687909736289e3,
+    2.24633760818710981792e3,
+    1.65666309194161350182e3,
+    5.57535340817727675546e2,
+)
+
+#: Above this |x|, 1 - erfc(x) rounds to 1.0 (erfc(6) ~ 2e-17).
+_ERF_SATURATION = 6.0
+
+
+def _polevl(x: np.ndarray, coef, monic: bool) -> np.ndarray:
+    # Horner's rule; a monic polynomial omits its leading 1
+    acc = x + coef[0] if monic else np.full_like(x, coef[0])
+    for c in coef[1:]:
+        acc *= x
+        acc += c
+    return acc
+
+
+def erf(x):
+    """The error function, elementwise: Cephes' ``erf`` bit for bit.
+
+    exp(-x^2) is the real part of numpy's complex ``exp``, which calls
+    the C library's ``cexp`` and so agrees with the ``exp`` that Cephes
+    calls.  numpy's real ``exp`` is a SIMD routine that differs from it
+    in the last bit on about a quarter of arguments in [-36, 0], which
+    would move ``erf`` by an ulp and the bridge search with it.
+    """
+    x = np.asarray(x, dtype=float)
+    a = np.minimum(np.abs(x.ravel()), _ERF_SATURATION)
+    z = a * a
+    out = a * _polevl(z, _ERF_T, False)
+    out /= _polevl(z, _ERF_U, True)
+    tail = a > 1.0
+    at = a[tail]
+    erfc = np.exp((-z[tail]).astype(complex)).real
+    erfc *= _polevl(at, _ERFC_P, False)
+    erfc /= _polevl(at, _ERFC_Q, True)
+    out[tail] = 1.0 - erfc
+    return np.copysign(out, x.ravel()).reshape(x.shape)
+
+
+@dataclass(frozen=True)
+class SimplexResult:
+    """Best vertex, its value, the evaluations spent, and whether the
+    tolerance rule stopped the search (rather than the evaluation cap)."""
+
+    x: np.ndarray
+    fun: float
+    evaluations: int
+    converged: bool
+
+
+class _EvaluationCap(Exception):
+    pass
+
+
+def nelder_mead(func, simplex, xatol: float, fatol: float, maxfev: int) -> SimplexResult:
+    """Minimize ``func`` from the ``(N + 1, N)`` initial ``simplex``.
+
+    Stops when every vertex lies within ``xatol`` of the best in every
+    coordinate and every value within ``fatol`` of the best, or when the
+    next evaluation would exceed ``maxfev``.  The steps, their order and
+    the evaluation count are those of SciPy's non-adaptive
+    ``minimize(method="Nelder-Mead")`` with an ``initial_simplex``.
+    """
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    sim = np.array(simplex, dtype=float)
+    if sim.ndim != 2 or sim.shape[0] != sim.shape[1] + 1:
+        raise ValueError("the initial simplex must be shaped (N + 1, N)")
+    n = sim.shape[1]
+    fsim = np.full((n + 1,), np.inf, dtype=float)
+    calls = 0
+
+    def f(x):
+        nonlocal calls
+        if calls >= maxfev:
+            raise _EvaluationCap
+        calls += 1
+        return func(np.copy(x))
+
+    try:
+        for k in range(n + 1):
+            fsim[k] = f(sim[k])
+    except _EvaluationCap:
+        pass
+    ind = np.argsort(fsim)
+    sim = np.take(sim, ind, 0)
+    fsim = np.take(fsim, ind, 0)
+
+    converged = False
+    while calls < maxfev:
+        try:
+            if (
+                np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol
+            ):
+                converged = True
+                break
+
+            xbar = np.add.reduce(sim[:-1], 0) / n
+            xr = (1 + rho) * xbar - rho * sim[-1]
+            fxr = f(xr)
+            doshrink = False
+
+            if fxr < fsim[0]:
+                xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
+                fxe = f(xe)
+                if fxe < fxr:
+                    sim[-1] = xe
+                    fsim[-1] = fxe
+                else:
+                    sim[-1] = xr
+                    fsim[-1] = fxr
+            elif fxr < fsim[-2]:
+                sim[-1] = xr
+                fsim[-1] = fxr
+            else:
+                if fxr < fsim[-1]:
+                    # outside contraction
+                    xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
+                    fxc = f(xc)
+                    if fxc <= fxr:
+                        sim[-1] = xc
+                        fsim[-1] = fxc
+                    else:
+                        doshrink = True
+                else:
+                    # inside contraction
+                    xcc = (1 - psi) * xbar + psi * sim[-1]
+                    fxcc = f(xcc)
+                    if fxcc < fsim[-1]:
+                        sim[-1] = xcc
+                        fsim[-1] = fxcc
+                    else:
+                        doshrink = True
+                if doshrink:
+                    for j in range(1, n + 1):
+                        sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                        fsim[j] = f(sim[j])
+        except _EvaluationCap:
+            pass
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+
+    return SimplexResult(
+        x=sim[0], fun=float(np.min(fsim)), evaluations=calls, converged=converged
+    )

@@ -25,6 +25,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .numerics import pchip
+
 TWO_PI = 2.0 * np.pi
 
 #: Below this residual amplitude D the residual is flat in f: every phase
@@ -171,11 +173,7 @@ class SpeedControlledTrajectory:
     def values_at(self, t) -> np.ndarray:
         """Lift values at arbitrary times, clamped to the valid span."""
         if self._interp is None:
-            from scipy.interpolate import PchipInterpolator
-
-            tv = self.times[self.valid]
-            fv = self.f2[self.valid]
-            self._interp = PchipInterpolator(tv, fv)
+            self._interp = pchip(self.times[self.valid], self.f2[self.valid])
         return self._interp(np.clip(t, self.t_start, self.t_end))
 
 

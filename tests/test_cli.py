@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import subprocess
@@ -11,8 +12,14 @@ import numpy as np
 import pytest
 
 import ffsynth
-from ffsynth.cli import TABLE_CHUNK_ROWS, _write_branches, _write_table, main
-from ffsynth.ffst import FfstPhaseModel
+from ffsynth.cli import (
+    TABLE_CHUNK_ROWS,
+    _write_beta_map,
+    _write_branches,
+    _write_table,
+    main,
+)
+from ffsynth.ffst import LN_BETA_FLOOR, FfstPhaseModel, build_beta_map
 
 DECEL_FAST = """\
 schema_version: 1
@@ -126,6 +133,25 @@ class TestTableWriter:
                    comments="")
         assert ours.read_bytes() == ref.read_bytes()
 
+    def test_beta_map_matches_numeric_writer(self, tmp_path, decel_a):
+        """The grid columns go out as pre-formatted text; the old export,
+        which passed all three columns as numbers, is the oracle."""
+        bmap = build_beta_map(decel_a.model)
+        ours = tmp_path / "ours.tsv"
+        _write_beta_map(str(ours), bmap)
+        ln_beta = np.log(np.maximum(np.abs(bmap.values), LN_BETA_FLOOR))
+        ref = tmp_path / "ref.tsv"
+        _write_table(
+            str(ref),
+            ["t", "f2", "ln_abs_beta"],
+            [
+                np.repeat(bmap.times, len(bmap.phases)),
+                np.tile(bmap.phases, len(bmap.times)),
+                ln_beta.ravel(),
+            ],
+        )
+        assert ours.read_bytes() == ref.read_bytes()
+
 
     def test_branch_table_matches_row_writer(self, tmp_path, decel_a, accel):
         """``branches.tsv`` keeps the bytes of the per-row writer it replaced."""
@@ -214,6 +240,9 @@ class TestVerifyStage:
         assert summary["fidelities"]["itt"] > 0.999
         assert summary["shift_analysis"]["count"] == 1
         assert "fidelity_ok" not in summary
+        cost = summary["cost"]
+        assert cost["max_evaluations"] == 2000
+        assert cost["converged"] is (cost["evaluations"] < cost["max_evaluations"])
         for name in (
             "control.tsv",
             "branches.tsv",
@@ -395,19 +424,37 @@ class TestFailureModes:
         assert not out.exists()
 
 
-@pytest.mark.parametrize(
-    "work",
-    [
-        "import ffsynth.cli",
-        # the magnification profile is closed form: no interpolant behind it
-        "from ffsynth import TimeGrid, build_magnification; "
-        "p = build_magnification(1.0, TimeGrid(0.0, 1.1, 100)); "
-        "p.alpha_at(p.grid.times); p.lambda_at(p.grid.half_times)",
-    ],
-    ids=["cli", "magnification"],
+#: A whole run in a subprocess; ``{command}``, ``{config}`` and ``{out}``
+#: are filled in by the test.
+RUN = (
+    "from ffsynth.cli import main; "
+    "assert main([{command!r}, '--config', {config!r}, '--out', {out!r}]) == 0"
 )
-def test_import_loads_no_scipy(work):
-    # scipy is imported where it is used, so the CLI starts without it
+
+
+@pytest.mark.parametrize(
+    "work, command, text",
+    [
+        ("import ffsynth.cli", None, None),
+        # the magnification profile is closed form: no interpolant behind it
+        (
+            "from ffsynth import TimeGrid, build_magnification; "
+            "p = build_magnification(1.0, TimeGrid(0.0, 1.1, 100)); "
+            "p.alpha_at(p.grid.times); p.lambda_at(p.grid.half_times)",
+            None,
+            None,
+        ),
+        # every stage: splines, PCHIP branches, erf bridges and the simplex
+        (RUN, "full", DECEL_FAST),
+        (RUN, "sta", STA_FAST),
+    ],
+    ids=["cli", "magnification", "full-run", "sta-run"],
+)
+def test_import_loads_no_scipy(tmp_path, work, command, text):
+    if text is not None:
+        work = work.format(
+            command=command, config=_config(tmp_path, text), out=str(tmp_path / "out")
+        )
     src = os.path.dirname(os.path.dirname(os.path.abspath(ffsynth.__file__)))
     path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
     env = dict(os.environ, PYTHONPATH=path)
@@ -418,4 +465,26 @@ def test_import_loads_no_scipy(work):
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.strip().splitlines()[-1] == "[]"
+
+
+def test_sources_import_no_scipy():
+    """No module of the package names scipy in an import, at any depth."""
+    package = os.path.dirname(os.path.abspath(ffsynth.__file__))
+    found = []
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            found += [
+                f"{name}:{node.lineno} {m}" for m in modules if m.split(".")[0] == "scipy"
+            ]
+    assert found == []

@@ -315,6 +315,25 @@ class TestOptimizer:
         for bundle in (decel_a, decel_b, accel, sta20, sta10):
             assert 0 < bundle.cost.evaluations <= 2000
 
+    @pytest.mark.parametrize(
+        "name, converged",
+        [("accel", False), ("decel_a", True), ("decel_b", True), ("sta30", True)],
+    )
+    def test_converged_unless_stopped_at_the_cap(self, request, name, converged):
+        """``converged`` is false exactly when the search spent all its
+        evaluations without meeting the tolerance rule (the accelerate
+        search does; ``test_numerics`` checks the rule against SciPy's)."""
+        cost = request.getfixturevalue(name).cost
+        assert cost.max_evaluations == 2000
+        assert cost.converged is converged
+        assert cost.converged == (cost.evaluations < cost.max_evaluations)
+
+    def test_report_rejects_inconsistent_search(self):
+        with pytest.raises(ValueError, match="evaluation cap"):
+            itt.IttCostReport(0.1, (), evaluations=10, max_evaluations=20, converged=False)
+        with pytest.raises(ValueError, match="within"):
+            itt.IttCostReport(0.1, (), evaluations=21, max_evaluations=20)
+
     def test_no_bridges_returns_branch_path(self, sta30):
         assert sta30.cost.evaluations == 0
         branch = sta30.plan.branches[0]

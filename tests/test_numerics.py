@@ -1,0 +1,199 @@
+"""The numpy ports of ``ffsynth.numerics`` against the SciPy routines they
+mirror.  SciPy is a test-only dependency; here it is the oracle.
+
+Bounds, fixed before the ports were written: the interpolants and the
+simplex search must agree bit for bit, and ``erf`` to within 2 ulp.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from scipy.interpolate import CubicSpline, PchipInterpolator
+from scipy.optimize import minimize
+from scipy.special import erf as scipy_erf
+
+from ffsynth import itt
+from ffsynth.numerics import _Tridiagonal, cubic_splines, erf, nelder_mead, pchip
+
+#: Largest allowed distance of ``erf`` from SciPy's, in units in the last place.
+ERF_ULPS = 2.0
+
+
+def _probe_times(x, n: int, seed: int = 0) -> np.ndarray:
+    """Random times over the knot span and a 1% margin on each side (where
+    both interpolants extrapolate), plus every knot and interval midpoint."""
+    rng = np.random.default_rng(seed)
+    margin = 0.01 * (x[-1] - x[0])
+    t = rng.uniform(x[0] - margin, x[-1] + margin, n)
+    return np.concatenate([t, x, 0.5 * (x[1:] + x[:-1])])
+
+
+def _assert_same_interpolant(ours, theirs, t):
+    assert np.array_equal(ours.x, theirs.x)
+    assert np.array_equal(ours.c, theirs.c)
+    assert np.array_equal(ours(t), theirs(t))
+
+
+class TestCubicSpline:
+    def test_reference_grid(self, reference):
+        """psi_1, psi_2 (complex), the detuning and the coupling on the
+        20,001-knot reference grid."""
+        x = reference.grid.times
+        ys = (
+            reference.phi1,
+            reference.phi2,
+            reference.drive.delta_omega,
+            reference.drive.coupling,
+        )
+        t = _probe_times(x, 200_000)
+        for ours, y in zip(cubic_splines(x, *ys), ys):
+            _assert_same_interpolant(ours, CubicSpline(x, y), t)
+
+    def test_row_interchanges(self):
+        """Every third interval ten times longer: the elimination must
+        pivot, and still take SciPy's (LAPACK's) steps."""
+        x = np.cumsum(np.resize([1.0, 1.0, 10.0], 300)) / 100.0
+        dx = np.diff(x)
+        system = _Tridiagonal(
+            np.r_[dx[1:], x[-1] - x[-3]].tolist(),
+            np.r_[dx[1], 2 * (dx[:-1] + dx[1:]), dx[-2]].tolist(),
+            np.r_[x[2] - x[0], dx[:-1]].tolist(),
+        )
+        assert any(system.swap)
+        rng = np.random.default_rng(3)
+        y = rng.normal(size=len(x)) + 1j * rng.normal(size=len(x))
+        t = _probe_times(x, 20_000)
+        for ours, values in zip(cubic_splines(x, y.real, y), (y.real, y)):
+            _assert_same_interpolant(ours, CubicSpline(x, values), t)
+
+    def test_shapes(self):
+        x = np.linspace(0.0, 1.0, 50)
+        (ours,) = cubic_splines(x, np.sin(x))
+        assert ours(0.01).shape == ()
+        assert ours(np.zeros((3, 2))).shape == (3, 2)
+        assert float(ours(0.01)) == float(CubicSpline(x, np.sin(x))(0.01))
+
+    @pytest.mark.parametrize(
+        "x, y",
+        [
+            ([0.0, 1.0, 2.0], [0.0, 1.0, 0.0]),
+            ([0.0, 1.0, 1.0, 2.0], [0.0, 1.0, 0.0, 1.0]),
+            ([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, np.nan, 1.0]),
+            ([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 1.0]),
+        ],
+        ids=["too-few-knots", "repeated-knot", "nan-value", "length-mismatch"],
+    )
+    def test_rejects_bad_input(self, x, y):
+        with pytest.raises(ValueError):
+            cubic_splines(np.array(x), np.array(y))
+
+
+class TestPchip:
+    @pytest.mark.parametrize(
+        "name", ["decel_a", "decel_b", "accel", "sta10", "sta20", "sta30"]
+    )
+    def test_every_fixture_branch(self, request, name):
+        bundle = request.getfixturevalue(name)
+        branches = bundle.scts if hasattr(bundle, "scts") else bundle.branches
+        assert branches
+        for b in branches:
+            tv, fv = b.times[b.valid], b.f2[b.valid]
+            t = _probe_times(tv, 4_000)
+            _assert_same_interpolant(pchip(tv, fv), PchipInterpolator(tv, fv), t)
+
+    def test_flat_runs_and_turning_points(self):
+        """Zero slopes, sign changes and both end-slope corrections."""
+        rng = np.random.default_rng(5)
+        x = np.cumsum(rng.uniform(0.1, 1.0, 400))
+        y = rng.integers(-2, 3, size=400).astype(float)
+        y[:3] = [0.0, 1.0, -3.0]
+        y[-3:] = [5.0, -1.0, 0.5]
+        _assert_same_interpolant(pchip(x, y), PchipInterpolator(x, y), _probe_times(x, 40_000))
+
+    def test_rejects_complex(self):
+        with pytest.raises(ValueError):
+            pchip(np.arange(5.0), np.arange(5.0) * 1j)
+
+
+def test_erf_within_two_ulp_of_scipy():
+    x = np.concatenate(
+        [
+            np.linspace(-8.0, 8.0, 1_600_001),
+            [0.0, -0.0, 5e-324, -5e-324, np.nextafter(1.0, 2.0), 5.9, 6.0, 26.0, 1e300],
+            [np.inf, -np.inf, np.nan],
+        ]
+    )
+    ours, theirs = erf(x), scipy_erf(x)
+    finite = np.isfinite(theirs)
+    ulps = np.abs(ours[finite] - theirs[finite]) / np.spacing(np.abs(theirs[finite]))
+    assert ulps.max() <= ERF_ULPS
+    assert list(ours[-3:-1]) == [1.0, -1.0]
+    assert np.isnan(ours[-1])
+    assert np.array_equal(np.signbit(ours[:-1]), np.signbit(theirs[:-1]))
+    assert erf(0.5).shape == ()
+    assert erf(np.zeros((2, 3))).shape == (2, 3)
+
+
+def _rosenbrock(p: np.ndarray) -> float:
+    return float(np.sum(100.0 * (p[1:] - p[:-1] ** 2) ** 2 + (1.0 - p[:-1]) ** 2))
+
+
+def _terraces(p: np.ndarray) -> float:
+    # piecewise constant: tied values at almost every step
+    return float(np.floor(4.0 * np.sum((p - 0.3) ** 2)))
+
+
+def _scipy_search(func, simplex, xatol, fatol, maxfev):
+    simplex = np.asarray(simplex, dtype=float)
+    return minimize(
+        func,
+        simplex[0],
+        method="Nelder-Mead",
+        options={
+            "initial_simplex": simplex,
+            "xatol": xatol,
+            "fatol": fatol,
+            "maxfev": maxfev,
+        },
+    )
+
+
+def _assert_same_search(ours, theirs):
+    assert np.array_equal(ours.x, theirs.x)
+    assert ours.fun == theirs.fun
+    assert ours.evaluations == theirs.nfev
+    assert ours.converged == theirs.success
+
+
+@pytest.mark.parametrize("func", [_rosenbrock, _terraces], ids=["rosenbrock", "terraces"])
+@pytest.mark.parametrize("maxfev", [2, 5, 17, 60, 400, 5000])
+def test_nelder_mead_matches_scipy(func, maxfev):
+    """Caps from inside the first simplex to beyond convergence, on a
+    smooth valley and on a landscape of tied values."""
+    simplex = [[-1.2, 1.0, 0.5], [-1.0, 1.0, 0.5], [-1.2, 1.3, 0.5], [-1.2, 1.0, 0.9]]
+    ours = nelder_mead(func, simplex, xatol=1e-8, fatol=1e-10, maxfev=maxfev)
+    _assert_same_search(ours, _scipy_search(func, simplex, 1e-8, 1e-10, maxfev))
+
+
+@pytest.mark.parametrize("name, converged", [("accel", False), ("decel_a", True)])
+def test_bridge_search_matches_scipy(request, monkeypatch, name, converged):
+    """The bridge search of a plan that stops at the evaluation cap
+    (accelerate) and of one that converges (decelerate, single shift)."""
+    bundle = request.getfixturevalue(name)
+    seen = {}
+
+    def recording(func, simplex, **options):
+        seen.update(func=func, simplex=simplex, options=options)
+        seen["result"] = nelder_mead(func, simplex, **options)
+        return seen["result"]
+
+    monkeypatch.setattr(itt, "nelder_mead", recording)
+    _, cost = itt.optimize_virtual_trajectory(
+        bundle.plan, bundle.model, bundle.grid, bundle.settings
+    )
+    ours = seen["result"]
+    _assert_same_search(ours, _scipy_search(seen["func"], seen["simplex"], **seen["options"]))
+    assert ours.converged is converged
+    assert (cost.evaluations, cost.converged) == (ours.evaluations, ours.converged)
+    assert cost == bundle.cost
