@@ -263,11 +263,11 @@ def run_single(
             plan, model, grid_c, settings, n_cost=cfg.cost_points
         )
         if is_sta:
-            control = synthesize_sta_control(vt, model, grid_c, label="sta")
+            control = synthesize_sta_control(vt.f2_lift, model, grid_c, label="sta")
             alpha_nodes = np.ones_like(grid_c.times)
             lam_nodes = grid_c.times
         else:
-            control = synthesize_control(vt, model, label="itt")
+            control = synthesize_control(vt.f2_lift, model, label="itt")
             alpha_nodes = model.prof.alpha_at(grid_c.times)
             lam_nodes = model.prof.lambda_at(grid_c.times)
         _write_table(
@@ -299,6 +299,9 @@ def run_single(
             "converged": bool(cost.converged),
         }
         summary["bridge_mode"] = vt.bridge_mode
+        # nothing below reads the path; its half-grid lift (2 n_steps + 1
+        # samples) would otherwise stay alive through the verification
+        del vt
 
     if depth >= 3:
         if is_sta:
@@ -306,7 +309,8 @@ def run_single(
             target = adiabatic_target(sweep, grid_c).state
             arms = [control]
             if "unmodified" in cfg.baselines:
-                arms.append(synthesize_sta_control(None, model, grid_c, label="unmodified"))
+                zero = np.zeros_like(grid_c.half_times)
+                arms.append(synthesize_sta_control(zero, model, grid_c, label="unmodified"))
         else:
             initial = TwoLevelState(1.0 + 0.0j, 0.0j)
             target = ref.final_state

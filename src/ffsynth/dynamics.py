@@ -12,7 +12,7 @@ nothing in this module assumes a particular waveform.
 
 The integrator is a fixed-step classical Runge-Kutta scheme.  Each step
 consumes the drive at the two bounding nodes and at the interval midpoint,
-so a :class:`DriveSchedule` carries (or interpolates) midpoint samples in
+so a :class:`DriveSchedule` carries midpoint samples in
 addition to the node samples.  It is the one waveform type of the package:
 reference sweeps, synthesized controls and baselines are all drive
 schedules, and the synthesis modules build theirs from interleaved
@@ -99,39 +99,22 @@ class TimeGrid:
         return self.t_end - self.t0
 
 
-def _cubic_midpoints(samples: np.ndarray) -> np.ndarray:
-    """Midpoint values of uniformly sampled data via 4-point cubic stencils."""
-    f = np.asarray(samples, dtype=float)
-    n = len(f) - 1
-    if n == 1:
-        return np.array([0.5 * (f[0] + f[1])])
-    if n == 2:
-        # single cubic is not available; quadratic through the three nodes
-        return np.array([ (3 * f[0] + 6 * f[1] - f[2]) / 8.0,
-                          (-f[0] + 6 * f[1] + 3 * f[2]) / 8.0 ])
-    mids = np.empty(n)
-    mids[1:-1] = (-f[:-3] + 9 * f[1:-2] + 9 * f[2:-1] - f[3:]) / 16.0
-    mids[0] = (5 * f[0] + 15 * f[1] - 5 * f[2] + f[3]) / 16.0
-    mids[-1] = (f[-4] - 5 * f[-3] + 15 * f[-2] + 5 * f[-1]) / 16.0
-    return mids
-
-
 @dataclass
 class DriveSchedule:
     """Sampled drive waveforms on a :class:`TimeGrid`.
 
     ``delta_omega`` and ``coupling`` hold node samples (``n_steps + 1``
-    values each).  Midpoint samples may be supplied when the waveform is
-    known in closed form; otherwise they are interpolated with a cubic
-    stencil, which keeps the integrator at its nominal order.  ``label``
-    names the schedule in verification reports and output file names.
+    values each) and ``delta_omega_mid`` and ``coupling_mid`` the
+    midpoint samples (``n_steps`` each) that the RK4 integrator reads.
+    ``label`` names the schedule in verification reports and output file
+    names.
     """
 
     grid: TimeGrid
     delta_omega: np.ndarray
     coupling: np.ndarray
-    delta_omega_mid: np.ndarray | None = None
-    coupling_mid: np.ndarray | None = None
+    delta_omega_mid: np.ndarray
+    coupling_mid: np.ndarray
     label: str = ""
 
     @classmethod
@@ -161,37 +144,19 @@ class DriveSchedule:
 
     def __post_init__(self) -> None:
         n = self.grid.n_steps
-        self.delta_omega = np.asarray(self.delta_omega, dtype=float)
-        self.coupling = np.asarray(self.coupling, dtype=float)
-        for name, arr, want in (
-            ("delta_omega", self.delta_omega, n + 1),
-            ("coupling", self.coupling, n + 1),
+        for name, want in (
+            ("delta_omega", n + 1),
+            ("coupling", n + 1),
+            ("delta_omega_mid", n),
+            ("coupling_mid", n),
         ):
+            arr = np.asarray(getattr(self, name), dtype=float)
             if arr.shape != (want,):
                 raise ValueError(f"{name} must have {want} samples, got {arr.shape}")
             if not np.all(np.isfinite(arr)):
                 k = int(np.flatnonzero(~np.isfinite(arr))[0])
                 raise ValueError(f"{name} has a non-finite sample at index {k}")
-        for name in ("delta_omega_mid", "coupling_mid"):
-            arr = getattr(self, name)
-            if arr is None:
-                continue
-            arr = np.asarray(arr, dtype=float)
-            if arr.shape != (n,):
-                raise ValueError(f"{name} must have {n} samples, got {arr.shape}")
-            if not np.all(np.isfinite(arr)):
-                k = int(np.flatnonzero(~np.isfinite(arr))[0])
-                raise ValueError(f"{name} has a non-finite sample at index {k}")
             setattr(self, name, arr)
-
-    def midpoint_samples(self) -> tuple[np.ndarray, np.ndarray]:
-        dw_mid = self.delta_omega_mid
-        if dw_mid is None:
-            dw_mid = _cubic_midpoints(self.delta_omega)
-        g_mid = self.coupling_mid
-        if g_mid is None:
-            g_mid = _cubic_midpoints(self.coupling)
-        return dw_mid, g_mid
 
 
 @dataclass
@@ -307,7 +272,7 @@ def integrate_schrodinger(
     Parameters
     ----------
     drive:
-        Node (and optionally midpoint) samples of the detuning and coupling.
+        Node and midpoint samples of the detuning and coupling.
     initial:
         State at ``grid.t0``.
     common_shift:
@@ -327,7 +292,8 @@ def integrate_schrodinger(
     h = grid.h
     dw = drive.delta_omega
     g = drive.coupling
-    dw_mid, g_mid = drive.midpoint_samples()
+    dw_mid = drive.delta_omega_mid
+    g_mid = drive.coupling_mid
 
     if common_shift is not None:
         common_shift = np.asarray(common_shift, dtype=float)

@@ -197,11 +197,15 @@ def detect_phase_gaps(
     return detect_gaps(FfstPhaseModel(ref, prof), branches, n_scan=n_scan)
 
 
-def _path_lift(path, t: np.ndarray) -> np.ndarray:
-    """Evaluate a phase path on the ascending times ``t``: anything with
-    ``values_at`` (trajectory objects) or a callable."""
-    lift = path.values_at if hasattr(path, "values_at") else path
-    return np.asarray(lift(t), dtype=float)
+def _half_grid_samples(name: str, values, th: np.ndarray) -> np.ndarray:
+    """``values`` as floats, checked to hold one sample per time of ``th``
+    (the interleaved node/midpoint grid)."""
+    arr = np.asarray(values, dtype=float)
+    if arr.shape != th.shape:
+        raise ValueError(
+            f"{name} must have {len(th)} node/midpoint samples, got {arr.shape}"
+        )
+    return arr
 
 
 def _fill_singular(
@@ -237,12 +241,12 @@ def _fill_singular(
 def synthesize_control(
     path, model: FfstPhaseModel, coupling_ff=None, label: str = ""
 ) -> DriveSchedule:
-    """Detuning waveform that drives the scaled state along ``path`` (an
-    object with ``values_at`` or a callable of ascending times).
+    """Detuning waveform that drives the scaled state along ``path``, the
+    phase lift sampled on the interleaved node/midpoint grid
+    ``grid.half_times`` (a virtual trajectory's ``f2_lift``).
 
-    ``coupling_ff`` may be None (keep the rescaled reference coupling,
-    the fixed-coupling control), a callable of time, or samples on the
-    interleaved node/midpoint grid.
+    ``coupling_ff`` is None (keep the rescaled reference coupling, the
+    fixed-coupling control) or samples on the same grid.
     """
     prof = model.prof
     grid = prof.grid
@@ -257,16 +261,10 @@ def synthesize_control(
 
     if coupling_ff is None:
         g_ff = np.asarray(g_ref, dtype=float)
-    elif callable(coupling_ff):
-        g_ff = np.asarray(coupling_ff(th), dtype=float)
     else:
-        g_ff = np.asarray(coupling_ff, dtype=float)
-        if g_ff.shape != th.shape:
-            raise ValueError(
-                f"coupling_ff must have {len(th)} node/midpoint samples"
-            )
+        g_ff = _half_grid_samples("coupling_ff", coupling_ff, th)
 
-    f2 = _path_lift(path, th)
+    f2 = _half_grid_samples("path", path, th)
     df2 = np.gradient(f2, h2, edge_order=2)
 
     eif = np.exp(1j * f2)

@@ -6,8 +6,8 @@ bridges.  Each bridge has three parameters (center, width, amplitude);
 the bump rides on a monotone erf connector between the incoming and
 outgoing branch lifts, with outgoing lifts re-aligned by whole turns so
 the connector never sweeps a spurious 2 pi.  A final linear ramp pins
-f2(0) = f2(T_F) = 0 exactly; the ramp is bounded by the branch sampling
-resolution and is fidelity-neutral.
+f2(0) = f2(T_F) = 0 exactly; a path that would need a ramp larger than
+the branch linker's step is rejected.
 
 Bridge parameters are chosen by minimizing the integrated residual
 |beta| along the path with a deterministic Nelder-Mead simplex.
@@ -15,13 +15,14 @@ Bridge parameters are chosen by minimizing the integrated residual
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .dynamics import TimeGrid
 from .numerics import erf, nelder_mead
 from .zerocurves import (
+    LINKING_THRESHOLD,
     TWO_PI,
     Gap,
     SpeedControlledTrajectory,
@@ -347,56 +348,33 @@ def _assemble_lift(
     return f
 
 
-def _pinned_lift(
-    t, plan: TravelPlan, params, settings: BridgeSettings, samples, ends=None
-):
+def _pinned_lift(t, plan: TravelPlan, params, settings: BridgeSettings, samples):
     """Spliced lift minus the linear ramp that pins both ends to zero, and
-    the ramp's ``ends``: the wrapped raw lift at t = 0 and t = T_F, read
-    off ``t[0]`` and ``t[-1]`` unless given."""
+    the ramp's ends: the wrapped raw lift at ``t[0]`` = 0 and ``t[-1]`` =
+    T_F."""
     raw = _assemble_lift(t, plan, params, settings, samples)
-    if ends is None:
-        ends = (float(wrap_phase(raw[0])), float(wrap_phase(raw[-1])))
-    e0, e1 = ends
-    return raw - (e0 + (e1 - e0) * t / plan.t_final), ends
+    e0, e1 = float(wrap_phase(raw[0])), float(wrap_phase(raw[-1]))
+    return raw - (e0 + (e1 - e0) * t / plan.t_final), (e0, e1)
 
 
 @dataclass(frozen=True, eq=False)
 class VirtualTrajectory:
     """A spliced phase path sampled on a grid.
 
-    ``f2`` is the canonical path (wrapped, with pi and -pi identified);
-    ``f2_lift`` is the continuous unwrapped lift used for
-    differentiation.  Both endpoints of ``f2`` are exactly zero.
-    ``segments`` lists (time interval, source id) in order, where the
-    source is a branch id or "bridge-<k>".  ``bridge_mode`` is the bridge
-    family the path was built with (see the function ``bridge_mode``).
+    ``f2_lift`` is the continuous unwrapped lift on ``grid.half_times``
+    (nodes and midpoints interleaved), the samples both synthesizers
+    differentiate; ``f2`` is the canonical path on the nodes (wrapped,
+    with pi and -pi identified), exactly zero at both ends.
+    ``bridge_params`` are the clamped (center, width, amplitude) triples
+    and ``bridge_mode`` the bridge family the path was built with (see
+    the function ``bridge_mode``).
     """
 
     grid: TimeGrid
     f2: np.ndarray
     f2_lift: np.ndarray
-    segments: tuple[tuple[tuple[float, float], str], ...]
     bridge_params: tuple[tuple[float, float, float], ...]
     bridge_mode: str
-
-    _plan: TravelPlan = field(default=None, repr=False)
-    _raw_params: np.ndarray = field(default=None, repr=False)
-    _settings: BridgeSettings = field(default=None, repr=False)
-    _ramp: tuple[float, float] = field(default=(0.0, 0.0), repr=False)
-
-    def values_at(self, t) -> np.ndarray:
-        """Continuous lift at times ascending in C order (any shape, or a
-        scalar; the bridge windows are found by binary search), endpoint
-        ramp included."""
-        t = np.asarray(t, dtype=float)
-        flat = t.ravel()
-        if np.any(flat[1:] < flat[:-1]):
-            raise ValueError("values_at needs times in ascending order")
-        samples = _branch_samples(flat, self._plan, self._settings)
-        lift = _pinned_lift(
-            flat, self._plan, self._raw_params, self._settings, samples, self._ramp
-        )[0]
-        return lift.reshape(t.shape)
 
 
 def build_virtual_trajectory(
@@ -405,11 +383,13 @@ def build_virtual_trajectory(
     grid: TimeGrid,
     settings: BridgeSettings,
 ) -> VirtualTrajectory:
-    """Assemble and endpoint-pin the spliced path on ``grid``.
+    """Assemble and endpoint-pin the spliced path on ``grid.half_times``.
 
     The pinning ramp removes the wrapped residuals of the raw lift at
-    t = 0 and t = T_F (each bounded by the branch scan resolution), so
-    the canonical path is exactly zero at both ends.
+    t = 0 and t = T_F, so the canonical path is exactly zero at both
+    ends.  A path whose raw end lies more than ``LINKING_THRESHOLD`` (the
+    largest step the branch linker follows) from phase zero does not
+    reach the target state; it is rejected rather than ramped there.
     """
     p = _flatten_params(params)
     if len(p) != 3 * plan.n_bridges:
@@ -429,38 +409,30 @@ def build_virtual_trajectory(
                 f"{AMP_MAX:.4g}; endpoints unreachable"
             )
 
-    samples = _branch_samples(grid.times, plan, settings)
-    lift, ends = _pinned_lift(grid.times, plan, p, settings, samples)
+    th = grid.half_times
+    samples = _branch_samples(th, plan, settings)
+    lift, ends = _pinned_lift(th, plan, p, settings, samples)
+    for end, e in zip(("t = 0", "t = T_F"), ends):
+        if abs(e) > LINKING_THRESHOLD:
+            raise ConstructionError(
+                f"path ends {e:.4g} rad from phase zero at {end}, more than "
+                f"the {LINKING_THRESHOLD} rad the branch linker follows"
+            )
     if not (abs(wrap_phase(lift[0])) <= 1e-9 and abs(wrap_phase(lift[-1])) <= 1e-9):
         raise ConstructionError("endpoint pinning failed to reach phase zero")
-    canonical = wrap_phase(lift)
+    canonical = wrap_phase(lift[::2])
     canonical[0] = 0.0
     canonical[-1] = 0.0
-
-    bridges = _bridges(plan, p, settings)
-    segments: list[tuple[tuple[float, float], str]] = []
-    cursor = 0.0
-    for i, (_, _, _, lo, hi) in enumerate(bridges):
-        if lo > cursor:
-            segments.append(((cursor, lo), plan.branches[i].branch_id))
-        segments.append(((max(lo, cursor), hi), f"bridge-{i}"))
-        cursor = hi
-    if cursor < plan.t_final:
-        segments.append(((cursor, plan.t_final), plan.branches[-1].branch_id))
 
     return VirtualTrajectory(
         grid=grid,
         f2=canonical,
         f2_lift=lift,
-        segments=tuple(segments),
         bridge_params=tuple(
-            (float(c), float(sig), float(amp)) for c, sig, amp, _, _ in bridges
+            (float(c), float(sig), float(amp))
+            for c, sig, amp, _, _ in _bridges(plan, p, settings)
         ),
         bridge_mode=bridge_mode(plan, settings),
-        _plan=plan,
-        _raw_params=p,
-        _settings=settings,
-        _ramp=ends,
     )
 
 
@@ -469,9 +441,8 @@ class IttCostReport:
     """Integrated path residual, its decomposition over bridges, and the
     search that chose the bridges: ``evaluations`` of at most
     ``max_evaluations``, and ``converged`` when the simplex met its
-    tolerance rule before that cap.  A path that no search chose (a plan
-    without bridges, or a bare ``itt_cost``) reports 0 evaluations and
-    counts as converged."""
+    tolerance rule before that cap.  A plan without bridges needs no
+    search: it reports 0 evaluations and counts as converged."""
 
     integrated_residual: float
     per_gap_residual: tuple[float, ...]
@@ -488,26 +459,6 @@ class IttCostReport:
             raise ValueError("a search can stop unconverged only at its evaluation cap")
 
 
-def itt_cost(vt: VirtualTrajectory, model, n_cost: int = 4000) -> IttCostReport:
-    """Trapezoidal integral of |beta| along the path.
-
-    ``model`` is any phase-residual model (FFST or eigenstate-following)
-    exposing ``sine_params``.  The per-gap component restricts the same
-    quadrature to each bridge window.
-    """
-    plan = vt._plan
-    tt = np.linspace(0.0, plan.t_final, n_cost + 1)
-    c, d, phi0 = model.sine_params(tt)
-    f = vt.values_at(tt)
-    absbeta = np.abs(c - d * np.sin(f + phi0))
-    total = float(np.trapezoid(absbeta, tt))
-    per_gap = []
-    for _, _, _, lo, hi in _bridges(plan, vt._raw_params, vt._settings):
-        mask = (tt >= lo) & (tt <= hi)
-        per_gap.append(float(np.trapezoid(absbeta[mask], tt[mask])))
-    return IttCostReport(integrated_residual=total, per_gap_residual=tuple(per_gap))
-
-
 def optimize_virtual_trajectory(
     plan: TravelPlan,
     model,
@@ -519,15 +470,16 @@ def optimize_virtual_trajectory(
 ) -> tuple[VirtualTrajectory, IttCostReport]:
     """Minimize the integrated residual over bridge parameters.
 
+    The cost is the trapezoidal integral of |beta| along the pinned path
+    on ``n_cost + 1`` uniform times; ``model`` is any phase-residual
+    model (FFST or eigenstate-following) exposing ``sine_params``.
     Deterministic Nelder-Mead with an explicit initial simplex, stopped
     by its tolerance rule or after ``maxfev`` cost evaluations; the
     default start follows ``default_bridge_params``.  A plan with no
-    bridges returns the (pinned) branch path unchanged.
+    bridges returns the (pinned) branch path unchanged.  The report
+    integrates the same |beta| samples at the chosen parameters, whole
+    and restricted to each bridge window.
     """
-    if plan.n_bridges == 0:
-        vt = build_virtual_trajectory(plan, [], grid, settings)
-        return vt, replace(itt_cost(vt, model, n_cost=n_cost), max_evaluations=maxfev)
-
     if init is None:
         init = default_bridge_params(plan, settings)
     p0 = _flatten_params(init)
@@ -542,36 +494,48 @@ def optimize_virtual_trajectory(
     detached = bridge_mode(plan, settings) == "detached"
     samples = _branch_samples(tt, plan, settings)
 
+    def abs_residual(p: np.ndarray) -> np.ndarray:
+        f = _pinned_lift(tt, plan, p, settings, samples)[0]
+        return np.abs(c - d * np.sin(f + phi0))
+
     def cost(p: np.ndarray) -> float:
         if not np.all(np.isfinite(p)):
             raise OptimizerError(f"non-finite bridge parameters {np.array2string(p)}")
-        f = _pinned_lift(tt, plan, p, settings, samples)[0]
-        value = float(np.trapezoid(np.abs(c - d * np.sin(f + phi0)), tt))
+        value = float(np.trapezoid(abs_residual(p), tt))
         if not np.isfinite(value):
             raise OptimizerError(
                 f"non-finite cost at bridge parameters {np.array2string(p)}"
             )
         return value
 
-    sig_lo, sig_hi = settings.width_bounds
-    simplex = [p0]
-    for j in range(len(p0)):
-        q = p0.copy()
-        kind = j % 3
-        if kind == 0:
-            q[j] += t_f / 8.0 if detached else 0.25 * sig_hi
-        elif kind == 1:
-            q[j] += t_f / 8.0 if detached else 0.5 * (sig_hi - sig_lo)
-        else:
-            q[j] += -0.9 if detached else 0.3
-        simplex.append(q)
+    x, evaluations, converged = p0, 0, True
+    if plan.n_bridges:
+        sig_lo, sig_hi = settings.width_bounds
+        simplex = [p0]
+        for j in range(len(p0)):
+            q = p0.copy()
+            kind = j % 3
+            if kind == 0:
+                q[j] += t_f / 8.0 if detached else 0.25 * sig_hi
+            elif kind == 1:
+                q[j] += t_f / 8.0 if detached else 0.5 * (sig_hi - sig_lo)
+            else:
+                q[j] += -0.9 if detached else 0.3
+            simplex.append(q)
+        res = nelder_mead(cost, simplex, xatol=1e-6, fatol=1e-12, maxfev=maxfev)
+        x, evaluations, converged = res.x, res.evaluations, res.converged
 
-    res = nelder_mead(cost, simplex, xatol=1e-6, fatol=1e-12, maxfev=maxfev)
-    vt = build_virtual_trajectory(plan, res.x, grid, settings)
-    report = replace(
-        itt_cost(vt, model, n_cost=n_cost),
-        evaluations=res.evaluations,
+    vt = build_virtual_trajectory(plan, x, grid, settings)
+    absbeta = abs_residual(x)
+    per_gap = []
+    for _, _, _, lo, hi in _bridges(plan, x, settings):
+        mask = (tt >= lo) & (tt <= hi)
+        per_gap.append(float(np.trapezoid(absbeta[mask], tt[mask])))
+    report = IttCostReport(
+        integrated_residual=float(np.trapezoid(absbeta, tt)),
+        per_gap_residual=tuple(per_gap),
+        evaluations=evaluations,
         max_evaluations=maxfev,
-        converged=res.converged,
+        converged=converged,
     )
     return vt, report

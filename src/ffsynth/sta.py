@@ -22,7 +22,7 @@ import numpy as np
 
 from .drives import CosineSweepSpec, default_step_count
 from .dynamics import DriveSchedule, TimeGrid, TwoLevelState
-from .ffst import _fill_singular, _path_lift
+from .ffst import _fill_singular, _half_grid_samples
 from .zerocurves import PhaseResidualModel, SpeedControlledTrajectory, link_branches
 
 #: Amplitude below which the eigenstate components count as singular.
@@ -126,30 +126,19 @@ def extract_sta_branches(
 
 
 def synthesize_sta_control(
-    path,
-    model: StaPhaseModel,
-    grid: TimeGrid | None = None,
-    label: str = "",
+    path, model: StaPhaseModel, grid: TimeGrid, label: str = ""
 ) -> DriveSchedule:
     """Detuning waveform realizing ``path`` on top of the sweep.
 
-    ``path`` may be None for the zero path, which reproduces the input
-    sweep exactly, or anything accepted by the fixed-coupling synthesis
-    (an object with ``values_at`` or a callable).
+    ``path`` is the phase lift sampled on ``grid.half_times`` (a virtual
+    trajectory's ``f2_lift``); zeros reproduce the input sweep exactly.
     """
-    spec = model.spec
-    if grid is None:
-        grid = TimeGrid(0.0, spec.duration, default_step_count(spec.duration))
     th = grid.half_times
     h2 = th[1] - th[0]
 
-    dw = spec.delta_omega(th)
-    if path is None:
-        f2 = np.zeros_like(th)
-        df2 = np.zeros_like(th)
-    else:
-        f2 = _path_lift(path, th)
-        df2 = np.gradient(f2, h2, edge_order=2)
+    dw = model.spec.delta_omega(th)
+    f2 = _half_grid_samples("path", path, th)
+    df2 = np.gradient(f2, h2, edge_order=2)
 
     u, v, _ = model._angles(th)
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -263,10 +263,6 @@ class Gap:
 
     t_start: float
     t_end: float
-    left_branch: str | None
-    right_branch: str | None
-    left_phase: float
-    right_phase: float
 
     @property
     def width(self) -> float:
@@ -286,45 +282,18 @@ def detect_gaps(
 
     Degenerate samples (residual identically zero) count as covered, so a
     vanishing product of reference amplitudes does not open a gap; samples
-    where no phase is a root do not.  Each gap records the nearest branch
-    phase on both sides.
+    where no phase is a root do not.
     """
     t = np.linspace(0.0, model.t_final, n_scan + 1)
     covered = root_table(*model.sine_params(t))[2] < 0
     for br in branches:
         covered |= (t >= br.t_start - 1e-12) & (t <= br.t_end + 1e-12)
 
-    def nearest(side_t: float, before: bool) -> tuple[str | None, float]:
-        best: tuple[float, str, float] | None = None
-        for br in branches:
-            if before and br.t_end <= side_t + 1e-12:
-                cand = (side_t - br.t_end, br.branch_id, br.end_phase)
-            elif not before and br.t_start >= side_t - 1e-12:
-                cand = (br.t_start - side_t, br.branch_id, br.start_phase)
-            else:
-                continue
-            if best is None or cand[0] < best[0]:
-                best = cand
-        if best is None:
-            return None, np.nan
-        return best[1], best[2]
-
     gaps: list[Gap] = []
     for k, j in mask_runs(~covered):
         lo = t[k - 1] if k > 0 else t[0]
         hi = t[j] if j < len(t) else t[-1]
-        lb, lp = nearest(lo, before=True)
-        rb, rp = nearest(hi, before=False)
-        gaps.append(
-            Gap(
-                t_start=float(lo),
-                t_end=float(hi),
-                left_branch=lb,
-                right_branch=rb,
-                left_phase=float(lp),
-                right_phase=float(rp),
-            )
-        )
+        gaps.append(Gap(t_start=float(lo), t_end=float(hi)))
     return gaps
 
 

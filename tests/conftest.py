@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from ffsynth import (
@@ -54,7 +55,7 @@ def _scaling_bundle(reference, t_final: float, plan_kind: str, settings_kind: st
         touches = branch_touch_times(labeled["X"], labeled["Y"])
     settings = default_bridge_settings(settings_kind, t_final)
     vt, cost = optimize_virtual_trajectory(plan, model, grid, settings)
-    control = synthesize_control(vt, model, label="itt")
+    control = synthesize_control(vt.f2_lift, model, label="itt")
     initial = TwoLevelState(1.0 + 0.0j, 0.0j)
     target = reference.final_state
     report = verify_control(control, initial, target)
@@ -120,8 +121,9 @@ def _sta_bundle(duration: float):
     plan = plan_travel("auto", branches, gaps, duration)
     settings = default_bridge_settings("sta", duration)
     vt, cost = optimize_virtual_trajectory(plan, model, grid, settings)
-    control = synthesize_sta_control(vt, model, grid, label="sta")
-    unmodified = synthesize_sta_control(None, model, grid, label="unmodified")
+    control = synthesize_sta_control(vt.f2_lift, model, grid, label="sta")
+    zero = np.zeros_like(grid.half_times)
+    unmodified = synthesize_sta_control(zero, model, grid, label="unmodified")
     initial = model.initial_state()
     target = adiabatic_target(sweep, grid).state
     report = verify_control(control, initial, target)

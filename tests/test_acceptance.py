@@ -259,7 +259,7 @@ def test_criterion_08_scaling_consistency(reference, decel_a):
     plan = TravelPlan(branches=(y,), crossings=(), t_final=decel_a.t_final)
     settings = default_bridge_settings("decelerate", decel_a.t_final)
     vt, cost = optimize_virtual_trajectory(plan, decel_a.model, decel_a.grid, settings)
-    control = synthesize_control(vt, decel_a.model, label="y-only")
+    control = synthesize_control(vt.f2_lift, decel_a.model, label="y-only")
     f_y = verify_control(control, decel_a.initial, decel_a.target).fidelity
     branch_ok = f_y > 1.0 - 1e-6 and cost.evaluations == 0
 
@@ -269,7 +269,7 @@ def test_criterion_08_scaling_consistency(reference, decel_a):
     grid = TimeGrid(0.0, 1.0, reference.grid.n_steps)
     prof_id = build_magnification(1.0, grid)
     ident = synthesize_control(
-        lambda t: np.zeros_like(t), FfstPhaseModel(reference, prof_id)
+        np.zeros_like(grid.half_times), FfstPhaseModel(reference, prof_id)
     )
     mid_err = float(
         np.max(np.abs(ident.delta_omega_mid - reference.drive.delta_omega_mid))
@@ -281,10 +281,11 @@ def test_criterion_08_scaling_consistency(reference, decel_a):
     )
 
     # scaling the coupling along with the detuning is the textbook limit
+    half = decel_a.grid.half_times
     trivial = synthesize_control(
-        lambda t: np.zeros_like(t),
+        np.zeros_like(half),
         decel_a.model,
-        coupling_ff=decel_a.prof.alpha_at,
+        coupling_ff=decel_a.prof.alpha_at(half),
         label="trivial",
     )
     f_triv = verify_control(trivial, decel_a.initial, decel_a.target).fidelity
@@ -345,11 +346,10 @@ def test_criterion_10_hardware_mapping(reference):
     squid_ok = squid_ej(0.5, 30.0, 0.85) == 25.5
 
     spec = default_transmon_spec()
-    drive = reference.drive
-    control = DriveSchedule(
-        grid=drive.grid,
-        delta_omega=drive.delta_omega,
-        coupling=drive.coupling,
+    grid = reference.grid
+    half = grid.half_times
+    control = DriveSchedule.from_half_samples(
+        grid, CosineSweepSpec(30.0, 1.0).delta_omega(half), np.ones_like(half)
     )
     wave = flux_schedule_for(control, spec)
     omega2 = float(transmon_frequency(spec.ej_fixed, spec.ec))

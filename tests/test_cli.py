@@ -326,6 +326,21 @@ class TestSweepFanOut:
         for message in aggregate["failed"].values():
             assert message.startswith("crossing plan 'vt-a' needs the two full-span")
 
+    def test_path_ending_far_from_zero_exits_3(self, tmp_path, capsys):
+        # the accelerate plan on a slowdown follows branch X alone, which
+        # ends 1.6 rad from phase zero; the run used to exit 0 with an itt
+        # fidelity below both baselines
+        cfg = _config(
+            tmp_path,
+            "schema_version: 1\nscenario: accelerate\nt_ref: 1.0\nt_final: 1.1\n",
+        )
+        rc = main(["synthesize", "--config", cfg, "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.startswith(
+            "synthesis failed: path ends -1.607 rad from phase zero at t = T_F"
+        )
+
     def test_colliding_sweep_names_exit_2(self, tmp_path, capsys):
         cfg = _config(
             tmp_path, ACCEL_SWEEP.replace("[0.9, 0.95]", "[1.0000001, 1.0000002]")

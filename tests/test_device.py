@@ -129,8 +129,7 @@ class TestFluxSchedule:
 
     def test_out_of_band_raises(self, reference):
         grid = TimeGrid(0.0, 1.0, 10)
-        dw = np.full(11, 100.0)
-        control = DriveSchedule(grid=grid, delta_omega=dw, coupling=np.ones(11))
+        control = DriveSchedule.from_half_samples(grid, np.full(21, 100.0), np.ones(21))
         with pytest.raises(FluxRangeError, match="outside the tunable band"):
             flux_schedule_for(control, SPEC)
         with pytest.raises(FluxRangeError, match="t = "):

@@ -38,7 +38,7 @@ def scalar_rk4(drive, initial, common_shift=None) -> ReferenceTrajectory:
     h = grid.h
     dw = drive.delta_omega
     g = drive.coupling
-    dw_mid, g_mid = drive.midpoint_samples()
+    dw_mid, g_mid = drive.delta_omega_mid, drive.coupling_mid
     if common_shift is not None:
         s_node = np.asarray(common_shift, dtype=float)[::2]
         s_mid = np.asarray(common_shift, dtype=float)[1::2]
@@ -95,19 +95,20 @@ def scalar_rk4(drive, initial, common_shift=None) -> ReferenceTrajectory:
 
 def _rabi_drive(n_steps: int, duration: float = 1.0) -> DriveSchedule:
     grid = TimeGrid(0.0, duration, n_steps)
-    zero = np.zeros(n_steps + 1)
-    return DriveSchedule(grid=grid, delta_omega=zero, coupling=np.ones(n_steps + 1))
+    return DriveSchedule.from_half_samples(
+        grid, np.zeros(2 * n_steps + 1), np.ones(2 * n_steps + 1)
+    )
+
+
+def _smooth_half_samples(n_steps: int):
+    """Varying detuning and coupling at step 1e-3, on the node/midpoint grid."""
+    grid = TimeGrid(0.0, 1e-3 * n_steps, n_steps)
+    t = grid.half_times
+    return grid, 5.0 * np.sin(3.0 * t) + 2.0, 1.0 + 0.3 * np.cos(t)
 
 
 def _smooth_drive(n_steps: int) -> DriveSchedule:
-    """Varying detuning and coupling at step 1e-3; midpoints interpolated."""
-    grid = TimeGrid(0.0, 1e-3 * n_steps, n_steps)
-    t = grid.times
-    return DriveSchedule(
-        grid=grid,
-        delta_omega=5.0 * np.sin(3.0 * t) + 2.0,
-        coupling=1.0 + 0.3 * np.cos(t),
-    )
+    return DriveSchedule.from_half_samples(*_smooth_half_samples(n_steps))
 
 
 def _assert_matches_oracle(drive, initial, common_shift=None):
@@ -178,7 +179,6 @@ class TestDriveScheduleFromHalfSamples:
         assert np.array_equal(drive.delta_omega_mid, dw[1::2])
         assert np.array_equal(drive.coupling, g[::2])
         assert np.array_equal(drive.coupling_mid, g[1::2])
-        assert np.array_equal(drive.midpoint_samples()[0], dw[1::2])
 
     @pytest.mark.parametrize("n_samples", [5, 6, 10, 12])
     def test_rejects_sample_count_other_than_2n_plus_1(self, n_samples):
@@ -299,10 +299,9 @@ class TestScanMatchesScalarLoop:
     def test_blowup_index_matches_loop(self, start):
         # h * dw = 4 lies outside RK4's stability interval on the imaginary
         # axis, so the norm grows about 7.6-fold per step from ``start`` on
-        drive = _smooth_drive(2 * SCAN_BLOCK + 1)
-        dw = drive.delta_omega.copy()
-        dw[start:] = 4000.0
-        drive = DriveSchedule(grid=drive.grid, delta_omega=dw, coupling=drive.coupling)
+        grid, dw, g = _smooth_half_samples(2 * SCAN_BLOCK + 1)
+        dw[2 * start :] = 4000.0
+        drive = DriveSchedule.from_half_samples(grid, dw, g)
         with pytest.raises(IntegrationError) as loop:
             scalar_rk4(drive, START)
         with pytest.raises(IntegrationError) as scan:

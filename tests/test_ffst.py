@@ -23,10 +23,6 @@ from ffsynth import (
 START = TwoLevelState(1.0 + 0.0j, 0.0j)
 
 
-def _zero_path(t):
-    return np.zeros_like(t)
-
-
 def _sampled_profile(t_ref, grid):
     """The sampled alpha and trapezoid-accumulated Lambda that the closed
     form replaces, kept as the oracle."""
@@ -137,7 +133,8 @@ class TestSynthesis:
     def test_identity_reproduces_reference_nodes_bitwise(self, reference):
         grid = TimeGrid(0.0, 1.0, 20_000)
         prof = build_magnification(1.0, grid)
-        control = synthesize_control(_zero_path, FfstPhaseModel(reference, prof))
+        zero = np.zeros_like(grid.half_times)
+        control = synthesize_control(zero, FfstPhaseModel(reference, prof))
         assert np.array_equal(control.delta_omega, reference.drive.delta_omega)
         assert np.array_equal(control.coupling, reference.drive.coupling)
 
@@ -145,12 +142,8 @@ class TestSynthesis:
         # scaling detuning AND coupling by alpha replays the reference
         prof = decel_a.prof
         alpha_half = prof.alpha_at(prof.grid.half_times)
-
-        def scaled_coupling(t):
-            return prof.alpha_at(t)
-
         control = synthesize_control(
-            _zero_path, decel_a.model, coupling_ff=scaled_coupling
+            np.zeros_like(alpha_half), decel_a.model, coupling_ff=alpha_half
         )
         report = verify_control(control, START, reference.final_state)
         assert report.fidelity > 1.0 - 1e-8
@@ -160,8 +153,9 @@ class TestSynthesis:
         # with g_ff = alpha * g the correction terms cancel identically:
         # the waveform is exactly alpha * dw(Lambda) plus the path slope
         prof = decel_a.prof
+        alpha_half = prof.alpha_at(prof.grid.half_times)
         control = synthesize_control(
-            _zero_path, decel_a.model, coupling_ff=lambda t: prof.alpha_at(t)
+            np.zeros_like(alpha_half), decel_a.model, coupling_ff=alpha_half
         )
         t = prof.grid.times
         expected = prof.alpha_at(t) * np.interp(
@@ -183,11 +177,28 @@ class TestSynthesis:
         # a path pinned to pi at t = 0 demands travel while the second
         # amplitude is exactly zero: the required detuning diverges
         with pytest.raises(SynthesisError, match="t = "):
-            synthesize_control(lambda t: np.full_like(t, np.pi), decel_a.model)
+            synthesize_control(
+                np.full_like(decel_a.grid.half_times, np.pi), decel_a.model
+            )
 
     def test_coupling_sample_count_checked(self, reference, decel_a):
+        zero = np.zeros_like(decel_a.grid.half_times)
         with pytest.raises(ValueError, match="samples"):
-            synthesize_control(_zero_path, decel_a.model, coupling_ff=np.ones(7))
+            synthesize_control(zero, decel_a.model, coupling_ff=np.ones(7))
+
+    @pytest.mark.parametrize("arg", ["path", "coupling_ff"])
+    def test_node_samples_rejected(self, decel_a, arg):
+        """The synthesis reads the interleaved node/midpoint grid: node
+        samples (``vt.f2``) are one sample per step short of it."""
+        half = decel_a.grid.half_times
+        args = {"path": np.zeros_like(half), "coupling_ff": np.ones_like(half)}
+        args[arg] = np.zeros_like(decel_a.grid.times)
+        n = len(decel_a.grid.times)
+        with pytest.raises(
+            ValueError,
+            match=rf"{arg} must have {len(half)} node/midpoint samples, got \({n},\)",
+        ):
+            synthesize_control(model=decel_a.model, **args)
 
 
 class TestBaselines:
@@ -228,4 +239,6 @@ class TestDriveSchedule:
                 grid=c.grid,
                 delta_omega=c.delta_omega[:-1],
                 coupling=c.coupling,
+                delta_omega_mid=c.delta_omega_mid,
+                coupling_mid=c.coupling_mid,
             )

@@ -13,12 +13,12 @@ from ffsynth import (
     ConstructionError,
     OptimizerError,
     SpeedControlledTrajectory,
+    TimeGrid,
     TravelPlan,
     branch_touch_times,
     build_virtual_trajectory,
     default_bridge_params,
     default_bridge_settings,
-    itt_cost,
     optimize_virtual_trajectory,
     plan_through_gaps,
     plan_travel,
@@ -28,6 +28,7 @@ from ffsynth import (
 from ffsynth.itt import (
     AMP_MAX, PLAN_KINDS, _branch_samples, _bridges, _realignment_shifts,
 )
+from ffsynth.zerocurves import LINKING_THRESHOLD
 
 OTHER_NON_FINITE = {
     "nan-width": (0.9, np.nan, 0.1),
@@ -72,7 +73,8 @@ def _oracle_lift(t_eval, plan, params, settings):
 def _oracle_cost(bundle, params, n_cost=4000):
     """The optimizer's objective computed on the oracle lift."""
     tt = np.linspace(0.0, bundle.plan.t_final, n_cost + 1)
-    raw = _oracle_lift(tt, bundle.plan, params, bundle.settings)
+    p = np.asarray(params, dtype=float).reshape(-1)
+    raw = _oracle_lift(tt, bundle.plan, p, bundle.settings)
     e0, e1 = float(wrap_phase(raw[0])), float(wrap_phase(raw[-1]))
     f = raw - (e0 + (e1 - e0) * tt / bundle.plan.t_final)
     c, d, phi0 = bundle.model.sine_params(tt)
@@ -243,23 +245,21 @@ class TestVirtualTrajectory:
 
     def test_lift_wraps_to_canonical(self, decel_a):
         vt = decel_a.vt
-        assert np.allclose(wrap_phase(vt.f2_lift), vt.f2, atol=1e-12)
+        assert np.allclose(wrap_phase(vt.f2_lift[::2]), vt.f2, atol=1e-12)
 
-    def test_values_at_matches_grid_samples(self, decel_a):
-        vt = decel_a.vt
-        again = vt.values_at(vt.grid.times)
-        assert np.array_equal(again, vt.f2_lift)
-
-    def test_segments_tile_the_run(self, accel):
-        segs = accel.vt.segments
-        assert segs[0][0][0] == 0.0
-        assert segs[-1][0][1] == pytest.approx(accel.t_final)
-        for (a, b), _ in segs:
-            assert a <= b
-        for ((_, b), _), ((a2, _), _) in zip(segs[:-1], segs[1:]):
-            assert a2 == pytest.approx(b)
-        names = [name for _, name in segs]
-        assert sum(name.startswith("bridge-") for name in names) == 3
+    @pytest.mark.parametrize(
+        "name", ["decel_a", "decel_b", "accel", "sta30", "sta20", "sta10"]
+    )
+    def test_lift_on_half_grid_canonical_on_nodes(self, request, name):
+        """``f2_lift`` holds the 2 n_steps + 1 node/midpoint samples the
+        synthesis reads, and ``f2`` is its wrapped node samples with both
+        ends exactly zero."""
+        vt = request.getfixturevalue(name).vt
+        assert vt.f2_lift.shape == (2 * vt.grid.n_steps + 1,)
+        expected = wrap_phase(vt.f2_lift[::2])
+        assert abs(expected[0]) <= 1e-9 and abs(expected[-1]) <= 1e-9
+        expected[[0, -1]] = 0.0
+        assert np.array_equal(vt.f2, expected)
 
     def test_amplitude_bound_enforced(self, decel_a):
         big = [(0.9, 0.02, 20.0)]
@@ -279,14 +279,33 @@ class TestVirtualTrajectory:
                 decel_b.plan, params, decel_b.grid, decel_b.settings
             )
 
-    def test_values_at_any_order_and_shape(self, accel):
-        vt = accel.vt
-        t = np.linspace(0.0, accel.t_final, 1001)
-        on_grid = vt.values_at(t)
-        with pytest.raises(ValueError):
-            vt.values_at(t[::-1])
-        assert np.array_equal(vt.values_at(t.reshape(7, 143)), on_grid.reshape(7, 143))
-        assert vt.values_at(t[500]) == on_grid[500]
+    def test_far_end_rejected(self, decel_a):
+        """A slowdown run with the accelerate plan follows branch X alone,
+        which ends 1.6 rad from phase zero: ramping that away used to cost
+        the path its target (F = 0.93, below both baselines)."""
+        plan = plan_travel("auto", decel_a.scts, decel_a.gaps, decel_a.t_final)
+        assert plan.n_bridges == 0
+        settings = default_bridge_settings("accelerate", decel_a.t_final)
+        with pytest.raises(ConstructionError) as excinfo:
+            build_virtual_trajectory(plan, [], decel_a.grid, settings)
+        message = str(excinfo.value)
+        assert message.startswith("path ends -1.607 rad from phase zero at t = T_F")
+        assert f"the {LINKING_THRESHOLD} rad the branch linker follows" in message
+
+    @pytest.mark.parametrize("phase, rejected", [(0.15, False), (0.25, True)])
+    def test_ramp_bounded_by_linking_threshold(self, phase, rejected):
+        t = np.linspace(0.0, 1.0, 101)
+        plan = TravelPlan(
+            branches=(_flat_branch(t, phase, "X"),), crossings=(), t_final=1.0
+        )
+        settings = default_bridge_settings("accelerate", 1.0)
+        grid = TimeGrid(0.0, 1.0, 50)
+        if rejected:
+            with pytest.raises(ConstructionError, match="0.25 rad .* at t = 0,"):
+                build_virtual_trajectory(plan, [], grid, settings)
+        else:
+            vt = build_virtual_trajectory(plan, [], grid, settings)
+            assert np.array_equal(vt.f2, np.zeros_like(grid.times))
 
     def test_param_count_checked(self, decel_a):
         with pytest.raises(ConstructionError, match="parameters"):
@@ -298,10 +317,7 @@ class TestVirtualTrajectory:
 class TestOptimizer:
     def test_never_worse_than_the_seed(self, decel_a):
         seed = default_bridge_params(decel_a.plan, decel_a.settings)
-        vt0 = build_virtual_trajectory(
-            decel_a.plan, seed, decel_a.grid, decel_a.settings
-        )
-        start = itt_cost(vt0, decel_a.model).integrated_residual
+        start = _oracle_cost(decel_a, seed)
         assert decel_a.cost.integrated_residual <= start + 1e-12
 
     def test_deterministic(self, decel_a):
@@ -337,9 +353,10 @@ class TestOptimizer:
     def test_no_bridges_returns_branch_path(self, sta30):
         assert sta30.cost.evaluations == 0
         branch = sta30.plan.branches[0]
-        mid_t = np.array([15.0])
-        assert sta30.vt.values_at(mid_t)[0] == pytest.approx(
-            float(branch.values_at(mid_t)[0]), abs=0.05
+        th = sta30.grid.half_times
+        k = len(th) // 2  # t = 15
+        assert sta30.vt.f2_lift[k] == pytest.approx(
+            float(branch.values_at(th[k : k + 1])[0]), abs=0.05
         )
 
     def test_plan_without_bridge_follows_its_branch(self, sta30):
@@ -426,9 +443,11 @@ class TestLiftOracle:
     def test_seed_and_optimum(self, request, name):
         bundle = request.getfixturevalue(name)
         seed = default_bridge_params(bundle.plan, bundle.settings)
-        for params in (seed, bundle.vt._raw_params):
+        for params in (seed, bundle.vt.bridge_params):
             self._assert_equal(bundle.plan, bundle.settings, params)
-            self._assert_equal(bundle.plan, bundle.settings, params, bundle.grid.times)
+            self._assert_equal(
+                bundle.plan, bundle.settings, params, bundle.grid.half_times
+            )
 
     @pytest.mark.parametrize("name", BUNDLES)
     def test_random_triples(self, request, name):
@@ -490,7 +509,7 @@ class TestLiftOracle:
         bits, and the reported residual is the oracle cost at the optimum."""
         bundle = request.getfixturevalue(name)
         assert bundle.cost.integrated_residual == _oracle_cost(
-            bundle, bundle.vt._raw_params
+            bundle, bundle.vt.bridge_params
         )
         monkeypatch.setattr(
             itt,
@@ -503,7 +522,6 @@ class TestLiftOracle:
             bundle.plan, bundle.model, bundle.grid, bundle.settings
         )
         assert cost.evaluations == bundle.cost.evaluations
-        assert np.array_equal(vt._raw_params, bundle.vt._raw_params)
         assert vt.bridge_params == bundle.vt.bridge_params
         assert cost.integrated_residual == bundle.cost.integrated_residual
 

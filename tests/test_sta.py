@@ -115,13 +115,22 @@ class TestStaSynthesis:
         spec = CosineSweepSpec(30.0, 20.0)
         model = StaPhaseModel(spec)
         grid = TimeGrid(0.0, 20.0, 4000)
-        control = synthesize_sta_control(None, model, grid)
+        control = synthesize_sta_control(np.zeros_like(grid.half_times), model, grid)
         # the synthesis samples the sweep on the interleaved half grid, so
         # the bitwise claim is made against that same sampling
         sweep = np.asarray(spec.delta_omega(grid.half_times))
         assert np.array_equal(control.delta_omega, sweep[::2])
         assert np.array_equal(control.delta_omega_mid, sweep[1::2])
         assert np.all(control.coupling == 1.0)
+
+    def test_path_sample_count_checked(self):
+        model = StaPhaseModel(CosineSweepSpec(30.0, 20.0))
+        grid = TimeGrid(0.0, 20.0, 4000)
+        with pytest.raises(
+            ValueError,
+            match=r"path must have 8001 node/midpoint samples, got \(4001,\)",
+        ):
+            synthesize_sta_control(np.zeros_like(grid.times), model, grid)
 
     def test_state_derivative_identity_second_order(self):
         # d phi1 / dt must match -i (dw phi1 + g phi2) to O(h^2) when the
@@ -133,7 +142,9 @@ class TestStaSynthesis:
         errs = []
         for n in (2000, 4000):
             grid = TimeGrid(0.0, 1.0, n)
-            control = synthesize_sta_control(None, model, grid)
+            control = synthesize_sta_control(
+                np.zeros_like(grid.half_times), model, grid
+            )
             traj = integrate_schrodinger(control, model.initial_state())
             h = grid.h
             numeric = (traj.phi1[2:] - traj.phi1[:-2]) / (2.0 * h)
