@@ -215,7 +215,7 @@ def gap_direction_scan(
 
 def global_phase_check(
     control: DriveSchedule,
-    shift,
+    shift: np.ndarray,
     initial: TwoLevelState,
     target: TwoLevelState | None = None,
 ) -> float:
@@ -224,17 +224,11 @@ def global_phase_check(
     Shifting both qubit frequencies by the same amount only adds a
     global phase, so the overlap magnitude with any fixed target must
     not change.  Returns the absolute difference of the two overlap
-    magnitudes; ``shift`` is a callable of time or samples on the
-    interleaved node/midpoint grid.
+    magnitudes; ``shift`` holds samples on the interleaved node/midpoint
+    grid ``control.grid.half_times``.
     """
-    grid = control.grid
-    if callable(shift):
-        shift_samples = np.asarray(shift(grid.half_times), dtype=float)
-    else:
-        shift_samples = np.asarray(shift, dtype=float)
-
+    shifted = integrate_schrodinger(control, initial, common_shift=shift)
     base = integrate_schrodinger(control, initial)
-    shifted = integrate_schrodinger(control, initial, common_shift=shift_samples)
     if target is None:
         target = base.final_state.normalized()
     return abs(fidelity(base.final_state, target) - fidelity(shifted.final_state, target))

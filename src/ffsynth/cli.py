@@ -319,12 +319,13 @@ def run_single(
                 arms.append(naive_control(model))
             if "alpha-scaled" in cfg.baselines:
                 arms.append(alpha_scaled_control(model))
+        # the shift analysis reads the primary arm's trajectory; it runs
+        # before the next arm, and each report is dropped before the next
+        # integration, so one re-integrated trajectory is alive at a time
+        shift_analysis = not is_sta and {"X", "Y"} <= {b.branch_id for b in scts}
         fidelities = {}
-        primary_report = None
         for arm in arms:
             report = verify_control(arm, initial, target, label=arm.label)
-            if primary_report is None:
-                primary_report = report
             fidelities[arm.label] = float(report.fidelity)
             _write_table(
                 os.path.join(out_dir, f"populations_{arm.label}.tsv"),
@@ -335,21 +336,22 @@ def run_single(
                     report.population_series[:, 1],
                 ],
             )
+            if shift_analysis and arm is control:
+                series = trajectory_shift_analysis(report.trajectory, scts, model)
+                _write_table(
+                    os.path.join(out_dir, "shifts.tsv"),
+                    ["t", "overlap_x", "overlap_y", "dominant"],
+                    [series.times, series.overlap_x, series.overlap_y, series.dominant],
+                )
+                shifts = {
+                    "count": int(series.shift_count),
+                    "times": [float(t) for t in series.shift_times],
+                }
+            del report
         summary["fidelities"] = fidelities
         summary["target_populations"] = [float(v) for v in target.populations()]
-
-        labeled = {b.branch_id for b in scts}
-        if not is_sta and {"X", "Y"} <= labeled:
-            series = trajectory_shift_analysis(primary_report.trajectory, scts, model)
-            _write_table(
-                os.path.join(out_dir, "shifts.tsv"),
-                ["t", "overlap_x", "overlap_y", "dominant"],
-                [series.times, series.overlap_x, series.overlap_y, series.dominant],
-            )
-            summary["shift_analysis"] = {
-                "count": int(series.shift_count),
-                "times": [float(t) for t in series.shift_times],
-            }
+        if shift_analysis:
+            summary["shift_analysis"] = shifts
 
         floor = cfg.require_fidelity
         if floor is not None:

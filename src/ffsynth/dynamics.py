@@ -29,13 +29,13 @@ on in the tests as the oracle the scan is checked against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .numerics import cubic_splines
+from .numerics import hermite
 
 
 class IntegrationError(RuntimeError):
@@ -158,6 +158,30 @@ class DriveSchedule:
                 raise ValueError(f"{name} has a non-finite sample at index {k}")
             setattr(self, name, arr)
 
+    def interpolators(self):
+        """delta_omega and coupling as cubic Hermites on the nodes, with
+        fourth-order node slopes from the node and midpoint samples."""
+        t, h = self.grid.times, self.grid.h
+        dw, dw_mid = self.delta_omega, self.delta_omega_mid
+        g, g_mid = self.coupling, self.coupling_mid
+        return hermite(t, dw, _slopes(dw, dw_mid, h)), hermite(t, g, _slopes(g, g_mid, h))
+
+
+def _slopes(node: np.ndarray, mid: np.ndarray, h: float) -> np.ndarray:
+    """Node slopes of a waveform from five-point differences of its
+    interleaved node/midpoint samples f (spacing h/2): the centred
+    (f[-2] - 8 f[-1] + 8 f[1] - f[2]) / (12 h/2) inside, one-sided at
+    the two ends."""
+
+    def one_sided(f0, f1, f2, f3, f4):
+        return -25.0 * f0 + 48.0 * f1 - 36.0 * f2 + 16.0 * f3 - 3.0 * f4
+
+    out = np.empty_like(node)
+    out[1:-1] = node[:-2] - 8.0 * mid[:-1] + 8.0 * mid[1:] - node[2:]
+    out[0] = one_sided(node[0], mid[0], node[1], mid[1], node[2])
+    out[-1] = -one_sided(node[-1], mid[-1], node[-2], mid[-2], node[-3])
+    return out / (6.0 * h)
+
 
 @dataclass
 class ReferenceTrajectory:
@@ -167,7 +191,6 @@ class ReferenceTrajectory:
     phi1: np.ndarray
     phi2: np.ndarray
     drive: DriveSchedule
-    _interpolators: tuple | None = field(default=None, repr=False, compare=False)
 
     def state(self, k: int) -> TwoLevelState:
         return TwoLevelState(complex(self.phi1[k]), complex(self.phi2[k]))
@@ -184,13 +207,15 @@ class ReferenceTrajectory:
         return np.stack([np.abs(self.phi1) ** 2, np.abs(self.phi2) ** 2], axis=1)
 
     def interpolators(self):
-        if self._interpolators is None:
-            object.__setattr__(
-                self,
-                "_interpolators",
-                tuple(cubic_splines(self.grid.times, self.phi1, self.phi2)),
-            )
-        return self._interpolators
+        """phi1 and phi2 as cubic Hermites on the nodes, with the slopes the
+        Schrodinger equation gives there: phi' = -i H phi of the drive
+        (which leaves out an integrator's ``common_shift``)."""
+        dw, g = self.drive.delta_omega, self.drive.coupling
+        t = self.grid.times
+        return (
+            hermite(t, self.phi1, -1j * (dw * self.phi1 + g * self.phi2)),
+            hermite(t, self.phi2, -1j * (g * self.phi1)),
+        )
 
 
 #: Steps per block of the prefix-scan propagator.  Memory is O(block); 8192
@@ -362,8 +387,10 @@ def state_at(trajectory: ReferenceTrajectory, t: float) -> TwoLevelState:
     """State at an arbitrary time inside the trajectory domain.
 
     Grid nodes are returned exactly as stored; between nodes the amplitudes
-    are interpolated with cubic splines and renormalized, so the returned
-    state always has unit norm up to the stored solution's own drift.
+    are interpolated with cubic Hermites whose node slopes are -i H phi
+    (see :meth:`ReferenceTrajectory.interpolators`) and renormalized, so
+    the returned state always has unit norm up to the stored solution's
+    own drift.
     """
     grid = trajectory.grid
     span = grid.span

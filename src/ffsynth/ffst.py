@@ -31,7 +31,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import DriveSchedule, ReferenceTrajectory, TimeGrid
-from .numerics import cubic_splines
 from .zerocurves import (
     Gap,
     PhaseResidualModel,
@@ -102,8 +101,9 @@ def build_magnification(t_ref: float, grid: TimeGrid) -> MagnificationProfile:
 class FfstPhaseModel(PhaseResidualModel):
     """Phase residual of a (reference, magnification) pair.
 
-    Holds spline interpolants of the reference amplitudes (shared with the
-    reference's own) and of its drive, so the residual, its closed-form
+    Holds cubic Hermite interpolants of the reference amplitudes and of
+    its drive (:meth:`ReferenceTrajectory.interpolators` and
+    :meth:`DriveSchedule.interpolators`), so the residual, its closed-form
     roots and the rescaled drive can be evaluated at arbitrary times.
     """
 
@@ -112,9 +112,7 @@ class FfstPhaseModel(PhaseResidualModel):
         self.prof = prof
         self.t_final = prof.t_final
         self._p1, self._p2 = ref.interpolators()
-        self._dw, self._g = cubic_splines(
-            ref.grid.times, ref.drive.delta_omega, ref.drive.coupling
-        )
+        self._dw, self._g = ref.drive.interpolators()
 
     def states_at(self, lam):
         """Renormalized reference amplitudes at rescaled times."""

@@ -1,18 +1,17 @@
 """Interpolation, the error function and a simplex search on numpy alone.
 
-The package needs four numerical routines: a not-a-knot cubic spline, a
-shape-preserving PCHIP interpolant, ``erf`` and a Nelder-Mead search.
-They are written here in numpy so that a run imports nothing heavier.
+The package needs four numerical routines: a cubic Hermite interpolant
+of given values and slopes, a shape-preserving PCHIP interpolant, ``erf``
+and a Nelder-Mead search.  They are written here in numpy so that a run
+imports nothing heavier.
 
-Each routine follows the operation order of the established
-implementation it mirrors, so its results are reproducible bit for bit:
+Both interpolants are :class:`PiecewiseCubic` values evaluated in
+SciPy's ``PPoly`` term order.  The other routines follow the operation
+order of the established implementation each mirrors, so their results
+are reproducible bit for bit:
 
-- both interpolants are :class:`PiecewiseCubic` values, built like
-  SciPy's ``CubicSpline`` and ``PchipInterpolator`` and evaluated in
-  ``PPoly``'s term order;
-- the spline's tridiagonal system is eliminated in the order of LAPACK's
-  xGTSV (partial pivoting by rows), on Python floats;
-- PCHIP takes its node slopes from Fritsch and Carlson, SIAM J. Numer.
+- PCHIP is built like SciPy's ``PchipInterpolator``: the Hermite
+  interpolant of the node slopes of Fritsch and Carlson, SIAM J. Numer.
   Anal. 17, 238 (1980), with the one-sided three-point end slopes of
   Moler's ``pchiptx``;
 - ``erf`` is the Cephes rational approximation (``ndtr.c``; the erfc
@@ -51,15 +50,6 @@ class PiecewiseCubic:
         return out.reshape(t.shape)
 
 
-def _hermite(x: np.ndarray, y: np.ndarray, dydx: np.ndarray) -> PiecewiseCubic:
-    """The cubic Hermite interpolant of values ``y`` and slopes ``dydx``."""
-    dx = np.diff(x)
-    slope = np.diff(y) / dx
-    t = (dydx[:-1] + dydx[1:] - 2 * slope) / dx
-    c = np.stack((t / dx, (slope - dydx[:-1]) / dx - t, dydx[:-1], y[:-1]))
-    return PiecewiseCubic(x=x, c=c)
-
-
 def _knots(x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or len(x) < 4:
@@ -79,92 +69,20 @@ def _values(x: np.ndarray, y) -> np.ndarray:
     return y
 
 
-class _Tridiagonal:
-    """The row-pivoted LU elimination of a tridiagonal matrix, in xGTSV's
-    order, kept so that any number of right-hand sides can be solved."""
+def hermite(x, y, dydx) -> PiecewiseCubic:
+    """The cubic Hermite interpolant of values ``y`` and slopes ``dydx`` at
+    the knots ``x``; ``y`` and ``dydx`` may be complex.
 
-    def __init__(self, dl: list, d: list, du: list):
-        n = len(d)
-        self.fact = [0.0] * (n - 1)
-        self.swap = [False] * (n - 1)
-        du2 = [0.0] * (n - 1)  # second superdiagonal, filled by interchanges
-        for i in range(n - 1):
-            if abs(d[i]) >= abs(dl[i]):
-                if d[i] == 0.0:
-                    raise ValueError(f"singular tridiagonal system at row {i + 1}")
-                f = dl[i] / d[i]
-                d[i + 1] = d[i + 1] - f * du[i]
-            else:
-                f = d[i] / dl[i]
-                d[i] = dl[i]
-                temp = d[i + 1]
-                d[i + 1] = du[i] - f * temp
-                if i < n - 2:
-                    du2[i] = du[i + 1]
-                    du[i + 1] = -f * du2[i]
-                du[i] = temp
-                self.swap[i] = True
-            self.fact[i] = f
-        if d[-1] == 0.0:
-            raise ValueError(f"singular tridiagonal system at row {n}")
-        self.d, self.du, self.du2 = d, du, du2
-
-    def solve(self, b: list) -> list:
-        d, du, du2 = self.d, self.du, self.du2
-        for i, (f, swap) in enumerate(zip(self.fact, self.swap)):
-            if swap:
-                b[i], b[i + 1] = b[i + 1], b[i] - f * b[i + 1]
-            else:
-                b[i + 1] = b[i + 1] - f * b[i]
-        n = len(b)
-        b[n - 1] = b[n - 1] / d[n - 1]
-        b[n - 2] = (b[n - 2] - du[n - 2] * b[n - 1]) / d[n - 2]
-        for i in range(n - 3, -1, -1):
-            b[i] = (b[i] - du[i] * b[i + 1] - du2[i] * b[i + 2]) / d[i]
-        return b
-
-
-def cubic_splines(x, *ys) -> list[PiecewiseCubic]:
-    """Not-a-knot cubic splines through each of ``ys`` on the knots ``x``.
-
-    The knot slopes solve one tridiagonal system per ``y``; the system
-    depends on ``x`` alone, so it is eliminated once for all of them.  A
-    complex ``y`` solves its real and imaginary parts as two systems.
+    Each piece depends only on its two end knots, so nothing is solved.
     """
     x = _knots(x)
+    y = _values(x, y)
+    dydx = _values(x, dydx)
     dx = np.diff(x)
-    n = len(x)
-    # the banded rows of SciPy's CubicSpline: sub-, main and superdiagonal
-    d = np.empty(n)
-    d[1:-1] = 2 * (dx[:-1] + dx[1:])
-    d[0] = dx[1]
-    d[-1] = dx[-2]
-    du = np.empty(n - 1)
-    du[1:] = dx[:-1]
-    du[0] = x[2] - x[0]
-    dl = np.empty(n - 1)
-    dl[:-1] = dx[1:]
-    dl[-1] = x[-1] - x[-3]
-    system = _Tridiagonal(dl.tolist(), d.tolist(), du.tolist())
-
-    d0 = x[2] - x[0]
-    d1 = x[-1] - x[-3]
-    out = []
-    for y in ys:
-        y = _values(x, y)
-        slope = np.diff(y) / dx
-        b = np.empty_like(y)
-        b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
-        b[0] = ((dx[0] + 2 * d0) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d0
-        b[-1] = (dx[-1] ** 2 * slope[-2] + (2 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1
-        s = np.empty_like(y)
-        if np.iscomplexobj(y):
-            s.real = system.solve(b.real.tolist())
-            s.imag = system.solve(b.imag.tolist())
-        else:
-            s[:] = system.solve(b.tolist())
-        out.append(_hermite(x, y, s))
-    return out
+    slope = np.diff(y) / dx
+    t = (dydx[:-1] + dydx[1:] - 2 * slope) / dx
+    c = np.stack((t / dx, (slope - dydx[:-1]) / dx - t, dydx[:-1], y[:-1]))
+    return PiecewiseCubic(x=x, c=c)
 
 
 def _pchip_end_slope(h0, h1, m0, m1):
@@ -205,7 +123,7 @@ def pchip(x, y) -> PiecewiseCubic:
     dk[1:-1][~condition] = 1.0 / whmean[~condition]
     dk[:1] = _pchip_end_slope(hk[:1], hk[1:2], mk[:1], mk[1:2])
     dk[-1:] = _pchip_end_slope(hk[-1:], hk[-2:-1], mk[-1:], mk[-2:-1])
-    return _hermite(x, y, dk)
+    return hermite(x, y, dk)
 
 
 # Cephes ndtr.c: erf(x) = x T(x^2) / U(x^2) for |x| <= 1, and

@@ -119,11 +119,9 @@ class TestGapDirectionScan:
 
 class TestGlobalPhase:
     def test_smooth_shift_invariance(self, decel_a):
+        t = decel_a.grid.half_times
         drift = global_phase_check(
-            decel_a.control,
-            lambda t: 4.0 * np.cos(3.0 * t) + 2.0,
-            decel_a.initial,
-            decel_a.target,
+            decel_a.control, 4.0 * np.cos(3.0 * t) + 2.0, decel_a.initial, decel_a.target
         )
         assert drift < 1e-9
 
@@ -133,6 +131,11 @@ class TestGlobalPhase:
             decel_a.control, np.full(2 * n + 1, 5.0), decel_a.initial
         )
         assert drift < 1e-9
+
+    def test_wrongly_sized_shift_raises(self, decel_a):
+        n = decel_a.grid.n_steps
+        with pytest.raises(ValueError, match="common_shift must have"):
+            global_phase_check(decel_a.control, np.full(n + 1, 5.0), decel_a.initial)
 
 
 class TestPopulationRateIdentity:

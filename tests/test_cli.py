@@ -7,11 +7,13 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
 
 import ffsynth
+from ffsynth import cli
 from ffsynth.cli import (
     TABLE_CHUNK_ROWS,
     _write_beta_map,
@@ -373,6 +375,31 @@ class TestOneModelPerRun:
         assert len(built) == builds
 
 
+class TestOneTrajectoryAtATime:
+    @pytest.mark.parametrize(
+        "command, text", [("verify", DECEL_FAST), ("sta", STA_FAST)],
+        ids=["decelerate", "sta"],
+    )
+    def test_earlier_arms_are_freed(self, tmp_path, monkeypatch, command, text):
+        """When an arm's verification starts, no earlier arm's re-integrated
+        trajectory is still alive."""
+        verify = cli.verify_control
+        trajectories = []
+        alive_at_entry = []
+
+        def tracking(*args, **kwargs):
+            alive_at_entry.append(sum(ref() is not None for ref in trajectories))
+            report = verify(*args, **kwargs)
+            trajectories.append(weakref.ref(report.trajectory))
+            return report
+
+        monkeypatch.setattr(cli, "verify_control", tracking)
+        cfg = _config(tmp_path, text)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert len(alive_at_entry) >= 2
+        assert alive_at_entry == [0] * len(alive_at_entry)
+
+
 class TestDeviceStage:
     def test_reference_sweep_maps_to_flux(self, tmp_path):
         cfg = _config(tmp_path, REFERENCE_ONLY)
@@ -459,7 +486,8 @@ RUN = (
             None,
             None,
         ),
-        # every stage: splines, PCHIP branches, erf bridges and the simplex
+        # every stage: Hermite interpolants, PCHIP branches, erf bridges and
+        # the simplex
         (RUN, "full", DECEL_FAST),
         (RUN, "sta", STA_FAST),
     ],

@@ -1,8 +1,11 @@
 """The numpy ports of ``ffsynth.numerics`` against the SciPy routines they
 mirror.  SciPy is a test-only dependency; here it is the oracle.
 
-Bounds, fixed before the ports were written: the interpolants and the
-simplex search must agree bit for bit, and ``erf`` to within 2 ulp.
+Bounds, fixed before the code was written: PCHIP and the simplex search
+must agree with SciPy bit for bit, and ``erf`` to within 2 ulp.  The
+reference's Hermite interpolants must agree with SciPy's not-a-knot
+``CubicSpline`` through the same knots to within 1e-12, and the sweep's
+with its closed form to within 5e-14 (1e-12 on a 2,000-step grid).
 """
 
 from __future__ import annotations
@@ -13,18 +16,22 @@ from scipy.interpolate import CubicSpline, PchipInterpolator
 from scipy.optimize import minimize
 from scipy.special import erf as scipy_erf
 
-from ffsynth import itt
-from ffsynth.numerics import _Tridiagonal, cubic_splines, erf, nelder_mead, pchip
+from ffsynth import CosineSweepSpec, TimeGrid, build_cosine_sweep, itt
+from ffsynth.numerics import erf, hermite, nelder_mead, pchip
 
 #: Largest allowed distance of ``erf`` from SciPy's, in units in the last place.
 ERF_ULPS = 2.0
 
+#: Largest allowed distance of the reference's interpolants from SciPy's spline.
+SPLINE_TOLERANCE = 1e-12
 
-def _probe_times(x, n: int, seed: int = 0) -> np.ndarray:
-    """Random times over the knot span and a 1% margin on each side (where
-    both interpolants extrapolate), plus every knot and interval midpoint."""
+
+def _probe_times(x, n: int, seed: int = 0, margin: float = 0.01) -> np.ndarray:
+    """Random times over the knot span and a ``margin`` (a fraction of the
+    span) on each side, where interpolants extrapolate, plus every knot and
+    interval midpoint."""
     rng = np.random.default_rng(seed)
-    margin = 0.01 * (x[-1] - x[0])
+    margin *= x[-1] - x[0]
     t = rng.uniform(x[0] - margin, x[-1] + margin, n)
     return np.concatenate([t, x, 0.5 * (x[1:] + x[:-1])])
 
@@ -35,58 +42,74 @@ def _assert_same_interpolant(ours, theirs, t):
     assert np.array_equal(ours(t), theirs(t))
 
 
-class TestCubicSpline:
+class TestHermite:
     def test_reference_grid(self, reference):
         """psi_1, psi_2 (complex), the detuning and the coupling on the
-        20,001-knot reference grid."""
+        20,001-knot reference grid, against SciPy's spline."""
         x = reference.grid.times
+        ours = reference.interpolators() + reference.drive.interpolators()
         ys = (
             reference.phi1,
             reference.phi2,
             reference.drive.delta_omega,
             reference.drive.coupling,
         )
-        t = _probe_times(x, 200_000)
-        for ours, y in zip(cubic_splines(x, *ys), ys):
-            _assert_same_interpolant(ours, CubicSpline(x, y), t)
+        t = _probe_times(x, 200_000, margin=0.0)
+        for interp, y in zip(ours, ys):
+            assert np.max(np.abs(interp(t) - CubicSpline(x, y)(t))) < SPLINE_TOLERANCE
 
-    def test_row_interchanges(self):
-        """Every third interval ten times longer: the elimination must
-        pivot, and still take SciPy's (LAPACK's) steps."""
-        x = np.cumsum(np.resize([1.0, 1.0, 10.0], 300)) / 100.0
-        dx = np.diff(x)
-        system = _Tridiagonal(
-            np.r_[dx[1:], x[-1] - x[-3]].tolist(),
-            np.r_[dx[1], 2 * (dx[:-1] + dx[1:]), dx[-2]].tolist(),
-            np.r_[x[2] - x[0], dx[:-1]].tolist(),
-        )
-        assert any(system.swap)
-        rng = np.random.default_rng(3)
-        y = rng.normal(size=len(x)) + 1j * rng.normal(size=len(x))
-        t = _probe_times(x, 20_000)
-        for ours, values in zip(cubic_splines(x, y.real, y), (y.real, y)):
-            _assert_same_interpolant(ours, CubicSpline(x, values), t)
+    @pytest.mark.parametrize(
+        "n_steps, bound", [(2_000, 1e-12), (20_000, 5e-14), (100_000, 5e-14)]
+    )
+    def test_sweep_matches_closed_form(self, n_steps, bound):
+        spec = CosineSweepSpec(30.0, 1.0)
+        drive = build_cosine_sweep(spec, TimeGrid(0.0, 1.0, n_steps))
+        dw, _ = drive.interpolators()
+        t = _probe_times(drive.grid.times, 200_000, margin=0.0)
+        assert np.max(np.abs(dw(t) - spec.delta_omega(t))) < bound
+
+    def test_knot_slopes_are_schrodinger(self, reference):
+        """The slopes at the knots are -i H psi, bit for bit."""
+        p1, p2 = reference.interpolators()
+        dw, g = reference.drive.delta_omega, reference.drive.coupling
+        phi1, phi2 = reference.phi1, reference.phi2
+        assert np.array_equal(p1.c[2], (-1j * (dw * phi1 + g * phi2))[:-1])
+        assert np.array_equal(p2.c[2], (-1j * (g * phi1))[:-1])
+
+    def test_unit_coupling_is_exact(self, reference):
+        _, g = reference.drive.interpolators()
+        t = _probe_times(reference.grid.times, 200_000)
+        assert np.all(g(t) == 1.0)
 
     def test_shapes(self):
         x = np.linspace(0.0, 1.0, 50)
-        (ours,) = cubic_splines(x, np.sin(x))
+        ours = hermite(x, np.sin(x), np.cos(x))
         assert ours(0.01).shape == ()
         assert ours(np.zeros((3, 2))).shape == (3, 2)
-        assert float(ours(0.01)) == float(CubicSpline(x, np.sin(x))(0.01))
+        assert float(ours(0.01)) == ours(np.array([0.01, 0.5]))[0]
 
     @pytest.mark.parametrize(
-        "x, y",
+        "x, y, dydx",
         [
-            ([0.0, 1.0, 2.0], [0.0, 1.0, 0.0]),
-            ([0.0, 1.0, 1.0, 2.0], [0.0, 1.0, 0.0, 1.0]),
-            ([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, np.nan, 1.0]),
-            ([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 1.0]),
+            ([0.0, 1.0, 2.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]),
+            ([0.0, 1.0, 1.0, 2.0], [0.0, 1.0, 0.0, 1.0], [0.0, 0.0, 0.0, 0.0]),
+            ([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, np.nan, 1.0], [0.0, 0.0, 0.0, 0.0]),
+            ([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 1.0], [0.0, 0.0, 0.0]),
+            ([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 0.0, 1.0], [0.0, np.inf, 0.0, 0.0]),
+            ([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 0.0, 1.0], [0.0, 0.0, 0.0]),
         ],
-        ids=["too-few-knots", "repeated-knot", "nan-value", "length-mismatch"],
+        ids=[
+            "too-few-knots",
+            "repeated-knot",
+            "nan-value",
+            "length-mismatch",
+            "infinite-slope",
+            "slope-length-mismatch",
+        ],
     )
-    def test_rejects_bad_input(self, x, y):
+    def test_rejects_bad_input(self, x, y, dydx):
         with pytest.raises(ValueError):
-            cubic_splines(np.array(x), np.array(y))
+            hermite(np.array(x), np.array(y), np.array(dydx))
 
 
 class TestPchip:
