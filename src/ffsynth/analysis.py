@@ -28,6 +28,11 @@ from .zerocurves import SpeedControlledTrajectory, mask_runs, root_table
 SHIFT_HYSTERESIS = 1e-6
 
 
+class VerificationError(ValueError):
+    """Raised when a re-integration scores a fidelity outside [0, 1]: the
+    integration was too coarse for the control it checked."""
+
+
 @dataclass(frozen=True, eq=False)
 class FidelityReport:
     """Outcome of one verification run."""
@@ -41,7 +46,7 @@ class FidelityReport:
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.fidelity <= 1.0 + 1e-12):
-            raise ValueError(f"fidelity {self.fidelity} outside [0, 1]")
+            raise VerificationError(f"fidelity {self.fidelity} outside [0, 1]")
 
 
 def verify_control(

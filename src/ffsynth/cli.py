@@ -10,8 +10,10 @@ Subcommands walk one pipeline to increasing depth:
   device       map the reference sweep onto the flux axis
   full         verify plus the device mapping
 
-Exit codes: 0 success, 2 configuration problem, 3 synthesis or
-construction failure, 4 verified fidelity below the required floor.
+Exit codes: 0 success, 2 configuration problem, 3 synthesis,
+construction or verification failure (a re-integration that is not
+finite or scores a fidelity above 1), 4 verified fidelity below the
+required floor.
 
 All outputs are deterministic: rerunning a config produces byte-identical
 tables and summaries.  Numbers are written with 17 significant digits.
@@ -29,7 +31,7 @@ from itertools import chain
 
 import numpy as np
 
-from .analysis import trajectory_shift_analysis, verify_control
+from .analysis import VerificationError, trajectory_shift_analysis, verify_control
 from .config import ConfigError, RunConfig, load_config, sweep_label
 from .device import (
     FluxRangeError,
@@ -40,7 +42,7 @@ from .device import (
     transmon_frequency,
 )
 from .drives import CosineSweepSpec, default_step_count, solve_reference
-from .dynamics import TimeGrid, TwoLevelState
+from .dynamics import IntegrationError, TimeGrid, TwoLevelState
 from .ffst import (
     LN_BETA_FLOOR,
     FfstPhaseModel,
@@ -297,6 +299,8 @@ def run_single(
             "evaluations": int(cost.evaluations),
             "max_evaluations": int(cost.max_evaluations),
             "converged": bool(cost.converged),
+            "bridge_evaluations": [int(n) for n in cost.bridge_evaluations],
+            "bridge_converged": [bool(ok) for ok in cost.bridge_converged],
         }
         summary["bridge_mode"] = vt.bridge_mode
         # nothing below reads the path; its half-grid lift (2 n_steps + 1
@@ -325,7 +329,12 @@ def run_single(
         shift_analysis = not is_sta and {"X", "Y"} <= {b.branch_id for b in scts}
         fidelities = {}
         for arm in arms:
-            report = verify_control(arm, initial, target, label=arm.label)
+            try:
+                report = verify_control(arm, initial, target, label=arm.label)
+            except (VerificationError, IntegrationError) as exc:
+                raise VerificationError(
+                    f"arm {arm.label!r} at stage {stage!r}, t_final={t_final!r}: {exc}"
+                ) from exc
             fidelities[arm.label] = float(report.fidelity)
             _write_table(
                 os.path.join(out_dir, f"populations_{arm.label}.tsv"),
@@ -490,6 +499,9 @@ def main(argv=None) -> int:
         return 2
     except (SynthesisError, ConstructionError, OptimizerError, FluxRangeError) as exc:
         print(f"synthesis failed: {exc}", file=sys.stderr)
+        return 3
+    except (VerificationError, IntegrationError) as exc:
+        print(f"verification failed: {exc}", file=sys.stderr)
         return 3
 
     if args.seed_free:

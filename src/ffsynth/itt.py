@@ -10,7 +10,8 @@ f2(0) = f2(T_F) = 0 exactly; a path that would need a ramp larger than
 the branch linker's step is rejected.
 
 Bridge parameters are chosen by minimizing the integrated residual
-|beta| along the path with a deterministic Nelder-Mead simplex.
+|beta| along the path with a deterministic Nelder-Mead simplex, one
+search per bridge.
 """
 
 from __future__ import annotations
@@ -439,16 +440,20 @@ def build_virtual_trajectory(
 @dataclass(frozen=True)
 class IttCostReport:
     """Integrated path residual, its decomposition over bridges, and the
-    search that chose the bridges: ``evaluations`` of at most
-    ``max_evaluations``, and ``converged`` when the simplex met its
-    tolerance rule before that cap.  A plan without bridges needs no
-    search: it reports 0 evaluations and counts as converged."""
+    searches that chose the bridges, one per bridge: ``evaluations`` in
+    all, of at most ``max_evaluations``, split as ``bridge_evaluations``;
+    ``bridge_converged`` flags each search that met its tolerance rule
+    before the cap, and ``converged`` holds when all of them did.  A plan
+    without bridges needs no search: it reports 0 evaluations and counts
+    as converged."""
 
     integrated_residual: float
     per_gap_residual: tuple[float, ...]
     evaluations: int = 0
     max_evaluations: int = 0
     converged: bool = True
+    bridge_evaluations: tuple[int, ...] = ()
+    bridge_converged: tuple[bool, ...] = ()
 
     def __post_init__(self) -> None:
         if not (self.integrated_residual >= 0.0):
@@ -457,6 +462,12 @@ class IttCostReport:
             raise ValueError("evaluations must lie within [0, max_evaluations]")
         if not self.converged and self.evaluations != self.max_evaluations:
             raise ValueError("a search can stop unconverged only at its evaluation cap")
+        if len(self.bridge_evaluations) != len(self.bridge_converged):
+            raise ValueError("need one evaluation count and one flag per bridge")
+        if sum(self.bridge_evaluations) != self.evaluations:
+            raise ValueError("the per-bridge evaluations must sum to evaluations")
+        if self.converged != all(self.bridge_converged):
+            raise ValueError("the run converged exactly when every bridge search did")
 
 
 def optimize_virtual_trajectory(
@@ -473,12 +484,14 @@ def optimize_virtual_trajectory(
     The cost is the trapezoidal integral of |beta| along the pinned path
     on ``n_cost + 1`` uniform times; ``model`` is any phase-residual
     model (FFST or eigenstate-following) exposing ``sine_params``.
-    Deterministic Nelder-Mead with an explicit initial simplex, stopped
-    by its tolerance rule or after ``maxfev`` cost evaluations; the
-    default start follows ``default_bridge_params``.  A plan with no
-    bridges returns the (pinned) branch path unchanged.  The report
-    integrates the same |beta| samples at the chosen parameters, whole
-    and restricted to each bridge window.
+    One deterministic Nelder-Mead search per bridge, in plan order, from
+    an explicit initial simplex over the bridge's own triple; each stops
+    by its tolerance rule or when the searches together have made
+    ``maxfev`` cost evaluations.  The default start follows
+    ``default_bridge_params``.  A plan with no bridges returns the
+    (pinned) branch path unchanged.  The report integrates the same
+    |beta| samples at the chosen parameters, whole and restricted to
+    each bridge window.
     """
     if init is None:
         init = default_bridge_params(plan, settings)
@@ -508,22 +521,42 @@ def optimize_virtual_trajectory(
             )
         return value
 
-    x, evaluations, converged = p0, 0, True
-    if plan.n_bridges:
-        sig_lo, sig_hi = settings.width_bounds
-        simplex = [p0]
-        for j in range(len(p0)):
-            q = p0.copy()
-            kind = j % 3
-            if kind == 0:
-                q[j] += t_f / 8.0 if detached else 0.25 * sig_hi
-            elif kind == 1:
-                q[j] += t_f / 8.0 if detached else 0.5 * (sig_hi - sig_lo)
-            else:
-                q[j] += -0.9 if detached else 0.3
+    # Each search varies its own triple on the full cost, with the bridges
+    # before it at their optima and those after it at their seeds.  A
+    # bridge's triple moves only the samples inside its window, and the
+    # pinning ramp reads the raw ends, which the plan alone fixes; so with
+    # disjoint windows the cost is a sum of per-bridge terms and one pass
+    # finds the joint optimum.  Where windows overlap, the pass is one
+    # sweep of block coordinate descent, never worse than the seed.
+    sig_lo, sig_hi = settings.width_bounds
+    if detached:
+        steps = (t_f / 8.0, t_f / 8.0, -0.9)
+    else:
+        steps = (0.25 * sig_hi, 0.5 * (sig_hi - sig_lo), 0.3)
+    x = p0.copy()
+    counts, flags = [], []
+    for i in range(plan.n_bridges):
+        block = slice(3 * i, 3 * i + 3)
+        budget = maxfev - sum(counts)
+        if not budget:
+            counts.append(0)
+            flags.append(False)
+            continue
+
+        def bridge_cost(q: np.ndarray) -> float:
+            p = x.copy()
+            p[block] = q
+            return cost(p)
+
+        simplex = [x[block]]
+        for j, step in enumerate(steps):
+            q = x[block].copy()
+            q[j] += step
             simplex.append(q)
-        res = nelder_mead(cost, simplex, xatol=1e-6, fatol=1e-12, maxfev=maxfev)
-        x, evaluations, converged = res.x, res.evaluations, res.converged
+        res = nelder_mead(bridge_cost, simplex, xatol=1e-6, fatol=1e-12, maxfev=budget)
+        x[block] = res.x
+        counts.append(res.evaluations)
+        flags.append(res.converged)
 
     vt = build_virtual_trajectory(plan, x, grid, settings)
     absbeta = abs_residual(x)
@@ -534,8 +567,10 @@ def optimize_virtual_trajectory(
     report = IttCostReport(
         integrated_residual=float(np.trapezoid(absbeta, tt)),
         per_gap_residual=tuple(per_gap),
-        evaluations=evaluations,
+        evaluations=sum(counts),
         max_evaluations=maxfev,
-        converged=converged,
+        converged=all(flags),
+        bridge_evaluations=tuple(counts),
+        bridge_converged=tuple(flags),
     )
     return vt, report

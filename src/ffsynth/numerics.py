@@ -188,12 +188,17 @@ def erf(x):
     """
     x = np.asarray(x, dtype=float)
     a = np.minimum(np.abs(x.ravel()), _ERF_SATURATION)
-    z = a * a
-    out = a * _polevl(z, _ERF_T, False)
-    out /= _polevl(z, _ERF_U, True)
+    out = np.empty_like(a)
     tail = a > 1.0
+    # each rational on its own elements only; NaN falls to the head
+    head = ~tail
+    ah = a[head]
+    zh = ah * ah
+    erf_head = ah * _polevl(zh, _ERF_T, False)
+    erf_head /= _polevl(zh, _ERF_U, True)
+    out[head] = erf_head
     at = a[tail]
-    erfc = np.exp((-z[tail]).astype(complex)).real
+    erfc = np.exp((-(at * at)).astype(complex)).real
     erfc *= _polevl(at, _ERFC_P, False)
     erfc /= _polevl(at, _ERFC_Q, True)
     out[tail] = 1.0 - erfc

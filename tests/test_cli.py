@@ -245,6 +245,9 @@ class TestVerifyStage:
         cost = summary["cost"]
         assert cost["max_evaluations"] == 2000
         assert cost["converged"] is (cost["evaluations"] < cost["max_evaluations"])
+        assert len(cost["bridge_evaluations"]) == len(summary["bridges"])
+        assert sum(cost["bridge_evaluations"]) == cost["evaluations"]
+        assert cost["converged"] is all(cost["bridge_converged"])
         for name in (
             "control.tsv",
             "branches.tsv",
@@ -341,6 +344,38 @@ class TestSweepFanOut:
         assert rc == 3
         assert err.startswith(
             "synthesis failed: path ends -1.607 rad from phase zero at t = T_F"
+        )
+
+    def test_fidelity_above_one_exits_3(self, tmp_path, capsys):
+        # at T_F = 0.6 the itt control varies faster than the verification
+        # grid resolves, and the re-integration scores F > 1; the run used
+        # to end in a traceback and exit 1
+        cfg = _config(
+            tmp_path,
+            "schema_version: 1\nscenario: accelerate\nt_ref: 1.0\nt_final: 0.6\n",
+        )
+        rc = main(["verify", "--config", cfg, "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.startswith(
+            "verification failed: arm 'itt' at stage 'verify', t_final=0.6: fidelity 1."
+        )
+        assert err.rstrip().endswith("outside [0, 1]")
+
+    def test_non_finite_reintegration_exits_3(self, tmp_path, monkeypatch, capsys):
+        def diverging(control, initial, target, label=""):
+            raise ffsynth.IntegrationError(
+                "integration produced a non-finite amplitude at time index 7"
+            )
+
+        monkeypatch.setattr(cli, "verify_control", diverging)
+        cfg = _config(tmp_path, DECEL_FAST)
+        rc = main(["full", "--config", cfg, "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err == (
+            "verification failed: arm 'itt' at stage 'full', t_final=1.1: "
+            "integration produced a non-finite amplitude at time index 7\n"
         )
 
     def test_colliding_sweep_names_exit_2(self, tmp_path, capsys):

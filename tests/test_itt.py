@@ -28,6 +28,7 @@ from ffsynth import (
 from ffsynth.itt import (
     AMP_MAX, PLAN_KINDS, _branch_samples, _bridges, _realignment_shifts,
 )
+from ffsynth.numerics import nelder_mead
 from ffsynth.zerocurves import LINKING_THRESHOLD
 
 OTHER_NON_FINITE = {
@@ -333,12 +334,12 @@ class TestOptimizer:
 
     @pytest.mark.parametrize(
         "name, converged",
-        [("accel", False), ("decel_a", True), ("decel_b", True), ("sta30", True)],
+        [("accel", True), ("decel_a", True), ("decel_b", True), ("sta30", True)],
     )
     def test_converged_unless_stopped_at_the_cap(self, request, name, converged):
-        """``converged`` is false exactly when the search spent all its
-        evaluations without meeting the tolerance rule (the accelerate
-        search does; ``test_numerics`` checks the rule against SciPy's)."""
+        """``converged`` is false exactly when the searches spent all their
+        evaluations without meeting the tolerance rule (none of these do;
+        ``test_numerics`` checks the rule against SciPy's)."""
         cost = request.getfixturevalue(name).cost
         assert cost.max_evaluations == 2000
         assert cost.converged is converged
@@ -349,6 +350,88 @@ class TestOptimizer:
             itt.IttCostReport(0.1, (), evaluations=10, max_evaluations=20, converged=False)
         with pytest.raises(ValueError, match="within"):
             itt.IttCostReport(0.1, (), evaluations=21, max_evaluations=20)
+        with pytest.raises(ValueError, match="sum to evaluations"):
+            itt.IttCostReport(
+                0.1, (0.1,), evaluations=10, max_evaluations=20,
+                bridge_evaluations=(9,), bridge_converged=(True,),
+            )
+        with pytest.raises(ValueError, match="one flag per bridge"):
+            itt.IttCostReport(
+                0.1, (0.1,), evaluations=10, max_evaluations=20,
+                bridge_evaluations=(10,), bridge_converged=(),
+            )
+        with pytest.raises(ValueError, match="every bridge search"):
+            itt.IttCostReport(
+                0.1, (0.1, 0.0), evaluations=20, max_evaluations=20, converged=True,
+                bridge_evaluations=(20, 0), bridge_converged=(True, False),
+            )
+
+    @pytest.mark.parametrize("name", ["accel", "decel_b"])
+    def test_second_pass_finds_nothing(self, request, name):
+        """The bridge windows are disjoint at the optimum, so the cost is a
+        sum of per-bridge terms and one pass of per-bridge searches is the
+        joint optimum: a second pass from it gains less than 1e-12."""
+        bundle = request.getfixturevalue(name)
+        _, again = optimize_virtual_trajectory(
+            bundle.plan, bundle.model, bundle.grid, bundle.settings,
+            init=bundle.vt.bridge_params,
+        )
+        gain = bundle.cost.integrated_residual - again.integrated_residual
+        assert 0.0 <= gain < 1e-12
+
+    def test_later_bridges_keep_their_seed_at_the_cap(self, accel):
+        """A cap the first search exhausts leaves nothing for the others:
+        they make no evaluation and their bridges stay at the seed."""
+        seed = default_bridge_params(accel.plan, accel.settings)
+        vt, cost = optimize_virtual_trajectory(
+            accel.plan, accel.model, accel.grid, accel.settings, maxfev=50
+        )
+        assert (cost.evaluations, cost.max_evaluations) == (50, 50)
+        assert cost.bridge_evaluations == (50, 0, 0)
+        assert cost.bridge_converged == (False, False, False)
+        assert not cost.converged
+        clamped = [b[:3] for b in _bridges(accel.plan, np.ravel(seed), accel.settings)]
+        assert vt.bridge_params[1:] == tuple(clamped[1:])
+        assert vt.bridge_params[0] != clamped[0]
+
+    @pytest.mark.parametrize("name", ["decel_a", "sta20"])
+    def test_one_bridge_plan_matches_the_joint_search(self, request, name):
+        """With one bridge the per-bridge search is the joint simplex over
+        all parameters, from the same steps, on the same cost: same path,
+        same report."""
+        bundle = request.getfixturevalue(name)
+        plan, settings = bundle.plan, bundle.settings
+        assert plan.n_bridges == 1
+        p0 = np.ravel(default_bridge_params(plan, settings)).astype(float)
+        tt = np.linspace(0.0, plan.t_final, 4001)
+        c, d, phi0 = bundle.model.sine_params(tt)
+        samples = _branch_samples(tt, plan, settings)
+
+        def cost(p):
+            f = itt._pinned_lift(tt, plan, p, settings, samples)[0]
+            return float(np.trapezoid(np.abs(c - d * np.sin(f + phi0)), tt))
+
+        sig_lo, sig_hi = settings.width_bounds
+        if bundle.vt.bridge_mode == "detached":
+            steps = (plan.t_final / 8.0, plan.t_final / 8.0, -0.9)
+        else:
+            steps = (0.25 * sig_hi, 0.5 * (sig_hi - sig_lo), 0.3)
+        simplex = [p0]
+        for j in range(len(p0)):
+            q = p0.copy()
+            q[j] += steps[j % 3]
+            simplex.append(q)
+        joint = nelder_mead(cost, simplex, xatol=1e-6, fatol=1e-12, maxfev=2000)
+
+        vt = build_virtual_trajectory(plan, joint.x, bundle.grid, settings)
+        assert vt.bridge_params == bundle.vt.bridge_params
+        assert np.array_equal(vt.f2_lift, bundle.vt.f2_lift)
+        assert np.array_equal(vt.f2, bundle.vt.f2)
+        report = bundle.cost
+        assert report.integrated_residual == joint.fun
+        assert (report.evaluations, report.converged) == (joint.evaluations, joint.converged)
+        assert report.bridge_evaluations == (joint.evaluations,)
+        assert report.bridge_converged == (joint.converged,)
 
     def test_no_bridges_returns_branch_path(self, sta30):
         assert sta30.cost.evaluations == 0

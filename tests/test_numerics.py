@@ -199,24 +199,29 @@ def test_nelder_mead_matches_scipy(func, maxfev):
     _assert_same_search(ours, _scipy_search(func, simplex, 1e-8, 1e-10, maxfev))
 
 
-@pytest.mark.parametrize("name, converged", [("accel", False), ("decel_a", True)])
+@pytest.mark.parametrize("name, converged", [("accel", True), ("decel_a", True)])
 def test_bridge_search_matches_scipy(request, monkeypatch, name, converged):
-    """The bridge search of a plan that stops at the evaluation cap
-    (accelerate) and of one that converges (decelerate, single shift)."""
+    """Every per-bridge search, against SciPy's from the same simplex on
+    the same cost: the three of accelerate and the one of decelerate,
+    single shift.  Each replay runs before the search, while the other
+    bridges still hold the values that search sees."""
     bundle = request.getfixturevalue(name)
-    seen = {}
+    calls = []
 
     def recording(func, simplex, **options):
-        seen.update(func=func, simplex=simplex, options=options)
-        seen["result"] = nelder_mead(func, simplex, **options)
-        return seen["result"]
+        theirs = _scipy_search(func, simplex, **options)
+        ours = nelder_mead(func, simplex, **options)
+        calls.append((ours, theirs))
+        return ours
 
     monkeypatch.setattr(itt, "nelder_mead", recording)
     _, cost = itt.optimize_virtual_trajectory(
         bundle.plan, bundle.model, bundle.grid, bundle.settings
     )
-    ours = seen["result"]
-    _assert_same_search(ours, _scipy_search(seen["func"], seen["simplex"], **seen["options"]))
-    assert ours.converged is converged
-    assert (cost.evaluations, cost.converged) == (ours.evaluations, ours.converged)
+    assert len(calls) == bundle.plan.n_bridges
+    for ours, theirs in calls:
+        _assert_same_search(ours, theirs)
+    assert cost.bridge_evaluations == tuple(ours.evaluations for ours, _ in calls)
+    assert cost.bridge_converged == tuple(ours.converged for ours, _ in calls)
+    assert cost.converged is converged
     assert cost == bundle.cost
