@@ -15,13 +15,12 @@ import numpy as np
 from .dynamics import (
     DriveSchedule,
     ReferenceTrajectory,
-    TimeGrid,
     TwoLevelState,
     fidelity,
     integrate_schrodinger,
 )
-from .ffst import FfstPhaseModel, build_magnification
-from .zerocurves import SpeedControlledTrajectory, mask_runs, root_table
+from .ffst import FfstPhaseModel
+from .zerocurves import SpeedControlledTrajectory, x_and_y
 
 #: Dominance hysteresis for shift counting, suppressing chatter where
 #: the two branch overlaps are nearly equal.
@@ -82,7 +81,6 @@ class TrajectoryShiftSeries:
     overlap_y: np.ndarray
     dominant: np.ndarray
     shift_times: tuple[float, ...]
-    grid: TimeGrid = field(default=None, repr=False)
 
     @property
     def shift_count(self) -> int:
@@ -117,12 +115,12 @@ def trajectory_shift_analysis(
     shift event is a dominance change larger than the hysteresis; the
     initial label is deferred until one branch clearly leads.
     """
-    labeled = {b.branch_id: b for b in scts}
-    if "X" not in labeled or "Y" not in labeled:
+    xy = x_and_y(scts)
+    if xy is None:
         raise ValueError(
             "shift analysis needs the two full-span branches labeled X and Y"
         )
-    x, y = labeled["X"], labeled["Y"]
+    x, y = xy
 
     n = trajectory.grid.n_steps
     idx = np.arange(0, n + 1, stride)
@@ -159,81 +157,4 @@ def trajectory_shift_analysis(
         overlap_y=oy,
         dominant=dominant,
         shift_times=tuple(shifts),
-        grid=trajectory.grid,
     )
-
-
-@dataclass(frozen=True, eq=False)
-class GapDirectionProfile:
-    """Root-count-vs-time profile for one magnification."""
-
-    t_final: float
-    times: np.ndarray
-    counts: np.ndarray
-    classification: str
-
-    @property
-    def zero_intervals(self) -> list[tuple[float, float]]:
-        """Maximal time intervals with no root at all."""
-        t = self.times.tolist()
-        return [(t[i], t[min(j, len(t) - 1)]) for i, j in mask_runs(self.counts == 0)]
-
-
-def gap_direction_scan(
-    ref: ReferenceTrajectory,
-    t_f_values=(1.0, 0.95, 1.05, 0.9, 1.1),
-    n_scan: int = 8000,
-) -> dict[float, GapDirectionProfile]:
-    """How the root structure opens as the run is sped up or slowed down.
-
-    Slowing down splits the branches horizontally (roots persist, count
-    stays positive); speeding up opens root-free intervals (vertical
-    opening).  The unscaled run keeps the zero path available throughout.
-    Counts come from ``root_table``: degenerate samples (residual
-    identically zero) admit any phase and count -1, and samples where the
-    amplitude vanishes but the offset does not admit none and count 0.
-    """
-    t_ref = ref.grid.t_end
-    out: dict[float, GapDirectionProfile] = {}
-    for t_f in t_f_values:
-        grid = TimeGrid(0.0, t_f, n_scan)
-        prof = build_magnification(t_ref, grid)
-        model = FfstPhaseModel(ref, prof)
-        times = grid.times
-        counts = root_table(*model.sine_params(times))[2]
-        interior_zero = np.any(counts[1:-1] == 0)
-        alpha = prof.alpha_at(times)
-        if interior_zero:
-            classification = "vertical"
-        elif np.max(np.abs(alpha - 1.0)) < 1e-9:
-            classification = "reference"
-        else:
-            classification = "horizontal"
-        out[float(t_f)] = GapDirectionProfile(
-            t_final=float(t_f),
-            times=times,
-            counts=counts,
-            classification=classification,
-        )
-    return out
-
-
-def global_phase_check(
-    control: DriveSchedule,
-    shift: np.ndarray,
-    initial: TwoLevelState,
-    target: TwoLevelState | None = None,
-) -> float:
-    """Invariance of the overlap under a common frequency shift.
-
-    Shifting both qubit frequencies by the same amount only adds a
-    global phase, so the overlap magnitude with any fixed target must
-    not change.  Returns the absolute difference of the two overlap
-    magnitudes; ``shift`` holds samples on the interleaved node/midpoint
-    grid ``control.grid.half_times``.
-    """
-    shifted = integrate_schrodinger(control, initial, common_shift=shift)
-    base = integrate_schrodinger(control, initial)
-    if target is None:
-        target = base.final_state.normalized()
-    return abs(fidelity(base.final_state, target) - fidelity(shifted.final_state, target))

@@ -61,7 +61,7 @@ from .itt import (
     plan_travel,
 )
 from .sta import StaPhaseModel, adiabatic_target, synthesize_sta_control
-from .zerocurves import detect_gaps, link_branches
+from .zerocurves import detect_gaps, link_branches, x_and_y
 
 DEPTH = {
     "reference": 0,
@@ -237,7 +237,7 @@ def run_single(
     summary["reference"] = {
         "n_steps": int(ref.grid.n_steps),
         "final_populations": [float(p1_end), float(p2_end)],
-        "norm_drift": float(np.max(np.abs(ref.norms() - 1.0))),
+        "norm_drift": ref.norm_drift(),
     }
 
     scts: list = []
@@ -326,8 +326,8 @@ def run_single(
         # the shift analysis reads the primary arm's trajectory; it runs
         # before the next arm, and each report is dropped before the next
         # integration, so one re-integrated trajectory is alive at a time
-        shift_analysis = not is_sta and {"X", "Y"} <= {b.branch_id for b in scts}
-        fidelities = {}
+        shift_analysis = not is_sta and x_and_y(scts) is not None
+        fidelities, norm_drift = {}, {}
         for arm in arms:
             try:
                 report = verify_control(arm, initial, target, label=arm.label)
@@ -336,6 +336,7 @@ def run_single(
                     f"arm {arm.label!r} at stage {stage!r}, t_final={t_final!r}: {exc}"
                 ) from exc
             fidelities[arm.label] = float(report.fidelity)
+            norm_drift[arm.label] = report.trajectory.norm_drift()
             _write_table(
                 os.path.join(out_dir, f"populations_{arm.label}.tsv"),
                 ["t", "p1", "p2"],
@@ -358,6 +359,7 @@ def run_single(
                 }
             del report
         summary["fidelities"] = fidelities
+        summary["norm_drift"] = norm_drift
         summary["target_populations"] = [float(v) for v in target.populations()]
         if shift_analysis:
             summary["shift_analysis"] = shifts

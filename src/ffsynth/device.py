@@ -106,11 +106,6 @@ def to_physical_time(t, g_phys: float):
     return np.asarray(t, dtype=float) / (2.0 * np.pi * g_phys)
 
 
-def to_dimensionless_time(t_ns, g_phys: float):
-    """Inverse of to_physical_time."""
-    return np.asarray(t_ns, dtype=float) * (2.0 * np.pi * g_phys)
-
-
 @dataclass(frozen=True, eq=False)
 class FluxWaveform:
     """Flux bias Phi/Phi_0 sampled on a grid in ns."""

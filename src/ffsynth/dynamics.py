@@ -28,10 +28,8 @@ on in the tests as the oracle the scan is checked against.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
@@ -48,15 +46,6 @@ class TwoLevelState:
 
     phi1: complex
     phi2: complex
-
-    def norm(self) -> float:
-        return math.sqrt(abs(self.phi1) ** 2 + abs(self.phi2) ** 2)
-
-    def normalized(self) -> "TwoLevelState":
-        n = self.norm()
-        if n == 0.0:
-            raise ValueError("cannot normalize the zero state")
-        return TwoLevelState(self.phi1 / n, self.phi2 / n)
 
     def populations(self) -> tuple[float, float]:
         return (abs(self.phi1) ** 2, abs(self.phi2) ** 2)
@@ -199,8 +188,10 @@ class ReferenceTrajectory:
     def final_state(self) -> TwoLevelState:
         return self.state(len(self.phi1) - 1)
 
-    def norms(self) -> np.ndarray:
-        return np.sqrt(np.abs(self.phi1) ** 2 + np.abs(self.phi2) ** 2)
+    def norm_drift(self) -> float:
+        """Largest deviation of the state norm from 1 over the nodes."""
+        norms = np.sqrt(np.abs(self.phi1) ** 2 + np.abs(self.phi2) ** 2)
+        return float(np.max(np.abs(norms - 1.0)))
 
     def populations(self) -> np.ndarray:
         """(n_steps + 1, 2) array of level populations."""
@@ -381,28 +372,3 @@ def overlap(a: TwoLevelState, b: TwoLevelState) -> complex:
 def fidelity(a: TwoLevelState, b: TwoLevelState) -> float:
     """Overlap magnitude |<a|b>|, insensitive to global phase."""
     return abs(overlap(a, b))
-
-
-def state_at(trajectory: ReferenceTrajectory, t: float) -> TwoLevelState:
-    """State at an arbitrary time inside the trajectory domain.
-
-    Grid nodes are returned exactly as stored; between nodes the amplitudes
-    are interpolated with cubic Hermites whose node slopes are -i H phi
-    (see :meth:`ReferenceTrajectory.interpolators`) and renormalized, so
-    the returned state always has unit norm up to the stored solution's
-    own drift.
-    """
-    grid = trajectory.grid
-    span = grid.span
-    if t < grid.t0 - 1e-12 * span or t > grid.t_end + 1e-12 * span:
-        raise ValueError(
-            f"t = {t} outside the trajectory domain [{grid.t0}, {grid.t_end}]"
-        )
-    k = round((t - grid.t0) / grid.h)
-    if 0 <= k <= grid.n_steps and abs(t - (grid.t0 + k * grid.h)) < 1e-12 * span:
-        return trajectory.state(int(k))
-    s1, s2 = trajectory.interpolators()
-    v1 = complex(s1(t))
-    v2 = complex(s2(t))
-    n = math.sqrt(abs(v1) ** 2 + abs(v2) ** 2)
-    return TwoLevelState(v1 / n, v2 / n)

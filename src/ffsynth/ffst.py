@@ -33,10 +33,10 @@ import numpy as np
 from .dynamics import DriveSchedule, ReferenceTrajectory, TimeGrid
 from .zerocurves import (
     Gap,
-    PhaseResidualModel,
     SpeedControlledTrajectory,
     detect_gaps,
     link_branches,
+    residual,
 )
 
 #: Clamp floor applied to |beta| before taking logarithms in exports.
@@ -98,13 +98,13 @@ def build_magnification(t_ref: float, grid: TimeGrid) -> MagnificationProfile:
     return MagnificationProfile(grid=grid, t_ref=t_ref)
 
 
-class FfstPhaseModel(PhaseResidualModel):
+class FfstPhaseModel:
     """Phase residual of a (reference, magnification) pair.
 
     Holds cubic Hermite interpolants of the reference amplitudes and of
     its drive (:meth:`ReferenceTrajectory.interpolators` and
-    :meth:`DriveSchedule.interpolators`), so the residual, its closed-form
-    roots and the rescaled drive can be evaluated at arbitrary times.
+    :meth:`DriveSchedule.interpolators`), so the residual's parameters and
+    the rescaled drive can be evaluated at arbitrary times.
     """
 
     def __init__(self, ref: ReferenceTrajectory, prof: MagnificationProfile):
@@ -149,9 +149,7 @@ class BetaMap:
             raise ValueError("beta map contains non-finite values")
 
 
-def build_beta_map(
-    model: PhaseResidualModel, n_phase: int = 512, n_time: int = 500
-) -> BetaMap:
+def build_beta_map(model, n_phase: int = 512, n_time: int = 500) -> BetaMap:
     """Sample a model's residual on a uniform grid; phases cover [-pi, pi).
 
     The phase axis excludes the duplicate +pi column: the residual is
@@ -162,7 +160,7 @@ def build_beta_map(
     times = np.linspace(0.0, model.t_final, n_time + 1)
     phases = -np.pi + 2.0 * np.pi * np.arange(n_phase) / n_phase
     c, d, phi0 = model.sine_params(times)
-    values = c[:, None] - d[:, None] * np.sin(phases[None, :] + phi0[:, None])
+    values = residual(c[:, None], d[:, None], phi0[:, None], phases[None, :])
     return BetaMap(times=times, phases=phases, values=values)
 
 

@@ -28,7 +28,9 @@ from .zerocurves import (
     Gap,
     SpeedControlledTrajectory,
     branch_touch_times,
+    residual,
     wrap_phase,
+    x_and_y,
 )
 
 #: Largest admissible bridge amplitude, in radians.
@@ -166,13 +168,13 @@ def plan_through_gaps(
 
 def _x_and_y(scts, what: str):
     """The two full-span branches that ``link_branches`` labelled X and Y."""
-    labeled = {b.branch_id: b for b in scts}
-    if "X" not in labeled or "Y" not in labeled:
+    xy = x_and_y(scts)
+    if xy is None:
         raise ConstructionError(
             f"{what} needs the two full-span branches X and Y, "
             "which this run does not have"
         )
-    return labeled["X"], labeled["Y"]
+    return xy
 
 
 def plan_with_crossings(
@@ -509,7 +511,7 @@ def optimize_virtual_trajectory(
 
     def abs_residual(p: np.ndarray) -> np.ndarray:
         f = _pinned_lift(tt, plan, p, settings, samples)[0]
-        return np.abs(c - d * np.sin(f + phi0))
+        return np.abs(residual(c, d, phi0, f))
 
     def cost(p: np.ndarray) -> float:
         if not np.all(np.isfinite(p)):

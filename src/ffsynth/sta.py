@@ -23,40 +23,13 @@ import numpy as np
 from .drives import CosineSweepSpec, default_step_count
 from .dynamics import DriveSchedule, TimeGrid, TwoLevelState
 from .ffst import _fill_singular, _half_grid_samples
-from .zerocurves import PhaseResidualModel, SpeedControlledTrajectory, link_branches
+from .zerocurves import SpeedControlledTrajectory, link_branches
 
 #: Amplitude below which the eigenstate components count as singular.
 EIGEN_FLOOR = 1e-9
 
 
-@dataclass(frozen=True)
-class EigenPair:
-    """Instantaneous eigenstate (u, v) of the two-level Hamiltonian."""
-
-    energy: float
-    u: float
-    v: float
-    branch: str
-
-
-def eigenpair(delta_omega: float, branch: str = "upper", g: float = 1.0) -> EigenPair:
-    """Eigenvalue and real eigenvector at a fixed detuning.
-
-    The upper branch is (cos chi, sin chi); the lower branch is its
-    orthogonal complement (-sin chi, cos chi).
-    """
-    half = 0.5 * delta_omega
-    r = np.hypot(half, g)
-    chi = 0.5 * np.arctan2(g, half)
-    u, v = np.cos(chi), np.sin(chi)
-    if branch == "upper":
-        return EigenPair(energy=half + r, u=u, v=v, branch="upper")
-    if branch == "lower":
-        return EigenPair(energy=half - r, u=-v, v=u, branch="lower")
-    raise ValueError(f"branch must be 'upper' or 'lower', got {branch!r}")
-
-
-class StaPhaseModel(PhaseResidualModel):
+class StaPhaseModel:
     """Phase residual of an eigenstate-following sweep (phi0 = 0)."""
 
     def __init__(self, spec: CosineSweepSpec, g: float = 1.0):
@@ -65,6 +38,8 @@ class StaPhaseModel(PhaseResidualModel):
         self.t_final = spec.duration
 
     def _angles(self, t):
+        """(u, v) = (cos chi, sin chi) of the upper eigenstate, with
+        chi = atan2(g, dw/2) / 2, and chi's time derivative."""
         dw = self.spec.delta_omega(t)
         half = 0.5 * np.asarray(dw, dtype=float)
         chi = 0.5 * np.arctan2(self.g, half)
@@ -107,11 +82,9 @@ def adiabatic_target(
     half = 0.5 * spec.delta_omega(t)
     energy = half + np.hypot(half, g)
     theta = float(np.trapezoid(energy, t))
-    end = eigenpair(float(spec.delta_omega(spec.duration)), "upper", g)
+    u, v, _ = StaPhaseModel(spec, g)._angles(spec.duration)
     phase = np.exp(-1j * theta)
-    return AdiabaticTarget(
-        state=TwoLevelState(end.u * phase, end.v * phase), phase_integral=theta
-    )
+    return AdiabaticTarget(TwoLevelState(u * phase, v * phase), phase_integral=theta)
 
 
 def extract_sta_branches(

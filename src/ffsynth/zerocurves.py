@@ -7,11 +7,12 @@ residual of the common form
     residual(t, f) = C(t) - D(t) * sin(f + phi0(t)),   D >= 0,
 
 whose zero set in the (t, f) plane consists of curves ("branches").
-Both models derive from :class:`PhaseResidualModel`, which holds the
-residual and its roots on top of each model's ``sine_params``.  This
-module solves the residual for f in closed form on a whole scan at once
-(``root_table``, the one place that decides where roots exist), links
-the roots into continuous branches, and detects the time intervals
+A model is anything with ``t_final`` and ``sine_params(t)``, which
+returns (C, D, phi0).  This module evaluates the residual
+(``residual``, the one copy of the formula), solves it for f in closed
+form on a whole scan at once (``root_table``, the one place that
+decides where roots exist), links the roots into continuous branches,
+labels the two full-span ones X and Y, and detects the time intervals
 where no root exists.
 
 Phases are canonicalized to [-pi, pi); pi and -pi label the same
@@ -20,7 +21,7 @@ physical point because the residual is 2*pi periodic in f.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -43,17 +44,9 @@ def wrap_phase(x):
     return (np.asarray(x) + np.pi) % TWO_PI - np.pi
 
 
-@dataclass(frozen=True)
-class PhaseRoots:
-    """Roots of the residual at one time.
-
-    ``degenerate`` marks times where the residual vanishes identically
-    (every phase is a root).
-    """
-
-    t: float
-    roots: tuple[float, ...]
-    degenerate: bool = False
+def residual(c, d, phi0, f):
+    """C - D sin(f + phi0); zero marks a followable phase path."""
+    return c - d * np.sin(f + phi0)
 
 
 def root_table(c, d, phi0):
@@ -80,42 +73,11 @@ def root_table(c, d, phi0):
     return x1, x2, count
 
 
-def sine_roots(c: float, d: float, phi0: float) -> PhaseRoots:
-    """Roots of C = D sin(f + phi0) in [-pi, pi): one row of ``root_table``."""
-    x1, x2, n = root_table(c, d, phi0)
-    return PhaseRoots(
-        t=np.nan, roots=(float(x1), float(x2))[: max(int(n), 0)], degenerate=bool(n < 0)
-    )
-
-
 def mask_runs(mask) -> list[tuple[int, int]]:
     """Half-open index ranges [i, j) of the maximal runs of True in a mask."""
     m = np.concatenate(([False], np.asarray(mask, dtype=bool), [False]))
     edges = np.flatnonzero(m[1:] != m[:-1]).tolist()
     return list(zip(edges[0::2], edges[1::2]))
-
-
-class PhaseResidualModel:
-    """Sinusoidal residual of one scenario over [0, t_final].
-
-    Subclasses set ``t_final`` and implement ``sine_params(t)``, which
-    returns (C, D, phi0); the residual and its roots follow from those.
-    """
-
-    t_final: float
-
-    def sine_params(self, t):
-        raise NotImplementedError
-
-    def residual(self, t, f):
-        """C - D sin(f + phi0); zero marks a followable phase path."""
-        c, d, phi0 = self.sine_params(t)
-        return c - d * np.sin(np.asarray(f) + phi0)
-
-    def roots_at(self, t: float) -> PhaseRoots:
-        """Closed-form roots of the residual in [-pi, pi) at one time."""
-        c, d, phi0 = self.sine_params(float(t))
-        return replace(sine_roots(float(c), float(d), float(phi0)), t=float(t))
 
 
 @dataclass
@@ -178,7 +140,7 @@ class SpeedControlledTrajectory:
 
 
 def link_branches(
-    model: PhaseResidualModel,
+    model,
     n_scan: int = 16_000,
     min_samples: int = 6,
 ) -> list[SpeedControlledTrajectory]:
@@ -257,6 +219,15 @@ def link_branches(
     return out
 
 
+def x_and_y(branches):
+    """The two full-span branches ``link_branches`` labelled X and Y, or
+    None when the run does not have both."""
+    labeled = {b.branch_id: b for b in branches}
+    if "X" in labeled and "Y" in labeled:
+        return labeled["X"], labeled["Y"]
+    return None
+
+
 @dataclass(frozen=True)
 class Gap:
     """Maximal time interval where the residual has no root."""
@@ -268,13 +239,9 @@ class Gap:
     def width(self) -> float:
         return self.t_end - self.t_start
 
-    @property
-    def midpoint(self) -> float:
-        return 0.5 * (self.t_start + self.t_end)
-
 
 def detect_gaps(
-    model: PhaseResidualModel,
+    model,
     branches: Sequence[SpeedControlledTrajectory],
     n_scan: int = 16_000,
 ) -> list[Gap]:

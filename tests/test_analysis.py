@@ -4,16 +4,16 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from diagnostics import gap_direction_scan, global_phase_check
 
 from ffsynth import (
     FidelityReport,
     TwoLevelState,
     fidelity,
-    gap_direction_scan,
-    global_phase_check,
     trajectory_shift_analysis,
     verify_control,
 )
+from ffsynth.zerocurves import residual
 
 
 class TestVerifyControl:
@@ -113,7 +113,7 @@ class TestGapDirectionScan:
 
         prof = build_magnification(1.0, TimeGrid(0.0, 1.0, 2000))
         t = np.linspace(0.0, 1.0, 300)
-        beta = FfstPhaseModel(reference, prof).residual(t, np.zeros_like(t))
+        beta = residual(*FfstPhaseModel(reference, prof).sine_params(t), np.zeros_like(t))
         assert np.max(np.abs(beta)) < 1e-9
 
 

@@ -259,6 +259,17 @@ class TestVerifyStage:
         ):
             assert os.path.exists(os.path.join(out_a, name)), name
 
+    def test_norm_drift_per_arm(self, decel_runs):
+        """Each arm's ``norm_drift`` is the largest | |psi| - 1 | over its
+        own population table."""
+        _, out_a, _, _ = decel_runs
+        drift = _read_summary(out_a)["norm_drift"]
+        assert set(drift) == {"itt", "naive", "alpha-scaled"}
+        for label, value in drift.items():
+            data = np.loadtxt(os.path.join(out_a, f"populations_{label}.tsv"), skiprows=1)
+            want = np.max(np.abs(np.sqrt(data[:, 1] + data[:, 2]) - 1.0))
+            assert abs(value - want) <= 1e-12, label
+
     def test_floor_failure_exits_4(self, decel_runs):
         _, _, rc_b, out_b = decel_runs
         assert rc_b == 4
@@ -566,3 +577,11 @@ def test_sources_import_no_scipy():
                 f"{name}:{node.lineno} {m}" for m in modules if m.split(".")[0] == "scipy"
             ]
     assert found == []
+
+
+def test_exports_resolve_and_are_sorted():
+    """Every name in ``ffsynth.__all__`` resolves, once, in sorted order, so
+    a stale export fails here rather than at a user's import."""
+    names = ffsynth.__all__
+    assert [n for n in names if not hasattr(ffsynth, n)] == []
+    assert names == sorted(set(names))

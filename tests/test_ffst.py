@@ -19,6 +19,7 @@ from ffsynth import (
     synthesize_control,
     verify_control,
 )
+from ffsynth.zerocurves import residual, root_table
 
 START = TwoLevelState(1.0 + 0.0j, 0.0j)
 
@@ -109,22 +110,32 @@ class TestResidualMap:
     def test_residual_periodicity(self, decel_a):
         t = np.linspace(0.0, 1.1, 200)
         f = np.linspace(-3.0, 3.0, 200)
-        b0 = decel_a.model.residual(t, f)
-        b1 = decel_a.model.residual(t, f + 2.0 * np.pi)
+        c, d, phi0 = decel_a.model.sine_params(t)
+        b0 = residual(c, d, phi0, f)
+        b1 = residual(c, d, phi0, f + 2.0 * np.pi)
         assert np.max(np.abs(b0 - b1)) < 1e-10
 
     def test_roots_zero_residual(self, decel_a):
-        for t in (0.2, 0.55, 0.9):
-            roots = decel_a.model.roots_at(t)
-            for r in roots.roots:
-                val = decel_a.model.residual(np.array([t]), np.array([r]))
-                assert abs(val[0]) < 1e-9
+        params = decel_a.model.sine_params(np.array([0.2, 0.55, 0.9]))
+        for roots in root_table(*params)[:2]:
+            val = residual(*params, roots)
+            assert np.all(np.abs(val[~np.isnan(roots)]) < 1e-9)
+
+    @pytest.mark.parametrize("bundle", ["decel_a", "accel", "sta20"])
+    def test_map_samples_the_one_residual(self, bundle, request):
+        """The map evaluates ``zerocurves.residual`` on its own grid, bit for
+        bit, for either model."""
+        model = request.getfixturevalue(bundle).model
+        bmap = build_beta_map(model, n_phase=256, n_time=40)
+        c, d, phi0 = model.sine_params(bmap.times)
+        want = residual(c[:, None], d[:, None], phi0[:, None], bmap.phases[None, :])
+        assert np.array_equal(bmap.values, want)
 
     def test_map_agrees_with_direct_residual(self, decel_a):
         bmap = build_beta_map(decel_a.model, n_phase=256, n_time=20)
         k, j = 7, 100
-        direct = decel_a.model.residual(
-            np.array([bmap.times[k]]), np.array([bmap.phases[j]])
+        direct = residual(
+            *decel_a.model.sine_params(np.array([bmap.times[k]])), np.array([bmap.phases[j]])
         )
         assert bmap.values[k, j] == pytest.approx(direct[0], abs=1e-12)
 

@@ -29,7 +29,7 @@ from ffsynth.itt import (
     AMP_MAX, PLAN_KINDS, _branch_samples, _bridges, _realignment_shifts,
 )
 from ffsynth.numerics import nelder_mead
-from ffsynth.zerocurves import LINKING_THRESHOLD
+from ffsynth.zerocurves import LINKING_THRESHOLD, residual
 
 OTHER_NON_FINITE = {
     "nan-width": (0.9, np.nan, 0.1),
@@ -227,7 +227,7 @@ class TestDefaultParams:
         for (center, width, amp), gap, nxt, prev in zip(
             params, accel.gaps, accel.plan.branches[1:], accel.plan.branches[:-1]
         ):
-            assert center == pytest.approx(gap.midpoint)
+            assert center == pytest.approx(0.5 * (gap.t_start + gap.t_end))
             assert width == pytest.approx(0.5 * gap.width)
             assert amp == pytest.approx(
                 float(wrap_phase(nxt.start_phase - prev.end_phase))
@@ -468,6 +468,30 @@ class TestOptimizer:
         assert len(report.per_gap_residual) == 3
         assert all(v >= 0 for v in report.per_gap_residual)
         assert sum(report.per_gap_residual) <= report.integrated_residual + 1e-12
+
+    @pytest.mark.parametrize("name", ["accel", "decel_b", "sta20"])
+    def test_cost_samples_the_one_residual(self, request, monkeypatch, name):
+        """Every |beta| sample the search integrates is |zerocurves.residual|
+        at the model's own (C, D, phi0) on the cost grid, bit for bit, and
+        the report integrates the samples at the chosen parameters."""
+        bundle = request.getfixturevalue(name)
+        tt = np.linspace(0.0, bundle.plan.t_final, 4001)
+        params = bundle.model.sine_params(tt)
+        calls = []
+
+        def recording(c, d, phi0, f):
+            out = residual(c, d, phi0, f)
+            calls.append((f, out))
+            return out
+
+        monkeypatch.setattr(itt, "residual", recording)
+        _, cost = optimize_virtual_trajectory(
+            bundle.plan, bundle.model, bundle.grid, bundle.settings, maxfev=30
+        )
+        assert len(calls) == cost.evaluations + 1
+        for f, out in calls:
+            assert np.array_equal(out, residual(*params, f))
+        assert cost.integrated_residual == float(np.trapezoid(np.abs(calls[-1][1]), tt))
 
     def test_nan_seed_raises(self, decel_a):
         with pytest.raises(OptimizerError, match="non-finite"):

@@ -8,24 +8,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+import diagnostics
+from diagnostics import gap_direction_scan
 from ffsynth import (
     CosineSweepSpec,
     FfstPhaseModel,
-    PhaseResidualModel,
     SpeedControlledTrajectory,
     StaPhaseModel,
     TimeGrid,
-    analysis,
     branch_touch_times,
     build_magnification,
     default_step_count,
     detect_gaps,
-    gap_direction_scan,
     link_branches,
-    sine_roots,
     wrap_phase,
 )
-from ffsynth.zerocurves import DEGENERATE_FLOOR, LINKING_THRESHOLD, root_table
+from ffsynth.zerocurves import (
+    DEGENERATE_FLOOR,
+    LINKING_THRESHOLD,
+    residual,
+    root_table,
+)
 
 
 def _scalar_sine_roots(c: float, d: float, phi0: float):
@@ -41,6 +44,12 @@ def _scalar_sine_roots(c: float, d: float, phi0: float):
         return (x1,), False
     x2 = float(wrap_phase(np.pi - np.arcsin(s) - phi0))
     return (x1, x2), False
+
+
+def _table_roots(c: float, d: float, phi0: float):
+    """One row of ``root_table`` in the oracle's form: (roots, degenerate)."""
+    x1, x2, n = root_table(c, d, phi0)
+    return (float(x1), float(x2))[: max(int(n), 0)], bool(n < 0)
 
 
 def _oracle_link(model, n_scan=16_000, threshold=LINKING_THRESHOLD, min_samples=6):
@@ -126,7 +135,7 @@ def _assert_same_branches(got, want):
         assert g.start_phase == g.f2[g.valid][0] and g.end_phase == g.f2[g.valid][-1]
 
 
-class _TableModel(PhaseResidualModel):
+class _TableModel:
     """Residual given sample by sample on the integer times 0..n."""
 
     def __init__(self, c, d, phi0):
@@ -138,7 +147,7 @@ class _TableModel(PhaseResidualModel):
         return self.c[k], self.d[k], self.phi0[k]
 
 
-class _SingularModel(PhaseResidualModel):
+class _SingularModel:
     """Two roots everywhere except a middle stretch where D = 0 and C = 1."""
 
     def __init__(self, t_final: float):
@@ -219,7 +228,7 @@ class TestSineRoots:
             (-0.2, 0.25, -0.5),
         ]
         for c, d, phi0 in cases:
-            got = sorted(sine_roots(c, d, phi0).roots)
+            got = sorted(_table_roots(c, d, phi0)[0])
             want = _oracle_roots(c, d, phi0)
             assert len(got) == len(want), (c, d, phi0)
             for g, w in zip(got, want):
@@ -232,25 +241,22 @@ class TestSineRoots:
     )
     @settings(max_examples=150, deadline=None)
     def test_roots_zero_the_residual(self, c, d, phi0):
-        res = sine_roots(c, d, phi0)
-        for r in res.roots:
-            assert abs(c - d * np.sin(r + phi0)) < 1e-9 * (1 + abs(c) + abs(d))
+        roots, _ = _table_roots(c, d, phi0)
+        for r in roots:
+            assert abs(residual(c, d, phi0, r)) < 1e-9 * (1 + abs(c) + abs(d))
             assert -np.pi <= r < np.pi
 
     def test_counts(self):
-        assert len(sine_roots(0.5, 1.0, 0.0).roots) == 2
-        assert len(sine_roots(1.5, 1.0, 0.0).roots) == 0
-        assert len(sine_roots(-1.5, 1.0, 0.3).roots) == 0
+        assert len(_table_roots(0.5, 1.0, 0.0)[0]) == 2
+        assert len(_table_roots(1.5, 1.0, 0.0)[0]) == 0
+        assert len(_table_roots(-1.5, 1.0, 0.3)[0]) == 0
 
     def test_degenerate_amplitude(self):
-        res = sine_roots(0.0, DEGENERATE_FLOOR / 10, 0.0)
-        assert res.degenerate
+        assert _table_roots(0.0, DEGENERATE_FLOOR / 10, 0.0)[1]
 
     def test_offset_roots_shift(self):
-        base = sorted(sine_roots(0.3, 1.0, 0.0).roots)
-        shifted = sorted(
-            wrap_phase(np.asarray(sine_roots(0.3, 1.0, 0.4).roots) + 0.4)
-        )
+        base = sorted(_table_roots(0.3, 1.0, 0.0)[0])
+        shifted = sorted(wrap_phase(np.asarray(_table_roots(0.3, 1.0, 0.4)[0]) + 0.4))
         assert np.allclose(sorted(base), sorted(shifted), atol=1e-9)
 
 
@@ -321,8 +327,7 @@ class TestRootTable:
             roots, degenerate = _scalar_sine_roots(*args)
             row = (float(x1[k]), float(x2[k]))[: max(int(count[k]), 0)]
             assert row == roots and (count[k] < 0) == degenerate, k
-            one = sine_roots(*args)
-            assert one.roots == roots and one.degenerate == degenerate, k
+            assert _table_roots(*args) == (roots, degenerate), k
 
     def test_singular_samples_have_no_root(self):
         x1, x2, count = root_table([1.0, 0.0, 0.5], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0])
@@ -378,7 +383,7 @@ class TestSingularStretch:
 
     def test_counts_zero_in_gap_direction_scan(self, reference, monkeypatch):
         toy = _SingularModel(1.1)
-        monkeypatch.setattr(analysis, "FfstPhaseModel", lambda ref, prof: toy)
+        monkeypatch.setattr(diagnostics, "FfstPhaseModel", lambda ref, prof: toy)
         profile = gap_direction_scan(reference, (1.1,), n_scan=1000)[1.1]
         assert profile.classification == "vertical"
         (lo, hi), = profile.zero_intervals
