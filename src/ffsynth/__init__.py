@@ -16,8 +16,6 @@ from .analysis import (
 from .config import ConfigError, RunConfig, load_config, parse_config
 from .device import (
     FluxRangeError,
-    FluxWaveform,
-    RwaSchedule,
     TransmonSpec,
     coupling_strength,
     default_transmon_spec,
@@ -98,7 +96,6 @@ __all__ = [
     "FfstPhaseModel",
     "FidelityReport",
     "FluxRangeError",
-    "FluxWaveform",
     "Gap",
     "IntegrationError",
     "IttCostReport",
@@ -106,7 +103,6 @@ __all__ = [
     "OptimizerError",
     "ReferenceTrajectory",
     "RunConfig",
-    "RwaSchedule",
     "SpeedControlledTrajectory",
     "StaPhaseModel",
     "SynthesisError",

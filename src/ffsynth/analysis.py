@@ -34,14 +34,11 @@ class VerificationError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class FidelityReport:
-    """Outcome of one verification run."""
+    """Outcome of one verification run: the fidelity of the re-integrated
+    final state, and the trajectory it ends."""
 
     fidelity: float
-    final_state: TwoLevelState
-    target_state: TwoLevelState
-    control_label: str
-    population_series: np.ndarray
-    trajectory: ReferenceTrajectory = field(default=None, repr=False)
+    trajectory: ReferenceTrajectory = field(repr=False)
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.fidelity <= 1.0 + 1e-12):
@@ -49,22 +46,11 @@ class FidelityReport:
 
 
 def verify_control(
-    control: DriveSchedule,
-    initial: TwoLevelState,
-    target: TwoLevelState,
-    label: str = "",
+    control: DriveSchedule, initial: TwoLevelState, target: TwoLevelState
 ) -> FidelityReport:
     """Re-integrate a control and score it against the target state."""
     traj = integrate_schrodinger(control, initial)
-    final = traj.final_state
-    return FidelityReport(
-        fidelity=fidelity(final, target),
-        final_state=final,
-        target_state=target,
-        control_label=label or control.label,
-        population_series=traj.populations(),
-        trajectory=traj,
-    )
+    return FidelityReport(fidelity=fidelity(traj.final_state, target), trajectory=traj)
 
 
 @dataclass(frozen=True, eq=False)

@@ -39,7 +39,6 @@ from .device import (
     default_transmon_spec,
     flux_schedule_for,
     rwa_emulation_map,
-    transmon_frequency,
 )
 from .drives import CosineSweepSpec, default_step_count, solve_reference
 from .dynamics import IntegrationError, TimeGrid, TwoLevelState
@@ -146,22 +145,16 @@ def _write_beta_map(path: str, bmap) -> None:
 
 def _device_section(cfg: RunConfig, sweep_control, primary_control, out_dir: str):
     spec = default_transmon_spec(cfg.g_ghz)
-    wave = flux_schedule_for(sweep_control, spec, g_phys=cfg.g_ghz)
+    t_ns, flux = flux_schedule_for(sweep_control, spec, g_phys=cfg.g_ghz)
     _write_table(
-        os.path.join(out_dir, "device_reference.tsv"),
-        ["t_ns", "flux"],
-        [wave.grid.times, wave.flux],
+        os.path.join(out_dir, "device_reference.tsv"), ["t_ns", "flux"], [t_ns, flux]
     )
-    rwa = rwa_emulation_map(sweep_control)
     section = {
-        "band_ghz": [
-            float(transmon_frequency(spec.ej_max * spec.d, spec.ec)),
-            float(transmon_frequency(spec.ej_max, spec.ec)),
-        ],
-        "omega2_ghz": float(transmon_frequency(spec.ej_fixed, spec.ec)),
+        "band_ghz": list(spec.band),
+        "omega2_ghz": spec.omega2,
         "coupling_ghz": float(coupling_strength(spec)),
-        "duration_ns": float(wave.grid.t_end),
-        "flux_range": [float(np.min(wave.flux)), float(np.max(wave.flux))],
+        "duration_ns": float(t_ns[-1]),
+        "flux_range": [float(np.min(flux)), float(np.max(flux))],
         "spec": {
             "ej_max": float(spec.ej_max),
             "ej_fixed": float(spec.ej_fixed),
@@ -170,20 +163,19 @@ def _device_section(cfg: RunConfig, sweep_control, primary_control, out_dir: str
             "d": float(spec.d),
             "g_ghz": float(cfg.g_ghz),
         },
-        "rwa": {k: (float(v) if isinstance(v, (int, float)) else v)
-                for k, v in rwa.metadata.items()},
+        "rwa": rwa_emulation_map(sweep_control),
     }
     if primary_control is not None:
         try:
-            cwave = flux_schedule_for(primary_control, spec, g_phys=cfg.g_ghz)
+            t_ns, flux = flux_schedule_for(primary_control, spec, g_phys=cfg.g_ghz)
             _write_table(
                 os.path.join(out_dir, "device_control.tsv"),
                 ["t_ns", "flux"],
-                [cwave.grid.times, cwave.flux],
+                [t_ns, flux],
             )
             section["control_map"] = {
                 "feasible": True,
-                "flux_range": [float(np.min(cwave.flux)), float(np.max(cwave.flux))],
+                "flux_range": [float(np.min(flux)), float(np.max(flux))],
             }
         except FluxRangeError as exc:
             section["control_map"] = {"feasible": False, "reason": str(exc)}
@@ -327,24 +319,23 @@ def run_single(
         # before the next arm, and each report is dropped before the next
         # integration, so one re-integrated trajectory is alive at a time
         shift_analysis = not is_sta and x_and_y(scts) is not None
-        fidelities, norm_drift = {}, {}
+        fidelities, norm_drift, h_max_delta_omega = {}, {}, {}
         for arm in arms:
             try:
-                report = verify_control(arm, initial, target, label=arm.label)
+                report = verify_control(arm, initial, target)
             except (VerificationError, IntegrationError) as exc:
                 raise VerificationError(
                     f"arm {arm.label!r} at stage {stage!r}, t_final={t_final!r}: {exc}"
                 ) from exc
             fidelities[arm.label] = float(report.fidelity)
             norm_drift[arm.label] = report.trajectory.norm_drift()
+            peak = max(np.abs(w).max() for w in (arm.delta_omega, arm.delta_omega_mid))
+            h_max_delta_omega[arm.label] = float(arm.grid.h * peak)
+            pops = report.trajectory.populations()
             _write_table(
                 os.path.join(out_dir, f"populations_{arm.label}.tsv"),
                 ["t", "p1", "p2"],
-                [
-                    arm.grid.times,
-                    report.population_series[:, 0],
-                    report.population_series[:, 1],
-                ],
+                [arm.grid.times, pops[:, 0], pops[:, 1]],
             )
             if shift_analysis and arm is control:
                 series = trajectory_shift_analysis(report.trajectory, scts, model)
@@ -357,9 +348,10 @@ def run_single(
                     "count": int(series.shift_count),
                     "times": [float(t) for t in series.shift_times],
                 }
-            del report
+            del report, pops
         summary["fidelities"] = fidelities
         summary["norm_drift"] = norm_drift
+        summary["h_max_delta_omega"] = h_max_delta_omega
         summary["target_populations"] = [float(v) for v in target.populations()]
         if shift_analysis:
             summary["shift_analysis"] = shifts
@@ -512,10 +504,8 @@ def main(argv=None) -> int:
             return 1
 
     print(f"wrote {os.path.join(out_dir, 'summary.json')}")
-    for key in ("fidelities",):
-        if key in summary:
-            for label, value in sorted(summary[key].items()):
-                print(f"  {label}: {value:.6f}")
+    for label, value in sorted(summary.get("fidelities", {}).items()):
+        print(f"  {label}: {value:.6f}")
     if "runs" in summary:
         for tf, s in sorted(summary["runs"].items(), key=lambda kv: float(kv[0])):
             for label, value in sorted(s.get("fidelities", {}).items()):

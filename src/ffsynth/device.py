@@ -2,8 +2,10 @@
 
 Detunings produced by the synthesis modules are in units of the qubit
 coupling g with time in units of 1/g.  This module converts them to a
-flux waveform for a SQUID-tunable transmon pair and to the equivalent
-single-qubit drive-frame schedule.  The angular-frequency convention is
+flux bias for a SQUID-tunable transmon pair, inverting the transmon
+frequency (Koch et al., Phys. Rev. A 76, 042319 (2007)) in closed form,
+and annotates the equivalent single-qubit drive-frame schedule.  The
+angular-frequency convention is
 t_phys = t / (2 pi g_phys) with g_phys in GHz, so times come out in ns.
 """
 
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import DriveSchedule, TimeGrid
+from .dynamics import DriveSchedule
 
 #: E_J / E_C ratio below which the transmon frequency formula degrades.
 TRANSMON_RATIO_FLOOR = 20.0
@@ -33,7 +35,8 @@ class TransmonSpec:
 
     ``ej_max`` is the flux-tunable qubit's maximal Josephson energy;
     ``ej_fixed`` belongs to the fixed partner whose frequency sets the
-    rotating frame.
+    rotating frame.  The asymmetry ``d`` lies in (0, 1): at d = 1 the
+    frequency no longer depends on flux.
     """
 
     ej_max: float
@@ -46,8 +49,8 @@ class TransmonSpec:
         for name in ("ej_max", "ej_fixed", "ec", "ecc"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
-        if not (0.0 < self.d <= 1.0):
-            raise ValueError(f"junction asymmetry d must be in (0, 1], got {self.d}")
+        if not (0.0 < self.d < 1.0):
+            raise ValueError(f"junction asymmetry d must be in (0, 1), got {self.d}")
         for name in ("ej_max", "ej_fixed"):
             ratio = getattr(self, name) / self.ec
             if ratio < TRANSMON_RATIO_FLOOR:
@@ -56,6 +59,17 @@ class TransmonSpec:
                     "the transmon frequency formula assumes E_J >> E_C",
                     stacklevel=2,
                 )
+
+    @property
+    def band(self) -> tuple[float, float]:
+        """Tunable qubit's frequencies (GHz) at half and at zero flux."""
+        lo, hi = transmon_frequency([self.ej_max * self.d, self.ej_max], self.ec)
+        return float(lo), float(hi)
+
+    @property
+    def omega2(self) -> float:
+        """Fixed partner's frequency (GHz), the rotating frame."""
+        return float(transmon_frequency(self.ej_fixed, self.ec))
 
 
 def transmon_frequency(ej, ec):
@@ -106,60 +120,37 @@ def to_physical_time(t, g_phys: float):
     return np.asarray(t, dtype=float) / (2.0 * np.pi * g_phys)
 
 
-@dataclass(frozen=True, eq=False)
-class FluxWaveform:
-    """Flux bias Phi/Phi_0 sampled on a grid in ns."""
-
-    grid: TimeGrid
-    flux: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.flux.shape != (self.grid.n_steps + 1,):
-            raise ValueError("flux must be sampled on the grid nodes")
-        if np.max(np.abs(self.flux)) > 0.5 + 1e-12:
-            raise ValueError("flux bias exceeds half a flux quantum")
-
-
 def _invert_frequency(targets: np.ndarray, spec: TransmonSpec) -> np.ndarray:
-    """Bisect Phi/Phi_0 in [0, 0.5] so the tunable qubit hits ``targets``.
-
-    The frequency is monotone decreasing in flux on this interval for
-    d < 1, so plain bisection converges; 64 halvings put the flux
-    interval far below the 1e-9 GHz frequency tolerance.
-    """
-    lo = np.zeros_like(targets)
-    hi = np.full_like(targets, 0.5)
-    for _ in range(64):
-        mid = 0.5 * (lo + hi)
-        f_mid = transmon_frequency(squid_ej(mid, spec.ej_max, spec.d), spec.ec)
-        toolow = f_mid < targets
-        hi = np.where(toolow, mid, hi)
-        lo = np.where(toolow, lo, mid)
-    return 0.5 * (lo + hi)
+    """Phi/Phi_0 in [0, 0.5] at which the tunable qubit hits ``targets``:
+    E_J = (omega + E_C)^2 / (8 E_C) and (E_J / E_J^max)^2 =
+    d^2 + (1 - d^2) cos^2(pi Phi), with cos^2 clipped to [0, 1] against
+    rounding at the band edges."""
+    ej = (targets + spec.ec) ** 2 / (8.0 * spec.ec)
+    cos2 = ((ej / spec.ej_max) ** 2 - spec.d**2) / (1.0 - spec.d**2)
+    return np.arccos(np.sqrt(np.clip(cos2, 0.0, 1.0))) / np.pi
 
 
 def flux_schedule_for(
     control: DriveSchedule,
     spec: TransmonSpec,
     g_phys: float = 0.009,
-) -> FluxWaveform:
-    """Flux waveform realizing omega1(t) = omega2 + delta_omega(t) * g_phys,
-    where omega2 is the fixed partner's frequency.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Node times in ns and the flux bias Phi/Phi_0 realizing
+    omega1(t) = omega2 + delta_omega(t) * g_phys, where omega2 is the
+    fixed partner's frequency.
 
     Every target must lie inside the tunable band; the inversion is
     verified by a forward round trip at each sample.
     """
-    omega2 = float(transmon_frequency(spec.ej_fixed, spec.ec))
-    targets = omega2 + control.delta_omega * g_phys
+    grid = control.grid
+    targets = spec.omega2 + control.delta_omega * g_phys
 
-    band_lo = float(transmon_frequency(spec.ej_max * spec.d, spec.ec))
-    band_hi = float(transmon_frequency(spec.ej_max, spec.ec))
+    band_lo, band_hi = spec.band
     err = np.maximum(targets - band_hi, band_lo - targets)
     worst = int(np.argmax(err))
     if err[worst] > FLUX_TOLERANCE:
-        t_worst = control.grid.times[worst]
         raise FluxRangeError(
-            f"target frequency {targets[worst]:.9f} GHz at t = {t_worst:.6g} "
+            f"target frequency {targets[worst]:.9f} GHz at t = {grid.times[worst]:.6g} "
             f"(sample {worst}) is outside the tunable band "
             f"[{band_lo:.9f}, {band_hi:.9f}] GHz"
         )
@@ -168,53 +159,31 @@ def flux_schedule_for(
     flux = _invert_frequency(targets, spec)
     back = transmon_frequency(squid_ej(flux, spec.ej_max, spec.d), spec.ec)
     worst_rt = float(np.max(np.abs(back - targets)))
-    if worst_rt > FLUX_TOLERANCE:
+    if not (worst_rt <= FLUX_TOLERANCE):  # a NaN fails too
         raise FluxRangeError(
             f"flux inversion round-trip error {worst_rt:.3e} GHz exceeds "
             f"{FLUX_TOLERANCE:.0e} GHz"
         )
 
-    grid = control.grid
-    ns_grid = TimeGrid(
-        t0=float(to_physical_time(grid.t0, g_phys)),
-        t_end=float(to_physical_time(grid.t_end, g_phys)),
-        n_steps=grid.n_steps,
-    )
-    return FluxWaveform(grid=ns_grid, flux=flux)
+    ends_ns = to_physical_time([grid.t0, grid.t_end], g_phys)
+    return np.linspace(*ends_ns, grid.n_steps + 1), flux
 
 
-@dataclass(frozen=True, eq=False)
-class RwaSchedule:
-    """Single-qubit drive-frame schedule equivalent to a control."""
+def rwa_emulation_map(control: DriveSchedule) -> dict:
+    """Validity annotation of a control read as a single-qubit drive.
 
-    grid: TimeGrid
-    detuning: np.ndarray
-    rabi: float
-    metadata: dict
-
-
-def rwa_emulation_map(control: DriveSchedule, rabi: float = 1.0) -> RwaSchedule:
-    """Re-label a two-qubit-subspace control as drive detuning + Rabi rate.
-
-    The dynamics are identical up to a global phase (the Hamiltonians
-    differ by a multiple of the identity), so this is bookkeeping plus a
-    validity annotation: the drive picture holds only well inside the
-    anharmonicity.
-    """
-    max_det = float(np.max(np.abs(control.delta_omega)))
-    if not np.allclose(control.coupling, rabi):
+    The detuning is the control's own and the Rabi rate the coupling
+    unit 1: the Hamiltonians differ by a multiple of the identity, so the
+    dynamics agree up to a global phase.  The drive picture holds only
+    well inside the anharmonicity."""
+    if not np.allclose(control.coupling, 1.0):
         warnings.warn(
-            "control coupling is not constant at the requested Rabi rate; "
+            "control coupling is not constant at the unit Rabi rate; "
             "the re-labeling assumes a fixed drive amplitude",
             stacklevel=2,
         )
-    return RwaSchedule(
-        grid=control.grid,
-        detuning=control.delta_omega.copy(),
-        rabi=float(rabi),
-        metadata={
-            "assumption": "|detuning| and rabi small against the anharmonicity",
-            "max_abs_detuning": max_det,
-            "rabi": float(rabi),
-        },
-    )
+    return {
+        "assumption": "|detuning| and rabi small against the anharmonicity",
+        "max_abs_detuning": float(np.max(np.abs(control.delta_omega))),
+        "rabi": 1.0,
+    }

@@ -350,10 +350,10 @@ def test_criterion_10_hardware_mapping(reference):
     control = DriveSchedule.from_half_samples(
         grid, CosineSweepSpec(30.0, 1.0).delta_omega(half), np.ones_like(half)
     )
-    wave = flux_schedule_for(control, spec)
+    _, flux = flux_schedule_for(control, spec)
     omega2 = float(transmon_frequency(spec.ej_fixed, spec.ec))
     targets = omega2 + control.delta_omega * 0.009
-    back = transmon_frequency(squid_ej(wave.flux, spec.ej_max, spec.d), spec.ec)
+    back = transmon_frequency(squid_ej(flux, spec.ej_max, spec.d), spec.ec)
     round_trip = float(np.max(np.abs(back - targets)))
     flux_ok = round_trip < 1e-9
 

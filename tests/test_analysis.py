@@ -8,10 +8,9 @@ from diagnostics import gap_direction_scan, global_phase_check
 
 from ffsynth import (
     FidelityReport,
-    TwoLevelState,
+    VerificationError,
     fidelity,
     trajectory_shift_analysis,
-    verify_control,
 )
 from ffsynth.zerocurves import residual
 
@@ -20,27 +19,18 @@ class TestVerifyControl:
     def test_report_consistency(self, decel_a):
         report = decel_a.report
         assert report.fidelity == pytest.approx(
-            fidelity(report.final_state, decel_a.target), abs=1e-15
+            fidelity(report.trajectory.final_state, decel_a.target), abs=1e-15
         )
-        assert report.population_series.shape == (decel_a.grid.n_steps + 1, 2)
-        assert report.control_label == "itt"
+        assert report.trajectory.grid is decel_a.control.grid
+        assert report.trajectory.populations().shape == (decel_a.grid.n_steps + 1, 2)
 
-    def test_fidelity_range_validated(self):
-        s = TwoLevelState(1.0 + 0.0j, 0.0j)
-        with pytest.raises(ValueError):
-            FidelityReport(
-                fidelity=1.5,
-                final_state=s,
-                target_state=s,
-                control_label="x",
-                population_series=np.zeros((2, 2)),
-            )
-
-    def test_label_override(self, decel_a):
-        report = verify_control(
-            decel_a.control, decel_a.initial, decel_a.target, label="renamed"
-        )
-        assert report.control_label == "renamed"
+    def test_fidelity_range_validated(self, decel_a):
+        trajectory = decel_a.report.trajectory
+        with pytest.raises(VerificationError, match=r"outside \[0, 1\]"):
+            FidelityReport(fidelity=1.5, trajectory=trajectory)
+        with pytest.raises(VerificationError):
+            FidelityReport(fidelity=float("nan"), trajectory=trajectory)
+        FidelityReport(fidelity=1.0 + 1e-12, trajectory=trajectory)
 
 
 class TestShiftAnalysis:

@@ -78,3 +78,20 @@ def test_traced_verify_run_reads_every_count(installed, tmp_path):
         assert name in names, name
     assert [s.schedule for s in t.spans if s.name == "cli.run_single"] == [1.1]
     assert sum(s.name == "ffst.FfstPhaseModel" for s in t.spans) == 1
+
+
+def test_traced_full_run_reads_the_device_spans(installed, tmp_path):
+    """A ``full`` run passes through both device probes: the reference
+    sweep and the primary control are mapped onto the flux axis, and the
+    sweep is annotated once."""
+    t, _ = installed
+    layers = importlib.import_module("layers")
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(DECEL_FAST, encoding="utf-8")
+    assert main(["full", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    names = [s.name for s in t.spans]
+    assert names.count("device.flux_schedule_for") == 2
+    assert names.count("device.rwa_emulation_map") == 1
+    metrics = layers.layer_metrics(t.spans)
+    assert metrics["device.calls"] == 3
+    assert metrics["device.map_s"] > 0.0

@@ -265,10 +265,34 @@ class TestVerifyStage:
         _, out_a, _, _ = decel_runs
         drift = _read_summary(out_a)["norm_drift"]
         assert set(drift) == {"itt", "naive", "alpha-scaled"}
+        assert set(_read_summary(out_a)["h_max_delta_omega"]) == set(drift)
         for label, value in drift.items():
             data = np.loadtxt(os.path.join(out_a, f"populations_{label}.tsv"), skiprows=1)
             want = np.max(np.abs(np.sqrt(data[:, 1] + data[:, 2]) - 1.0))
             assert abs(value - want) <= 1e-12, label
+
+    def test_h_max_delta_omega_per_arm(self, tmp_path, monkeypatch):
+        """On accelerate-chain each arm's ``h_max_delta_omega`` is its grid
+        step times its largest |delta_omega| over node and midpoint
+        samples; the itt arm reads about 0.015."""
+        verify = cli.verify_control
+        arms = {}
+
+        def recording(control, initial, target):
+            arms[control.label] = control
+            return verify(control, initial, target)
+
+        monkeypatch.setattr(cli, "verify_control", recording)
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        config = os.path.join(root, "configs", "accelerate-chain.yaml")
+        out = str(tmp_path / "out")
+        assert main(["verify", "--config", config, "--out", out]) == 0
+        value = _read_summary(out)["h_max_delta_omega"]
+        assert set(value) == set(arms) == {"itt", "naive", "alpha-scaled"}
+        for label, arm in arms.items():
+            samples = np.concatenate([arm.delta_omega, arm.delta_omega_mid])
+            assert value[label] == arm.grid.h * np.max(np.abs(samples)), label
+        assert 0.01 < value["itt"] < 0.02
 
     def test_floor_failure_exits_4(self, decel_runs):
         _, _, rc_b, out_b = decel_runs
@@ -374,7 +398,7 @@ class TestSweepFanOut:
         assert err.rstrip().endswith("outside [0, 1]")
 
     def test_non_finite_reintegration_exits_3(self, tmp_path, monkeypatch, capsys):
-        def diverging(control, initial, target, label=""):
+        def diverging(control, initial, target):
             raise ffsynth.IntegrationError(
                 "integration produced a non-finite amplitude at time index 7"
             )
@@ -459,6 +483,34 @@ class TestDeviceStage:
         assert dev["omega2_ghz"] == pytest.approx(6.504070895704025, abs=1e-9)
         assert dev["duration_ns"] == pytest.approx(17.68388256576615, abs=1e-9)
         assert 10.0 <= dev["duration_ns"] <= 1000.0
+        assert os.path.exists(os.path.join(out, "device_reference.tsv"))
+        assert "control_map" not in dev
+
+    def test_feasible_control_map(self, tmp_path):
+        """The slow sta sweep stays inside the tunable band: its control is
+        written to ``device_control.tsv`` and its flux lies in [0, 1/2]."""
+        cfg = _config(tmp_path, STA_FAST)
+        out = str(tmp_path / "out")
+        assert main(["full", "--config", cfg, "--out", out]) == 0
+        control_map = _read_summary(out)["device"]["control_map"]
+        assert control_map["feasible"] is True
+        lo, hi = control_map["flux_range"]
+        assert 0.0 <= lo <= hi <= 0.5
+        data = np.loadtxt(os.path.join(out, "device_control.tsv"), skiprows=1)
+        assert data.shape == (4001, 2)
+        assert (data[:, 1].min(), data[:, 1].max()) == (lo, hi)
+
+    def test_infeasible_control_map(self, tmp_path):
+        """The decelerated itt control overshoots the band: the run still
+        succeeds, says why the map failed, and writes no control table."""
+        cfg = _config(tmp_path, DECEL_FAST)
+        out = str(tmp_path / "out")
+        assert main(["full", "--config", cfg, "--out", out]) == 0
+        control_map = _read_summary(out)["device"]["control_map"]
+        assert control_map["feasible"] is False
+        assert "outside the tunable band" in control_map["reason"]
+        assert set(control_map) == {"feasible", "reason"}
+        assert not os.path.exists(os.path.join(out, "device_control.tsv"))
         assert os.path.exists(os.path.join(out, "device_reference.tsv"))
 
 

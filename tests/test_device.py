@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 from ffsynth import (
+    CosineSweepSpec,
     DriveSchedule,
     FluxRangeError,
-    FluxWaveform,
     TimeGrid,
     TransmonSpec,
+    build_cosine_sweep,
     coupling_strength,
+    default_step_count,
     default_transmon_spec,
     ecc_for_coupling,
     flux_schedule_for,
@@ -20,8 +22,23 @@ from ffsynth import (
     to_physical_time,
     transmon_frequency,
 )
+from ffsynth import device
 
 SPEC = default_transmon_spec()
+
+
+def _bisect_flux(targets: np.ndarray, spec) -> np.ndarray:
+    """The flux that hits ``targets``, by 64 halvings of [0, 0.5]; the
+    frequency falls monotonically in flux there for d < 1."""
+    lo = np.zeros_like(targets)
+    hi = np.full_like(targets, 0.5)
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        f_mid = transmon_frequency(squid_ej(mid, spec.ej_max, spec.d), spec.ec)
+        toolow = f_mid < targets
+        hi = np.where(toolow, mid, hi)
+        lo = np.where(toolow, lo, mid)
+    return 0.5 * (lo + hi)
 
 
 def _as_control(drive) -> DriveSchedule:
@@ -59,6 +76,9 @@ class TestFrequencies:
         band_hi = transmon_frequency(SPEC.ej_max, SPEC.ec)
         assert omega2 == pytest.approx(6.504070895704025, abs=1e-12)
         assert band_lo < omega2 < band_hi
+        # the spec's own band and frame are the same numbers, bit for bit
+        assert SPEC.band == (band_lo, band_hi)
+        assert SPEC.omega2 == omega2
 
 
 class TestCouplerDesign:
@@ -83,6 +103,12 @@ class TestSpecValidation:
     def test_rejects_bad_asymmetry(self):
         with pytest.raises(ValueError, match="asymmetry"):
             TransmonSpec(ej_max=30.0, ej_fixed=27.7, ec=0.203, ecc=0.03, d=0.0)
+
+    def test_rejects_symmetric_squid(self):
+        # at d = 1 the frequency does not depend on flux, and the inverse
+        # divides by 1 - d^2 = 0
+        with pytest.raises(ValueError, match=r"asymmetry d must be in \(0, 1\)"):
+            TransmonSpec(ej_max=30.0, ej_fixed=27.7, ec=0.203, ecc=0.03, d=1.0)
 
     def test_warns_on_low_ratio(self):
         with pytest.warns(UserWarning, match="E_J >> E_C"):
@@ -109,22 +135,39 @@ def wave(reference):
     return flux_schedule_for(_as_control(reference.drive), SPEC)
 
 
+def _targets(control: DriveSchedule) -> np.ndarray:
+    omega2 = transmon_frequency(SPEC.ej_fixed, SPEC.ec)
+    band_lo = transmon_frequency(SPEC.ej_max * SPEC.d, SPEC.ec)
+    band_hi = transmon_frequency(SPEC.ej_max, SPEC.ec)
+    return np.clip(omega2 + control.delta_omega * 0.009, band_lo, band_hi)
+
+
 class TestFluxSchedule:
     def test_round_trip_tolerance(self, wave, reference):
         omega2 = transmon_frequency(SPEC.ej_fixed, SPEC.ec)
         targets = omega2 + reference.drive.delta_omega * 0.009
-        back = transmon_frequency(squid_ej(wave.flux, SPEC.ej_max, SPEC.d), SPEC.ec)
+        _, flux = wave
+        back = transmon_frequency(squid_ej(flux, SPEC.ej_max, SPEC.d), SPEC.ec)
         assert np.max(np.abs(back - targets)) < 1e-9
 
     def test_flux_stays_in_range(self, wave):
-        assert float(np.min(wave.flux)) == pytest.approx(
-            0.024652073491986018, abs=1e-9
-        )
-        assert float(np.max(wave.flux)) == pytest.approx(0.4825456979487186, abs=1e-9)
+        _, flux = wave
+        assert float(np.min(flux)) == pytest.approx(0.024652073491986018, abs=1e-9)
+        assert float(np.max(flux)) == pytest.approx(0.4825456979487186, abs=1e-9)
 
     def test_grid_converted_to_ns(self, wave, reference):
-        assert wave.grid.n_steps == reference.grid.n_steps
-        assert wave.grid.t_end == pytest.approx(17.68388256576615, abs=1e-12)
+        """One ns sample per control node, on the axis a ``TimeGrid`` over
+        the converted end points spans, bit for bit."""
+        t_ns, flux = wave
+        assert t_ns.shape == flux.shape == (reference.grid.n_steps + 1,)
+        assert t_ns[-1] == pytest.approx(17.68388256576615, abs=1e-12)
+        grid = reference.grid
+        ns_grid = TimeGrid(
+            float(to_physical_time(grid.t0, 0.009)),
+            float(to_physical_time(grid.t_end, 0.009)),
+            grid.n_steps,
+        )
+        assert np.array_equal(t_ns, ns_grid.times)
 
     def test_out_of_band_raises(self, reference):
         grid = TimeGrid(0.0, 1.0, 10)
@@ -134,28 +177,56 @@ class TestFluxSchedule:
         with pytest.raises(FluxRangeError, match="t = "):
             flux_schedule_for(control, SPEC)
 
-    def test_waveform_validation(self):
-        grid = TimeGrid(0.0, 1.0, 4)
-        with pytest.raises(ValueError, match="half a flux quantum"):
-            FluxWaveform(grid=grid, flux=np.full(5, 0.6))
-        with pytest.raises(ValueError, match="grid nodes"):
-            FluxWaveform(grid=grid, flux=np.zeros(3))
+    def test_nan_round_trip_raises(self, monkeypatch):
+        """A round trip that is not a number fails the tolerance check
+        instead of passing every comparison."""
+        grid = TimeGrid(0.0, 1.0, 10)
+        control = DriveSchedule.from_half_samples(grid, np.zeros(21), np.ones(21))
+        flux_schedule_for(control, SPEC)
+        monkeypatch.setattr(device, "squid_ej", lambda x, *a: np.full_like(x, np.nan))
+        with pytest.raises(FluxRangeError, match="round-trip error nan GHz"):
+            flux_schedule_for(control, SPEC)
+
+
+class TestClosedFormInversion:
+    """The closed-form inverse against 64 bisection halvings (the oracle),
+    with bounds set before the closed form was written."""
+
+    @pytest.fixture(scope="class", params=[1.0, 30.0], ids=["reference-20k", "sta-30"])
+    def control(self, request):
+        duration = request.param
+        grid = TimeGrid(0.0, duration, default_step_count(duration))
+        return build_cosine_sweep(CosineSweepSpec(30.0, duration), grid)
+
+    def test_flux_matches_bisection(self, control):
+        _, flux = flux_schedule_for(control, SPEC)
+        oracle = _bisect_flux(_targets(control), SPEC)
+        assert np.max(np.abs(flux - oracle)) <= 1e-12
+
+    def test_round_trip_within_1e12(self, control):
+        targets = _targets(control)
+        _, flux = flux_schedule_for(control, SPEC)
+        back = transmon_frequency(squid_ej(flux, SPEC.ej_max, SPEC.d), SPEC.ec)
+        assert np.max(np.abs(back - targets)) <= 1e-12
+
+    def test_band_edges_map_to_zero_and_half(self):
+        band_lo, band_hi = SPEC.band
+        flux = device._invert_frequency(np.array([band_hi, band_lo]), SPEC)
+        assert flux[0] == pytest.approx(0.0, abs=1e-7)
+        assert flux[1] == pytest.approx(0.5, abs=1e-7)
+        assert np.all((flux >= 0.0) & (flux <= 0.5))
 
 
 class TestRwaEmulation:
     def test_relabeling(self, reference):
-        sched = rwa_emulation_map(_as_control(reference.drive))
-        assert sched.rabi == 1.0
-        assert sched.metadata["max_abs_detuning"] == pytest.approx(30.0, abs=1e-12)
-        assert "anharmonicity" in sched.metadata["assumption"]
-        assert np.array_equal(sched.detuning, reference.drive.delta_omega)
+        rwa = rwa_emulation_map(_as_control(reference.drive))
+        assert set(rwa) == {"assumption", "max_abs_detuning", "rabi"}
+        assert rwa["rabi"] == 1.0
+        assert rwa["max_abs_detuning"] == pytest.approx(30.0, abs=1e-12)
+        assert "anharmonicity" in rwa["assumption"]
 
-    def test_detuning_is_a_copy(self, reference):
-        control = _as_control(reference.drive)
-        sched = rwa_emulation_map(control)
-        sched.detuning[0] = 1e9
-        assert control.delta_omega[0] != 1e9
-
-    def test_warns_when_coupling_off_rabi(self, reference):
+    def test_warns_when_coupling_off_rabi(self):
+        grid = TimeGrid(0.0, 1.0, 10)
+        control = DriveSchedule.from_half_samples(grid, np.zeros(21), np.full(21, 2.0))
         with pytest.warns(UserWarning, match="Rabi"):
-            rwa_emulation_map(_as_control(reference.drive), rabi=2.0)
+            rwa_emulation_map(control)

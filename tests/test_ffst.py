@@ -241,7 +241,7 @@ class TestBaselines:
 class TestDriveSchedule:
     def test_reintegration_round_trip(self, decel_a):
         traj = integrate_schrodinger(decel_a.control, START)
-        assert fidelity(traj.final_state, decel_a.report.final_state) > 1.0 - 1e-12
+        assert fidelity(traj.final_state, decel_a.report.trajectory.final_state) > 1.0 - 1e-12
 
     def test_validation_rejects_shape_mismatch(self, decel_a):
         c = decel_a.control

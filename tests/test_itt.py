@@ -347,24 +347,29 @@ class TestOptimizer:
 
     def test_report_rejects_inconsistent_search(self):
         with pytest.raises(ValueError, match="evaluation cap"):
-            itt.IttCostReport(0.1, (), evaluations=10, max_evaluations=20, converged=False)
-        with pytest.raises(ValueError, match="within"):
-            itt.IttCostReport(0.1, (), evaluations=21, max_evaluations=20)
-        with pytest.raises(ValueError, match="sum to evaluations"):
             itt.IttCostReport(
-                0.1, (0.1,), evaluations=10, max_evaluations=20,
-                bridge_evaluations=(9,), bridge_converged=(True,),
+                0.1, (0.1,), max_evaluations=20,
+                bridge_evaluations=(10,), bridge_converged=(False,),
+            )
+        with pytest.raises(ValueError, match="within"):
+            itt.IttCostReport(
+                0.1, (0.1,), max_evaluations=20,
+                bridge_evaluations=(21,), bridge_converged=(True,),
             )
         with pytest.raises(ValueError, match="one flag per bridge"):
             itt.IttCostReport(
-                0.1, (0.1,), evaluations=10, max_evaluations=20,
+                0.1, (0.1,), max_evaluations=20,
                 bridge_evaluations=(10,), bridge_converged=(),
             )
-        with pytest.raises(ValueError, match="every bridge search"):
-            itt.IttCostReport(
-                0.1, (0.1, 0.0), evaluations=20, max_evaluations=20, converged=True,
-                bridge_evaluations=(20, 0), bridge_converged=(True, False),
-            )
+
+    def test_report_totals_are_its_bridge_counts(self):
+        cost = itt.IttCostReport(
+            0.1, (0.1, 0.0), max_evaluations=20,
+            bridge_evaluations=(20, 0), bridge_converged=(False, False),
+        )
+        assert (cost.evaluations, cost.converged) == (20, False)
+        empty = itt.IttCostReport(0.1, ())
+        assert (empty.evaluations, empty.converged) == (0, True)
 
     @pytest.mark.parametrize("name", ["accel", "decel_b"])
     def test_second_pass_finds_nothing(self, request, name):
