@@ -16,7 +16,10 @@ finite or scores a fidelity above 1), 4 verified fidelity below the
 required floor.
 
 All outputs are deterministic: rerunning a config produces byte-identical
-tables and summaries.  Numbers are written with 17 significant digits.
+tables and summaries.  Numbers are written with 17 significant digits,
+the bytes of ``'%.17g' % v``: :func:`~ffsynth.numerics.format_g17` turns
+each block of a table's rows into fixed-width byte fields padded with
+NULs, and the block is written with the NULs deleted.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ import os
 import random
 import sys
 from dataclasses import replace
-from itertools import chain
 
 import numpy as np
 
@@ -59,6 +61,7 @@ from .itt import (
     optimize_virtual_trajectory,
     plan_travel,
 )
+from .numerics import G17_FIELD_BYTES, format_g17
 from .sta import StaPhaseModel, adiabatic_target, synthesize_sta_control
 from .zerocurves import detect_gaps, link_branches, x_and_y
 
@@ -85,19 +88,40 @@ SETTINGS_KIND = {
 TABLE_CHUNK_ROWS = 4096
 
 
+def _write_rows(path: str, header: list[str], blocks) -> None:
+    """Tab-separated table from blocks of rows, each a list of columns:
+    numbers as ``%.17g``, byte-identical to ``np.savetxt(fmt="%.17g")``,
+    and ``str`` columns as their UTF-8 bytes.
+
+    Every cell becomes a byte field padded with NULs: :func:`format_g17`
+    for a number, the encoded text for a ``str``, and a ``bytes`` value
+    as it is.  A block is written as its fields and separators with the
+    NULs deleted.
+    """
+    with open(path, "wb") as fh:
+        fh.write(("\t".join(header) + "\n").encode())
+        for block in blocks:
+            fields = []
+            for c in map(np.asarray, block):
+                if c.dtype.kind in "OU":
+                    c = np.char.encode(c.astype(str), "utf-8")
+                if c.dtype.kind == "S":
+                    fields.append(c.view(np.uint8).reshape(len(c), -1))
+                else:
+                    fields.append(format_g17(c))
+                fields.append(np.full((len(c), 1), ord("\t"), dtype=np.uint8))
+            fields[-1][:] = ord("\n")
+            fh.write(np.concatenate(fields, axis=1).tobytes().translate(None, b"\0"))
+
+
 def _write_table(path: str, header: list[str], columns) -> None:
-    """Tab-separated table: numeric columns as ``%.17g``, byte-identical to
-    ``np.savetxt(fmt="%.17g")``, and string columns as ``%s``."""
-    cols = [np.asarray(c) for c in columns]
-    is_text = [c.dtype.kind in "OSU" for c in cols]
-    cols = [c if text else np.asarray(c, dtype=float) for c, text in zip(cols, is_text)]
-    row_fmt = "\t".join("%s" if text else "%.17g" for text in is_text) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\t".join(header) + "\n")
-        for start in range(0, len(cols[0]), TABLE_CHUNK_ROWS):
-            block = [c[start : start + TABLE_CHUNK_ROWS].tolist() for c in cols]
-            values = tuple(chain.from_iterable(zip(*block)))
-            fh.write((row_fmt * len(block[0])) % values)
+    """:func:`_write_rows` of whole columns, ``TABLE_CHUNK_ROWS`` at a time."""
+    n = len(columns[0])
+    blocks = (
+        [c[i : i + TABLE_CHUNK_ROWS] for c in columns]
+        for i in range(0, n, TABLE_CHUNK_ROWS)
+    )
+    _write_rows(path, header, blocks)
 
 
 def _write_summary(path: str, summary: dict) -> None:
@@ -134,13 +158,22 @@ def _write_branches(path: str, scts) -> None:
 
 def _write_beta_map(path: str, bmap) -> None:
     # the grid columns repeat few distinct values: format each once and
-    # pass the strings through as text
+    # repeat its bytes, a block of whole phase rows at a time
     ln_beta = np.log(np.maximum(np.abs(bmap.values), LN_BETA_FLOOR))
-    times = np.array(["%.17g" % v for v in bmap.times.tolist()], dtype=object)
-    phases = np.array(["%.17g" % v for v in bmap.phases.tolist()], dtype=object)
-    tcol = np.repeat(times, len(phases))
-    pcol = np.tile(phases, len(times))
-    _write_table(path, ["t", "f2", "ln_abs_beta"], [tcol, pcol, ln_beta.ravel()])
+    times, phases = (
+        format_g17(v).view(f"S{G17_FIELD_BYTES}").ravel()
+        for v in (bmap.times, bmap.phases)
+    )
+    step = max(1, TABLE_CHUNK_ROWS // len(phases))
+    blocks = (
+        [
+            np.repeat(times[i : i + step], len(phases)),
+            np.tile(phases, min(step, len(times) - i)),
+            ln_beta[i : i + step].ravel(),
+        ]
+        for i in range(0, len(times), step)
+    )
+    _write_rows(path, ["t", "f2", "ln_abs_beta"], blocks)
 
 
 def _device_section(cfg: RunConfig, sweep_control, primary_control, out_dir: str):
@@ -166,6 +199,7 @@ def _device_section(cfg: RunConfig, sweep_control, primary_control, out_dir: str
         "rwa": rwa_emulation_map(sweep_control),
     }
     if primary_control is not None:
+        section["control_rwa"] = rwa_emulation_map(primary_control)
         try:
             t_ns, flux = flux_schedule_for(primary_control, spec, g_phys=cfg.g_ghz)
             _write_table(

@@ -1,9 +1,11 @@
-"""Interpolation, the error function and a simplex search on numpy alone.
+"""Interpolation, the error function, a simplex search and exact number
+text on numpy alone.
 
-The package needs four numerical routines: a cubic Hermite interpolant
-of given values and slopes, a shape-preserving PCHIP interpolant, ``erf``
-and a Nelder-Mead search.  They are written here in numpy so that a run
-imports nothing heavier.
+The package needs five numerical routines: a cubic Hermite interpolant
+of given values and slopes, a shape-preserving PCHIP interpolant, ``erf``,
+a Nelder-Mead search and the text of ``'%.17g' % v`` for every float in
+an array.  They are written here in numpy so that a run imports nothing
+heavier.
 
 Both interpolants are :class:`PiecewiseCubic` values evaluated in
 SciPy's ``PPoly`` term order.  The other routines follow the operation
@@ -17,12 +19,18 @@ are reproducible bit for bit:
 - ``erf`` is the Cephes rational approximation (``ndtr.c``; the erfc
   branch after Cody, Math. Comp. 23, 631 (1969));
 - :func:`nelder_mead` is the simplex method of Nelder and Mead, Comput.
-  J. 7, 308 (1965), with the standard coefficients (1, 2, 1/2, 1/2).
+  J. 7, 308 (1965), with the standard coefficients (1, 2, 1/2, 1/2);
+- :func:`format_g17` writes the bytes of CPython's correctly rounded
+  ``'%.17g' % v``, from an exact double-double product with a
+  correctly rounded power of ten (Dekker, Numer. Math. 18, 224 (1971)).
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -312,3 +320,192 @@ def nelder_mead(func, simplex, xatol: float, fatol: float, maxfev: int) -> Simpl
     return SimplexResult(
         x=sim[0], fun=float(np.min(fsim)), evaluations=calls, converged=converged
     )
+
+
+# Exact '%.17g'.  With k = floor(log10|x|), the text is the 17-digit
+# integer D = round(|x| 10^(16 - k)) laid out by k.  Each value becomes a
+# field of six 8-byte words,
+#   [- 0 . 0 0 0 d0 .] [d1 . d2 . d3 . d4 .] ... [d13 . ... d16 .] [e ± X X X]
+# and a mask per (layout, significant digits) clears the bytes the text
+# does not use, so the text is the field with its NUL bytes deleted.
+
+#: Bytes per field of :func:`format_g17`.
+G17_FIELD_BYTES = 48
+
+_WORD = np.dtype("<u8")
+
+# decimal exponents of the finite nonzero doubles, 5e-324 to 1.8e308
+_K_MIN, _K_MAX = -324, 308
+
+#: Veltkamp's splitter for doubles, 2^27 + 1.
+_SPLIT = 134217729.0
+
+_LOG10_2 = 0.30102999566398120
+
+#: A value whose |x| 10^(16 - k) has a fraction this close to 1/2 is
+#: written by ``%`` itself; the fast path errs by about 1e-14 on it.
+_TIE_MARGIN = 1e-6
+
+
+def _veltkamp(a):
+    # a = hi + lo with both halves of at most 26 significant bits
+    c = a * _SPLIT
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _g17_powers():
+    """Per decimal exponent k: 10^(16 - k) = (h + l) 2^f with h in
+    [0.5, 1); the smallest double at or above 10^k; and the exponent
+    suffix (``e-05``), all zero bytes where ``%g`` uses fixed notation.
+
+    CPython's int true division rounds correctly, so h, l and the bounds
+    are correctly rounded from integers alone.
+    """
+    tens = [10**i for i in range(17 - _K_MIN)]
+
+    def ratio(n):
+        return (tens[n], 1) if n >= 0 else (1, tens[-n])
+
+    h, lo, f, decades = [], [], [], []
+    suffix = np.zeros((_K_MAX - _K_MIN + 1, 8), dtype=np.uint8)
+    for i, k in enumerate(range(_K_MIN, _K_MAX + 1)):
+        p, q = ratio(16 - k)
+        b = p.bit_length() - q.bit_length()  # p / q in [2^(b-1), 2^(b+1))
+        p, q = (p, q << b) if b >= 0 else (p << -b, q)
+        if p >= q:
+            q <<= 1
+            b += 1
+        hi = p / q
+        h.append(hi)
+        lo.append(((p << 53) - int(hi * 2**53) * q) / (q << 53))
+        f.append(b)
+        p, q = ratio(k)
+        c = p / q
+        a, b = c.as_integer_ratio()
+        decades.append(c if a * q >= p * b else math.nextafter(c, math.inf))
+        if not -4 <= k < 17:
+            text = b"e%+03d" % k
+            suffix[i, : len(text)] = list(text)
+    decades.append(math.inf)
+    return (
+        np.array(h),
+        np.array(lo),
+        np.array(f, dtype=np.int32),
+        np.array(decades),
+        suffix.view(_WORD).ravel(),
+    )
+
+
+def _g17_masks():
+    """Byte masks per (layout c, significant digits s): c = 0 is
+    ``d.ddde±XX``, c = 1..21 fixed notation with k = c - 5."""
+    c = np.arange(22)[:, None, None]
+    s = np.arange(1, 18)[None, :, None]
+    k = c - 5
+    j = np.arange(17)
+    # the point follows digit `dot`; below k = 0 it is in the prefix
+    dot = np.where(c == 0, 0, np.where(k >= 0, k, -1))
+    keep = np.ones((22, 17, G17_FIELD_BYTES), dtype=bool)
+    keep[..., 1:6] = (c > 0) & (k < 0) & (np.arange(5) < 1 - k)  # "0.000"
+    keep[..., 6:40:2] = j <= np.maximum(dot, s - 1)
+    keep[..., 7:40:2] = (j == dot) & (dot < s - 1)
+    return np.where(keep, 0xFF, 0).astype(np.uint8).reshape(22 * 17, -1).view(_WORD)
+
+
+def _g17_quads():
+    """Every four digits as ``[d . d . d . d .]``, and their trailing
+    zeros, with 4 for 0000."""
+    digits = np.indices((10,) * 4).reshape(4, -1)  # column q: the digits of q
+    quads = np.full((10_000, 8), ord("."), dtype=np.uint8)
+    quads[:, ::2] = ord("0") + digits.T
+    d0, d1, d2, d3 = digits == 0
+    zeros = d3 * (1 + d2 * (1 + d1 * (1 + d0.astype(np.intp))))
+    return quads.view(_WORD).ravel(), zeros
+
+
+@functools.cache
+def _g17_tables() -> SimpleNamespace:
+    """Every table of :func:`format_g17`, built at its first call so that
+    importing the package does not pay for them."""
+    h, lo, f, decade, suffix = _g17_powers()
+    h_hi, h_lo = _veltkamp(h)
+    quads, quad_zeros = _g17_quads()
+    return SimpleNamespace(
+        h=h, h_hi=h_hi, h_lo=h_lo, lo=lo, f=f, decade=decade, suffix=suffix,
+        masks=_g17_masks(), quads=quads, quad_zeros=quad_zeros,
+    )
+
+
+# word 0 before the sign and the leading digit
+_HEAD = np.frombuffer(b"\x000.000\x00.", dtype=_WORD)[0]
+
+
+def format_g17(x) -> np.ndarray:
+    """The bytes of ``'%.17g' % v`` for every float64 ``v`` of ``x``, as
+    fields of :data:`G17_FIELD_BYTES` bytes, shaped ``x.shape + (48,)``:
+    deleting a field's NUL bytes leaves exactly the text of its value.
+
+    The fast path rounds the exact double-double |x| 10^(16 - k) to the
+    17-digit integer D.  NaN, infinities and values whose D lies within
+    1e-6 of a rounding tie are formatted by ``%`` one at a time.
+    """
+    tab = _g17_tables()
+    x = np.asarray(x, dtype=float)
+    flat = x.ravel()
+    ax = np.abs(flat)
+    finite = np.isfinite(ax)
+    zero = ax == 0.0
+    ax[zero | ~finite] = 1.0  # patched below
+    m, e = np.frexp(ax)
+    # k: |x| lies in [2^(e-1), 2^e), so floor((e - 1) log10 2) or one more
+    k = np.floor((e - 1) * _LOG10_2).astype(np.intp) - _K_MIN
+    k += ax >= tab.decade.take(k + 1)
+    # |x| 10^(16 - k) = (p + r) 2^g: the product m h exactly (Dekker),
+    # plus m l
+    p = m * tab.h.take(k)
+    mh, ml = _veltkamp(m)
+    hh, hl = tab.h_hi.take(k), tab.h_lo.take(k)
+    r = ((mh * hh - p) + mh * hl + ml * hh) + ml * hl
+    r += m * tab.lo.take(k)
+    g = e + tab.f.take(k)
+    # p 2^g is an integer above 2^53; r 2^g holds the fraction
+    r = np.ldexp(r, g)
+    whole = np.floor(r)
+    frac = r - whole
+    whole += frac >= 0.5
+    d = np.ldexp(p, g).astype(np.int64) + whole.astype(np.int64)
+    # 17 digits can round up into the next decade
+    carry = d == 10**17
+    d[carry] = 10**16
+    k += carry
+    d[zero] = 0
+    slow = ~finite | (np.abs(frac - 0.5) < _TIE_MARGIN)
+
+    top = d // 10**8
+    head = top // 10**8
+    quads = []
+    for q in (top - head * 10**8, d - top * 10**8):
+        hi = q // 10**4
+        quads += [hi, q - hi * 10**4]
+    zeros = tab.quad_zeros.take(quads[3])
+    for i, q in enumerate(quads[2::-1], start=1):
+        zeros += np.where(zeros == 4 * i, tab.quad_zeros.take(q), 0)
+
+    out = np.empty((flat.size, 6), dtype=_WORD)
+    out[:, 0] = (head.astype(_WORD) + ord("0")) << 48
+    out[:, 0] |= _HEAD
+    out[:, 0] |= np.signbit(flat).astype(_WORD) * ord("-")
+    for i, q in enumerate(quads, start=1):
+        out[:, i] = tab.quads.take(q)
+    out[:, 5] = tab.suffix.take(k)
+    k += _K_MIN
+    layout = np.where((k >= -4) & (k < 17), k + 5, 0)
+    out &= tab.masks.take(17 * layout + 16 - zeros, axis=0)
+
+    fields = out.view(np.uint8)
+    for i in np.flatnonzero(slow):
+        text = b"%.17g" % flat[i]
+        fields[i] = 0
+        fields[i, : len(text)] = list(text)
+    return fields.reshape(x.shape + (G17_FIELD_BYTES,))

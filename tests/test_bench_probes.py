@@ -82,8 +82,8 @@ def test_traced_verify_run_reads_every_count(installed, tmp_path):
 
 def test_traced_full_run_reads_the_device_spans(installed, tmp_path):
     """A ``full`` run passes through both device probes: the reference
-    sweep and the primary control are mapped onto the flux axis, and the
-    sweep is annotated once."""
+    sweep and the primary control are each mapped onto the flux axis and
+    annotated once."""
     t, _ = installed
     layers = importlib.import_module("layers")
     cfg = tmp_path / "run.yaml"
@@ -91,7 +91,7 @@ def test_traced_full_run_reads_the_device_spans(installed, tmp_path):
     assert main(["full", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
     names = [s.name for s in t.spans]
     assert names.count("device.flux_schedule_for") == 2
-    assert names.count("device.rwa_emulation_map") == 1
+    assert names.count("device.rwa_emulation_map") == 2
     metrics = layers.layer_metrics(t.spans)
-    assert metrics["device.calls"] == 3
+    assert metrics["device.calls"] == 4
     assert metrics["device.map_s"] > 0.0

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import weakref
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -106,6 +107,55 @@ def decel_runs(tmp_path_factory):
     return rc_a, out_a, rc_b, out_b
 
 
+def _percent_table(path: str, header: list[str], columns) -> None:
+    """The ``%`` row writer the byte-field writer replaced, kept as its
+    oracle: numbers through ``'%.17g' %``, text through ``'%s' %``."""
+    cols = [np.asarray(c) for c in columns]
+    is_text = [c.dtype.kind in "OSU" for c in cols]
+    cols = [c if text else np.asarray(c, dtype=float) for c, text in zip(cols, is_text)]
+    row_fmt = "\t".join("%s" if text else "%.17g" for text in is_text) + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\t".join(header) + "\n")
+        for start in range(0, len(cols[0]), TABLE_CHUNK_ROWS):
+            block = [c[start : start + TABLE_CHUNK_ROWS].tolist() for c in cols]
+            values = tuple(chain.from_iterable(zip(*block)))
+            fh.write((row_fmt * len(block[0])) % values)
+
+
+def _percent_beta_map(path: str, bmap) -> None:
+    """``beta_map.tsv`` with every column a number, through the oracle."""
+    ln_beta = np.log(np.maximum(np.abs(bmap.values), LN_BETA_FLOOR))
+    _percent_table(
+        path,
+        ["t", "f2", "ln_abs_beta"],
+        [
+            np.repeat(bmap.times, len(bmap.phases)),
+            np.tile(bmap.phases, len(bmap.times)),
+            ln_beta.ravel(),
+        ],
+    )
+
+
+@pytest.mark.parametrize(
+    "command, text, n_tables",
+    [("full", DECEL_FAST, 9), ("sta", STA_FAST, 6)],
+    ids=["full-decelerate", "sta"],
+)
+def test_tables_match_percent_writer(tmp_path, monkeypatch, command, text, n_tables):
+    """A run writes every table byte for byte as the ``%`` row writer does."""
+    cfg = _config(tmp_path, text)
+    ours, oracle = tmp_path / "ours", tmp_path / "oracle"
+    assert main([command, "--config", cfg, "--out", str(ours)]) == 0
+    monkeypatch.setattr(cli, "_write_table", _percent_table)
+    monkeypatch.setattr(cli, "_write_beta_map", _percent_beta_map)
+    assert main([command, "--config", cfg, "--out", str(oracle)]) == 0
+    names = sorted(name for name in os.listdir(ours) if name.endswith(".tsv"))
+    assert len(names) == n_tables
+    assert names == sorted(name for name in os.listdir(oracle) if name.endswith(".tsv"))
+    for name in names:
+        assert (ours / name).read_bytes() == (oracle / name).read_bytes(), name
+
+
 class TestTableWriter:
     @pytest.mark.parametrize(
         "n_rows",
@@ -114,7 +164,9 @@ class TestTableWriter:
     )
     def test_bytes_match_savetxt(self, tmp_path, n_rows):
         special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e17, 3.0, -12.0,
-                   0.1, 1.0 / 3.0, 2.0**53 + 1.0, -1.7976931348623157e308]
+                   0.1, 1.0 / 3.0, 2.0**53 + 1.0, -1.7976931348623157e308,
+                   1e-5, 9.9999999999999991e-6, 1e-4, 9.9999999999999984e16, 1e16,
+                   1e-305, 2.0**-25, 939042730525282.625, -0.001000404357910156250]
         values = np.resize(np.array(special), 3 * n_rows)
         n_rest = max(0, 3 * n_rows - len(special))
         values[len(special):] += np.linspace(-5.0, 5.0, n_rest)
@@ -488,11 +540,15 @@ class TestDeviceStage:
 
     def test_feasible_control_map(self, tmp_path):
         """The slow sta sweep stays inside the tunable band: its control is
-        written to ``device_control.tsv`` and its flux lies in [0, 1/2]."""
+        written to ``device_control.tsv``, its flux lies in [0, 1/2], and
+        it is annotated like the sweep."""
         cfg = _config(tmp_path, STA_FAST)
         out = str(tmp_path / "out")
         assert main(["full", "--config", cfg, "--out", out]) == 0
-        control_map = _read_summary(out)["device"]["control_map"]
+        device = _read_summary(out)["device"]
+        # the sta control starts on the sweep's detuning and never exceeds it
+        assert device["control_rwa"]["max_abs_detuning"] == pytest.approx(30.0, abs=1e-9)
+        control_map = device["control_map"]
         assert control_map["feasible"] is True
         lo, hi = control_map["flux_range"]
         assert 0.0 <= lo <= hi <= 0.5
@@ -502,11 +558,15 @@ class TestDeviceStage:
 
     def test_infeasible_control_map(self, tmp_path):
         """The decelerated itt control overshoots the band: the run still
-        succeeds, says why the map failed, and writes no control table."""
+        succeeds, says why the map failed, writes no control table, and
+        annotates the control's peak detuning, above the sweep's 30."""
         cfg = _config(tmp_path, DECEL_FAST)
         out = str(tmp_path / "out")
         assert main(["full", "--config", cfg, "--out", out]) == 0
-        control_map = _read_summary(out)["device"]["control_map"]
+        device = _read_summary(out)["device"]
+        assert device["rwa"]["max_abs_detuning"] == 30.0
+        assert device["control_rwa"]["max_abs_detuning"] == pytest.approx(36.5, abs=0.05)
+        control_map = device["control_map"]
         assert control_map["feasible"] is False
         assert "outside the tunable band" in control_map["reason"]
         assert set(control_map) == {"feasible", "reason"}
@@ -605,6 +665,25 @@ def test_import_loads_no_scipy(tmp_path, work, command, text):
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip().splitlines()[-1] == "[]"
+
+
+def test_import_loads_no_exact_arithmetic():
+    """The ``%.17g`` tables are built from Python integers, so importing the
+    command line loads neither ``fractions`` nor ``decimal``."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ffsynth.__file__)))
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    code = (
+        "import sys; import ffsynth.cli; "
+        "print(sorted(m for m in ('fractions', 'decimal') if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        check=True,
     )
     assert out.stdout.strip().splitlines()[-1] == "[]"
 

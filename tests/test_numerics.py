@@ -6,6 +6,8 @@ must agree with SciPy bit for bit, and ``erf`` to within 2 ulp.  The
 reference's Hermite interpolants must agree with SciPy's not-a-knot
 ``CubicSpline`` through the same knots to within 1e-12, and the sweep's
 with its closed form to within 5e-14 (1e-12 on a 2,000-step grid).
+``format_g17`` must write exactly the bytes of ``'%.17g' % v``, Python's
+own formatting, on every value.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from scipy.optimize import minimize
 from scipy.special import erf as scipy_erf
 
 from ffsynth import CosineSweepSpec, TimeGrid, build_cosine_sweep, itt
-from ffsynth.numerics import erf, hermite, nelder_mead, pchip
+from ffsynth.numerics import G17_FIELD_BYTES, erf, format_g17, hermite, nelder_mead, pchip
 
 #: Largest allowed distance of ``erf`` from SciPy's, in units in the last place.
 ERF_ULPS = 2.0
@@ -225,3 +227,72 @@ def test_bridge_search_matches_scipy(request, monkeypatch, name, converged):
     assert cost.bridge_converged == tuple(ours.converged for ours, _ in calls)
     assert cost.converged is converged
     assert cost == bundle.cost
+
+
+def _g17_samples() -> dict[str, np.ndarray]:
+    """About 1.2M doubles: random ones over every range, decade edges,
+    exact rounding ties and the special values."""
+    rng = np.random.default_rng(19)
+    n = 200_000
+    signs = rng.choice([-1.0, 1.0], n)
+    decades = np.array([float(f"1e{k}") for k in range(-323, 309)] + [10.0**k for k in range(-300, 301)])
+    # a * 2^-j with a odd and a 5^j of 18 digits sits exactly halfway
+    # between two 17-digit decimals
+    ties = [
+        a * 2.0**-j
+        for j in range(1, 26)
+        for a in range(-(-10**17 // 5**j) | 1, min(10**18 // 5**j, 2**53), 2)[:2000]
+    ]
+    return {
+        "uniform": rng.uniform(-10.0, 10.0, n),
+        "normal": rng.normal(size=n),
+        "log-uniform": signs * 10.0 ** rng.uniform(-300.0, 300.0, n),
+        "decade edges": np.concatenate(
+            [decades, np.nextafter(decades, 0.0), np.nextafter(decades, np.inf)]
+        ),
+        "integers": rng.integers(-(2**53), 2**53, n).astype(float),
+        "m 2^e": np.ldexp(rng.integers(1, 2**53, n).astype(float), rng.integers(-1126, 972, n)),
+        "short m 2^e": signs * np.ldexp(rng.integers(1, 2**20, n).astype(float), rng.integers(-70, 60, n)),
+        "exact ties": np.array(ties),
+        "special": np.array(
+            [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324,
+             2.2250738585072009e-308, 2.2250738585072014e-308,
+             1.7976931348623157e308, -1.7976931348623157e308, 1e-5, 9.9999999999999991e-6,
+             1e-4, 1e16, 1e17, 9.9999999999999984e16, 2.0**53, 2.0**53 + 2.0, 0.1, 1.0 / 3.0]
+        ),
+    }
+
+
+def test_g17_matches_percent_formatting():
+    """Every sample's field, NULs deleted, is the text of ``'%.17g' % v``."""
+    samples = _g17_samples()
+    assert sum(map(len, samples.values())) >= 1_000_000
+    for name, values in samples.items():
+        fields = format_g17(values)
+        assert fields.shape == (len(values), G17_FIELD_BYTES)
+        lines = np.concatenate([fields, np.full((len(values), 1), ord("\n"), np.uint8)], axis=1)
+        ours = lines.tobytes().translate(None, b"\0")
+        theirs = b"".join([b"%.17g\n" % v for v in values.tolist()])
+        if ours != theirs:
+            pairs = zip(values.tolist(), ours.split(b"\n"), theirs.split(b"\n"))
+            wrong = [(v, a, b) for v, a, b in pairs if a != b]
+            pytest.fail(f"{name}: {len(wrong)} of {len(values)} differ, first {wrong[:3]}")
+
+
+def test_g17_samples_hold_exact_ties():
+    """The tie sample is what it claims: 18 significant digits ending in 5,
+    the one case where 17-digit rounding needs round-half-even."""
+    ties = _g17_samples()["exact ties"]
+    assert len(ties) > 10_000
+    for v in ties[:: len(ties) // 50].tolist():
+        a, b = v.as_integer_ratio()  # b = 2^j, v = a 5^j / 10^j
+        digits = str(a * 5 ** (b.bit_length() - 1))
+        assert len(digits) == 18 and digits.endswith("5")
+
+
+def test_g17_keeps_the_shape():
+    x = np.array([[1.5, -2.0], [np.nan, 0.0]])
+    fields = format_g17(x)
+    assert fields.shape == (2, 2, G17_FIELD_BYTES)
+    texts = [bytes(f[f != 0]) for f in fields.reshape(-1, G17_FIELD_BYTES)]
+    assert texts == [b"1.5", b"-2", b"nan", b"0"]
