@@ -20,6 +20,12 @@ tables and summaries.  Numbers are written with 17 significant digits,
 the bytes of ``'%.17g' % v``: :func:`~ffsynth.numerics.format_g17` turns
 each block of a table's rows into fixed-width byte fields padded with
 NULs, and the block is written with the NULs deleted.
+
+``summary.json`` names the table layout in ``output_schema``.  Layout 2
+writes ``beta_map.tsv`` as a matrix (a header line of phases, a line per
+time) and gives sta's ``control.tsv`` five columns, without ``alpha``
+and ``lambda``; layout 1 wrote a (t, f2, ln|beta|) line per map cell and
+seven control columns for every scenario.
 """
 
 from __future__ import annotations
@@ -61,7 +67,7 @@ from .itt import (
     optimize_virtual_trajectory,
     plan_travel,
 )
-from .numerics import G17_FIELD_BYTES, format_g17
+from .numerics import format_g17
 from .sta import StaPhaseModel, adiabatic_target, synthesize_sta_control
 from .zerocurves import detect_gaps, link_branches, x_and_y
 
@@ -87,16 +93,27 @@ SETTINGS_KIND = {
 #: Rows formatted per write; bounds the text held in memory at once.
 TABLE_CHUNK_ROWS = 4096
 
+#: The table layout, ``output_schema`` in ``summary.json`` (see above).
+OUTPUT_SCHEMA = 2
+
+
+def _labels(c) -> np.ndarray:
+    """A text column as UTF-8 bytes, each distinct label encoded once."""
+    distinct, index = np.unique(c.astype(str), return_inverse=True)
+    return np.array([label.encode() for label in distinct], dtype=bytes)[index]
+
 
 def _write_rows(path: str, header: list[str], blocks) -> None:
     """Tab-separated table from blocks of rows, each a list of columns:
     numbers as ``%.17g``, byte-identical to ``np.savetxt(fmt="%.17g")``,
-    and ``str`` columns as their UTF-8 bytes.
+    and ``str`` columns as their UTF-8 bytes.  A 2-D column (rows x k)
+    spans k cells of its rows.
 
     Every cell becomes a byte field padded with NULs: :func:`format_g17`
     for a number, the encoded text for a ``str``, and a ``bytes`` value
-    as it is.  A block is written as its fields and separators with the
-    NULs deleted.
+    as it is.  A field's last byte is always a NUL, and the separator
+    after the cell, a tab or the newline, overwrites it.  A block is
+    written as its fields with the NULs deleted.
     """
     with open(path, "wb") as fh:
         fh.write(("\t".join(header) + "\n").encode())
@@ -104,13 +121,15 @@ def _write_rows(path: str, header: list[str], blocks) -> None:
             fields = []
             for c in map(np.asarray, block):
                 if c.dtype.kind in "OU":
-                    c = np.char.encode(c.astype(str), "utf-8")
+                    c = _labels(c)
                 if c.dtype.kind == "S":
-                    fields.append(c.view(np.uint8).reshape(len(c), -1))
+                    # one more byte per label: the NUL for its separator
+                    cells = c.astype(f"S{c.itemsize + 1}")[:, None, None].view(np.uint8)
                 else:
-                    fields.append(format_g17(c))
-                fields.append(np.full((len(c), 1), ord("\t"), dtype=np.uint8))
-            fields[-1][:] = ord("\n")
+                    cells = format_g17(c.reshape(len(c), -1))
+                cells[..., -1] = ord("\t")
+                fields.append(cells.reshape(len(c), -1))
+            fields[-1][:, -1] = ord("\n")
             fh.write(np.concatenate(fields, axis=1).tobytes().translate(None, b"\0"))
 
 
@@ -157,23 +176,41 @@ def _write_branches(path: str, scts) -> None:
 
 
 def _write_beta_map(path: str, bmap) -> None:
-    # the grid columns repeat few distinct values: format each once and
-    # repeat its bytes, a block of whole phase rows at a time
+    """ln|beta| as a matrix: a header row of ``t\\f2`` and the phases,
+    then a row per time, its time followed by its values."""
     ln_beta = np.log(np.maximum(np.abs(bmap.values), LN_BETA_FLOOR))
-    times, phases = (
-        format_g17(v).view(f"S{G17_FIELD_BYTES}").ravel()
-        for v in (bmap.times, bmap.phases)
-    )
-    step = max(1, TABLE_CHUNK_ROWS // len(phases))
+    header = ["t\\f2"] + ["%.17g" % f2 for f2 in bmap.phases.tolist()]
+    step = max(1, TABLE_CHUNK_ROWS // len(bmap.phases))
     blocks = (
-        [
-            np.repeat(times[i : i + step], len(phases)),
-            np.tile(phases, min(step, len(times) - i)),
-            ln_beta[i : i + step].ravel(),
-        ]
-        for i in range(0, len(times), step)
+        [bmap.times[i : i + step], ln_beta[i : i + step]]
+        for i in range(0, len(bmap.times), step)
     )
-    _write_rows(path, ["t", "f2", "ln_abs_beta"], blocks)
+    _write_rows(path, header, blocks)
+
+
+def _slew(drive) -> np.ndarray:
+    """d delta_omega / dt at the nodes: the ``derivative`` of ``control.tsv``."""
+    return np.gradient(drive.delta_omega, drive.grid.h, edge_order=2)
+
+
+def _rates(drive) -> tuple[float, float]:
+    """The largest |delta_omega| over node and midpoint samples, and the
+    largest |d delta_omega / dt| over the nodes."""
+    peak = max(np.abs(w).max() for w in (drive.delta_omega, drive.delta_omega_mid))
+    return float(peak), float(np.abs(_slew(drive)).max())
+
+
+def _write_control(path: str, control, f2, prof) -> None:
+    """``control.tsv``; without a magnification profile (sta runs in real
+    time, alpha 1 and lambda t) the table stops at ``f2``.  The columns
+    die with the call, so none is alive during the verification."""
+    t = control.grid.times
+    header = ["t", "delta_omega", "derivative", "coupling", "f2"]
+    columns = [t, control.delta_omega, _slew(control), control.coupling, f2]
+    if prof is not None:
+        header += ["alpha", "lambda"]
+        columns += [prof.alpha_at(t), prof.lambda_at(t)]
+    _write_table(path, header, columns)
 
 
 def _device_section(cfg: RunConfig, sweep_control, primary_control, out_dir: str):
@@ -228,6 +265,7 @@ def run_single(
     os.makedirs(out_dir, exist_ok=True)
     summary: dict = {
         "schema_version": cfg.schema_version,
+        "output_schema": OUTPUT_SCHEMA,
         "stage": stage,
         "scenario": cfg.scenario,
         "t_ref": float(cfg.t_ref),
@@ -260,10 +298,13 @@ def run_single(
         [ref.grid.times, pops[:, 0], pops[:, 1]],
     )
     p1_end, p2_end = ref.final_state.populations()
+    ref_peak, ref_slew = _rates(ref.drive)
     summary["reference"] = {
         "n_steps": int(ref.grid.n_steps),
         "final_populations": [float(p1_end), float(p2_end)],
         "norm_drift": ref.norm_drift(),
+        "max_abs_delta_omega": ref_peak,
+        "max_abs_slew": ref_slew,
     }
 
     scts: list = []
@@ -292,24 +333,13 @@ def run_single(
         )
         if is_sta:
             control = synthesize_sta_control(vt.f2_lift, model, grid_c, label="sta")
-            alpha_nodes = np.ones_like(grid_c.times)
-            lam_nodes = grid_c.times
         else:
             control = synthesize_control(vt.f2_lift, model, label="itt")
-            alpha_nodes = model.prof.alpha_at(grid_c.times)
-            lam_nodes = model.prof.lambda_at(grid_c.times)
-        _write_table(
+        _write_control(
             os.path.join(out_dir, "control.tsv"),
-            ["t", "delta_omega", "derivative", "coupling", "f2", "alpha", "lambda"],
-            [
-                grid_c.times,
-                control.delta_omega,
-                np.gradient(control.delta_omega, grid_c.h, edge_order=2),
-                control.coupling,
-                vt.f2,
-                alpha_nodes,
-                lam_nodes,
-            ],
+            control,
+            vt.f2,
+            None if is_sta else model.prof,
         )
         summary["plan"] = {
             "kind": cfg.plan_kind,
@@ -354,7 +384,13 @@ def run_single(
         # integration, so one re-integrated trajectory is alive at a time
         shift_analysis = not is_sta and x_and_y(scts) is not None
         fidelities, norm_drift, h_max_delta_omega = {}, {}, {}
+        max_abs_delta_omega, max_abs_slew = {}, {}
         for arm in arms:
+            # the drive's rates are read before its trajectory exists
+            peak, slew = _rates(arm)
+            max_abs_delta_omega[arm.label] = peak
+            max_abs_slew[arm.label] = slew
+            h_max_delta_omega[arm.label] = arm.grid.h * peak
             try:
                 report = verify_control(arm, initial, target)
             except (VerificationError, IntegrationError) as exc:
@@ -363,8 +399,6 @@ def run_single(
                 ) from exc
             fidelities[arm.label] = float(report.fidelity)
             norm_drift[arm.label] = report.trajectory.norm_drift()
-            peak = max(np.abs(w).max() for w in (arm.delta_omega, arm.delta_omega_mid))
-            h_max_delta_omega[arm.label] = float(arm.grid.h * peak)
             pops = report.trajectory.populations()
             _write_table(
                 os.path.join(out_dir, f"populations_{arm.label}.tsv"),
@@ -386,6 +420,8 @@ def run_single(
         summary["fidelities"] = fidelities
         summary["norm_drift"] = norm_drift
         summary["h_max_delta_omega"] = h_max_delta_omega
+        summary["max_abs_delta_omega"] = max_abs_delta_omega
+        summary["max_abs_slew"] = max_abs_slew
         summary["target_populations"] = [float(v) for v in target.populations()]
         if shift_analysis:
             summary["shift_analysis"] = shifts
@@ -431,6 +467,7 @@ def run_pipeline(cfg: RunConfig, out_dir: str, stage: str) -> dict:
 
     aggregate = {
         "schema_version": cfg.schema_version,
+        "output_schema": OUTPUT_SCHEMA,
         "stage": stage,
         "scenario": cfg.scenario,
         "sweep": [sweep_label(tf) for tf in cfg.t_final],

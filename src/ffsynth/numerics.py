@@ -445,6 +445,7 @@ def format_g17(x) -> np.ndarray:
     """The bytes of ``'%.17g' % v`` for every float64 ``v`` of ``x``, as
     fields of :data:`G17_FIELD_BYTES` bytes, shaped ``x.shape + (48,)``:
     deleting a field's NUL bytes leaves exactly the text of its value.
+    The text is at most 24 bytes, so a field's last byte is always NUL.
 
     The fast path rounds the exact double-double |x| 10^(16 - k) to the
     17-digit integer D.  NaN, infinities and values whose D lies within

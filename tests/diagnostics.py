@@ -98,3 +98,14 @@ def global_phase_check(
         n = np.hypot(abs(s.phi1), abs(s.phi2))
         target = TwoLevelState(s.phi1 / n, s.phi2 / n)
     return abs(fidelity(base.final_state, target) - fidelity(shifted.final_state, target))
+
+
+def read_beta_map(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Times, phases and ln|beta| (times x phases) of a ``beta_map.tsv``
+    matrix: the header row holds the phases after its ``t\\f2`` label,
+    and each row below a time and its values."""
+    with open(path, "r", encoding="utf-8") as fh:
+        n_phase = len(fh.readline().split("\t")) - 1
+    phases = np.loadtxt(path, max_rows=1, usecols=range(1, n_phase + 1))
+    rows = np.loadtxt(path, skiprows=1, ndmin=2)
+    return rows[:, 0], phases, rows[:, 1:]

@@ -24,6 +24,8 @@ from ffsynth.cli import (
 )
 from ffsynth.ffst import LN_BETA_FLOOR, FfstPhaseModel, build_beta_map
 
+from diagnostics import read_beta_map
+
 DECEL_FAST = """\
 schema_version: 1
 scenario: decelerate
@@ -122,16 +124,29 @@ def _percent_table(path: str, header: list[str], columns) -> None:
             fh.write((row_fmt * len(block[0])) % values)
 
 
+def _ln_abs_beta(bmap) -> np.ndarray:
+    return np.log(np.maximum(np.abs(bmap.values), LN_BETA_FLOOR))
+
+
 def _percent_beta_map(path: str, bmap) -> None:
-    """``beta_map.tsv`` with every column a number, through the oracle."""
-    ln_beta = np.log(np.maximum(np.abs(bmap.values), LN_BETA_FLOOR))
+    """``beta_map.tsv`` as a matrix, a line at a time through ``'%.17g' %``."""
+    with open(path, "w", encoding="utf-8") as fh:
+        phases = ["%.17g" % f2 for f2 in bmap.phases.tolist()]
+        fh.write("\t".join(["t\\f2"] + phases) + "\n")
+        for t, row in zip(bmap.times.tolist(), _ln_abs_beta(bmap).tolist()):
+            fh.write("\t".join("%.17g" % v for v in [t] + row) + "\n")
+
+
+def _long_beta_map(path: str, bmap) -> None:
+    """``beta_map.tsv`` in output schema 1: a (t, f2, ln|beta|) row per
+    map cell, through the ``%`` row writer."""
     _percent_table(
         path,
         ["t", "f2", "ln_abs_beta"],
         [
             np.repeat(bmap.times, len(bmap.phases)),
             np.tile(bmap.phases, len(bmap.times)),
-            ln_beta.ravel(),
+            _ln_abs_beta(bmap).ravel(),
         ],
     )
 
@@ -188,22 +203,46 @@ class TestTableWriter:
         assert ours.read_bytes() == ref.read_bytes()
 
     def test_beta_map_matches_numeric_writer(self, tmp_path, decel_a):
-        """The grid columns go out as pre-formatted text; the old export,
-        which passed all three columns as numbers, is the oracle."""
+        """The matrix goes out in blocks of whole time rows through one
+        2-D column; a line-at-a-time ``'%.17g' %`` writer is the oracle."""
         bmap = build_beta_map(decel_a.model)
+        assert len(bmap.times) % (TABLE_CHUNK_ROWS // len(bmap.phases)) != 0
         ours = tmp_path / "ours.tsv"
         _write_beta_map(str(ours), bmap)
-        ln_beta = np.log(np.maximum(np.abs(bmap.values), LN_BETA_FLOOR))
         ref = tmp_path / "ref.tsv"
-        _write_table(
-            str(ref),
-            ["t", "f2", "ln_abs_beta"],
-            [
-                np.repeat(bmap.times, len(bmap.phases)),
-                np.tile(bmap.phases, len(bmap.times)),
-                ln_beta.ravel(),
-            ],
-        )
+        _percent_beta_map(str(ref), bmap)
+        assert ours.read_bytes() == ref.read_bytes()
+
+    def test_beta_map_layouts_hold_the_same_floats(self, tmp_path, decel_a):
+        """The matrix and the long rows of output schema 1 read back to the
+        same times, phases and ln|beta| values."""
+        bmap = build_beta_map(decel_a.model)
+        matrix, rows = tmp_path / "matrix.tsv", tmp_path / "rows.tsv"
+        _write_beta_map(str(matrix), bmap)
+        _long_beta_map(str(rows), bmap)
+        times, phases, ln_beta = read_beta_map(str(matrix))
+        old = np.loadtxt(str(rows), skiprows=1)
+        n_time, n_phase = ln_beta.shape
+        assert (n_time, n_phase) == bmap.values.shape
+        assert np.array_equal(old[:, 0], np.repeat(times, n_phase))
+        assert np.array_equal(old[:, 1], np.tile(phases, n_time))
+        assert np.array_equal(old[:, 2], ln_beta.ravel())
+        assert np.array_equal(times, bmap.times)
+        assert np.array_equal(phases, bmap.phases)
+        assert np.array_equal(ln_beta, _ln_abs_beta(bmap))
+
+    def test_text_labels_match_row_writer(self, tmp_path):
+        """Labels, non-ASCII and empty ones included, keep the bytes of
+        ``'%s' %``; each distinct label is encoded once."""
+        labels = np.array(["X", "", "\u03b2-branch", "Y", "\u00e9", "X"] * 700, dtype=object)
+        values = np.linspace(-1.0, 1.0, len(labels))
+        ours = tmp_path / "ours.tsv"
+        _write_table(str(ours), ["label", "v", "tag"], [labels, values, labels])
+        ref = tmp_path / "ref.tsv"
+        with open(ref, "w", encoding="utf-8") as fh:
+            fh.write("label\tv\ttag\n")
+            for label, v in zip(labels, values):
+                fh.write("%s\t%.17g\t%s\n" % (label, v, label))
         assert ours.read_bytes() == ref.read_bytes()
 
 
@@ -355,12 +394,32 @@ class TestVerifyStage:
 
     def test_reruns_are_byte_identical(self, decel_runs):
         _, out_a, _, out_b = decel_runs
-        for name in ("control.tsv", "populations_itt.tsv", "branches.tsv"):
+        for name in ("control.tsv", "populations_itt.tsv", "branches.tsv", "beta_map.tsv"):
             with open(os.path.join(out_a, name), "rb") as fh:
                 blob_a = fh.read()
             with open(os.path.join(out_b, name), "rb") as fh:
                 blob_b = fh.read()
             assert blob_a == blob_b, name
+
+    def test_drive_rates_per_arm(self, decel_runs):
+        """The primary arm's ``max_abs_slew`` is the largest |derivative| of
+        ``control.tsv``; ``h_max_delta_omega`` is the grid step times
+        ``max_abs_delta_omega``; the reference cosine sweep peaks at 30 and
+        slews at about 30 pi."""
+        _, out_a, _, _ = decel_runs
+        summary = _read_summary(out_a)
+        assert summary["output_schema"] == 2
+        peak, slew = summary["max_abs_delta_omega"], summary["max_abs_slew"]
+        assert set(peak) == set(slew) == set(summary["fidelities"])
+        data = np.loadtxt(os.path.join(out_a, "control.tsv"), skiprows=1)
+        assert slew["itt"] == np.max(np.abs(data[:, 2]))
+        assert peak["itt"] >= np.max(np.abs(data[:, 1]))
+        h = data[1, 0] - data[0, 0]
+        for label, value in summary["h_max_delta_omega"].items():
+            assert value == pytest.approx(h * peak[label], rel=1e-12), label
+        ref = summary["reference"]
+        assert ref["max_abs_delta_omega"] == 30.0
+        assert ref["max_abs_slew"] == pytest.approx(30.0 * np.pi, rel=1e-4)
 
     def test_control_table_shape(self, decel_runs):
         _, out_a, _, _ = decel_runs
@@ -373,6 +432,42 @@ class TestVerifyStage:
         data = np.loadtxt(path, skiprows=1)
         assert data.shape == (4001, 7)
         assert data[0, 4] == 0.0 and data[-1, 4] == 0.0
+
+
+def test_sta_control_table_has_five_columns(tmp_path):
+    """An sta run is in real time, so its ``control.tsv`` leaves out alpha
+    (all ones) and lambda (equal to t)."""
+    cfg = _config(tmp_path, STA_FAST)
+    out = str(tmp_path / "out")
+    assert main(["sta", "--config", cfg, "--out", out]) == 0
+    path = os.path.join(out, "control.tsv")
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline().strip().split("\t")
+    assert header == ["t", "delta_omega", "derivative", "coupling", "f2"]
+    data = np.loadtxt(path, skiprows=1)
+    assert data.shape == (4001, 5)
+    summary = _read_summary(out)
+    assert summary["output_schema"] == 2
+    assert summary["max_abs_slew"]["sta"] == np.max(np.abs(data[:, 2]))
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 5: the decelerated itt control varies faster than "
+    "the reference; on the shipped decelerate-single-shift its max "
+    "|d delta_omega / dt| is 13,697 against the reference's 30 pi, about 94",
+)
+def test_decelerated_itt_varies_no_faster_than_reference(tmp_path):
+    """The paper's claim for deceleration: the slowed-down control reaches
+    the target while varying its parameters more slowly than the reference."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    config = os.path.join(root, "configs", "decelerate-single-shift.yaml")
+    out = str(tmp_path / "out")
+    if main(["verify", "--config", config, "--out", out]) != 0:
+        pytest.fail("the shipped decelerate-single-shift config did not verify")
+    summary = _read_summary(out)
+    assert summary["max_abs_slew"]["itt"] <= summary["reference"]["max_abs_slew"]
 
 
 class TestSweepFanOut:

@@ -264,12 +264,14 @@ def _g17_samples() -> dict[str, np.ndarray]:
 
 
 def test_g17_matches_percent_formatting():
-    """Every sample's field, NULs deleted, is the text of ``'%.17g' % v``."""
+    """Every sample's field, NULs deleted, is the text of ``'%.17g' % v``,
+    and its last byte is a NUL."""
     samples = _g17_samples()
     assert sum(map(len, samples.values())) >= 1_000_000
     for name, values in samples.items():
         fields = format_g17(values)
         assert fields.shape == (len(values), G17_FIELD_BYTES)
+        assert not fields[:, -1].any(), name  # the table writer's separator byte
         lines = np.concatenate([fields, np.full((len(values), 1), ord("\n"), np.uint8)], axis=1)
         ours = lines.tobytes().translate(None, b"\0")
         theirs = b"".join([b"%.17g\n" % v for v in values.tolist()])
