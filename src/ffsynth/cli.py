@@ -190,13 +190,13 @@ def _write_beta_map(path: str, bmap) -> None:
 
 def _slew(drive) -> np.ndarray:
     """d delta_omega / dt at the nodes: the ``derivative`` of ``control.tsv``."""
-    return np.gradient(drive.delta_omega, drive.grid.h, edge_order=2)
+    return np.gradient(drive.delta_omega[::2], drive.grid.h, edge_order=2)
 
 
 def _rates(drive) -> tuple[float, float]:
     """The largest |delta_omega| over node and midpoint samples, and the
     largest |d delta_omega / dt| over the nodes."""
-    peak = max(np.abs(w).max() for w in (drive.delta_omega, drive.delta_omega_mid))
+    peak = np.abs(drive.delta_omega).max()
     return float(peak), float(np.abs(_slew(drive)).max())
 
 
@@ -206,11 +206,17 @@ def _write_control(path: str, control, f2, prof) -> None:
     die with the call, so none is alive during the verification."""
     t = control.grid.times
     header = ["t", "delta_omega", "derivative", "coupling", "f2"]
-    columns = [t, control.delta_omega, _slew(control), control.coupling, f2]
+    columns = [t, control.delta_omega[::2], _slew(control), control.coupling[::2], f2]
     if prof is not None:
         header += ["alpha", "lambda"]
         columns += [prof.alpha_at(t), prof.lambda_at(t)]
     _write_table(path, header, columns)
+
+
+def _write_populations(path: str, traj) -> None:
+    """A populations table; the array dies with the call."""
+    pops = traj.populations()
+    _write_table(path, ["t", "p1", "p2"], [traj.grid.times, pops[:, 0], pops[:, 1]])
 
 
 def _device_section(cfg: RunConfig, sweep_control, primary_control, out_dir: str):
@@ -284,19 +290,14 @@ def run_single(
         n_ref = cfg.reference_steps or default_step_count(t_final)
         model = StaPhaseModel(sweep)
         ref = solve_reference(
-            sweep, TimeGrid(0.0, t_final, n_ref), initial=model.initial_state()
+            sweep, TimeGrid(t_final, n_ref), initial=model.initial_state()
         )
     else:
         sweep = CosineSweepSpec(cfg.delta_omega0, cfg.t_ref)
         n_ref = cfg.reference_steps or default_step_count(cfg.t_ref)
         model = None
-        ref = solve_reference(sweep, TimeGrid(0.0, cfg.t_ref, n_ref))
-    pops = ref.populations()
-    _write_table(
-        os.path.join(out_dir, "populations_reference.tsv"),
-        ["t", "p1", "p2"],
-        [ref.grid.times, pops[:, 0], pops[:, 1]],
-    )
+        ref = solve_reference(sweep, TimeGrid(cfg.t_ref, n_ref))
+    _write_populations(os.path.join(out_dir, "populations_reference.tsv"), ref)
     p1_end, p2_end = ref.final_state.populations()
     ref_peak, ref_slew = _rates(ref.drive)
     summary["reference"] = {
@@ -311,7 +312,7 @@ def run_single(
     gaps: list = []
     if depth >= 1:
         n_ctrl = cfg.control_steps or default_step_count(t_final)
-        grid_c = TimeGrid(0.0, t_final, n_ctrl)
+        grid_c = TimeGrid(t_final, n_ctrl)
         if not is_sta:
             model = FfstPhaseModel(ref, build_magnification(cfg.t_ref, grid_c))
         scts = link_branches(model, n_scan=cfg.scan_points)
@@ -399,11 +400,8 @@ def run_single(
                 ) from exc
             fidelities[arm.label] = float(report.fidelity)
             norm_drift[arm.label] = report.trajectory.norm_drift()
-            pops = report.trajectory.populations()
-            _write_table(
-                os.path.join(out_dir, f"populations_{arm.label}.tsv"),
-                ["t", "p1", "p2"],
-                [arm.grid.times, pops[:, 0], pops[:, 1]],
+            _write_populations(
+                os.path.join(out_dir, f"populations_{arm.label}.tsv"), report.trajectory
             )
             if shift_analysis and arm is control:
                 series = trajectory_shift_analysis(report.trajectory, scts, model)
@@ -416,7 +414,7 @@ def run_single(
                     "count": int(series.shift_count),
                     "times": [float(t) for t in series.shift_times],
                 }
-            del report, pops
+            del report
         summary["fidelities"] = fidelities
         summary["norm_drift"] = norm_drift
         summary["h_max_delta_omega"] = h_max_delta_omega

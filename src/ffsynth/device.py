@@ -143,7 +143,7 @@ def flux_schedule_for(
     verified by a forward round trip at each sample.
     """
     grid = control.grid
-    targets = spec.omega2 + control.delta_omega * g_phys
+    targets = spec.omega2 + control.delta_omega[::2] * g_phys
 
     band_lo, band_hi = spec.band
     err = np.maximum(targets - band_hi, band_lo - targets)
@@ -165,7 +165,7 @@ def flux_schedule_for(
             f"{FLUX_TOLERANCE:.0e} GHz"
         )
 
-    ends_ns = to_physical_time([grid.t0, grid.t_end], g_phys)
+    ends_ns = to_physical_time([0.0, grid.t_end], g_phys)
     return np.linspace(*ends_ns, grid.n_steps + 1), flux
 
 
@@ -176,7 +176,7 @@ def rwa_emulation_map(control: DriveSchedule) -> dict:
     unit 1: the Hamiltonians differ by a multiple of the identity, so the
     dynamics agree up to a global phase.  The drive picture holds only
     well inside the anharmonicity."""
-    if not np.allclose(control.coupling, 1.0):
+    if not np.allclose(control.coupling[::2], 1.0):
         warnings.warn(
             "control coupling is not constant at the unit Rabi rate; "
             "the re-labeling assumes a fixed drive amplitude",
@@ -184,6 +184,6 @@ def rwa_emulation_map(control: DriveSchedule) -> dict:
         )
     return {
         "assumption": "|detuning| and rabi small against the anharmonicity",
-        "max_abs_detuning": float(np.max(np.abs(control.delta_omega))),
+        "max_abs_detuning": float(np.max(np.abs(control.delta_omega[::2]))),
         "rabi": 1.0,
     }

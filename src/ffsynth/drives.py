@@ -75,25 +75,19 @@ def _antisymmetrize(values: np.ndarray) -> np.ndarray:
 def build_cosine_sweep(spec: CosineSweepSpec, grid: TimeGrid) -> DriveSchedule:
     """Sample the cosine sweep on ``grid`` with exact midpoint values.
 
-    The grid must span exactly [0, duration].  Samples are mirrored so the
-    antisymmetry dw(T - t) = -dw(t) holds at the bit level on the grid,
-    which the underlying cosine satisfies only up to rounding.
+    The grid must end at the sweep's duration.  The cosine is evaluated at
+    the nodes and at the nodes' averages (not on ``grid.half_times``, whose
+    midpoints differ in the last bit), and the interleaved samples are
+    mirrored so the antisymmetry dw(T - t) = -dw(t) holds at the bit level
+    on the grid, which the underlying cosine satisfies only up to rounding.
     """
-    span = grid.t_end - grid.t0
-    if abs(grid.t0) > 1e-12 * span or abs(grid.t_end - spec.duration) > 1e-12 * span:
-        raise ValueError(
-            f"grid [{grid.t0}, {grid.t_end}] must span [0, {spec.duration}]"
-        )
-    dw = _antisymmetrize(np.asarray(spec.delta_omega(grid.times), dtype=float))
-    dw_mid = _antisymmetrize(np.asarray(spec.delta_omega(grid.midtimes), dtype=float))
-    ones = np.ones(grid.n_steps + 1)
-    return DriveSchedule(
-        grid=grid,
-        delta_omega=dw,
-        coupling=ones,
-        delta_omega_mid=dw_mid,
-        coupling_mid=np.ones(grid.n_steps),
-    )
+    if abs(grid.t_end - spec.duration) > 1e-12 * grid.t_end:
+        raise ValueError(f"grid [0, {grid.t_end}] must span [0, {spec.duration}]")
+    t = grid.times
+    dw = np.empty(2 * grid.n_steps + 1)
+    dw[::2] = spec.delta_omega(t)
+    dw[1::2] = spec.delta_omega(0.5 * (t[:-1] + t[1:]))
+    return DriveSchedule(grid, _antisymmetrize(dw), np.ones_like(dw))
 
 
 def solve_reference(
@@ -103,7 +97,7 @@ def solve_reference(
 ) -> ReferenceTrajectory:
     """Integrate the cosine sweep from the bare upper level (1, 0)."""
     if grid is None:
-        grid = TimeGrid(0.0, spec.duration, default_step_count(spec.duration))
+        grid = TimeGrid(spec.duration, default_step_count(spec.duration))
     if initial is None:
         initial = TwoLevelState(1.0 + 0.0j, 0.0 + 0.0j)
     drive = build_cosine_sweep(spec, grid)

@@ -12,11 +12,10 @@ nothing in this module assumes a particular waveform.
 
 The integrator is a fixed-step classical Runge-Kutta scheme.  Each step
 consumes the drive at the two bounding nodes and at the interval midpoint,
-so a :class:`DriveSchedule` carries midpoint samples in
-addition to the node samples.  It is the one waveform type of the package:
-reference sweeps, synthesized controls and baselines are all drive
-schedules, and the synthesis modules build theirs from interleaved
-node/midpoint samples with :meth:`DriveSchedule.from_half_samples`.
+so a :class:`DriveSchedule` holds its waveforms on ``grid.half_times``,
+nodes and midpoints interleaved.  It is the one waveform type of the
+package: reference sweeps, synthesized controls and baselines are all drive
+schedules, and the synthesis modules compute their samples on that grid.
 
 Because the equation is linear, one RK4 step is a 2x2 transfer matrix
 built from those samples.  :func:`integrate_schrodinger` builds the
@@ -53,95 +52,54 @@ class TwoLevelState:
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform grid of ``n_steps`` intervals covering [t0, t_end]."""
+    """Uniform grid of ``n_steps`` intervals covering [0, t_end]."""
 
-    t0: float
     t_end: float
     n_steps: int
 
     def __post_init__(self) -> None:
         if self.n_steps < 1:
             raise ValueError(f"n_steps must be positive, got {self.n_steps}")
-        if not self.t_end > self.t0:
-            raise ValueError(f"t_end must exceed t0, got [{self.t0}, {self.t_end}]")
+        if not self.t_end > 0.0:
+            raise ValueError(f"t_end must be positive, got {self.t_end}")
 
     @property
     def h(self) -> float:
-        return (self.t_end - self.t0) / self.n_steps
+        return self.t_end / self.n_steps
 
     @cached_property
     def times(self) -> np.ndarray:
-        return np.linspace(self.t0, self.t_end, self.n_steps + 1)
-
-    @cached_property
-    def midtimes(self) -> np.ndarray:
-        t = self.times
-        return 0.5 * (t[:-1] + t[1:])
+        return np.linspace(0.0, self.t_end, self.n_steps + 1)
 
     @cached_property
     def half_times(self) -> np.ndarray:
         """Nodes and midpoints interleaved: 2*n_steps + 1 samples."""
-        return np.linspace(self.t0, self.t_end, 2 * self.n_steps + 1)
-
-    @property
-    def span(self) -> float:
-        return self.t_end - self.t0
+        return np.linspace(0.0, self.t_end, 2 * self.n_steps + 1)
 
 
 @dataclass
 class DriveSchedule:
     """Sampled drive waveforms on a :class:`TimeGrid`.
 
-    ``delta_omega`` and ``coupling`` hold node samples (``n_steps + 1``
-    values each) and ``delta_omega_mid`` and ``coupling_mid`` the
-    midpoint samples (``n_steps`` each) that the RK4 integrator reads.
-    ``label`` names the schedule in verification reports and output file
-    names.
+    ``delta_omega`` and ``coupling`` hold samples on ``grid.half_times``
+    (``2 * n_steps + 1`` values each): the nodes at the even indices and
+    the midpoints the RK4 integrator reads at the odd ones.  ``label``
+    names the schedule in verification reports and output file names.
     """
 
     grid: TimeGrid
     delta_omega: np.ndarray
     coupling: np.ndarray
-    delta_omega_mid: np.ndarray
-    coupling_mid: np.ndarray
     label: str = ""
 
-    @classmethod
-    def from_half_samples(
-        cls, grid: TimeGrid, delta_omega, coupling, label: str = ""
-    ) -> "DriveSchedule":
-        """Schedule from samples on ``grid.half_times`` (2 n_steps + 1 each).
-
-        Even samples are the nodes and odd samples the midpoints.
-        """
-        want = 2 * grid.n_steps + 1
-        dw = np.asarray(delta_omega, dtype=float)
-        g = np.asarray(coupling, dtype=float)
-        for name, arr in (("delta_omega", dw), ("coupling", g)):
+    def __post_init__(self) -> None:
+        want = 2 * self.grid.n_steps + 1
+        for name in ("delta_omega", "coupling"):
+            arr = np.asarray(getattr(self, name), dtype=float)
             if arr.shape != (want,):
                 raise ValueError(
                     f"{name} must have {want} node/midpoint samples, got {arr.shape}"
                 )
-        return cls(
-            grid=grid,
-            delta_omega=dw[::2],
-            coupling=g[::2],
-            delta_omega_mid=dw[1::2],
-            coupling_mid=g[1::2],
-            label=label,
-        )
-
-    def __post_init__(self) -> None:
-        n = self.grid.n_steps
-        for name, want in (
-            ("delta_omega", n + 1),
-            ("coupling", n + 1),
-            ("delta_omega_mid", n),
-            ("coupling_mid", n),
-        ):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.shape != (want,):
-                raise ValueError(f"{name} must have {want} samples, got {arr.shape}")
             if not np.all(np.isfinite(arr)):
                 k = int(np.flatnonzero(~np.isfinite(arr))[0])
                 raise ValueError(f"{name} has a non-finite sample at index {k}")
@@ -151,12 +109,11 @@ class DriveSchedule:
         """delta_omega and coupling as cubic Hermites on the nodes, with
         fourth-order node slopes from the node and midpoint samples."""
         t, h = self.grid.times, self.grid.h
-        dw, dw_mid = self.delta_omega, self.delta_omega_mid
-        g, g_mid = self.coupling, self.coupling_mid
-        return hermite(t, dw, _slopes(dw, dw_mid, h)), hermite(t, g, _slopes(g, g_mid, h))
+        dw, g = self.delta_omega, self.coupling
+        return hermite(t, dw[::2], _slopes(dw, h)), hermite(t, g[::2], _slopes(g, h))
 
 
-def _slopes(node: np.ndarray, mid: np.ndarray, h: float) -> np.ndarray:
+def _slopes(f: np.ndarray, h: float) -> np.ndarray:
     """Node slopes of a waveform from five-point differences of its
     interleaved node/midpoint samples f (spacing h/2): the centred
     (f[-2] - 8 f[-1] + 8 f[1] - f[2]) / (12 h/2) inside, one-sided at
@@ -165,10 +122,10 @@ def _slopes(node: np.ndarray, mid: np.ndarray, h: float) -> np.ndarray:
     def one_sided(f0, f1, f2, f3, f4):
         return -25.0 * f0 + 48.0 * f1 - 36.0 * f2 + 16.0 * f3 - 3.0 * f4
 
-    out = np.empty_like(node)
-    out[1:-1] = node[:-2] - 8.0 * mid[:-1] + 8.0 * mid[1:] - node[2:]
-    out[0] = one_sided(node[0], mid[0], node[1], mid[1], node[2])
-    out[-1] = -one_sided(node[-1], mid[-1], node[-2], mid[-2], node[-3])
+    out = np.empty((len(f) + 1) // 2)
+    out[1:-1] = f[:-4:2] - 8.0 * f[1:-2:2] + 8.0 * f[3::2] - f[4::2]
+    out[0] = one_sided(*f[:5])
+    out[-1] = -one_sided(*f[:-6:-1])
     return out / (6.0 * h)
 
 
@@ -201,7 +158,7 @@ class ReferenceTrajectory:
         """phi1 and phi2 as cubic Hermites on the nodes, with the slopes the
         Schrodinger equation gives there: phi' = -i H phi of the drive
         (which leaves out an integrator's ``common_shift``)."""
-        dw, g = self.drive.delta_omega, self.drive.coupling
+        dw, g = self.drive.delta_omega[::2], self.drive.coupling[::2]
         t = self.grid.times
         return (
             hermite(t, self.phi1, -1j * (dw * self.phi1 + g * self.phi2)),
@@ -240,6 +197,13 @@ def _rk4_step(p1, p2, h: float, d, g, s):
         p1 + (h / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4),
         p2 + (h / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4),
     )
+
+
+def _block(f: np.ndarray, k0: int, k1: int):
+    """(start, midpoint, end) samples of steps k0 .. k1 - 1 of a waveform
+    on the interleaved node/midpoint grid, as views."""
+    i, j = 2 * k0, 2 * k1
+    return f[i:j:2], f[i + 1 : j : 2], f[i + 2 : j + 1 : 2]
 
 
 def _transfer_matrices(h: float, d, g, s):
@@ -290,7 +254,7 @@ def integrate_schrodinger(
     drive:
         Node and midpoint samples of the detuning and coupling.
     initial:
-        State at ``grid.t0``.
+        State at t = 0.
     common_shift:
         Optional samples of a waveform added to both diagonal entries of the
         Hamiltonian, given on the interleaved node/midpoint grid
@@ -308,8 +272,6 @@ def integrate_schrodinger(
     h = grid.h
     dw = drive.delta_omega
     g = drive.coupling
-    dw_mid = drive.delta_omega_mid
-    g_mid = drive.coupling_mid
 
     if common_shift is not None:
         common_shift = np.asarray(common_shift, dtype=float)
@@ -318,10 +280,6 @@ def integrate_schrodinger(
                 f"common_shift must have {2 * n + 1} samples on the "
                 f"node/midpoint grid, got {common_shift.shape}"
             )
-        s_node = common_shift[::2]
-        s_mid = common_shift[1::2]
-    else:
-        s_node = s_mid = None
 
     phi1 = np.empty(n + 1, dtype=complex)
     phi2 = np.empty(n + 1, dtype=complex)
@@ -332,14 +290,11 @@ def integrate_schrodinger(
     with np.errstate(over="ignore", invalid="ignore"):
         for k0 in range(0, n, SCAN_BLOCK):
             k1 = min(k0 + SCAN_BLOCK, n)
-            lo, hi = slice(k0, k1), slice(k0 + 1, k1 + 1)
             s = (0.0, 0.0, 0.0)
-            if s_node is not None:
-                s = (s_node[lo], s_mid[lo], s_node[hi])
+            if common_shift is not None:
+                s = _block(common_shift, k0, k1)
             m11, m12, m21, m22 = _prefix_products(
-                *_transfer_matrices(
-                    h, (dw[lo], dw_mid[lo], dw[hi]), (g[lo], g_mid[lo], g[hi]), s
-                )
+                *_transfer_matrices(h, _block(dw, k0, k1), _block(g, k0, k1), s)
             )
             b1 = m11 * p1 + m12 * p2
             b2 = m21 * p1 + m22 * p2
@@ -348,13 +303,13 @@ def integrate_schrodinger(
             bad = ~(np.abs(b1) + np.abs(b2) < 1e3)
             if bad.any():
                 k = k0 + int(np.argmax(bad)) + 1
-                t_bad = grid.t0 + k * h
+                t_bad = k * h
                 raise IntegrationError(
                     f"integration produced a non-finite amplitude at time index "
                     f"{k} (t = {t_bad:.9g})"
                 )
-            phi1[hi] = b1
-            phi2[hi] = b2
+            phi1[k0 + 1 : k1 + 1] = b1
+            phi2[k0 + 1 : k1 + 1] = b2
             p1 = b1[-1]
             p2 = b2[-1]
 

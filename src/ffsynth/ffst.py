@@ -71,10 +71,6 @@ class MagnificationProfile:
     grid: TimeGrid
     t_ref: float
 
-    def __post_init__(self) -> None:
-        if abs(self.grid.t0) > 1e-12 * self.grid.span:
-            raise ValueError("magnification grid must start at t = 0")
-
     @property
     def t_final(self) -> float:
         return self.grid.t_end
@@ -282,7 +278,7 @@ def synthesize_control(
     brackets[sing1] = np.abs(br1[sing1]) / scale[sing1]
     brackets[sing2] = np.maximum(brackets[sing2], np.abs(br2[sing2]) / scale[sing2])
     dw = _fill_singular(th, dw, bad, brackets)
-    return DriveSchedule.from_half_samples(grid, dw, g_ff, label=label)
+    return DriveSchedule(grid, dw, g_ff, label=label)
 
 
 def naive_control(model: FfstPhaseModel) -> DriveSchedule:
@@ -293,9 +289,7 @@ def naive_control(model: FfstPhaseModel) -> DriveSchedule:
     """
     prof = model.prof
     lam = prof.lambda_at(prof.grid.half_times)
-    return DriveSchedule.from_half_samples(
-        prof.grid, model._dw(lam), model._g(lam), label="naive"
-    )
+    return DriveSchedule(prof.grid, model._dw(lam), model._g(lam), label="naive")
 
 
 def alpha_scaled_control(model: FfstPhaseModel) -> DriveSchedule:
@@ -308,7 +302,7 @@ def alpha_scaled_control(model: FfstPhaseModel) -> DriveSchedule:
     prof = model.prof
     th = prof.grid.half_times
     lam = prof.lambda_at(th)
-    return DriveSchedule.from_half_samples(
+    return DriveSchedule(
         prof.grid,
         prof.alpha_at(th) * model._dw(lam),
         model._g(lam),

@@ -77,7 +77,7 @@ def adiabatic_target(
     (u, v) at the final detuning times exp(-i * integral).
     """
     if grid is None:
-        grid = TimeGrid(0.0, spec.duration, default_step_count(spec.duration))
+        grid = TimeGrid(spec.duration, default_step_count(spec.duration))
     t = grid.times
     half = 0.5 * spec.delta_omega(t)
     energy = half + np.hypot(half, g)
@@ -122,6 +122,4 @@ def synthesize_sta_control(
     brackets[~bad] = 0.0
     dw_ff = _fill_singular(th, dw_ff, bad, brackets)
 
-    return DriveSchedule.from_half_samples(
-        grid, dw_ff, np.full_like(th, model.g), label=label
-    )
+    return DriveSchedule(grid, dw_ff, np.full_like(th, model.g), label=label)

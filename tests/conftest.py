@@ -43,7 +43,7 @@ def reference():
 
 
 def _scaling_bundle(reference, t_final: float, plan_kind: str, settings_kind: str):
-    grid = TimeGrid(0.0, t_final, default_step_count(t_final))
+    grid = TimeGrid(t_final, default_step_count(t_final))
     prof = build_magnification(1.0, grid)
     model = FfstPhaseModel(reference, prof)
     scts = link_branches(model)
@@ -115,7 +115,7 @@ def accel_baselines(reference, accel):
 def _sta_bundle(duration: float):
     sweep = CosineSweepSpec(30.0, duration)
     model = StaPhaseModel(sweep)
-    grid = TimeGrid(0.0, duration, default_step_count(duration))
+    grid = TimeGrid(duration, default_step_count(duration))
     branches = link_branches(model)
     gaps = detect_gaps(model, branches)
     plan = plan_travel("auto", branches, gaps, duration)

@@ -55,7 +55,7 @@ def gap_direction_scan(
     t_ref = ref.grid.t_end
     out: dict[float, GapDirectionProfile] = {}
     for t_f in t_f_values:
-        grid = TimeGrid(0.0, t_f, n_scan)
+        grid = TimeGrid(t_f, n_scan)
         prof = build_magnification(t_ref, grid)
         model = FfstPhaseModel(ref, prof)
         times = grid.times

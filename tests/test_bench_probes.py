@@ -8,6 +8,7 @@ a failing traced benchmark run (``bench/run_bench.py --trace 1``).
 from __future__ import annotations
 
 import importlib
+import json
 import os
 import sys
 
@@ -27,6 +28,18 @@ scenario: decelerate
 t_final: 1.1
 grid:
   reference_steps: 4000
+  control_steps: 4000
+  scan_points: 4000
+  cost_points: 1000
+"""
+
+# reference and control grids differ, so the step sum tells them apart
+STA_FAST = """\
+schema_version: 1
+scenario: sta
+t_final: 10.0
+grid:
+  reference_steps: 3000
   control_steps: 4000
   scan_points: 4000
   cost_points: 1000
@@ -95,3 +108,29 @@ def test_traced_full_run_reads_the_device_spans(installed, tmp_path):
     metrics = layers.layer_metrics(t.spans)
     assert metrics["device.calls"] == 4
     assert metrics["device.map_s"] > 0.0
+
+
+def test_traced_sta_run_reads_every_count(installed, tmp_path):
+    """An ``sta`` run passes through the sta synthesis, the adiabatic
+    target, the branch scan and the integrator, and the traced step count
+    is the reference's plus every arm's."""
+    t, _ = installed
+    layers = importlib.import_module("layers")
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(STA_FAST, encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["sta", "--config", str(cfg), "--out", str(out)]) == 0
+    names = {s.name for s in t.spans}
+    for name in (
+        "sta.synthesize_sta_control",
+        "sta.adiabatic_target",
+        "zerocurves.link_branches",
+        "dynamics.integrate_schrodinger",
+    ):
+        assert name in names, name
+    summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+    arms = summary["fidelities"]
+    assert set(arms) == {"sta", "unmodified"}
+    want = summary["reference"]["n_steps"] + 4000 * len(arms)
+    assert summary["reference"]["n_steps"] == 3000
+    assert layers.layer_metrics(t.spans)["dynamics.steps"] == want

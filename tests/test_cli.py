@@ -22,6 +22,7 @@ from ffsynth.cli import (
     _write_table,
     main,
 )
+from ffsynth.dynamics import ReferenceTrajectory
 from ffsynth.ffst import LN_BETA_FLOOR, FfstPhaseModel, build_beta_map
 
 from diagnostics import read_beta_map
@@ -381,8 +382,7 @@ class TestVerifyStage:
         value = _read_summary(out)["h_max_delta_omega"]
         assert set(value) == set(arms) == {"itt", "naive", "alpha-scaled"}
         for label, arm in arms.items():
-            samples = np.concatenate([arm.delta_omega, arm.delta_omega_mid])
-            assert value[label] == arm.grid.h * np.max(np.abs(samples)), label
+            assert value[label] == arm.grid.h * np.max(np.abs(arm.delta_omega)), label
         assert 0.01 < value["itt"] < 0.02
 
     def test_floor_failure_exits_4(self, decel_runs):
@@ -616,6 +616,35 @@ class TestOneTrajectoryAtATime:
         assert len(alive_at_entry) >= 2
         assert alive_at_entry == [0] * len(alive_at_entry)
 
+    @pytest.mark.parametrize(
+        "command, text", [("verify", DECEL_FAST), ("sta", STA_FAST)],
+        ids=["decelerate", "sta"],
+    )
+    def test_reference_populations_are_freed(self, tmp_path, monkeypatch, command, text):
+        """When the first arm's verification starts, no populations array
+        (the reference's, written to ``populations_reference.tsv``) is
+        still alive."""
+        populations = ReferenceTrajectory.populations
+        verify = cli.verify_control
+        arrays = []
+        alive_at_entry = []
+
+        def recording(traj):
+            pops = populations(traj)
+            arrays.append(weakref.ref(pops))
+            return pops
+
+        def tracking(*args, **kwargs):
+            alive_at_entry.append(sum(ref() is not None for ref in arrays))
+            return verify(*args, **kwargs)
+
+        monkeypatch.setattr(ReferenceTrajectory, "populations", recording)
+        monkeypatch.setattr(cli, "verify_control", tracking)
+        cfg = _config(tmp_path, text)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert len(arrays) >= 1 and alive_at_entry
+        assert alive_at_entry[0] == 0
+
 
 class TestDeviceStage:
     def test_reference_sweep_maps_to_flux(self, tmp_path):
@@ -734,7 +763,7 @@ RUN = (
         # the magnification profile is closed form: no interpolant behind it
         (
             "from ffsynth import TimeGrid, build_magnification; "
-            "p = build_magnification(1.0, TimeGrid(0.0, 1.1, 100)); "
+            "p = build_magnification(1.0, TimeGrid(1.1, 100)); "
             "p.alpha_at(p.grid.times); p.lambda_at(p.grid.half_times)",
             None,
             None,

@@ -20,7 +20,7 @@ from ffsynth import (
     overlap,
     solve_reference,
 )
-from ffsynth.dynamics import SCAN_BLOCK
+from ffsynth.dynamics import SCAN_BLOCK, _slopes
 
 SWEEP = CosineSweepSpec(30.0, 1.0)
 START = TwoLevelState(1.0 + 0.0j, 0.0j)
@@ -35,9 +35,8 @@ def scalar_rk4(drive, initial, common_shift=None) -> ReferenceTrajectory:
     grid = drive.grid
     n = grid.n_steps
     h = grid.h
-    dw = drive.delta_omega
-    g = drive.coupling
-    dw_mid, g_mid = drive.delta_omega_mid, drive.coupling_mid
+    dw, dw_mid = drive.delta_omega[::2], drive.delta_omega[1::2]
+    g, g_mid = drive.coupling[::2], drive.coupling[1::2]
     if common_shift is not None:
         s_node = np.asarray(common_shift, dtype=float)[::2]
         s_mid = np.asarray(common_shift, dtype=float)[1::2]
@@ -82,7 +81,7 @@ def scalar_rk4(drive, initial, common_shift=None) -> ReferenceTrajectory:
         p2 = p2 + (h / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
 
         if not (abs(p1) + abs(p2) < 1e3):
-            t_bad = grid.t0 + (k + 1) * h
+            t_bad = (k + 1) * h
             raise IntegrationError(
                 f"integration produced a non-finite amplitude at time index "
                 f"{k + 1} (t = {t_bad:.9g})"
@@ -93,21 +92,19 @@ def scalar_rk4(drive, initial, common_shift=None) -> ReferenceTrajectory:
 
 
 def _rabi_drive(n_steps: int, duration: float = 1.0) -> DriveSchedule:
-    grid = TimeGrid(0.0, duration, n_steps)
-    return DriveSchedule.from_half_samples(
-        grid, np.zeros(2 * n_steps + 1), np.ones(2 * n_steps + 1)
-    )
+    grid = TimeGrid(duration, n_steps)
+    return DriveSchedule(grid, np.zeros(2 * n_steps + 1), np.ones(2 * n_steps + 1))
 
 
 def _smooth_half_samples(n_steps: int):
     """Varying detuning and coupling at step 1e-3, on the node/midpoint grid."""
-    grid = TimeGrid(0.0, 1e-3 * n_steps, n_steps)
+    grid = TimeGrid(1e-3 * n_steps, n_steps)
     t = grid.half_times
     return grid, 5.0 * np.sin(3.0 * t) + 2.0, 1.0 + 0.3 * np.cos(t)
 
 
 def _smooth_drive(n_steps: int) -> DriveSchedule:
-    return DriveSchedule.from_half_samples(*_smooth_half_samples(n_steps))
+    return DriveSchedule(*_smooth_half_samples(n_steps))
 
 
 def _assert_matches_oracle(drive, initial, common_shift=None):
@@ -119,23 +116,23 @@ def _assert_matches_oracle(drive, initial, common_shift=None):
 
 class TestTimeGrid:
     def test_spacing_and_lengths(self):
-        grid = TimeGrid(0.0, 2.0, 400)
+        grid = TimeGrid(2.0, 400)
         assert grid.h == pytest.approx(0.005)
         assert len(grid.times) == 401
-        assert len(grid.midtimes) == 400
         assert len(grid.half_times) == 801
         assert grid.times[0] == 0.0 and grid.times[-1] == 2.0
 
     def test_half_grid_interleaves(self):
-        grid = TimeGrid(0.0, 1.0, 16)
+        grid = TimeGrid(1.0, 16)
         assert np.array_equal(grid.half_times[::2], grid.times)
-        assert np.array_equal(grid.half_times[1::2], grid.midtimes)
 
     def test_rejects_bad_steps(self):
         with pytest.raises(ValueError):
-            TimeGrid(0.0, 1.0, 0)
-        with pytest.raises(ValueError):
-            TimeGrid(1.0, 1.0, 10)
+            TimeGrid(1.0, 0)
+        with pytest.raises(ValueError, match="t_end must be positive"):
+            TimeGrid(0.0, 10)
+        with pytest.raises(ValueError, match="t_end must be positive"):
+            TimeGrid(-1.0, 10)
 
 
 def _norm(s: TwoLevelState) -> float:
@@ -169,32 +166,74 @@ class TestTwoLevelState:
         assert f == pytest.approx(fidelity(t, s), abs=1e-12)
 
 
-class TestDriveScheduleFromHalfSamples:
-    def test_splits_nodes_and_midpoints_bitwise(self):
-        grid = TimeGrid(0.0, 1.0, 5)
-        dw = np.cos(7.0 * grid.half_times)
-        g = 1.0 + np.sin(3.0 * grid.half_times)
-        drive = DriveSchedule.from_half_samples(grid, dw, g)
-        assert np.array_equal(drive.delta_omega, dw[::2])
-        assert np.array_equal(drive.delta_omega_mid, dw[1::2])
-        assert np.array_equal(drive.coupling, g[::2])
-        assert np.array_equal(drive.coupling_mid, g[1::2])
+class TestDriveSchedule:
+    def test_rejects_sample_count_other_than_2n_plus_1(self):
+        grid = TimeGrid(1.0, 5)
+        for n_samples in (5, 6, 10, 12):
+            with pytest.raises(ValueError, match="11 node/midpoint samples"):
+                DriveSchedule(grid, np.zeros(n_samples), np.ones(11))
+            with pytest.raises(ValueError, match="11 node/midpoint samples"):
+                DriveSchedule(grid, np.zeros(11), np.ones(n_samples))
 
-    @pytest.mark.parametrize("n_samples", [5, 6, 10, 12])
-    def test_rejects_sample_count_other_than_2n_plus_1(self, n_samples):
-        grid = TimeGrid(0.0, 1.0, 5)
-        with pytest.raises(ValueError, match="11 node/midpoint samples"):
-            DriveSchedule.from_half_samples(grid, np.zeros(n_samples), np.ones(11))
-        with pytest.raises(ValueError, match="11 node/midpoint samples"):
-            DriveSchedule.from_half_samples(grid, np.zeros(11), np.ones(n_samples))
+    def test_rejects_node_samples_naming_2n_plus_1(self):
+        grid = TimeGrid(1.0, 5)
+        with pytest.raises(
+            ValueError, match=r"delta_omega must have 11 node/midpoint samples, got \(6,\)"
+        ):
+            DriveSchedule(grid, np.zeros(6), np.ones(11))
+
+    @pytest.mark.parametrize("field", ["delta_omega", "coupling"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_sample(self, field, bad):
+        grid = TimeGrid(1.0, 5)
+        samples = {"delta_omega": np.zeros(11), "coupling": np.ones(11)}
+        samples[field][7] = bad
+        with pytest.raises(ValueError, match=f"{field} has a non-finite sample at index 7"):
+            DriveSchedule(grid, **samples)
 
     def test_keeps_label(self):
-        grid = TimeGrid(0.0, 1.0, 4)
-        drive = DriveSchedule.from_half_samples(
-            grid, np.zeros(9), np.ones(9), label="itt"
-        )
+        grid = TimeGrid(1.0, 4)
+        drive = DriveSchedule(grid, np.zeros(9), np.ones(9), label="itt")
         assert drive.label == "itt"
-        assert DriveSchedule.from_half_samples(grid, np.zeros(9), np.ones(9)).label == ""
+        assert DriveSchedule(grid, np.zeros(9), np.ones(9)).label == ""
+
+
+def node_mid_slopes(node: np.ndarray, mid: np.ndarray, h: float) -> np.ndarray:
+    """The five-point node slopes read from separate node and midpoint
+    arrays, kept as the oracle of ``_slopes`` on the interleaved array."""
+
+    def one_sided(f0, f1, f2, f3, f4):
+        return -25.0 * f0 + 48.0 * f1 - 36.0 * f2 + 16.0 * f3 - 3.0 * f4
+
+    out = np.empty_like(node)
+    out[1:-1] = node[:-2] - 8.0 * mid[:-1] + 8.0 * mid[1:] - node[2:]
+    out[0] = one_sided(node[0], mid[0], node[1], mid[1], node[2])
+    out[-1] = -one_sided(node[-1], mid[-1], node[-2], mid[-2], node[-3])
+    return out / (6.0 * h)
+
+
+class TestSlopesMatchNodeMidFormula:
+    @staticmethod
+    def _assert_bitwise(drive):
+        h = drive.grid.h
+        for f in (drive.delta_omega, drive.coupling):
+            want = node_mid_slopes(f[::2], f[1::2], h)
+            assert np.array_equal(_slopes(f, h), want)
+
+    def test_reference(self, reference):
+        self._assert_bitwise(reference.drive)
+
+    def test_synthesized_itt_control(self, accel):
+        self._assert_bitwise(accel.control)
+
+    @pytest.mark.parametrize("n_steps", [3, 4, 5, 8193])
+    def test_random_drive(self, n_steps):
+        rng = np.random.default_rng(n_steps)
+        grid = TimeGrid(0.7, n_steps)
+        m = 2 * n_steps + 1
+        self._assert_bitwise(
+            DriveSchedule(grid, rng.normal(0.0, 30.0, m), rng.uniform(0.5, 1.5, m))
+        )
 
 
 class TestIntegrator:
@@ -206,15 +245,15 @@ class TestIntegrator:
         assert abs(final.phi1) ** 2 == pytest.approx(np.cos(1.0) ** 2, abs=1e-12)
 
     def test_norm_drift_small_over_1e5_steps(self):
-        grid = TimeGrid(0.0, 1.0, 100_000)
+        grid = TimeGrid(1.0, 100_000)
         traj = integrate_schrodinger(build_cosine_sweep(SWEEP, grid), START)
         assert traj.norm_drift() < 1e-9
 
     def test_convergence_order_at_least_39(self):
-        fine = solve_reference(SWEEP, TimeGrid(0.0, 1.0, 8000)).final_state
+        fine = solve_reference(SWEEP, TimeGrid(1.0, 8000)).final_state
         errs = []
         for n in (250, 500, 1000):
-            final = solve_reference(SWEEP, TimeGrid(0.0, 1.0, n)).final_state
+            final = solve_reference(SWEEP, TimeGrid(1.0, n)).final_state
             errs.append(
                 np.hypot(abs(final.phi1 - fine.phi1), abs(final.phi2 - fine.phi2))
             )
@@ -227,8 +266,6 @@ class TestIntegrator:
             grid=drive.grid,
             delta_omega=drive.delta_omega[::-1].copy(),
             coupling=drive.coupling[::-1].copy(),
-            delta_omega_mid=drive.delta_omega_mid[::-1].copy(),
-            coupling_mid=drive.coupling_mid[::-1].copy(),
         )
         end = reference.final_state
         back = integrate_schrodinger(
@@ -265,7 +302,7 @@ class TestScanMatchesScalarLoop:
         _assert_matches_oracle(reference.drive, START)
 
     def test_long_grid(self):
-        grid = TimeGrid(0.0, 30.0, 100_000)
+        grid = TimeGrid(30.0, 100_000)
         drive = build_cosine_sweep(CosineSweepSpec(30.0, 30.0), grid)
         _assert_matches_oracle(drive, START)
 
@@ -282,8 +319,6 @@ class TestScanMatchesScalarLoop:
             grid=drive.grid,
             delta_omega=drive.delta_omega[::-1],
             coupling=drive.coupling[::-1],
-            delta_omega_mid=drive.delta_omega_mid[::-1],
-            coupling_mid=drive.coupling_mid[::-1],
         )
         fin = reference.final_state
         _assert_matches_oracle(back, TwoLevelState(np.conj(fin.phi1), np.conj(fin.phi2)))
@@ -301,7 +336,7 @@ class TestScanMatchesScalarLoop:
         # axis, so the norm grows about 7.6-fold per step from ``start`` on
         grid, dw, g = _smooth_half_samples(2 * SCAN_BLOCK + 1)
         dw[2 * start :] = 4000.0
-        drive = DriveSchedule.from_half_samples(grid, dw, g)
+        drive = DriveSchedule(grid, dw, g)
         with pytest.raises(IntegrationError) as loop:
             scalar_rk4(drive, START)
         with pytest.raises(IntegrationError) as scan:

@@ -300,7 +300,7 @@ class TestVirtualTrajectory:
             branches=(_flat_branch(t, phase, "X"),), crossings=(), t_final=1.0
         )
         settings = default_bridge_settings("accelerate", 1.0)
-        grid = TimeGrid(0.0, 1.0, 50)
+        grid = TimeGrid(1.0, 50)
         if rejected:
             with pytest.raises(ConstructionError, match="0.25 rad .* at t = 0,"):
                 build_virtual_trajectory(plan, [], grid, settings)

@@ -53,8 +53,8 @@ class TestHermite:
         ys = (
             reference.phi1,
             reference.phi2,
-            reference.drive.delta_omega,
-            reference.drive.coupling,
+            reference.drive.delta_omega[::2],
+            reference.drive.coupling[::2],
         )
         t = _probe_times(x, 200_000, margin=0.0)
         for interp, y in zip(ours, ys):
@@ -65,7 +65,7 @@ class TestHermite:
     )
     def test_sweep_matches_closed_form(self, n_steps, bound):
         spec = CosineSweepSpec(30.0, 1.0)
-        drive = build_cosine_sweep(spec, TimeGrid(0.0, 1.0, n_steps))
+        drive = build_cosine_sweep(spec, TimeGrid(1.0, n_steps))
         dw, _ = drive.interpolators()
         t = _probe_times(drive.grid.times, 200_000, margin=0.0)
         assert np.max(np.abs(dw(t) - spec.delta_omega(t))) < bound
@@ -73,7 +73,7 @@ class TestHermite:
     def test_knot_slopes_are_schrodinger(self, reference):
         """The slopes at the knots are -i H psi, bit for bit."""
         p1, p2 = reference.interpolators()
-        dw, g = reference.drive.delta_omega, reference.drive.coupling
+        dw, g = reference.drive.delta_omega[::2], reference.drive.coupling[::2]
         phi1, phi2 = reference.phi1, reference.phi2
         assert np.array_equal(p1.c[2], (-1j * (dw * phi1 + g * phi2))[:-1])
         assert np.array_equal(p2.c[2], (-1j * (g * phi1))[:-1])

@@ -343,7 +343,7 @@ class TestLinkerOracle:
     )
     def test_shipped_scenarios(self, reference, kind, t_final):
         if kind == "ffst":
-            grid = TimeGrid(0.0, t_final, default_step_count(t_final))
+            grid = TimeGrid(t_final, default_step_count(t_final))
             model = FfstPhaseModel(reference, build_magnification(1.0, grid))
         else:
             model = StaPhaseModel(CosineSweepSpec(30.0, t_final))
