@@ -213,10 +213,12 @@ def _write_control(path: str, control, f2, prof) -> None:
     _write_table(path, header, columns)
 
 
-def _write_populations(path: str, traj) -> None:
-    """A populations table; the array dies with the call."""
+def _write_populations(path: str, traj) -> list[float]:
+    """A populations table; the array dies with the call, and its last row,
+    the final populations, is returned."""
     pops = traj.populations()
     _write_table(path, ["t", "p1", "p2"], [traj.grid.times, pops[:, 0], pops[:, 1]])
+    return pops[-1].tolist()
 
 
 def _device_section(cfg: RunConfig, sweep_control, primary_control, out_dir: str):
@@ -297,12 +299,11 @@ def run_single(
         n_ref = cfg.reference_steps or default_step_count(cfg.t_ref)
         model = None
         ref = solve_reference(sweep, TimeGrid(cfg.t_ref, n_ref))
-    _write_populations(os.path.join(out_dir, "populations_reference.tsv"), ref)
-    p1_end, p2_end = ref.final_state.populations()
+    ref_end = _write_populations(os.path.join(out_dir, "populations_reference.tsv"), ref)
     ref_peak, ref_slew = _rates(ref.drive)
     summary["reference"] = {
         "n_steps": int(ref.grid.n_steps),
-        "final_populations": [float(p1_end), float(p2_end)],
+        "final_populations": ref_end,
         "norm_drift": ref.norm_drift(),
         "max_abs_delta_omega": ref_peak,
         "max_abs_slew": ref_slew,
@@ -384,7 +385,7 @@ def run_single(
         # before the next arm, and each report is dropped before the next
         # integration, so one re-integrated trajectory is alive at a time
         shift_analysis = not is_sta and x_and_y(scts) is not None
-        fidelities, norm_drift, h_max_delta_omega = {}, {}, {}
+        fidelities, step_error, norm_drift, h_max_delta_omega = {}, {}, {}, {}
         max_abs_delta_omega, max_abs_slew = {}, {}
         for arm in arms:
             # the drive's rates are read before its trajectory exists
@@ -399,6 +400,7 @@ def run_single(
                     f"arm {arm.label!r} at stage {stage!r}, t_final={t_final!r}: {exc}"
                 ) from exc
             fidelities[arm.label] = float(report.fidelity)
+            step_error[arm.label] = float(report.step_error)
             norm_drift[arm.label] = report.trajectory.norm_drift()
             _write_populations(
                 os.path.join(out_dir, f"populations_{arm.label}.tsv"), report.trajectory
@@ -416,6 +418,7 @@ def run_single(
                 }
             del report
         summary["fidelities"] = fidelities
+        summary["step_error"] = step_error
         summary["norm_drift"] = norm_drift
         summary["h_max_delta_omega"] = h_max_delta_omega
         summary["max_abs_delta_omega"] = max_abs_delta_omega

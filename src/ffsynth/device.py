@@ -139,22 +139,23 @@ def flux_schedule_for(
     omega1(t) = omega2 + delta_omega(t) * g_phys, where omega2 is the
     fixed partner's frequency.
 
-    Every target must lie inside the tunable band; the inversion is
-    verified by a forward round trip at each sample.
+    Every target the integrator drives, node or midpoint, must lie inside
+    the tunable band; the flux is written at the nodes, and the inversion
+    is verified by a forward round trip at each of them.
     """
     grid = control.grid
-    targets = spec.omega2 + control.delta_omega[::2] * g_phys
+    targets = spec.omega2 + control.delta_omega * g_phys
 
     band_lo, band_hi = spec.band
     err = np.maximum(targets - band_hi, band_lo - targets)
     worst = int(np.argmax(err))
     if err[worst] > FLUX_TOLERANCE:
         raise FluxRangeError(
-            f"target frequency {targets[worst]:.9f} GHz at t = {grid.times[worst]:.6g} "
-            f"(sample {worst}) is outside the tunable band "
-            f"[{band_lo:.9f}, {band_hi:.9f}] GHz"
+            f"target frequency {targets[worst]:.9f} GHz at "
+            f"t = {grid.half_times[worst]:.6g} (node/midpoint sample {worst}) is "
+            f"outside the tunable band [{band_lo:.9f}, {band_hi:.9f}] GHz"
         )
-    targets = np.clip(targets, band_lo, band_hi)
+    targets = np.clip(targets[::2], band_lo, band_hi)
 
     flux = _invert_frequency(targets, spec)
     back = transmon_frequency(squid_ej(flux, spec.ej_max, spec.d), spec.ec)
@@ -175,8 +176,9 @@ def rwa_emulation_map(control: DriveSchedule) -> dict:
     The detuning is the control's own and the Rabi rate the coupling
     unit 1: the Hamiltonians differ by a multiple of the identity, so the
     dynamics agree up to a global phase.  The drive picture holds only
-    well inside the anharmonicity."""
-    if not np.allclose(control.coupling[::2], 1.0):
+    well inside the anharmonicity.  Both the peak and the coupling check
+    read every node and midpoint sample the integrator drives."""
+    if not np.allclose(control.coupling, 1.0):
         warnings.warn(
             "control coupling is not constant at the unit Rabi rate; "
             "the re-labeling assumes a fixed drive amplitude",
@@ -184,6 +186,6 @@ def rwa_emulation_map(control: DriveSchedule) -> dict:
         )
     return {
         "assumption": "|detuning| and rabi small against the anharmonicity",
-        "max_abs_detuning": float(np.max(np.abs(control.delta_omega[::2]))),
+        "max_abs_detuning": float(np.max(np.abs(control.delta_omega))),
         "rabi": 1.0,
     }

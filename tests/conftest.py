@@ -97,6 +97,13 @@ def accel(reference):
 
 
 @pytest.fixture(scope="session")
+def accel_overlap(reference):
+    """Speedup to T_F = 0.75, where overlapping bridge windows leave a jump
+    in the itt control."""
+    return _scaling_bundle(reference, 0.75, "auto", "accelerate")
+
+
+@pytest.fixture(scope="session")
 def decel_baselines(reference, decel_a):
     naive = verify_control(naive_control(decel_a.model), decel_a.initial, decel_a.target)
     scaled = verify_control(
@@ -112,10 +119,10 @@ def accel_baselines(reference, accel):
     return SimpleNamespace(naive=naive, alpha_scaled=scaled)
 
 
-def _sta_bundle(duration: float):
+def _sta_bundle(duration: float, n_steps: int | None = None):
     sweep = CosineSweepSpec(30.0, duration)
     model = StaPhaseModel(sweep)
-    grid = TimeGrid(duration, default_step_count(duration))
+    grid = TimeGrid(duration, n_steps or default_step_count(duration))
     branches = link_branches(model)
     gaps = detect_gaps(model, branches)
     plan = plan_travel("auto", branches, gaps, duration)
@@ -161,3 +168,14 @@ def sta20():
 @pytest.fixture(scope="session")
 def sta10():
     return _sta_bundle(10.0)
+
+
+@pytest.fixture(scope="session")
+def sta300():
+    return _sta_bundle(300.0)
+
+
+@pytest.fixture(scope="session")
+def sta300_fine():
+    """sta at T = 300 on four times the default grid's steps."""
+    return _sta_bundle(300.0, 4 * default_step_count(300.0))

@@ -7,10 +7,17 @@ import pytest
 from diagnostics import gap_direction_scan, global_phase_check
 
 from ffsynth import (
+    CosineSweepSpec,
+    DriveSchedule,
     FidelityReport,
+    TimeGrid,
+    TwoLevelState,
     VerificationError,
+    build_cosine_sweep,
     fidelity,
+    integrate_schrodinger,
     trajectory_shift_analysis,
+    verify_control,
 )
 from ffsynth.zerocurves import residual
 
@@ -27,10 +34,56 @@ class TestVerifyControl:
     def test_fidelity_range_validated(self, decel_a):
         trajectory = decel_a.report.trajectory
         with pytest.raises(VerificationError, match=r"outside \[0, 1\]"):
-            FidelityReport(fidelity=1.5, trajectory=trajectory)
+            FidelityReport(fidelity=1.5, trajectory=trajectory, step_error=0.0)
         with pytest.raises(VerificationError):
-            FidelityReport(fidelity=float("nan"), trajectory=trajectory)
-        FidelityReport(fidelity=1.0 + 1e-12, trajectory=trajectory)
+            FidelityReport(fidelity=float("nan"), trajectory=trajectory, step_error=0.0)
+        FidelityReport(fidelity=1.0 + 1e-12, trajectory=trajectory, step_error=0.0)
+
+
+class TestStepError:
+    def test_even_grid_halves_the_samples(self, decel_a):
+        """The 2h drive of an even grid is every other node/midpoint sample."""
+        control, report = decel_a.control, decel_a.report
+        grid = control.grid
+        assert grid.n_steps % 2 == 0
+        coarse = DriveSchedule(
+            TimeGrid(grid.t_end, grid.n_steps // 2),
+            control.delta_omega[::2],
+            control.coupling[::2],
+        )
+        end = integrate_schrodinger(coarse, decel_a.initial).final_state
+        want = abs(report.fidelity - fidelity(end, decel_a.target))
+        assert report.step_error == want
+
+    @pytest.mark.parametrize("n_steps", [1, 3, 2001])
+    def test_odd_grid_takes_its_last_step_at_h(self, n_steps):
+        grid = TimeGrid(1.0, n_steps)
+        drive = build_cosine_sweep(CosineSweepSpec(30.0, 1.0), grid)
+        start = TwoLevelState(1.0 + 0.0j, 0.0j)
+        target = integrate_schrodinger(drive, start).final_state
+        report = verify_control(drive, start, target)
+        state = start
+        if n_steps > 1:
+            m = n_steps // 2
+            head = DriveSchedule(
+                TimeGrid(1.0 - grid.h, m),
+                drive.delta_omega[: 4 * m + 1 : 2],
+                drive.coupling[: 4 * m + 1 : 2],
+            )
+            state = integrate_schrodinger(head, state).final_state
+        tail = DriveSchedule(TimeGrid(grid.h, 1), drive.delta_omega[-3:], drive.coupling[-3:])
+        end = integrate_schrodinger(tail, state).final_state
+        assert report.step_error == abs(report.fidelity - fidelity(end, target))
+        if n_steps == 1:
+            assert report.step_error == 0.0
+        if n_steps == 2001:
+            assert 0.0 < report.step_error < 1e-9
+
+    def test_flags_the_overlap_jump(self, accel, accel_overlap):
+        """At T_F = 0.75 overlapping bridge windows leave a jump in the itt
+        control that no grid resolves; its estimate is at least ten times
+        that of the shipped T_F = 0.9."""
+        assert accel_overlap.report.step_error >= 10.0 * accel.report.step_error
 
 
 class TestShiftAnalysis:

@@ -113,7 +113,8 @@ def test_traced_full_run_reads_the_device_spans(installed, tmp_path):
 def test_traced_sta_run_reads_every_count(installed, tmp_path):
     """An ``sta`` run passes through the sta synthesis, the adiabatic
     target, the branch scan and the integrator, and the traced step count
-    is the reference's plus every arm's."""
+    is the reference's plus every arm's, each arm once on its grid and
+    once at twice the step for its error estimate."""
     t, _ = installed
     layers = importlib.import_module("layers")
     cfg = tmp_path / "run.yaml"
@@ -131,6 +132,6 @@ def test_traced_sta_run_reads_every_count(installed, tmp_path):
     summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
     arms = summary["fidelities"]
     assert set(arms) == {"sta", "unmodified"}
-    want = summary["reference"]["n_steps"] + 4000 * len(arms)
+    want = summary["reference"]["n_steps"] + (4000 + 2000) * len(arms)
     assert summary["reference"]["n_steps"] == 3000
     assert layers.layer_metrics(t.spans)["dynamics.steps"] == want

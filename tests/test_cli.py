@@ -8,13 +8,14 @@ import os
 import subprocess
 import sys
 import weakref
+from dataclasses import replace
 from itertools import chain
 
 import numpy as np
 import pytest
 
 import ffsynth
-from ffsynth import cli
+from ffsynth import analysis, cli
 from ffsynth.cli import (
     TABLE_CHUNK_ROWS,
     _write_beta_map,
@@ -363,6 +364,23 @@ class TestVerifyStage:
             want = np.max(np.abs(np.sqrt(data[:, 1] + data[:, 2]) - 1.0))
             assert abs(value - want) <= 1e-12, label
 
+    def test_step_error_per_arm(self, decel_runs):
+        """Every arm reports a step-doubling estimate next to its fidelity."""
+        _, out_a, _, _ = decel_runs
+        summary = _read_summary(out_a)
+        error = summary["step_error"]
+        assert set(error) == set(summary["fidelities"])
+        assert all(0.0 <= v < 1e-3 for v in error.values()), error
+
+    def test_target_populations_are_the_reference_row(self, decel_runs):
+        """The target is the reference's final state; its populations are
+        the last row of ``populations_reference.tsv``, to the bit."""
+        _, out_a, _, _ = decel_runs
+        summary = _read_summary(out_a)
+        data = np.loadtxt(os.path.join(out_a, "populations_reference.tsv"), skiprows=1)
+        assert summary["target_populations"] == data[-1, 1:].tolist()
+        assert summary["reference"]["final_populations"] == data[-1, 1:].tolist()
+
     def test_h_max_delta_omega_per_arm(self, tmp_path, monkeypatch):
         """On accelerate-chain each arm's ``h_max_delta_omega`` is its grid
         step times its largest |delta_omega| over node and midpoint
@@ -528,10 +546,17 @@ class TestSweepFanOut:
             "synthesis failed: path ends -1.607 rad from phase zero at t = T_F"
         )
 
-    def test_fidelity_above_one_exits_3(self, tmp_path, capsys):
-        # at T_F = 0.6 the itt control varies faster than the verification
-        # grid resolves, and the re-integration scores F > 1; the run used
-        # to end in a traceback and exit 1
+    def test_fidelity_above_one_exits_3(self, tmp_path, monkeypatch, capsys):
+        # a re-integration that scores F > 1 used to end in a traceback and
+        # exit 1; the unitary step cannot, so the states it returns are
+        # inflated by 1 % to reach the guard
+        integrate = analysis.integrate_schrodinger
+
+        def inflated(drive, initial, common_shift=None):
+            traj = integrate(drive, initial, common_shift)
+            return replace(traj, phi1=1.01 * traj.phi1, phi2=1.01 * traj.phi2)
+
+        monkeypatch.setattr(analysis, "integrate_schrodinger", inflated)
         cfg = _config(
             tmp_path,
             "schema_version: 1\nscenario: accelerate\nt_ref: 1.0\nt_final: 0.6\n",
@@ -543,6 +568,20 @@ class TestSweepFanOut:
             "verification failed: arm 'itt' at stage 'verify', t_final=0.6: fidelity 1."
         )
         assert err.rstrip().endswith("outside [0, 1]")
+
+    def test_fast_acceleration_verifies_at_most_1(self, tmp_path):
+        """At T_F = 0.6 overlapping bridge windows leave a jump in the itt
+        control; RK4 scored it F = 1.014 (exit 3), the unitary step scores
+        it below 1, and its step-doubling estimate flags it."""
+        cfg = _config(
+            tmp_path,
+            "schema_version: 1\nscenario: accelerate\nt_ref: 1.0\nt_final: 0.6\n",
+        )
+        out = str(tmp_path / "out")
+        assert main(["verify", "--config", cfg, "--out", out]) == 0
+        summary = _read_summary(out)
+        assert 0.99 < summary["fidelities"]["itt"] <= 1.0
+        assert summary["step_error"]["itt"] > 1e-6
 
     def test_non_finite_reintegration_exits_3(self, tmp_path, monkeypatch, capsys):
         def diverging(control, initial, target):
@@ -690,6 +729,9 @@ class TestDeviceStage:
         device = _read_summary(out)["device"]
         assert device["rwa"]["max_abs_detuning"] == 30.0
         assert device["control_rwa"]["max_abs_detuning"] == pytest.approx(36.5, abs=0.05)
+        # the annotation and the arm's rate read the same samples
+        peak = _read_summary(out)["max_abs_delta_omega"]["itt"]
+        assert device["control_rwa"]["max_abs_detuning"] == peak
         control_map = device["control_map"]
         assert control_map["feasible"] is False
         assert "outside the tunable band" in control_map["reason"]

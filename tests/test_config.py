@@ -180,37 +180,37 @@ class TestStepBudget:
 
     def test_long_default_grid_rejected(self):
         errors = _errors_of(
-            "schema_version: 1\nscenario: sta\nt_final: [30.0, 30.5, 10.0]"
+            "schema_version: 1\nscenario: sta\nt_final: [1500.0, 1525.0, 10.0]"
         )
         assert len(errors) == 1
-        assert errors[0].startswith("t_final[1]: 30.5 needs 101667 integration steps")
+        assert errors[0].startswith("t_final[1]: 1525.0 needs 101667 integration steps")
 
     def test_long_t_ref_rejected(self):
-        errors = _errors_of(MINIMAL + "t_ref: 31.0")
+        errors = _errors_of(MINIMAL + "t_ref: 1550.0")
         assert len(errors) == 1
-        assert errors[0].startswith("t_ref: 31.0 needs 103334 integration steps")
+        assert errors[0].startswith("t_ref: 1550.0 needs 103334 integration steps")
 
-    def test_duration_30_is_exactly_the_budget(self):
+    def test_duration_1500_is_exactly_the_budget(self):
         assert parse_config(
-            "schema_version: 1\nscenario: sta\nt_final: 30.0"
-        ).t_final == (30.0,)
-        assert parse_config(MINIMAL + "t_ref: 30.0").t_ref == 30.0
+            "schema_version: 1\nscenario: sta\nt_final: 1500.0"
+        ).t_final == (1500.0,)
+        assert parse_config(MINIMAL + "t_ref: 1500.0").t_ref == 1500.0
 
     def test_explicit_steps_allow_long_durations(self):
         cfg = parse_config(
-            "schema_version: 1\nscenario: sta\nt_final: 40.0\n"
+            "schema_version: 1\nscenario: sta\nt_final: 1600.0\n"
             "grid: {reference_steps: 100000, control_steps: 100000}"
         )
-        assert cfg.t_final == (40.0,)
+        assert cfg.t_final == (1600.0,)
 
     def test_sta_reference_follows_t_final(self):
         # with only control_steps given, the sta reference still runs on the
         # default grid over t_final
         errors = _errors_of(
-            "schema_version: 1\nscenario: sta\nt_final: 40.0\n"
+            "schema_version: 1\nscenario: sta\nt_final: 1600.0\n"
             "grid: {control_steps: 100000}"
         )
-        assert len(errors) == 1 and errors[0].startswith("t_final[0]: 40.0 needs")
+        assert len(errors) == 1 and errors[0].startswith("t_final[0]: 1600.0 needs")
 
 
 class TestSweepNames:

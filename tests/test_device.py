@@ -171,6 +171,16 @@ class TestFluxSchedule:
         with pytest.raises(FluxRangeError, match="t = "):
             flux_schedule_for(control, SPEC)
 
+    def test_out_of_band_midpoint_raises(self):
+        """The band holds every sample the integrator drives: one midpoint
+        out of band fails the map, and the message names its time."""
+        grid = TimeGrid(1.0, 10)
+        dw = np.zeros(21)
+        dw[7] = 100.0
+        control = DriveSchedule(grid, dw, np.ones(21))
+        with pytest.raises(FluxRangeError, match=r"t = 0\.35 \(node/midpoint sample 7\)"):
+            flux_schedule_for(control, SPEC)
+
     def test_nan_round_trip_raises(self, monkeypatch):
         """A round trip that is not a number fails the tolerance check
         instead of passing every comparison."""
@@ -218,6 +228,16 @@ class TestRwaEmulation:
         assert rwa["rabi"] == 1.0
         assert rwa["max_abs_detuning"] == pytest.approx(30.0, abs=1e-12)
         assert "anharmonicity" in rwa["assumption"]
+
+    def test_peak_and_coupling_read_midpoints(self):
+        grid = TimeGrid(1.0, 10)
+        dw = np.zeros(21)
+        dw[7] = -40.0
+        g = np.ones(21)
+        g[9] = 2.0
+        with pytest.warns(UserWarning, match="Rabi"):
+            rwa = rwa_emulation_map(DriveSchedule(grid, dw, g))
+        assert rwa["max_abs_detuning"] == 40.0
 
     def test_warns_when_coupling_off_rabi(self):
         grid = TimeGrid(1.0, 10)

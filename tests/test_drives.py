@@ -28,9 +28,11 @@ def _loop_antisymmetrize(values: np.ndarray) -> np.ndarray:
 # Frozen from this build after verifying eighth-step refinement moves the
 # value by less than 1e-12; guards against silent integrator changes.
 # Re-frozen when the scalar RK4 loop gave way to the blocked prefix scan,
-# which moved it by 4.7e-15 from 0.08731534978931912; that value stays
-# pinned for the scalar oracle in test_dynamics.
-PINNED_P2_FINAL = 0.08731534978931443
+# which moved it by 4.7e-15 from 0.08731534978931912, and again when the
+# Magnus step replaced RK4, which moved it by 1.05e-14 from
+# 0.08731534978931443; the unchanged refinement oracle below accepts it.
+# The scalar Magnus oracle's own value is pinned in test_dynamics.
+PINNED_P2_FINAL = 0.0873153497893039
 
 
 class TestStepCount:
@@ -39,11 +41,13 @@ class TestStepCount:
         assert default_step_count(6.0) == 20_000
 
     def test_resolution_rule_for_long_runs(self):
-        assert default_step_count(30.0) == 100_000
+        assert default_step_count(1500.0) == 100_000
+        assert default_step_count(300.0) == 20_000
+        assert default_step_count(1600.0) == 106_667
         # step size never exceeds the resolution bound
-        for duration in (0.9, 1.1, 10.0, 20.0, 30.0):
+        for duration in (0.9, 1.1, 10.0, 20.0, 30.0, 300.0, 301.0, 1500.0):
             n = default_step_count(duration)
-            assert duration / n <= 3.0e-4 + 1e-15
+            assert duration / n <= 1.5e-2 + 1e-15
 
 
 class TestCosineSweep:

@@ -177,3 +177,16 @@ class TestStaSynthesis:
         for bundle, mid in ((sta20, 10.0), (sta10, 5.0)):
             gap = bundle.gaps[0]
             assert abs(0.5 * (gap.t_start + gap.t_end) - mid) < 0.5
+
+
+class TestDefaultGridResolution:
+    def test_long_run_takes_the_step_floor(self, sta300):
+        assert sta300.grid.n_steps == 20_000
+        assert sta300.grid.h == 1.5e-2
+
+    def test_four_times_the_steps_moves_f_below_1e10(self, sta300, sta300_fine):
+        """The fidelity against steps at the longest duration on the step
+        floor: the default grid agrees with four times its steps."""
+        f, f_fine = sta300.report.fidelity, sta300_fine.report.fidelity
+        assert abs(f - f_fine) < 1e-10
+        assert sta300.report.step_error < 1e-10
