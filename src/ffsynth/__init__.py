@@ -76,6 +76,7 @@ from .sta import (
 )
 from .zerocurves import (
     Gap,
+    ScanError,
     SpeedControlledTrajectory,
     branch_touch_times,
     detect_gaps,
@@ -103,6 +104,7 @@ __all__ = [
     "OptimizerError",
     "ReferenceTrajectory",
     "RunConfig",
+    "ScanError",
     "SpeedControlledTrajectory",
     "StaPhaseModel",
     "SynthesisError",

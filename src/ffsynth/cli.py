@@ -69,7 +69,7 @@ from .itt import (
 )
 from .numerics import format_g17
 from .sta import StaPhaseModel, adiabatic_target, synthesize_sta_control
-from .zerocurves import detect_gaps, link_branches, x_and_y
+from .zerocurves import ScanError, detect_gaps, link_branches, x_and_y
 
 DEPTH = {
     "reference": 0,
@@ -316,7 +316,12 @@ def run_single(
         grid_c = TimeGrid(t_final, n_ctrl)
         if not is_sta:
             model = FfstPhaseModel(ref, build_magnification(cfg.t_ref, grid_c))
-        scts = link_branches(model, n_scan=cfg.scan_points)
+        try:
+            scts = link_branches(model, n_scan=cfg.scan_points)
+        except ScanError as exc:
+            raise SynthesisError(
+                f"residual scan at stage {stage!r}, t_final={t_final!r}: {exc}"
+            ) from exc
         gaps = detect_gaps(model, scts, n_scan=cfg.scan_points)
         _write_beta_map(os.path.join(out_dir, "beta_map.tsv"), build_beta_map(model))
         _write_branches(os.path.join(out_dir, "branches.tsv"), scts)

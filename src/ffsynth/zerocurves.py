@@ -15,12 +15,21 @@ decides where roots exist), links the roots into continuous branches,
 labels the two full-span ones X and Y, and detects the time intervals
 where no root exists.
 
+There are at most two roots per sample, so linking pairs the roots of
+each sample with those of the sample before it through a 2x2 table of
+wrapped distances, for every sample at once (``_pair_rows``).  Each
+branch's unwrapped lift then follows f <- f + wrap(r - f) on Python
+floats, root by root (``_chains``); the few pairings that a rounding of
+the lift could flip are re-decided on the lifts themselves
+(``_settle_row``).
+
 Phases are canonicalized to [-pi, pi); pi and -pi label the same
 physical point because the residual is 2*pi periodic in f.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -37,6 +46,16 @@ DEGENERATE_FLOOR = 1e-12
 #: Largest phase step (radians) the branch linker will follow between
 #: consecutive scan samples.
 LINKING_THRESHOLD = 0.2
+
+#: Pairing decisions closer than this (radians) to another outcome are
+#: re-decided on the exact lifts.  A lift differs from its canonical root
+#: by a multiple of 2*pi and a few ulps of itself; lifts move by less than
+#: LINKING_THRESHOLD per sample, so on scans of up to a million samples
+#: that rounding stays below 2e-10.
+NEAR_TIE = 1e-9
+
+# distance of a pair with a missing root: beyond any wrapped distance (pi)
+_MISSING = 4.0
 
 
 def wrap_phase(x):
@@ -139,6 +158,104 @@ class SpeedControlledTrajectory:
         return self._interp(np.clip(t, self.t_start, self.t_end))
 
 
+class ScanError(ValueError):
+    """Raised when the residual's parameters are not finite on the scan."""
+
+
+def _pair_rows(roots):
+    """Nearest-first pairing of each row of roots with the row before it.
+
+    ``roots`` is (m, 2), nan where a root does not exist.  Returns
+    ``pred`` (m, 2), the flat slot ``2 * j + b`` of the root each root
+    continues or -1, and ``near`` (m,), the rows whose decision lies
+    within ``NEAR_TIE`` of another outcome.  Of the two links that do not
+    share a root, the identity pair (0-0, 1-1) or the swapped pair
+    (0-1, 1-0), the family holding the smallest distance wins, and each
+    of its links is made below ``LINKING_THRESHOLD``.  That is the greedy
+    outcome on a 2x2 table whenever the two families' smallest distances
+    differ; where they tie, the row is near.
+    """
+    m = len(roots)
+    # e[j - 1, 2 * b + a] = |wrap(roots[j, a] - roots[j - 1, b])|; a missing
+    # root reads as _MISSING, farther than any wrapped distance
+    e = np.abs(wrap_phase(roots[1:, None, :] - roots[:-1, :, None])).reshape(-1, 4)
+    e = np.nan_to_num(e, nan=_MISSING)
+    same = np.minimum(e[:, 0], e[:, 3])
+    cross = np.minimum(e[:, 1], e[:, 2])
+    swap = cross < same
+    link = np.where(swap[:, None], e[:, [2, 1]], e[:, [0, 3]]) < LINKING_THRESHOLD
+    src = 2 * np.arange(m - 1)[:, None] + (swap[:, None] ^ np.array([False, True]))
+    pred = np.full((m, 2), -1)
+    pred[1:] = np.where(link, src, -1)
+    near = np.zeros(m, dtype=bool)
+    near[1:] = (
+        (np.abs(same - cross) < NEAR_TIE) & (np.minimum(same, cross) < LINKING_THRESHOLD)
+    ) | (np.abs(e - LINKING_THRESHOLD) < NEAR_TIE).any(axis=1)
+    return pred.ravel(), near
+
+
+def _chains(roots, pred):
+    """Chains of the flat root slots under ``pred`` and their exact lifts.
+
+    Returns ``head`` (each slot's chain start, found by pointer jumping),
+    ``order`` (the slots that hold a root, grouped by chain in start order
+    and in time order within a chain), ``cuts`` (where each chain begins
+    in ``order``) and ``lift`` (the lift of every slot, nan where no root).
+    Each lift runs the recurrence f <- f + wrap(r - f) on Python floats,
+    the same operations in the same order as a per-sample loop would.
+    """
+    head = np.where(pred >= 0, pred, np.arange(len(pred)))
+    while True:
+        nxt = head[head]
+        if np.array_equal(nxt, head):
+            break
+        head = nxt
+    flat = roots.ravel()
+    held = np.flatnonzero(~np.isnan(flat))
+    order = held[np.argsort(head[held], kind="stable")]
+    cuts = np.flatnonzero(np.diff(head[order], prepend=-1)).tolist()
+    pi, two_pi = float(np.pi), float(TWO_PI)
+    # floats pass one at a time through a memoryview into an array: lists
+    # of every lift as Python floats left about 2 MB resident after the call
+    values = memoryview(flat[order])
+    lifted = array("d")
+    for i, j in zip(cuts, cuts[1:] + [len(values)]):
+        f = values[i]
+        lifted.append(f)
+        for r in values[i + 1 : j]:
+            f += (r - f + pi) % two_pi - pi
+            lifted.append(f)
+    lift = np.full(len(flat), np.nan)
+    lift[order] = np.frombuffer(lifted)
+    return head, order, cuts, lift
+
+
+def _settle_row(j, roots, head, lift):
+    """Row ``j``'s pairing decided as the per-sample loop decides it.
+
+    Distances are taken from the exact lifts of row ``j - 1``, and equal
+    distances are ordered by the active list (chain start) and then by
+    root.  Returns the row's two ``pred`` entries.
+    """
+    pi, two_pi = float(np.pi), float(TWO_PI)
+    prev = [
+        (float(lift[s]), int(head[s]), s)
+        for s in (2 * j - 2, 2 * j - 1)
+        if not np.isnan(lift[s])
+    ]
+    cur = [(a, v) for a, v in enumerate(roots[j].tolist()) if not np.isnan(v)]
+    pairs = sorted(
+        (abs((v - f + pi) % two_pi - pi), h, a, s)
+        for f, h, s in prev
+        for a, v in cur
+    )
+    row = [-1, -1]
+    for dist, _, a, s in pairs:
+        if dist < LINKING_THRESHOLD and row[a] < 0 and s not in row:
+            row[a] = s
+    return row
+
+
 def link_branches(
     model,
     n_scan: int = 16_000,
@@ -146,65 +263,56 @@ def link_branches(
 ) -> list[SpeedControlledTrajectory]:
     """Scan the residual over time and link roots into branches.
 
-    At each scan sample the closed-form roots are claimed by the active
-    branches through a globally nearest-first pairing; roots left over
+    Degenerate samples (every phase a root) are passed over.  Between two
+    consecutive other samples the active branches are exactly the roots
+    of the earlier one, so each pairing is a 2x2 table of wrapped
+    distances, decided for all samples at once: the roots are claimed
+    globally nearest-first below ``LINKING_THRESHOLD``, roots left over
     found new branches, and branches left without a root terminate.
-    Branch lifts grow by wrapped increments so each stays continuous even
-    while its canonical image crosses the -pi/pi seam.
+    Chains are labelled by pointer jumping over the predecessor array.
+    Each lift grows by f <- f + wrap(r - f) on Python floats, so it stays
+    continuous across the -pi/pi seam.  The decisions use canonical roots,
+    which differ from the lifts by rounding only; a row within
+    ``NEAR_TIE`` of another outcome is re-decided on the exact lifts, with
+    equal distances ordered by branch age and then by root, as a
+    per-sample loop orders them.
+
+    Raises ``ScanError`` when C, D or phi0 is not finite at a scan sample.
     """
     t = np.linspace(0.0, model.t_final, n_scan + 1)
-    x1, x2, count = root_table(*model.sine_params(t))
-    active: list[dict] = []
-    done: list[dict] = []
+    params = model.sine_params(t)
+    finite = np.isfinite(params)
+    if not finite.all():
+        k = int(np.argmin(finite.all(axis=0)))
+        names = "/".join(n for n, ok in zip(("C", "D", "phi0"), finite) if not ok[k])
+        raise ScanError(f"residual {names} is not finite at t = {float(t[k])!r}")
+    x1, x2, count = root_table(*params)
+    keep = np.flatnonzero(count >= 0)
+    roots = np.stack((x1[keep], x2[keep]), axis=1)
 
-    pi, two_pi = float(np.pi), float(TWO_PI)
-
-    def wrap(x: float) -> float:
-        # wrap_phase's float operations on a Python float, so lifts keep their bits
-        return (x + pi) % two_pi - pi
-
-    for k, (r1, r2, n) in enumerate(zip(x1.tolist(), x2.tolist(), count.tolist())):
-        if n < 0:
-            # every phase is a root here; branches pass through untouched
-            continue
-        roots = (r1, r2)[:n]
-        pairs = sorted(
-            (abs(wrap(v - br["fs"][-1])), bi, ri)
-            for bi, br in enumerate(active)
-            for ri, v in enumerate(roots)
-        )
-        taken_b: set[int] = set()
-        taken_r: set[int] = set()
-        for dist, bi, ri in pairs:
-            if bi in taken_b or ri in taken_r or dist >= LINKING_THRESHOLD:
-                continue
-            taken_b.add(bi)
-            taken_r.add(ri)
-            br = active[bi]
-            br["ks"].append(k)
-            br["fs"].append(br["fs"][-1] + wrap(roots[ri] - br["fs"][-1]))
-        survivors = []
-        for bi, br in enumerate(active):
-            (survivors if bi in taken_b else done).append(br)
-        for ri, v in enumerate(roots):
-            if ri not in taken_r:
-                survivors.append({"ks": [k], "fs": [v]})
-        active = survivors
-
-    done.extend(active)
+    pred, near = _pair_rows(roots)
+    head, order, cuts, lift = _chains(roots, pred)
+    for j in np.flatnonzero(near).tolist():
+        row = _settle_row(j, roots, head, lift)
+        if row != pred[2 * j : 2 * j + 2].tolist():
+            pred[2 * j : 2 * j + 2] = row
+            head, order, cuts, lift = _chains(roots, pred)
 
     out: list[SpeedControlledTrajectory] = []
-    for br in done:
-        if len(br["ks"]) < min_samples:
+    for i, j in zip(cuts, cuts[1:] + [len(order)]):
+        if j - i < min_samples:
             continue
+        slots = order[i:j]
+        ks = keep[slots // 2]
         f2 = np.full(n_scan + 1, np.nan)
         valid = np.zeros(n_scan + 1, dtype=bool)
-        ks = np.asarray(br["ks"], dtype=int)
-        f2[ks] = br["fs"]
+        f2[ks] = lift[slots]
         valid[ks] = True
         out.append(
             SpeedControlledTrajectory(times=t, f2=f2, valid=valid, branch_id="")
         )
+    # no two branches share a first sample and root, so this order does not
+    # depend on the order the chains were found in
     out.sort(key=lambda b: (b.t_start, b.start_phase))
     for i, b in enumerate(out):
         b.branch_id = f"B{i}"

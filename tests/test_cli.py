@@ -599,6 +599,28 @@ class TestSweepFanOut:
             "integration produced a non-finite amplitude at time index 7\n"
         )
 
+    def test_non_finite_residual_exits_3(self, tmp_path, monkeypatch, capsys):
+        # one nan sample of D used to come out as nan roots linked into
+        # both branches, with no gap reported
+        class Poisoned(FfstPhaseModel):
+            def sine_params(self, t):
+                c, d, phi0 = super().sine_params(t)
+                d = d.copy()
+                d[2000] = np.nan
+                return c, d, phi0
+
+        monkeypatch.setattr(cli, "FfstPhaseModel", Poisoned)
+        cfg = _config(tmp_path, DECEL_FAST)
+        rc = main(["map", "--config", cfg, "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 3
+        t = float(np.linspace(0.0, 1.1, 4001)[2000])
+        assert err == (
+            "synthesis failed: residual scan at stage 'map', t_final=1.1: "
+            f"residual D is not finite at t = {t!r}\n"
+        )
+        assert not (tmp_path / "out" / "branches.tsv").exists()
+
     def test_colliding_sweep_names_exit_2(self, tmp_path, capsys):
         cfg = _config(
             tmp_path, ACCEL_SWEEP.replace("[0.9, 0.95]", "[1.0000001, 1.0000002]")

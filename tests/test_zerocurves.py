@@ -23,9 +23,12 @@ from ffsynth import (
     link_branches,
     wrap_phase,
 )
+from ffsynth import zerocurves
 from ffsynth.zerocurves import (
     DEGENERATE_FLOOR,
     LINKING_THRESHOLD,
+    ScanError,
+    _pair_rows,
     residual,
     root_table,
 )
@@ -178,6 +181,35 @@ def _random_residual(seed: int, n: int = 3000):
             d[start : start + width] = rng.choice([0.0, 1e-13])
             c[start : start + width] = value
     return c, d, phi0
+
+
+def _rows(*runs):
+    """(C, D, phi0) samples with D = 1, given as ``(C, phi0, repeats)`` runs."""
+    c = np.concatenate([np.full(n, float(ci)) for ci, _, n in runs])
+    phi0 = np.concatenate([np.full(n, float(p)) for _, p, n in runs])
+    return c, np.ones_like(c), phi0
+
+
+def _assert_links_like_oracle(c, d, phi0, threshold=LINKING_THRESHOLD):
+    """The linker equals the loop bit for bit at min_samples 1 and 6; returns
+    the loop's branches at min_samples 1."""
+    model = _TableModel(*(np.asarray(v, dtype=float) for v in (c, d, phi0)))
+    n_scan = len(c) - 1
+    for min_samples in (6, 1):
+        want = _oracle_link(model, n_scan, threshold, min_samples)
+        _assert_same_branches(link_branches(model, n_scan, min_samples), want)
+    return want
+
+
+def _lift_distances(branches, k, c, d, phi0):
+    """The loop's |wrap(root - lift)| from each branch alive at sample k - 1
+    (in start order) to each root at sample k."""
+    roots = _table_roots(c[k], d[k], phi0[k])[0]
+    return [
+        [abs(float(wrap_phase(r - b.f2[k - 1]))) for r in roots]
+        for b in sorted(branches, key=lambda b: b.t_start)
+        if b.valid[k - 1]
+    ]
 
 
 def _oracle_roots(c: float, d: float, phi0: float) -> list[float]:
@@ -370,6 +402,166 @@ class TestLinkerOracle:
         for threshold, n_scan in ((1.2, 16_000), (0.5, 16_000), (3.0, 999)):
             got = branch_touch_times(x, y, threshold, n_scan)
             assert got == _oracle_touch_times(x, y, threshold, n_scan)
+
+
+class TestLinkerDecisionEdges:
+    """Tables built so that a pairing decision sits exactly on an edge:
+    equal distances, where the loop's order (branch age, then root)
+    decides, and distances at the linking threshold."""
+
+    S = 0.9978  # two roots 2 * arccos(S) = 0.133 apart around pi / 2 - phi0
+    GAP = np.pi - 2.0 * np.arcsin(S)
+
+    def test_tie_in_root_order(self):
+        # sample 3 shifts both roots by half their gap: root 0 sits exactly
+        # halfway between the two branches, and root 1 as far from branch 1
+        c, d, phi0 = _rows((self.S, 0.0, 3), (self.S, -self.GAP / 2, 3))
+        want = _assert_links_like_oracle(c, d, phi0)
+        (e00, e01), (e10, e11) = _lift_distances(want, 3, c, d, phi0)
+        assert e00 == e10 == e11 < e01 < LINKING_THRESHOLD
+        # the older branch is root 0's, so identity wins the tie
+        assert [b.valid.sum() for b in want] == [6, 6]
+
+    def test_tie_after_a_swap_follows_branch_age(self):
+        # C -> -C with phi0 -> phi0 + pi swaps the two roots at sample 3, so
+        # from then on the older branch holds root 1; at sample 6 root 0 sits
+        # exactly halfway between the branches, and the loop gives it to the
+        # older one where a 2x2 table in root order would keep identity
+        c, d, phi0 = _rows(
+            (self.S, 0.0, 3), (-self.S, np.pi, 3), (self.S, -self.GAP / 2, 3)
+        )
+        want = _assert_links_like_oracle(c, d, phi0)
+        (older_0, older_1), (newer_0, newer_1) = _lift_distances(want, 6, c, d, phi0)
+        assert older_0 == newer_0 == newer_1 < older_1 < LINKING_THRESHOLD
+        older = min(want, key=lambda b: b.f2[5])  # root 1 at sample 5
+        x1, x2, _ = root_table(c, d, phi0)
+        assert older.f2[5] == x2[5] and older.f2[6] == x1[6]
+        # the canonical table keeps identity, the settlement swaps
+        canonical, near = _pair_rows(np.stack((x1, x2), axis=1))
+        assert near[6] and canonical[12:14].tolist() == [10, 11]
+
+    def test_tie_after_a_one_sided_claim(self):
+        # the single root of samples 0-2 claims root 1 at sample 3 and root 0
+        # founds a newer branch; sample 6 has one root exactly halfway
+        c, d, phi0 = _rows((1.0, -0.1, 3), (self.S, 0.0, 3), (1.0, 0.0, 3))
+        want = _assert_links_like_oracle(c, d, phi0)
+        (older,), (newer,) = _lift_distances(want, 6, c, d, phi0)
+        assert older == newer < LINKING_THRESHOLD
+        assert min(want, key=lambda b: b.t_start).valid[6]
+
+    @staticmethod
+    def _step_to(target, above):
+        """Count-1 samples 0-2 and 3-5 whose lift distance at sample 3 is the
+        reachable value nearest ``target``, above it or at or below it."""
+        best = None
+        for shift in target + np.arange(-16, 17) * 1e-16:
+            c, d, phi0 = _rows((1.0, 0.0, 3), (1.0, -shift, 3))
+            x1 = root_table(c, d, phi0)[0]
+            dist = abs(float(wrap_phase(x1[3] - x1[2])))
+            if (dist > target) == above and (
+                best is None or abs(dist - target) < abs(best[0] - target)
+            ):
+                best = dist, (c, d, phi0)
+        return best
+
+    @pytest.mark.parametrize("above", [False, True])
+    def test_shipped_threshold(self, above):
+        # a wrapped distance is a multiple of 2**-51 here, so 0.2 itself is
+        # out of reach: take the nearest reachable distance on each side
+        dist, table = self._step_to(LINKING_THRESHOLD, above)
+        assert abs(dist - LINKING_THRESHOLD) < 1e-15
+        want = _assert_links_like_oracle(*table)
+        assert len(want) == (2 if above else 1)
+
+    @pytest.mark.parametrize("ulps_above", [0, 1])
+    def test_distance_at_threshold(self, monkeypatch, ulps_above):
+        # the threshold moves onto the distance, and one ulp above it
+        dist, table = self._step_to(0.25, above=False)
+        threshold = dist if ulps_above == 0 else np.nextafter(dist, np.inf)
+        monkeypatch.setattr(zerocurves, "LINKING_THRESHOLD", threshold)
+        want = _assert_links_like_oracle(*table, threshold=threshold)
+        assert len(want) == (1 if ulps_above else 2)
+
+    def test_collapse_and_empty_samples_between_pairs(self):
+        a = float(np.arcsin(self.S))
+        c, d, phi0 = _rows(
+            (self.S, 0.0, 4), (1.0, 0.0, 2), (self.S, 0.0, 3),
+            (1.5, 0.0, 1), (self.S, 0.05, 4), (1.0, 0.1, 1), (self.S, 0.1, 2),
+        )
+        counts = [2] * 4 + [1] * 2 + [2] * 3 + [0] + [2] * 4 + [1] + [2] * 2
+        assert root_table(c, d, phi0)[2].tolist() == counts
+        want = _assert_links_like_oracle(c, d, phi0)
+        assert np.isclose(a, want[0].f2[0])
+        # the empty sample ends every branch; the collapses end one of two
+        assert min(b.t_end for b in want) < 4.0 and max(b.t_start for b in want) > 9.0
+
+    def test_swap_across_a_degenerate_run(self):
+        c, d, phi0 = _rows((self.S, 0.0, 4), (0.0, 0.0, 5), (-self.S, np.pi, 4))
+        d[4:9] = 0.0
+        assert root_table(c, d, phi0)[2].tolist() == [2] * 4 + [-1] * 5 + [2] * 4
+        want = _assert_links_like_oracle(c, d, phi0)
+        # both branches pass the run, each continuing into the other root
+        assert [b.valid.sum() for b in want] == [8, 8]
+        x1, x2, _ = root_table(c, d, phi0)
+        for b in want:
+            assert (b.f2[3] == x1[3]) == (b.f2[9] == x2[9])
+
+
+#: Per-sample residual lattice for the property test.  A two-root sample
+#: has its roots _GAP apart around pi / 2 - phi0, and a tangency (C/D = 1)
+#: its one root at the centre.  phi0 walks a grid of _GAP / 2 steps, so
+#: equal distances abound; a turn (C -> -C, phi0 -> phi0 + pi) swaps the
+#: roots, so the branches' age order differs from the root order; a nudge
+#: of 0.2 lands within rounding of the threshold.  C/D = 1.5 gives empty
+#: samples, and D = 0 gives flat (C = 0) and singular (C = 1) ones.
+_RATIO = 0.9978
+_GAP = np.pi - 2.0 * np.arcsin(_RATIO)
+_LATTICE_KINDS = [_RATIO, _RATIO, _RATIO, 1.0, 1.5, "flat", "singular"]
+
+
+class TestLinkerProperty:
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(_LATTICE_KINDS),
+                st.sampled_from([-1, 0, 1]),
+                st.sampled_from([False, False, True]),
+                st.sampled_from([0.0, 0.0, 0.0, 0.2]),
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_loop_on_lattice_tables(self, samples):
+        kinds, steps, turns, nudges = zip(*samples)
+        turned = np.cumsum(turns) % 2
+        c = np.array([{"flat": 0.0, "singular": 1.0}.get(k, k) for k in kinds])
+        d = np.array([0.0 if k in ("flat", "singular") else 1.0 for k in kinds])
+        c = np.where(d > 0, c * (1 - 2 * turned), c)
+        phi0 = np.cumsum(steps) * (_GAP / 2) + np.pi * turned + nudges
+        _assert_links_like_oracle(c, d, phi0)
+
+
+class TestNonFiniteResidual:
+    def _model(self):
+        c = np.full(200, 0.3)
+        c[100] = np.nan
+        return _TableModel(c, np.ones(200), np.linspace(0.0, 1.0, 200))
+
+    def test_scan_names_first_bad_sample(self):
+        with pytest.raises(ScanError, match=r"residual C is not finite at t = 100\.0$"):
+            link_branches(self._model(), n_scan=199)
+
+    def test_every_parameter_is_checked(self):
+        model = self._model()
+        model.c[100] = 0.3
+        model.d = model.d.copy()
+        model.d[150] = np.inf
+        model.phi0[150] = np.nan
+        message = r"residual D/phi0 is not finite at t = 150\.0$"
+        with pytest.raises(ScanError, match=message):
+            link_branches(model, n_scan=199)
 
 
 class TestSingularStretch:
