@@ -43,12 +43,10 @@ from .dynamics import (
     overlap,
 )
 from .ffst import (
-    BetaMap,
     FfstPhaseModel,
     MagnificationProfile,
     SynthesisError,
     alpha_scaled_control,
-    build_beta_map,
     build_magnification,
     naive_control,
     synthesize_control,
@@ -88,7 +86,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdiabaticTarget",
-    "BetaMap",
     "BridgeSettings",
     "ConfigError",
     "ConstructionError",
@@ -118,7 +115,6 @@ __all__ = [
     "adiabatic_target",
     "alpha_scaled_control",
     "branch_touch_times",
-    "build_beta_map",
     "build_cosine_sweep",
     "build_magnification",
     "build_virtual_trajectory",

@@ -21,11 +21,13 @@ the bytes of ``'%.17g' % v``: :func:`~ffsynth.numerics.format_g17` turns
 each block of a table's rows into fixed-width byte fields padded with
 NULs, and the block is written with the NULs deleted.
 
-``summary.json`` names the table layout in ``output_schema``.  Layout 2
-writes ``beta_map.tsv`` as a matrix (a header line of phases, a line per
-time) and gives sta's ``control.tsv`` five columns, without ``alpha``
-and ``lambda``; layout 1 wrote a (t, f2, ln|beta|) line per map cell and
-seven control columns for every scenario.
+``summary.json`` names the table layout in ``output_schema``.  Layout 3
+writes the residual's closed form instead of a map of it: ``residual.tsv``
+holds (t, C, D, phi0) at 501 uniform times, from which ln|beta| at any
+phase f2 is log(max(|C - D sin(f2 + phi0)|, 1e-14)).  Every scenario's
+``control.tsv`` holds t, delta_omega, coupling and f2; the slope of
+delta_omega and the magnification's alpha and lambda are closed forms of
+those columns and of the config.
 """
 
 from __future__ import annotations
@@ -51,11 +53,9 @@ from .device import (
 from .drives import CosineSweepSpec, default_step_count, solve_reference
 from .dynamics import IntegrationError, TimeGrid, TwoLevelState
 from .ffst import (
-    LN_BETA_FLOOR,
     FfstPhaseModel,
     SynthesisError,
     alpha_scaled_control,
-    build_beta_map,
     build_magnification,
     naive_control,
     synthesize_control,
@@ -69,7 +69,7 @@ from .itt import (
 )
 from .numerics import format_g17
 from .sta import StaPhaseModel, adiabatic_target, synthesize_sta_control
-from .zerocurves import ScanError, detect_gaps, link_branches, x_and_y
+from .zerocurves import ScanError, detect_gaps, link_branches, sample_params, x_and_y
 
 DEPTH = {
     "reference": 0,
@@ -94,7 +94,7 @@ SETTINGS_KIND = {
 TABLE_CHUNK_ROWS = 4096
 
 #: The table layout, ``output_schema`` in ``summary.json`` (see above).
-OUTPUT_SCHEMA = 2
+OUTPUT_SCHEMA = 3
 
 
 def _labels(c) -> np.ndarray:
@@ -103,44 +103,34 @@ def _labels(c) -> np.ndarray:
     return np.array([label.encode() for label in distinct], dtype=bytes)[index]
 
 
-def _write_rows(path: str, header: list[str], blocks) -> None:
-    """Tab-separated table from blocks of rows, each a list of columns:
-    numbers as ``%.17g``, byte-identical to ``np.savetxt(fmt="%.17g")``,
-    and ``str`` columns as their UTF-8 bytes.  A 2-D column (rows x k)
-    spans k cells of its rows.
+def _write_table(path: str, header: list[str], columns) -> None:
+    """Tab-separated table of whole columns, ``TABLE_CHUNK_ROWS`` rows at a
+    time: numbers as ``%.17g``, byte-identical to
+    ``np.savetxt(fmt="%.17g")``, and ``str`` columns as their UTF-8 bytes.
 
     Every cell becomes a byte field padded with NULs: :func:`format_g17`
     for a number, the encoded text for a ``str``, and a ``bytes`` value
     as it is.  A field's last byte is always a NUL, and the separator
-    after the cell, a tab or the newline, overwrites it.  A block is
-    written as its fields with the NULs deleted.
+    after the cell, a tab or the newline, overwrites it.  A block of rows
+    is written as its fields with the NULs deleted.
     """
     with open(path, "wb") as fh:
         fh.write(("\t".join(header) + "\n").encode())
-        for block in blocks:
+        for i in range(0, len(columns[0]), TABLE_CHUNK_ROWS):
             fields = []
-            for c in map(np.asarray, block):
+            for c in columns:
+                c = np.asarray(c[i : i + TABLE_CHUNK_ROWS])
                 if c.dtype.kind in "OU":
                     c = _labels(c)
                 if c.dtype.kind == "S":
                     # one more byte per label: the NUL for its separator
-                    cells = c.astype(f"S{c.itemsize + 1}")[:, None, None].view(np.uint8)
+                    cells = c.astype(f"S{c.itemsize + 1}")[:, None].view(np.uint8)
                 else:
-                    cells = format_g17(c.reshape(len(c), -1))
-                cells[..., -1] = ord("\t")
-                fields.append(cells.reshape(len(c), -1))
+                    cells = format_g17(c)
+                cells[:, -1] = ord("\t")
+                fields.append(cells)
             fields[-1][:, -1] = ord("\n")
             fh.write(np.concatenate(fields, axis=1).tobytes().translate(None, b"\0"))
-
-
-def _write_table(path: str, header: list[str], columns) -> None:
-    """:func:`_write_rows` of whole columns, ``TABLE_CHUNK_ROWS`` at a time."""
-    n = len(columns[0])
-    blocks = (
-        [c[i : i + TABLE_CHUNK_ROWS] for c in columns]
-        for i in range(0, n, TABLE_CHUNK_ROWS)
-    )
-    _write_rows(path, header, blocks)
 
 
 def _write_summary(path: str, summary: dict) -> None:
@@ -175,21 +165,14 @@ def _write_branches(path: str, scts) -> None:
     )
 
 
-def _write_beta_map(path: str, bmap) -> None:
-    """ln|beta| as a matrix: a header row of ``t\\f2`` and the phases,
-    then a row per time, its time followed by its values."""
-    ln_beta = np.log(np.maximum(np.abs(bmap.values), LN_BETA_FLOOR))
-    header = ["t\\f2"] + ["%.17g" % f2 for f2 in bmap.phases.tolist()]
-    step = max(1, TABLE_CHUNK_ROWS // len(bmap.phases))
-    blocks = (
-        [bmap.times[i : i + step], ln_beta[i : i + step]]
-        for i in range(0, len(bmap.times), step)
-    )
-    _write_rows(path, header, blocks)
+def _write_residual(path: str, model) -> None:
+    """``residual.tsv``: the residual's (C, D, phi0) at 501 uniform times."""
+    t = np.linspace(0.0, model.t_final, 501)
+    _write_table(path, ["t", "C", "D", "phi0"], [t, *sample_params(model, t)])
 
 
 def _slew(drive) -> np.ndarray:
-    """d delta_omega / dt at the nodes: the ``derivative`` of ``control.tsv``."""
+    """d delta_omega / dt at the nodes, by second-order differences."""
     return np.gradient(drive.delta_omega[::2], drive.grid.h, edge_order=2)
 
 
@@ -200,17 +183,13 @@ def _rates(drive) -> tuple[float, float]:
     return float(peak), float(np.abs(_slew(drive)).max())
 
 
-def _write_control(path: str, control, f2, prof) -> None:
-    """``control.tsv``; without a magnification profile (sta runs in real
-    time, alpha 1 and lambda t) the table stops at ``f2``.  The columns
-    die with the call, so none is alive during the verification."""
-    t = control.grid.times
-    header = ["t", "delta_omega", "derivative", "coupling", "f2"]
-    columns = [t, control.delta_omega[::2], _slew(control), control.coupling[::2], f2]
-    if prof is not None:
-        header += ["alpha", "lambda"]
-        columns += [prof.alpha_at(t), prof.lambda_at(t)]
-    _write_table(path, header, columns)
+def _write_control(path: str, control, f2) -> None:
+    """``control.tsv``: the control's node samples and its phase path."""
+    _write_table(
+        path,
+        ["t", "delta_omega", "coupling", "f2"],
+        [control.grid.times, control.delta_omega[::2], control.coupling[::2], f2],
+    )
 
 
 def _write_populations(path: str, traj) -> list[float]:
@@ -281,8 +260,6 @@ def run_single(
         "delta_omega0": float(cfg.delta_omega0),
     }
     is_sta = cfg.scenario == "sta"
-    if cfg.scenario == "device-map":
-        depth = 0
 
     # reference stage: the trajectory everything else is scored against.
     # The sta model sets its initial state, so it is built here; the ffst
@@ -311,64 +288,61 @@ def run_single(
 
     scts: list = []
     gaps: list = []
-    if depth >= 1:
-        n_ctrl = cfg.control_steps or default_step_count(t_final)
-        grid_c = TimeGrid(t_final, n_ctrl)
-        if not is_sta:
-            model = FfstPhaseModel(ref, build_magnification(cfg.t_ref, grid_c))
-        try:
-            scts = link_branches(model, n_scan=cfg.scan_points)
-        except ScanError as exc:
-            raise SynthesisError(
-                f"residual scan at stage {stage!r}, t_final={t_final!r}: {exc}"
-            ) from exc
-        gaps = detect_gaps(model, scts, n_scan=cfg.scan_points)
-        _write_beta_map(os.path.join(out_dir, "beta_map.tsv"), build_beta_map(model))
-        _write_branches(os.path.join(out_dir, "branches.tsv"), scts)
-        summary["branches"] = [_branch_record(b) for b in scts]
-        summary["gaps"] = [
-            {"t_start": float(g.t_start), "t_end": float(g.t_end), "width": float(g.width)}
-            for g in gaps
-        ]
-
     control = None
-    if depth >= 2:
-        plan = plan_travel(cfg.plan_kind, scts, gaps, t_final)
-        settings = default_bridge_settings(SETTINGS_KIND[cfg.scenario], t_final)
-        vt, cost = optimize_virtual_trajectory(
-            plan, model, grid_c, settings, n_cost=cfg.cost_points
-        )
-        if is_sta:
-            control = synthesize_sta_control(vt.f2_lift, model, grid_c, label="sta")
-        else:
-            control = synthesize_control(vt.f2_lift, model, label="itt")
-        _write_control(
-            os.path.join(out_dir, "control.tsv"),
-            control,
-            vt.f2,
-            None if is_sta else model.prof,
-        )
-        summary["plan"] = {
-            "kind": cfg.plan_kind,
-            "branches": [b.branch_id for b in plan.branches],
-            "crossings": [[float(lo), float(hi)] for lo, hi in plan.crossings],
-        }
-        summary["bridges"] = [
-            {"center": c, "width": w, "amplitude": a} for c, w, a in vt.bridge_params
-        ]
-        summary["cost"] = {
-            "integrated_residual": float(cost.integrated_residual),
-            "per_gap_residual": [float(v) for v in cost.per_gap_residual],
-            "evaluations": int(cost.evaluations),
-            "max_evaluations": int(cost.max_evaluations),
-            "converged": bool(cost.converged),
-            "bridge_evaluations": [int(n) for n in cost.bridge_evaluations],
-            "bridge_converged": [bool(ok) for ok in cost.bridge_converged],
-        }
-        summary["bridge_mode"] = vt.bridge_mode
-        # nothing below reads the path; its half-grid lift (2 n_steps + 1
-        # samples) would otherwise stay alive through the verification
-        del vt
+    # the scan, residual.tsv and the bridge cost each sample the residual's
+    # parameters, and each rejects a value that is not finite
+    try:
+        if depth >= 1:
+            n_ctrl = cfg.control_steps or default_step_count(t_final)
+            grid_c = TimeGrid(t_final, n_ctrl)
+            if not is_sta:
+                model = FfstPhaseModel(ref, build_magnification(cfg.t_ref, grid_c))
+            scts = link_branches(model, n_scan=cfg.scan_points)
+            gaps = detect_gaps(model, scts, n_scan=cfg.scan_points)
+            _write_residual(os.path.join(out_dir, "residual.tsv"), model)
+            _write_branches(os.path.join(out_dir, "branches.tsv"), scts)
+            summary["branches"] = [_branch_record(b) for b in scts]
+            summary["gaps"] = [
+                {"t_start": float(g.t_start), "t_end": float(g.t_end), "width": float(g.width)}
+                for g in gaps
+            ]
+
+        if depth >= 2:
+            plan = plan_travel(cfg.plan_kind, scts, gaps, t_final)
+            settings = default_bridge_settings(SETTINGS_KIND[cfg.scenario], t_final)
+            vt, cost = optimize_virtual_trajectory(
+                plan, model, grid_c, settings, n_cost=cfg.cost_points
+            )
+            if is_sta:
+                control = synthesize_sta_control(vt.f2_lift, model, grid_c, label="sta")
+            else:
+                control = synthesize_control(vt.f2_lift, model, label="itt")
+            _write_control(os.path.join(out_dir, "control.tsv"), control, vt.f2)
+            summary["plan"] = {
+                "kind": cfg.plan_kind,
+                "branches": [b.branch_id for b in plan.branches],
+                "crossings": [[float(lo), float(hi)] for lo, hi in plan.crossings],
+            }
+            summary["bridges"] = [
+                {"center": c, "width": w, "amplitude": a} for c, w, a in vt.bridge_params
+            ]
+            summary["cost"] = {
+                "integrated_residual": float(cost.integrated_residual),
+                "per_gap_residual": [float(v) for v in cost.per_gap_residual],
+                "evaluations": int(cost.evaluations),
+                "max_evaluations": int(cost.max_evaluations),
+                "converged": bool(cost.converged),
+                "bridge_evaluations": [int(n) for n in cost.bridge_evaluations],
+                "bridge_converged": [bool(ok) for ok in cost.bridge_converged],
+            }
+            summary["bridge_mode"] = vt.bridge_mode
+            # nothing below reads the path; its half-grid lift (2 n_steps + 1
+            # samples) would otherwise stay alive through the verification
+            del vt
+    except ScanError as exc:
+        raise SynthesisError(
+            f"residual scan at stage {stage!r}, t_final={t_final!r}: {exc}"
+        ) from exc
 
     if depth >= 3:
         if is_sta:
@@ -452,8 +426,19 @@ def run_pipeline(cfg: RunConfig, out_dir: str, stage: str) -> dict:
     summary is written either way, listing each failed value's message
     under ``failed``; then the first failure is re-raised with a message
     naming every failed value.
+
+    A fidelity floor on a run that verifies nothing (a stage below
+    ``verify``, or scenario ``device-map``) is rejected before anything
+    is written.
     """
-    depth = DEPTH[stage]
+    depth = 0 if cfg.scenario == "device-map" else DEPTH[stage]
+    if cfg.require_fidelity is not None and depth < 3:
+        raise ConfigError(
+            [
+                f"require_fidelity: stage {stage!r} of scenario {cfg.scenario!r} "
+                "verifies no arm, so it has no fidelity to hold to a floor"
+            ]
+        )
     do_device = stage in ("device", "full") or (
         cfg.scenario == "device-map" and stage != "reference"
     )

@@ -19,7 +19,7 @@ trivially rescaled drive (alpha * dw(Lambda), with zero path) for
 g_ff = alpha * g.
 
 A run builds one :class:`FfstPhaseModel` from its (reference,
-magnification) pair; the residual map, the synthesis and the baselines
+magnification) pair; the residual scan, the synthesis and the baselines
 all take that model, and every waveform they return is a
 :class:`~ffsynth.dynamics.DriveSchedule`.
 """
@@ -36,11 +36,7 @@ from .zerocurves import (
     SpeedControlledTrajectory,
     detect_gaps,
     link_branches,
-    residual,
 )
-
-#: Clamp floor applied to |beta| before taking logarithms in exports.
-LN_BETA_FLOOR = 1e-14
 
 #: Population threshold below which a reference amplitude counts as
 #: singular during synthesis and the sample is filled by extrapolation.
@@ -128,36 +124,6 @@ class FfstPhaseModel:
         a = prod.real
         b = prod.imag
         return alpha * g * b, g * np.hypot(a, b), np.arctan2(b, a)
-
-
-@dataclass(frozen=True)
-class BetaMap:
-    """Dense sampling of the residual over the (t, f2) plane."""
-
-    times: np.ndarray
-    phases: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.values.shape != (len(self.times), len(self.phases)):
-            raise ValueError("values must be shaped (n_times, n_phases)")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("beta map contains non-finite values")
-
-
-def build_beta_map(model, n_phase: int = 512, n_time: int = 500) -> BetaMap:
-    """Sample a model's residual on a uniform grid; phases cover [-pi, pi).
-
-    The phase axis excludes the duplicate +pi column: the residual is
-    2*pi periodic, so that column would repeat the first one.
-    """
-    if n_phase < 256:
-        raise ValueError(f"n_phase must be at least 256, got {n_phase}")
-    times = np.linspace(0.0, model.t_final, n_time + 1)
-    phases = -np.pi + 2.0 * np.pi * np.arange(n_phase) / n_phase
-    c, d, phi0 = model.sine_params(times)
-    values = residual(c[:, None], d[:, None], phi0[:, None], phases[None, :])
-    return BetaMap(times=times, phases=phases, values=values)
 
 
 def extract_scts(

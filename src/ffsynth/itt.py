@@ -29,6 +29,7 @@ from .zerocurves import (
     SpeedControlledTrajectory,
     branch_touch_times,
     residual,
+    sample_params,
     wrap_phase,
     x_and_y,
 )
@@ -496,7 +497,8 @@ def optimize_virtual_trajectory(
     ``default_bridge_params``.  A plan with no bridges returns the
     (pinned) branch path unchanged.  The report integrates the same
     |beta| samples at the chosen parameters, whole and restricted to
-    each bridge window.
+    each bridge window.  Raises ``ScanError`` when C, D or phi0 is not
+    finite on the cost grid.
     """
     if init is None:
         init = default_bridge_params(plan, settings)
@@ -507,7 +509,7 @@ def optimize_virtual_trajectory(
         )
 
     tt = np.linspace(0.0, plan.t_final, n_cost + 1)
-    c, d, phi0 = model.sine_params(tt)
+    c, d, phi0 = sample_params(model, tt)
     t_f = plan.t_final
     detached = bridge_mode(plan, settings) == "detached"
     samples = _branch_samples(tt, plan, settings)

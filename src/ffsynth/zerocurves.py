@@ -8,7 +8,8 @@ residual of the common form
 
 whose zero set in the (t, f) plane consists of curves ("branches").
 A model is anything with ``t_final`` and ``sine_params(t)``, which
-returns (C, D, phi0).  This module evaluates the residual
+returns (C, D, phi0); ``sample_params`` samples them and rejects a value
+that is not finite.  This module evaluates the residual
 (``residual``, the one copy of the formula), solves it for f in closed
 form on a whole scan at once (``root_table``, the one place that
 decides where roots exist), links the roots into continuous branches,
@@ -159,7 +160,22 @@ class SpeedControlledTrajectory:
 
 
 class ScanError(ValueError):
-    """Raised when the residual's parameters are not finite on the scan."""
+    """Raised when the residual's parameters are not finite where sampled."""
+
+
+def sample_params(model, t):
+    """``model.sine_params(t)``, the residual's (C, D, phi0) at times ``t``.
+
+    Raises ``ScanError`` naming the parameters and the time of the first
+    sample where C, D or phi0 is not finite.
+    """
+    params = model.sine_params(t)
+    finite = np.isfinite(params)
+    if not finite.all():
+        k = int(np.argmin(finite.all(axis=0)))
+        names = "/".join(n for n, ok in zip(("C", "D", "phi0"), finite) if not ok[k])
+        raise ScanError(f"residual {names} is not finite at t = {float(t[k])!r}")
+    return params
 
 
 def _pair_rows(roots):
@@ -280,13 +296,7 @@ def link_branches(
     Raises ``ScanError`` when C, D or phi0 is not finite at a scan sample.
     """
     t = np.linspace(0.0, model.t_final, n_scan + 1)
-    params = model.sine_params(t)
-    finite = np.isfinite(params)
-    if not finite.all():
-        k = int(np.argmin(finite.all(axis=0)))
-        names = "/".join(n for n, ok in zip(("C", "D", "phi0"), finite) if not ok[k])
-        raise ScanError(f"residual {names} is not finite at t = {float(t[k])!r}")
-    x1, x2, count = root_table(*params)
+    x1, x2, count = root_table(*sample_params(model, t))
     keep = np.flatnonzero(count >= 0)
     roots = np.stack((x1[keep], x2[keep]), axis=1)
 
@@ -358,9 +368,11 @@ def detect_gaps(
     Degenerate samples (residual identically zero) count as covered, so a
     vanishing product of reference amplitudes does not open a gap; samples
     where no phase is a root do not.
+
+    Raises ``ScanError`` when C, D or phi0 is not finite at a scan sample.
     """
     t = np.linspace(0.0, model.t_final, n_scan + 1)
-    covered = root_table(*model.sine_params(t))[2] < 0
+    covered = root_table(*sample_params(model, t))[2] < 0
     for br in branches:
         covered |= (t >= br.t_start - 1e-12) & (t <= br.t_end + 1e-12)
 

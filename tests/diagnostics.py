@@ -1,4 +1,5 @@
-"""Structure and frame diagnostics that back acceptance criteria 06 and 09.
+"""Structure and frame diagnostics that back acceptance criteria 06 and 09,
+and the ln|beta| map rebuilt from ``residual.tsv``.
 
 No pipeline stage runs these; they inspect the package's residual model
 and integrator from outside, so they live with the tests that use them.
@@ -19,7 +20,7 @@ from ffsynth.dynamics import (
     integrate_schrodinger,
 )
 from ffsynth.ffst import FfstPhaseModel, build_magnification
-from ffsynth.zerocurves import mask_runs, root_table
+from ffsynth.zerocurves import mask_runs, residual, root_table
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,12 +101,17 @@ def global_phase_check(
     return abs(fidelity(base.final_state, target) - fidelity(shifted.final_state, target))
 
 
-def read_beta_map(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Times, phases and ln|beta| (times x phases) of a ``beta_map.tsv``
-    matrix: the header row holds the phases after its ``t\\f2`` label,
-    and each row below a time and its values."""
-    with open(path, "r", encoding="utf-8") as fh:
-        n_phase = len(fh.readline().split("\t")) - 1
-    phases = np.loadtxt(path, max_rows=1, usecols=range(1, n_phase + 1))
-    rows = np.loadtxt(path, skiprows=1, ndmin=2)
-    return rows[:, 0], phases, rows[:, 1:]
+#: The phases of the ln|beta| map that output schema 2 wrote: 512 over
+#: [-pi, pi), without the +pi column, which would repeat the first.
+MAP_PHASES = -np.pi + 2.0 * np.pi * np.arange(512) / 512
+
+#: Floor on |beta| before the logarithm, as that map took it.
+LN_BETA_FLOOR = 1e-14
+
+
+def beta_map_from_residual(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Times, phases and ln|beta| (times x phases) rebuilt from a
+    ``residual.tsv``: the matrix output schema 2 wrote as ``beta_map.tsv``."""
+    t, c, d, phi0 = np.loadtxt(path, skiprows=1, unpack=True)
+    beta = residual(c[:, None], d[:, None], phi0[:, None], MAP_PHASES[None, :])
+    return t, MAP_PHASES, np.log(np.maximum(np.abs(beta), LN_BETA_FLOOR))

@@ -18,15 +18,14 @@ import ffsynth
 from ffsynth import analysis, cli
 from ffsynth.cli import (
     TABLE_CHUNK_ROWS,
-    _write_beta_map,
+    _slew,
     _write_branches,
+    _write_control,
     _write_table,
     main,
 )
 from ffsynth.dynamics import ReferenceTrajectory
-from ffsynth.ffst import LN_BETA_FLOOR, FfstPhaseModel, build_beta_map
-
-from diagnostics import read_beta_map
+from ffsynth.ffst import FfstPhaseModel
 
 DECEL_FAST = """\
 schema_version: 1
@@ -55,6 +54,13 @@ grid:
   control_steps: 4000
   scan_points: 4000
   cost_points: 1000
+"""
+
+DEVICE_MAP = """\
+schema_version: 1
+scenario: device-map
+grid:
+  reference_steps: 4000
 """
 
 ACCEL_SWEEP = """\
@@ -98,14 +104,14 @@ def _read_summary(out_dir: str) -> dict:
 
 @pytest.fixture(scope="module")
 def decel_runs(tmp_path_factory):
-    """One clean verify run and one with an unreachable fidelity floor."""
+    """One clean full run and one with an unreachable fidelity floor."""
     base = tmp_path_factory.mktemp("cli-decel")
     cfg = _config(base, DECEL_FAST)
     out_a = str(base / "a")
     out_b = str(base / "b")
-    rc_a = main(["verify", "--config", cfg, "--out", out_a])
+    rc_a = main(["full", "--config", cfg, "--out", out_a])
     rc_b = main(
-        ["verify", "--config", cfg, "--out", out_b,
+        ["full", "--config", cfg, "--out", out_b,
          "--require-fidelity", "0.99999999999"]
     )
     return rc_a, out_a, rc_b, out_b
@@ -126,33 +132,6 @@ def _percent_table(path: str, header: list[str], columns) -> None:
             fh.write((row_fmt * len(block[0])) % values)
 
 
-def _ln_abs_beta(bmap) -> np.ndarray:
-    return np.log(np.maximum(np.abs(bmap.values), LN_BETA_FLOOR))
-
-
-def _percent_beta_map(path: str, bmap) -> None:
-    """``beta_map.tsv`` as a matrix, a line at a time through ``'%.17g' %``."""
-    with open(path, "w", encoding="utf-8") as fh:
-        phases = ["%.17g" % f2 for f2 in bmap.phases.tolist()]
-        fh.write("\t".join(["t\\f2"] + phases) + "\n")
-        for t, row in zip(bmap.times.tolist(), _ln_abs_beta(bmap).tolist()):
-            fh.write("\t".join("%.17g" % v for v in [t] + row) + "\n")
-
-
-def _long_beta_map(path: str, bmap) -> None:
-    """``beta_map.tsv`` in output schema 1: a (t, f2, ln|beta|) row per
-    map cell, through the ``%`` row writer."""
-    _percent_table(
-        path,
-        ["t", "f2", "ln_abs_beta"],
-        [
-            np.repeat(bmap.times, len(bmap.phases)),
-            np.tile(bmap.phases, len(bmap.times)),
-            _ln_abs_beta(bmap).ravel(),
-        ],
-    )
-
-
 @pytest.mark.parametrize(
     "command, text, n_tables",
     [("full", DECEL_FAST, 9), ("sta", STA_FAST, 6)],
@@ -164,7 +143,6 @@ def test_tables_match_percent_writer(tmp_path, monkeypatch, command, text, n_tab
     ours, oracle = tmp_path / "ours", tmp_path / "oracle"
     assert main([command, "--config", cfg, "--out", str(ours)]) == 0
     monkeypatch.setattr(cli, "_write_table", _percent_table)
-    monkeypatch.setattr(cli, "_write_beta_map", _percent_beta_map)
     assert main([command, "--config", cfg, "--out", str(oracle)]) == 0
     names = sorted(name for name in os.listdir(ours) if name.endswith(".tsv"))
     assert len(names) == n_tables
@@ -203,35 +181,6 @@ class TestTableWriter:
         np.savetxt(str(ref), col[:, None], fmt="%.17g", delimiter="\t", header="x",
                    comments="")
         assert ours.read_bytes() == ref.read_bytes()
-
-    def test_beta_map_matches_numeric_writer(self, tmp_path, decel_a):
-        """The matrix goes out in blocks of whole time rows through one
-        2-D column; a line-at-a-time ``'%.17g' %`` writer is the oracle."""
-        bmap = build_beta_map(decel_a.model)
-        assert len(bmap.times) % (TABLE_CHUNK_ROWS // len(bmap.phases)) != 0
-        ours = tmp_path / "ours.tsv"
-        _write_beta_map(str(ours), bmap)
-        ref = tmp_path / "ref.tsv"
-        _percent_beta_map(str(ref), bmap)
-        assert ours.read_bytes() == ref.read_bytes()
-
-    def test_beta_map_layouts_hold_the_same_floats(self, tmp_path, decel_a):
-        """The matrix and the long rows of output schema 1 read back to the
-        same times, phases and ln|beta| values."""
-        bmap = build_beta_map(decel_a.model)
-        matrix, rows = tmp_path / "matrix.tsv", tmp_path / "rows.tsv"
-        _write_beta_map(str(matrix), bmap)
-        _long_beta_map(str(rows), bmap)
-        times, phases, ln_beta = read_beta_map(str(matrix))
-        old = np.loadtxt(str(rows), skiprows=1)
-        n_time, n_phase = ln_beta.shape
-        assert (n_time, n_phase) == bmap.values.shape
-        assert np.array_equal(old[:, 0], np.repeat(times, n_phase))
-        assert np.array_equal(old[:, 1], np.tile(phases, n_time))
-        assert np.array_equal(old[:, 2], ln_beta.ravel())
-        assert np.array_equal(times, bmap.times)
-        assert np.array_equal(phases, bmap.phases)
-        assert np.array_equal(ln_beta, _ln_abs_beta(bmap))
 
     def test_text_labels_match_row_writer(self, tmp_path):
         """Labels, non-ASCII and empty ones included, keep the bytes of
@@ -344,7 +293,7 @@ class TestVerifyStage:
         for name in (
             "control.tsv",
             "branches.tsv",
-            "beta_map.tsv",
+            "residual.tsv",
             "shifts.tsv",
             "populations_itt.tsv",
             "populations_naive.tsv",
@@ -411,8 +360,14 @@ class TestVerifyStage:
         assert summary["fidelity_ok"] is False
 
     def test_reruns_are_byte_identical(self, decel_runs):
+        """The two runs write the same files and the same bytes in every
+        table; only the summaries differ, by the floor of the second."""
         _, out_a, _, out_b = decel_runs
-        for name in ("control.tsv", "populations_itt.tsv", "branches.tsv", "beta_map.tsv"):
+        names = sorted(os.listdir(out_a))
+        assert names == sorted(os.listdir(out_b))
+        tables = [name for name in names if name.endswith(".tsv")]
+        assert len(tables) == len(names) - 1 == 9
+        for name in tables:
             with open(os.path.join(out_a, name), "rb") as fh:
                 blob_a = fh.read()
             with open(os.path.join(out_b, name), "rb") as fh:
@@ -420,17 +375,18 @@ class TestVerifyStage:
             assert blob_a == blob_b, name
 
     def test_drive_rates_per_arm(self, decel_runs):
-        """The primary arm's ``max_abs_slew`` is the largest |derivative| of
-        ``control.tsv``; ``h_max_delta_omega`` is the grid step times
-        ``max_abs_delta_omega``; the reference cosine sweep peaks at 30 and
-        slews at about 30 pi."""
+        """The primary arm's ``max_abs_slew`` is the largest |d delta_omega /
+        dt| of ``control.tsv``, by second-order differences;
+        ``h_max_delta_omega`` is the grid step times ``max_abs_delta_omega``;
+        the reference cosine sweep peaks at 30 and slews at about 30 pi."""
         _, out_a, _, _ = decel_runs
         summary = _read_summary(out_a)
-        assert summary["output_schema"] == 2
+        assert summary["output_schema"] == 3
         peak, slew = summary["max_abs_delta_omega"], summary["max_abs_slew"]
         assert set(peak) == set(slew) == set(summary["fidelities"])
         data = np.loadtxt(os.path.join(out_a, "control.tsv"), skiprows=1)
-        assert slew["itt"] == np.max(np.abs(data[:, 2]))
+        h = summary["t_final"] / (len(data) - 1)
+        assert slew["itt"] == np.max(np.abs(np.gradient(data[:, 1], h, edge_order=2)))
         assert peak["itt"] >= np.max(np.abs(data[:, 1]))
         h = data[1, 0] - data[0, 0]
         for label, value in summary["h_max_delta_omega"].items():
@@ -444,29 +400,54 @@ class TestVerifyStage:
         path = os.path.join(out_a, "control.tsv")
         with open(path, "r", encoding="utf-8") as fh:
             header = fh.readline().strip().split("\t")
-        assert header == [
-            "t", "delta_omega", "derivative", "coupling", "f2", "alpha", "lambda",
-        ]
+        assert header == ["t", "delta_omega", "coupling", "f2"]
         data = np.loadtxt(path, skiprows=1)
-        assert data.shape == (4001, 7)
-        assert data[0, 4] == 0.0 and data[-1, 4] == 0.0
+        assert data.shape == (4001, 4)
+        assert data[0, 3] == 0.0 and data[-1, 3] == 0.0
 
 
-def test_sta_control_table_has_five_columns(tmp_path):
-    """An sta run is in real time, so its ``control.tsv`` leaves out alpha
-    (all ones) and lambda (equal to t)."""
+def test_sta_control_table_has_four_columns(tmp_path):
+    """An sta run writes the same four control columns as every scenario."""
     cfg = _config(tmp_path, STA_FAST)
     out = str(tmp_path / "out")
     assert main(["sta", "--config", cfg, "--out", out]) == 0
     path = os.path.join(out, "control.tsv")
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split("\t")
-    assert header == ["t", "delta_omega", "derivative", "coupling", "f2"]
+    assert header == ["t", "delta_omega", "coupling", "f2"]
     data = np.loadtxt(path, skiprows=1)
-    assert data.shape == (4001, 5)
+    assert data.shape == (4001, 4)
     summary = _read_summary(out)
-    assert summary["output_schema"] == 2
-    assert summary["max_abs_slew"]["sta"] == np.max(np.abs(data[:, 2]))
+    assert summary["output_schema"] == 3
+    slope = np.gradient(data[:, 1], 10.0 / 4000, edge_order=2)
+    assert summary["max_abs_slew"]["sta"] == np.max(np.abs(slope))
+
+
+@pytest.mark.parametrize("bundle", ["decel_a", "accel", "sta20"])
+def test_control_table_gives_back_dropped_columns(tmp_path, request, bundle):
+    """The ``derivative``, ``alpha`` and ``lambda`` columns that layout 3
+    drops come back from ``control.tsv`` bit for bit: the slope by
+    second-order differences of ``delta_omega`` at step t_final / n, alpha
+    and lambda by the magnification's closed forms at the table's times
+    (alpha 1 and lambda t for sta, which runs in real time)."""
+    run = request.getfixturevalue(bundle)
+    path = tmp_path / "control.tsv"
+    _write_control(str(path), run.control, run.vt.f2)
+    t, delta_omega, coupling, f2 = np.loadtxt(path, skiprows=1, unpack=True)
+    grid = run.control.grid
+    t_final, n = grid.t_end, len(t) - 1
+    assert n == grid.n_steps
+    assert np.array_equal(t, grid.times)
+    assert np.array_equal(coupling, run.control.coupling[::2])
+    assert np.array_equal(f2, run.vt.f2)
+    derivative = np.gradient(delta_omega, t_final / n, edge_order=2)
+    assert np.array_equal(derivative, _slew(run.control))
+    if hasattr(run, "prof"):
+        k = (t_final - 1.0) / t_final
+        alpha = 1.0 - k * (1.0 - np.cos(2.0 * np.pi * t / t_final))
+        lam = t - k * (t - t_final / (2.0 * np.pi) * np.sin(2.0 * np.pi * t / t_final))
+        assert np.array_equal(alpha, run.prof.alpha_at(grid.times))
+        assert np.array_equal(lam, run.prof.lambda_at(grid.times))
 
 
 @pytest.mark.xfail(
@@ -504,7 +485,7 @@ class TestSweepFanOut:
             assert summary["t_final"] == float(tf)
             assert len(summary["branches"]) >= 2
             assert len(summary["gaps"]) >= 1
-            assert os.path.exists(os.path.join(sub, "beta_map.tsv"))
+            assert os.path.exists(os.path.join(sub, "residual.tsv"))
 
 
     def test_failure_names_its_sweep_value(self, tmp_path, capsys):
@@ -620,6 +601,32 @@ class TestSweepFanOut:
             f"residual D is not finite at t = {t!r}\n"
         )
         assert not (tmp_path / "out" / "branches.tsv").exists()
+
+    def test_non_finite_cost_sample_exits_3(self, tmp_path, monkeypatch, capsys):
+        """A nan at a time the bridge cost samples (1,002 times) and neither
+        the scan (4,001) nor ``residual.tsv`` (501) does used to surface as a
+        non-finite cost at the seed's bridge parameters."""
+        t_bad = float(np.linspace(0.0, 1.1, 1002)[500])
+        for n in (4001, 501):
+            assert t_bad not in np.linspace(0.0, 1.1, n)
+
+        class Poisoned(FfstPhaseModel):
+            def sine_params(self, t):
+                c, d, phi0 = super().sine_params(t)
+                return c, np.where(t == t_bad, np.nan, d), phi0
+
+        monkeypatch.setattr(cli, "FfstPhaseModel", Poisoned)
+        cfg = _config(tmp_path, DECEL_FAST.replace("cost_points: 1000", "cost_points: 1001"))
+        out = tmp_path / "out"
+        rc = main(["synthesize", "--config", cfg, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err == (
+            "synthesis failed: residual scan at stage 'synthesize', t_final=1.1: "
+            f"residual D is not finite at t = {t_bad!r}\n"
+        )
+        assert (out / "residual.tsv").exists()
+        assert not (out / "control.tsv").exists()
 
     def test_colliding_sweep_names_exit_2(self, tmp_path, capsys):
         cfg = _config(
@@ -790,6 +797,36 @@ class TestFailureModes:
         )
         assert rc == 2
         assert "(0, 1]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize(
+        "command, text, scenario",
+        [
+            ("reference", DECEL_FAST, "decelerate"),
+            ("map", DECEL_FAST, "decelerate"),
+            ("synthesize", DECEL_FAST, "decelerate"),
+            ("device", DECEL_FAST, "decelerate"),
+            ("full", DEVICE_MAP, "device-map"),
+        ],
+        ids=["reference", "map", "synthesize", "device", "full-device-map"],
+    )
+    def test_floor_without_verification_exits_2(
+        self, tmp_path, capsys, source, command, text, scenario
+    ):
+        """A fidelity floor on a run that scores no fidelity used to be
+        dropped without a word; it is rejected before anything is written."""
+        args = ["--require-fidelity", "0.999"] if source == "flag" else []
+        if source == "config":
+            text += "require_fidelity: 0.999\n"
+        cfg = _config(tmp_path, text)
+        out = tmp_path / "out"
+        rc = main([command, "--config", cfg, "--out", str(out), *args])
+        assert rc == 2
+        assert (
+            f"require_fidelity: stage {command!r} of scenario {scenario!r} "
+            "verifies no arm" in capsys.readouterr().err
+        )
+        assert not out.exists()
 
     def test_sta_t_ref_exits_2(self, tmp_path, capsys):
         # the sta reference runs over t_final; a t_ref would be ignored

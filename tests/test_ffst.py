@@ -6,20 +6,21 @@ import numpy as np
 import pytest
 
 from ffsynth import (
-    BetaMap,
     DriveSchedule,
     FfstPhaseModel,
     SynthesisError,
     TimeGrid,
     TwoLevelState,
-    build_beta_map,
     build_magnification,
     fidelity,
     integrate_schrodinger,
     synthesize_control,
     verify_control,
 )
-from ffsynth.zerocurves import residual, root_table
+from ffsynth.cli import _write_residual
+from ffsynth.zerocurves import ScanError, residual, root_table
+
+from diagnostics import beta_map_from_residual
 
 START = TwoLevelState(1.0 + 0.0j, 0.0j)
 
@@ -90,22 +91,33 @@ class TestMagnification:
         assert np.all(np.abs(prof.lambda_at(grid.times) - lam_trap) <= bound)
 
 
+def _rebuilt_map(model, tmp_path):
+    """The ln|beta| map rebuilt from the ``residual.tsv`` a run writes."""
+    path = tmp_path / "residual.tsv"
+    _write_residual(str(path), model)
+    return beta_map_from_residual(str(path))
+
+
 class TestResidualMap:
-    def test_beta_map_shape_and_phase_axis(self, decel_a):
-        bmap = build_beta_map(decel_a.model, n_phase=256, n_time=50)
-        assert bmap.values.shape == (51, 256)
-        assert bmap.phases[0] == pytest.approx(-np.pi)
-        assert bmap.phases[-1] < np.pi  # duplicate +pi column excluded
+    def test_beta_map_shape_and_phase_axis(self, decel_a, tmp_path):
+        times, phases, ln_beta = _rebuilt_map(decel_a.model, tmp_path)
+        assert ln_beta.shape == (501, 512)
+        assert np.array_equal(times, np.linspace(0.0, 1.1, 501))
+        assert phases[0] == -np.pi
+        assert phases[-1] < np.pi  # duplicate +pi column excluded
 
-    def test_min_phase_resolution_enforced(self, decel_a):
-        with pytest.raises(ValueError):
-            build_beta_map(decel_a.model, n_phase=128)
+    def test_residual_table_rejects_non_finite_parameters(self, decel_a, tmp_path):
+        class Poisoned:
+            t_final = decel_a.model.t_final
 
-    def test_betamap_validation(self):
-        with pytest.raises(ValueError):
-            BetaMap(np.zeros(3), np.zeros(4), np.zeros((4, 3)))
-        with pytest.raises(ValueError):
-            BetaMap(np.zeros(2), np.zeros(2), np.full((2, 2), np.nan))
+            def sine_params(self, t):
+                c, d, phi0 = decel_a.model.sine_params(t)
+                return c, d, np.where(np.arange(len(t)) == 250, np.inf, phi0)
+
+        path = tmp_path / "residual.tsv"
+        with pytest.raises(ScanError, match=r"residual phi0 is not finite at t = 0\.55$"):
+            _write_residual(str(path), Poisoned())
+        assert not path.exists()
 
     def test_residual_periodicity(self, decel_a):
         t = np.linspace(0.0, 1.1, 200)
@@ -122,22 +134,26 @@ class TestResidualMap:
             assert np.all(np.abs(val[~np.isnan(roots)]) < 1e-9)
 
     @pytest.mark.parametrize("bundle", ["decel_a", "accel", "sta20"])
-    def test_map_samples_the_one_residual(self, bundle, request):
-        """The map evaluates ``zerocurves.residual`` on its own grid, bit for
-        bit, for either model."""
+    def test_map_samples_the_one_residual(self, bundle, request, tmp_path):
+        """The map rebuilt from ``residual.tsv`` is ln|beta| of either model's
+        ``sine_params`` on the 501 x 512 grid, bit for bit."""
         model = request.getfixturevalue(bundle).model
-        bmap = build_beta_map(model, n_phase=256, n_time=40)
-        c, d, phi0 = model.sine_params(bmap.times)
-        want = residual(c[:, None], d[:, None], phi0[:, None], bmap.phases[None, :])
-        assert np.array_equal(bmap.values, want)
+        times, phases, ln_beta = _rebuilt_map(model, tmp_path)
+        t = np.linspace(0.0, model.t_final, 501)
+        f2 = -np.pi + 2.0 * np.pi * np.arange(512) / 512
+        c, d, phi0 = model.sine_params(t)
+        beta = c[:, None] - d[:, None] * np.sin(f2[None, :] + phi0[:, None])
+        assert np.array_equal(times, t)
+        assert np.array_equal(phases, f2)
+        assert np.array_equal(ln_beta, np.log(np.maximum(np.abs(beta), 1e-14)))
 
-    def test_map_agrees_with_direct_residual(self, decel_a):
-        bmap = build_beta_map(decel_a.model, n_phase=256, n_time=20)
+    def test_map_agrees_with_direct_residual(self, decel_a, tmp_path):
+        times, phases, ln_beta = _rebuilt_map(decel_a.model, tmp_path)
         k, j = 7, 100
         direct = residual(
-            *decel_a.model.sine_params(np.array([bmap.times[k]])), np.array([bmap.phases[j]])
+            *decel_a.model.sine_params(np.array([times[k]])), np.array([phases[j]])
         )
-        assert bmap.values[k, j] == pytest.approx(direct[0], abs=1e-12)
+        assert ln_beta[k, j] == pytest.approx(np.log(abs(direct[0])), abs=1e-12)
 
 
 class TestSynthesis:

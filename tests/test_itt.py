@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -29,7 +30,7 @@ from ffsynth.itt import (
     AMP_MAX, PLAN_KINDS, _branch_samples, _bridges, _realignment_shifts,
 )
 from ffsynth.numerics import nelder_mead
-from ffsynth.zerocurves import LINKING_THRESHOLD, residual
+from ffsynth.zerocurves import LINKING_THRESHOLD, ScanError, residual
 
 OTHER_NON_FINITE = {
     "nan-width": (0.9, np.nan, 0.1),
@@ -497,6 +498,25 @@ class TestOptimizer:
         for f, out in calls:
             assert np.array_equal(out, residual(*params, f))
         assert cost.integrated_residual == float(np.trapezoid(np.abs(calls[-1][1]), tt))
+
+    def test_non_finite_cost_grid_sample_raises(self, decel_a):
+        """A residual parameter that is not finite on the cost grid used to
+        surface as a non-finite cost at the seed's bridge parameters; it is
+        now named, with its time, before the search starts."""
+        tt = np.linspace(0.0, decel_a.t_final, 1002)
+
+        class Poisoned:
+            t_final = decel_a.model.t_final
+
+            def sine_params(self, t):
+                c, d, phi0 = decel_a.model.sine_params(t)
+                return np.where(t == tt[500], np.nan, c), d, phi0
+
+        message = re.escape(f"residual C is not finite at t = {float(tt[500])!r}")
+        with pytest.raises(ScanError, match=message + "$"):
+            optimize_virtual_trajectory(
+                decel_a.plan, Poisoned(), decel_a.grid, decel_a.settings, n_cost=1001
+            )
 
     def test_nan_seed_raises(self, decel_a):
         with pytest.raises(OptimizerError, match="non-finite"):

@@ -31,6 +31,7 @@ from ffsynth.zerocurves import (
     _pair_rows,
     residual,
     root_table,
+    sample_params,
 )
 
 
@@ -562,6 +563,22 @@ class TestNonFiniteResidual:
         message = r"residual D/phi0 is not finite at t = 150\.0$"
         with pytest.raises(ScanError, match=message):
             link_branches(model, n_scan=199)
+
+    def test_sampling_names_first_bad_sample(self):
+        """The one checked sampling every caller goes through."""
+        model = self._model()
+        t = np.arange(200.0)
+        with pytest.raises(ScanError, match=r"residual C is not finite at t = 100\.0$"):
+            sample_params(model, t)
+        c, d, phi0 = sample_params(model, t[:100])
+        assert np.array_equal(c, model.c[:100]) and np.array_equal(phi0, model.phi0[:100])
+
+    def test_gap_scan_names_first_bad_sample(self):
+        """A nan sample used to come out of ``root_table`` as a count-2 row,
+        so ``detect_gaps`` counted it as a root rather than failing."""
+        model = self._model()
+        with pytest.raises(ScanError, match=r"residual C is not finite at t = 100\.0$"):
+            detect_gaps(model, [], n_scan=199)
 
 
 class TestSingularStretch:
