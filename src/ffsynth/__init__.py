@@ -76,6 +76,7 @@ from .zerocurves import (
     Gap,
     ScanError,
     SpeedControlledTrajectory,
+    branch_lifts,
     branch_touch_times,
     detect_gaps,
     link_branches,
@@ -114,6 +115,7 @@ __all__ = [
     "VirtualTrajectory",
     "adiabatic_target",
     "alpha_scaled_control",
+    "branch_lifts",
     "branch_touch_times",
     "build_cosine_sweep",
     "build_magnification",

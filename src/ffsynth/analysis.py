@@ -21,7 +21,7 @@ from .dynamics import (
     integrate_schrodinger,
 )
 from .ffst import FfstPhaseModel
-from .zerocurves import SpeedControlledTrajectory, x_and_y
+from .zerocurves import SpeedControlledTrajectory, branch_lifts, x_and_y
 
 #: Dominance hysteresis for shift counting, suppressing chatter where
 #: the two branch overlaps are nearly equal.
@@ -102,13 +102,13 @@ class TrajectoryShiftSeries:
 
 def _branch_overlaps(
     branch: SpeedControlledTrajectory,
+    f: np.ndarray,
     p1: np.ndarray,
     p2: np.ndarray,
     times: np.ndarray,
     psi1: np.ndarray,
     psi2: np.ndarray,
 ) -> np.ndarray:
-    f = branch.values_at(times)
     out = np.abs(np.conj(p1) * psi1 + np.conj(p2 * np.exp(1j * f)) * psi2)
     absent = (times < branch.t_start - 1e-12) | (times > branch.t_end + 1e-12)
     out[absent] = np.nan
@@ -126,7 +126,8 @@ def trajectory_shift_analysis(
     Builds the scaled ansatz for each of the two full-span branches and
     tracks which has the larger overlap with the integrated state.  A
     shift event is a dominance change larger than the hysteresis; the
-    initial label is deferred until one branch clearly leads.
+    initial label is deferred until one branch clearly leads.  Raises
+    ``ScanError`` when C, D or phi0 is not finite at an analysis time.
     """
     xy = x_and_y(scts)
     if xy is None:
@@ -143,8 +144,9 @@ def trajectory_shift_analysis(
 
     p1, p2 = model.states_at(model.prof.lambda_at(times))
 
-    ox = _branch_overlaps(x, p1, p2, times, psi1, psi2)
-    oy = _branch_overlaps(y, p1, p2, times, psi1, psi2)
+    fx, fy = branch_lifts((x, y), times)
+    ox = _branch_overlaps(x, fx, p1, p2, times, psi1, psi2)
+    oy = _branch_overlaps(y, fy, p1, p2, times, psi1, psi2)
 
     dominant = np.full(len(times), "", dtype=object)
     shifts: list[float] = []

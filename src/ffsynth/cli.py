@@ -372,9 +372,12 @@ def run_single(
             max_abs_delta_omega[arm.label] = peak
             max_abs_slew[arm.label] = slew
             h_max_delta_omega[arm.label] = arm.grid.h * peak
+            # the shift analysis samples the residual to evaluate branches
             try:
                 report = verify_control(arm, initial, target)
-            except (VerificationError, IntegrationError) as exc:
+                if shift_analysis and arm is control:
+                    series = trajectory_shift_analysis(report.trajectory, scts, model)
+            except (VerificationError, IntegrationError, ScanError) as exc:
                 raise VerificationError(
                     f"arm {arm.label!r} at stage {stage!r}, t_final={t_final!r}: {exc}"
                 ) from exc
@@ -385,7 +388,6 @@ def run_single(
                 os.path.join(out_dir, f"populations_{arm.label}.tsv"), report.trajectory
             )
             if shift_analysis and arm is control:
-                series = trajectory_shift_analysis(report.trajectory, scts, model)
                 _write_table(
                     os.path.join(out_dir, "shifts.tsv"),
                     ["t", "overlap_x", "overlap_y", "dominant"],

@@ -223,28 +223,36 @@ def synthesize_control(
         g_ff = _half_grid_samples("coupling_ff", coupling_ff, th)
 
     f2 = _half_grid_samples("path", path, th)
-    df2 = np.gradient(f2, h2, edge_order=2)
+    ag = alpha * g_ref
+    scale = 1.0 + np.abs(ag) + np.abs(g_ff)
 
+    # one bracket term after the other: each one's temporaries die first
     eif = np.exp(1j * f2)
-    br1 = alpha * g_ref - g_ff * eif
-    br2 = alpha * g_ref - g_ff * np.conj(eif)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t1 = (p2 / p1 * br1).real
-        t2 = (p1 / p2 * br2).real
-    # a bracket that vanishes identically cancels its amplitude pole
-    t1[np.abs(br1) == 0.0] = 0.0
-    t2[np.abs(br2) == 0.0] = 0.0
-    dw = t1 - t2 + alpha * dw_ref + df2
+    dw, sing1, brackets = _bracket_term(p2, p1, ag, g_ff, eif, scale)
+    t2, sing2, brackets2 = _bracket_term(p1, p2, ag, g_ff, np.conj(eif, out=eif), scale)
+    dw -= t2
+    dw += alpha * dw_ref
+    dw += np.gradient(f2, h2, edge_order=2)
 
-    scale = 1.0 + np.abs(alpha * g_ref) + np.abs(g_ff)
-    sing1 = (np.abs(p1) < SINGULAR_POPULATION) & (np.abs(br1) != 0.0)
-    sing2 = (np.abs(p2) < SINGULAR_POPULATION) & (np.abs(br2) != 0.0)
     bad = sing1 | sing2 | ~np.isfinite(dw)
-    brackets = np.zeros(len(th))
-    brackets[sing1] = np.abs(br1[sing1]) / scale[sing1]
-    brackets[sing2] = np.maximum(brackets[sing2], np.abs(br2[sing2]) / scale[sing2])
+    np.maximum(brackets, brackets2, out=brackets)
     dw = _fill_singular(th, dw, bad, brackets)
     return DriveSchedule(grid, dw, g_ff, label=label)
+
+
+def _bracket_term(num, den, ag, g_ff, e, scale):
+    """Re[(num / den)(alpha g - g_ff e)] of the synthesized detuning, the
+    samples where ``den`` is singular, and there the bracket's magnitude
+    relative to ``scale`` (zero elsewhere)."""
+    br = ag - g_ff * e
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # a copy: the real part's view would keep the complex product alive
+        term = (num / den * br).real.copy()
+    mag = np.abs(br)
+    # a bracket that vanishes identically cancels its amplitude pole
+    term[mag == 0.0] = 0.0
+    sing = (np.abs(den) < SINGULAR_POPULATION) & (mag != 0.0)
+    return term, sing, np.where(sing, mag / scale, 0.0)
 
 
 def naive_control(model: FfstPhaseModel) -> DriveSchedule:

@@ -27,6 +27,7 @@ from .zerocurves import (
     TWO_PI,
     Gap,
     SpeedControlledTrajectory,
+    branch_lifts,
     branch_touch_times,
     residual,
     sample_params,
@@ -220,9 +221,10 @@ def default_bridge_params(
     starts from zero amplitude since its bump is not anchored to branch
     endpoints.
     """
+    centers = [0.5 * (lo + hi) for lo, hi in plan.crossings]
+    at_centers = branch_lifts(plan.branches, centers)
     init = []
-    for i, (lo, hi) in enumerate(plan.crossings):
-        center = 0.5 * (lo + hi)
+    for i, ((lo, hi), center) in enumerate(zip(plan.crossings, centers)):
         width = 0.5 * (hi - lo) if hi > lo else 0.02
         if bridge_mode(plan, settings) == "detached":
             amp = 0.0
@@ -231,12 +233,7 @@ def default_bridge_params(
                 wrap_phase(plan.branches[i + 1].start_phase - plan.branches[i].end_phase)
             )
         else:
-            amp = float(
-                wrap_phase(
-                    plan.branches[i + 1].values_at(center)
-                    - plan.branches[i].values_at(center)
-                )
-            )
+            amp = float(wrap_phase(at_centers[i + 1][i] - at_centers[i][i]))
         init.append((center, width, amp))
     return init
 
@@ -274,10 +271,10 @@ def _bridges(plan: TravelPlan, params, settings: BridgeSettings) -> list[tuple]:
 def _realignment_shifts(plan: TravelPlan) -> list[float]:
     """Whole turns added to each branch so it meets the previous one at
     the crossing center; the connector then never sweeps a spurious 2 pi."""
+    at_centers = branch_lifts(plan.branches, [0.5 * (lo + hi) for lo, hi in plan.crossings])
     shifts = [0.0]
-    for (glo, ghi), fin, fout in zip(plan.crossings, plan.branches, plan.branches[1:]):
-        gc = 0.5 * (glo + ghi)
-        step = fout.values_at(gc) - (fin.values_at(gc) + shifts[-1])
+    for i, (fin, fout) in enumerate(zip(at_centers, at_centers[1:])):
+        step = fout[i] - (fin[i] + shifts[-1])
         shifts.append(-TWO_PI * np.round(step / TWO_PI))
     return shifts
 
@@ -291,7 +288,7 @@ def _branch_samples(
     them once."""
     if bridge_mode(plan, settings) == "detached":
         return [], []
-    return [b.values_at(t) for b in plan.branches], _realignment_shifts(plan)
+    return branch_lifts(plan.branches, t), _realignment_shifts(plan)
 
 
 def _assemble_lift(

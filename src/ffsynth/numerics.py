@@ -1,21 +1,16 @@
 """Interpolation, the error function, a simplex search and exact number
 text on numpy alone.
 
-The package needs five numerical routines: a cubic Hermite interpolant
-of given values and slopes, a shape-preserving PCHIP interpolant, ``erf``,
-a Nelder-Mead search and the text of ``'%.17g' % v`` for every float in
-an array.  They are written here in numpy so that a run imports nothing
-heavier.
+The package needs four numerical routines: a cubic Hermite interpolant
+of given values and slopes, ``erf``, a Nelder-Mead search and the text
+of ``'%.17g' % v`` for every float in an array.  They are written here
+in numpy so that a run imports nothing heavier.
 
-Both interpolants are :class:`PiecewiseCubic` values evaluated in
-SciPy's ``PPoly`` term order.  The other routines follow the operation
-order of the established implementation each mirrors, so their results
-are reproducible bit for bit:
+The interpolant is a :class:`PiecewiseCubic` value evaluated in SciPy's
+``PPoly`` term order.  The other routines follow the operation order of
+the established implementation each mirrors, so their results are
+reproducible bit for bit:
 
-- PCHIP is built like SciPy's ``PchipInterpolator``: the Hermite
-  interpolant of the node slopes of Fritsch and Carlson, SIAM J. Numer.
-  Anal. 17, 238 (1980), with the one-sided three-point end slopes of
-  Moler's ``pchiptx``;
 - ``erf`` is the Cephes rational approximation (``ndtr.c``; the erfc
   branch after Cody, Math. Comp. 23, 631 (1969));
 - :func:`nelder_mead` is the simplex method of Nelder and Mead, Comput.
@@ -91,47 +86,6 @@ def hermite(x, y, dydx) -> PiecewiseCubic:
     t = (dydx[:-1] + dydx[1:] - 2 * slope) / dx
     c = np.stack((t / dx, (slope - dydx[:-1]) / dx - t, dydx[:-1], y[:-1]))
     return PiecewiseCubic(x=x, c=c)
-
-
-def _pchip_end_slope(h0, h1, m0, m1):
-    # one-sided three-point estimate for the derivative
-    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-
-    # try to preserve shape
-    mask = np.sign(d) != np.sign(m0)
-    mask2 = (np.sign(m0) != np.sign(m1)) & (np.abs(d) > 3.0 * np.abs(m0))
-    mmm = (~mask) & mask2
-
-    d[mask] = 0.0
-    d[mmm] = 3.0 * m0[mmm]
-    return d
-
-
-def pchip(x, y) -> PiecewiseCubic:
-    """The monotone piecewise-cubic (PCHIP) interpolant of real ``y``."""
-    x = _knots(x)
-    y = _values(x, y)
-    if np.iscomplexobj(y):
-        raise ValueError("pchip interpolates real values only")
-    hk = x[1:] - x[:-1]
-    mk = (y[1:] - y[:-1]) / hk
-
-    smk = np.sign(mk)
-    condition = (smk[1:] != smk[:-1]) | (mk[1:] == 0) | (mk[:-1] == 0)
-
-    w1 = 2 * hk[1:] + hk[:-1]
-    w2 = hk[1:] + 2 * hk[:-1]
-
-    # where the weighted harmonic mean divides by zero, ``condition`` holds
-    # and the slope is set to zero instead
-    with np.errstate(divide="ignore", invalid="ignore"):
-        whmean = (w1 / mk[:-1] + w2 / mk[1:]) / (w1 + w2)
-
-    dk = np.zeros_like(y)
-    dk[1:-1][~condition] = 1.0 / whmean[~condition]
-    dk[:1] = _pchip_end_slope(hk[:1], hk[1:2], mk[:1], mk[1:2])
-    dk[-1:] = _pchip_end_slope(hk[-1:], hk[-2:-1], mk[-1:], mk[-2:-1])
-    return hermite(x, y, dk)
 
 
 # Cephes ndtr.c: erf(x) = x T(x^2) / U(x^2) for |x| <= 1, and

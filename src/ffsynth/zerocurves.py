@@ -14,7 +14,8 @@ that is not finite.  This module evaluates the residual
 form on a whole scan at once (``root_table``, the one place that
 decides where roots exist), links the roots into continuous branches,
 labels the two full-span ones X and Y, and detects the time intervals
-where no root exists.
+where no root exists.  A branch between its scan samples is a root as
+well: ``branch_lifts`` evaluates it from the run's model.
 
 There are at most two roots per sample, so linking pairs the roots of
 each sample with those of the sample before it through a 2x2 table of
@@ -35,8 +36,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-
-from .numerics import pchip
 
 TWO_PI = 2.0 * np.pi
 
@@ -107,18 +106,20 @@ class SpeedControlledTrajectory:
     ``f2`` holds the unwrapped lift of the curve on the scan grid (nan
     where the branch does not exist) and ``valid`` the existence mask.
     The lift is continuous; its canonical image may jump by 2*pi.
+    ``model`` is the residual model whose roots the branch follows (see
+    ``branch_lifts``).
     """
 
     times: np.ndarray
     f2: np.ndarray
     valid: np.ndarray
     branch_id: str
+    model: object = field(repr=False, compare=False)
 
     t_start: float = field(init=False)
     t_end: float = field(init=False)
     start_phase: float = field(init=False)
     end_phase: float = field(init=False)
-    _interp: object = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         idx = np.flatnonzero(self.valid)
@@ -151,12 +152,6 @@ class SpeedControlledTrajectory:
         if (self.times[-1] - self.t_end) > 0.01 * full:
             return False
         return abs(self.start_phase) < 0.05 and abs(self.end_phase) < 0.05
-
-    def values_at(self, t) -> np.ndarray:
-        """Lift values at arbitrary times, clamped to the valid span."""
-        if self._interp is None:
-            self._interp = pchip(self.times[self.valid], self.f2[self.valid])
-        return self._interp(np.clip(t, self.t_start, self.t_end))
 
 
 class ScanError(ValueError):
@@ -319,7 +314,9 @@ def link_branches(
         f2[ks] = lift[slots]
         valid[ks] = True
         out.append(
-            SpeedControlledTrajectory(times=t, f2=f2, valid=valid, branch_id="")
+            SpeedControlledTrajectory(
+                times=t, f2=f2, valid=valid, branch_id="", model=model
+            )
         )
     # no two branches share a first sample and root, so this order does not
     # depend on the order the chains were found in
@@ -334,6 +331,38 @@ def link_branches(
         a, b = sorted(out, key=lambda s: abs(float(wrap_phase(s.end_phase))))
         a.branch_id = "Y"
         b.branch_id = "X"
+    return out
+
+
+def branch_lifts(branches, t) -> list[np.ndarray]:
+    """Each branch's lift at times ``t``, from the roots of its model.
+
+    Each model is sampled once at ``t``; the branches of a run share one.
+    A branch's chord, the linear interpolant of its lift samples held at
+    its end samples outside its span, picks the root: of the two roots,
+    each lifted to the chord's turn, the one nearer the chord.  The chord
+    stands where no root exists and outside the span.  Nearest to the
+    chord, not to a scan sample's root slot: at a crossing the two roots
+    trade slots between samples.
+
+    Raises ``ScanError`` when C, D or phi0 is not finite at a time of
+    ``t``.
+    """
+    t = np.asarray(t, dtype=float)
+    tables: dict[int, np.ndarray] = {}
+    out = []
+    for b in branches:
+        if id(b.model) not in tables:
+            tables[id(b.model)] = np.stack(root_table(*sample_params(b.model, t))[:2])
+        roots = tables[id(b.model)]
+        chord = np.interp(t, b.times[b.valid], b.f2[b.valid])
+        lifted = roots + TWO_PI * np.round((chord - roots) / TWO_PI)
+        miss = np.abs(lifted - chord)
+        # a missing x2 compares False and leaves x1, which is nan only
+        # where both are
+        lift = np.where(miss[1] < miss[0], lifted[1], lifted[0])
+        root = (t >= b.t_start) & (t <= b.t_end) & ~np.isnan(lift)
+        out.append(np.where(root, lift, chord))
     return out
 
 
@@ -398,7 +427,8 @@ def branch_touch_times(
     t0 = max(x.t_start, y.t_start)
     t1 = min(x.t_end, y.t_end)
     t = np.linspace(t0, t1, n_scan + 1)
-    sep = np.abs(wrap_phase(x.values_at(t) - y.values_at(t)))
+    fx, fy = branch_lifts((x, y), t)
+    sep = np.abs(wrap_phase(fx - fy))
     mid = sep[1:-1]
     hit = (
         (mid < sep[:-2])

@@ -24,7 +24,7 @@ from ffsynth.cli import (
     _write_table,
     main,
 )
-from ffsynth.dynamics import ReferenceTrajectory
+from ffsynth.dynamics import ReferenceTrajectory, TimeGrid
 from ffsynth.ffst import FfstPhaseModel
 
 DECEL_FAST = """\
@@ -469,6 +469,19 @@ def test_decelerated_itt_varies_no_faster_than_reference(tmp_path):
     assert summary["max_abs_slew"]["itt"] <= summary["reference"]["max_abs_slew"]
 
 
+def test_unscaled_itt_varies_like_the_reference(tmp_path):
+    """With T_F = T the itt path follows one branch, which crosses the other
+    between scan samples; a branch evaluated off the crossing root would
+    make the control's slew jump there."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    config = os.path.join(root, "configs", "reference-sweep.yaml")
+    out = str(tmp_path / "out")
+    assert main(["verify", "--config", config, "--out", out]) == 0
+    summary = _read_summary(out)
+    reference = summary["reference"]["max_abs_slew"]
+    assert summary["max_abs_slew"]["itt"] == pytest.approx(reference, rel=1e-4)
+
+
 class TestSweepFanOut:
     def test_map_stage_sweep(self, tmp_path):
         cfg = _config(tmp_path, ACCEL_SWEEP)
@@ -627,6 +640,34 @@ class TestSweepFanOut:
         )
         assert (out / "residual.tsv").exists()
         assert not (out / "control.tsv").exists()
+
+    def test_non_finite_analysis_sample_exits_3(self, tmp_path, monkeypatch, capsys):
+        """The shift analysis evaluates the branches at its own times (every
+        10th control node, which no earlier stage samples): a nan there
+        names the stage and the sweep value instead of escaping as a
+        traceback."""
+        times = TimeGrid(1.1, 4000).times[::10]
+        t_bad = float(times[200])
+
+        class Poisoned(FfstPhaseModel):
+            def sine_params(self, t):
+                c, d, phi0 = super().sine_params(t)
+                if np.array_equal(t, times):
+                    d = np.where(t == t_bad, np.nan, d)
+                return c, d, phi0
+
+        monkeypatch.setattr(cli, "FfstPhaseModel", Poisoned)
+        cfg = _config(tmp_path, DECEL_FAST)
+        out = tmp_path / "out"
+        rc = main(["verify", "--config", cfg, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err == (
+            "verification failed: arm 'itt' at stage 'verify', t_final=1.1: "
+            f"residual D is not finite at t = {t_bad!r}\n"
+        )
+        assert (out / "control.tsv").exists()
+        assert not (out / "shifts.tsv").exists()
 
     def test_colliding_sweep_names_exit_2(self, tmp_path, capsys):
         cfg = _config(
@@ -869,7 +910,7 @@ RUN = (
             None,
             None,
         ),
-        # every stage: Hermite interpolants, PCHIP branches, erf bridges and
+        # every stage: Hermite interpolants, branch roots, erf bridges and
         # the simplex
         (RUN, "full", DECEL_FAST),
         (RUN, "sta", STA_FAST),

@@ -17,6 +17,7 @@ from ffsynth import (
     synthesize_control,
     verify_control,
 )
+from ffsynth import ffst
 from ffsynth.cli import _write_residual
 from ffsynth.zerocurves import ScanError, residual, root_table
 
@@ -156,7 +157,52 @@ class TestResidualMap:
         assert ln_beta[k, j] == pytest.approx(np.log(abs(direct[0])), abs=1e-12)
 
 
+def _one_pass_control(path, model, coupling_ff=None):
+    """The synthesis with every bracket array alive at once, as it was
+    written before the two terms were taken one after the other: the
+    oracle for the detuning's bits."""
+    prof = model.prof
+    th = prof.grid.half_times
+    alpha = prof.alpha_at(th)
+    lam = prof.lambda_at(th)
+    p1, p2 = model.states_at(lam)
+    g_ref = model._g(lam)
+    g_ff = np.asarray(g_ref, dtype=float) if coupling_ff is None else coupling_ff
+    df2 = np.gradient(path, th[1] - th[0], edge_order=2)
+    eif = np.exp(1j * path)
+    br1 = alpha * g_ref - g_ff * eif
+    br2 = alpha * g_ref - g_ff * np.conj(eif)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t1 = (p2 / p1 * br1).real
+        t2 = (p1 / p2 * br2).real
+    t1[np.abs(br1) == 0.0] = 0.0
+    t2[np.abs(br2) == 0.0] = 0.0
+    dw = t1 - t2 + alpha * model._dw(lam) + df2
+    scale = 1.0 + np.abs(alpha * g_ref) + np.abs(g_ff)
+    sing1 = (np.abs(p1) < ffst.SINGULAR_POPULATION) & (np.abs(br1) != 0.0)
+    sing2 = (np.abs(p2) < ffst.SINGULAR_POPULATION) & (np.abs(br2) != 0.0)
+    bad = sing1 | sing2 | ~np.isfinite(dw)
+    brackets = np.zeros(len(th))
+    brackets[sing1] = np.abs(br1[sing1]) / scale[sing1]
+    brackets[sing2] = np.maximum(brackets[sing2], np.abs(br2[sing2]) / scale[sing2])
+    return ffst._fill_singular(th, dw, bad, brackets), g_ff
+
+
 class TestSynthesis:
+    @pytest.mark.parametrize("name", ["accel", "decel_a"])
+    @pytest.mark.parametrize("coupling", ["reference", "alpha-scaled"])
+    def test_matches_one_pass_formula_bitwise(self, request, name, coupling):
+        bundle = request.getfixturevalue(name)
+        g_ff = None
+        if coupling == "alpha-scaled":
+            # g_ff = alpha g on a zero path: every bracket vanishes exactly
+            g_ff = bundle.prof.alpha_at(bundle.grid.half_times)
+        path = bundle.vt.f2_lift if g_ff is None else np.zeros_like(g_ff)
+        control = synthesize_control(path, bundle.model, coupling_ff=g_ff)
+        dw, coupling_ff = _one_pass_control(path, bundle.model, g_ff)
+        assert np.array_equal(control.delta_omega, dw)
+        assert np.array_equal(control.coupling, coupling_ff)
+
     def test_identity_reproduces_reference_nodes_bitwise(self, reference):
         grid = TimeGrid(1.0, 20_000)
         prof = build_magnification(1.0, grid)

@@ -1,8 +1,8 @@
 """The numpy ports of ``ffsynth.numerics`` against the SciPy routines they
 mirror.  SciPy is a test-only dependency; here it is the oracle.
 
-Bounds, fixed before the code was written: PCHIP and the simplex search
-must agree with SciPy bit for bit, and ``erf`` to within 2 ulp.  The
+Bounds, fixed before the code was written: the simplex search must
+agree with SciPy bit for bit, and ``erf`` to within 2 ulp.  The
 reference's Hermite interpolants must agree with SciPy's not-a-knot
 ``CubicSpline`` through the same knots to within 1e-12, and the sweep's
 with its closed form to within 5e-14 (1e-12 on a 2,000-step grid).
@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from scipy.interpolate import CubicSpline, PchipInterpolator
+from scipy.interpolate import CubicSpline
 from scipy.optimize import minimize
 from scipy.special import erf as scipy_erf
 
 from ffsynth import CosineSweepSpec, TimeGrid, build_cosine_sweep, itt
-from ffsynth.numerics import G17_FIELD_BYTES, erf, format_g17, hermite, nelder_mead, pchip
+from ffsynth.numerics import G17_FIELD_BYTES, erf, format_g17, hermite, nelder_mead
 
 #: Largest allowed distance of ``erf`` from SciPy's, in units in the last place.
 ERF_ULPS = 2.0
@@ -36,12 +36,6 @@ def _probe_times(x, n: int, seed: int = 0, margin: float = 0.01) -> np.ndarray:
     margin *= x[-1] - x[0]
     t = rng.uniform(x[0] - margin, x[-1] + margin, n)
     return np.concatenate([t, x, 0.5 * (x[1:] + x[:-1])])
-
-
-def _assert_same_interpolant(ours, theirs, t):
-    assert np.array_equal(ours.x, theirs.x)
-    assert np.array_equal(ours.c, theirs.c)
-    assert np.array_equal(ours(t), theirs(t))
 
 
 class TestHermite:
@@ -112,33 +106,6 @@ class TestHermite:
     def test_rejects_bad_input(self, x, y, dydx):
         with pytest.raises(ValueError):
             hermite(np.array(x), np.array(y), np.array(dydx))
-
-
-class TestPchip:
-    @pytest.mark.parametrize(
-        "name", ["decel_a", "decel_b", "accel", "sta10", "sta20", "sta30"]
-    )
-    def test_every_fixture_branch(self, request, name):
-        bundle = request.getfixturevalue(name)
-        branches = bundle.scts if hasattr(bundle, "scts") else bundle.branches
-        assert branches
-        for b in branches:
-            tv, fv = b.times[b.valid], b.f2[b.valid]
-            t = _probe_times(tv, 4_000)
-            _assert_same_interpolant(pchip(tv, fv), PchipInterpolator(tv, fv), t)
-
-    def test_flat_runs_and_turning_points(self):
-        """Zero slopes, sign changes and both end-slope corrections."""
-        rng = np.random.default_rng(5)
-        x = np.cumsum(rng.uniform(0.1, 1.0, 400))
-        y = rng.integers(-2, 3, size=400).astype(float)
-        y[:3] = [0.0, 1.0, -3.0]
-        y[-3:] = [5.0, -1.0, 0.5]
-        _assert_same_interpolant(pchip(x, y), PchipInterpolator(x, y), _probe_times(x, 40_000))
-
-    def test_rejects_complex(self):
-        with pytest.raises(ValueError):
-            pchip(np.arange(5.0), np.arange(5.0) * 1j)
 
 
 def test_erf_within_two_ulp_of_scipy():

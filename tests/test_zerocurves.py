@@ -16,6 +16,7 @@ from ffsynth import (
     SpeedControlledTrajectory,
     StaPhaseModel,
     TimeGrid,
+    branch_lifts,
     branch_touch_times,
     build_magnification,
     default_step_count,
@@ -99,7 +100,11 @@ def _oracle_link(model, n_scan=16_000, threshold=LINKING_THRESHOLD, min_samples=
         valid = np.zeros(n_scan + 1, dtype=bool)
         f2[br["ks"]] = br["fs"]
         valid[br["ks"]] = True
-        out.append(SpeedControlledTrajectory(times=t, f2=f2, valid=valid, branch_id=""))
+        out.append(
+            SpeedControlledTrajectory(
+                times=t, f2=f2, valid=valid, branch_id="", model=model
+            )
+        )
     out.sort(key=lambda b: (b.t_start, b.start_phase))
     for i, b in enumerate(out):
         b.branch_id = f"B{i}"
@@ -116,7 +121,8 @@ def _oracle_touch_times(x, y, separation_threshold=1.2, n_scan=16_000):
     t0 = max(x.t_start, y.t_start)
     t1 = min(x.t_end, y.t_end)
     t = np.linspace(t0, t1, n_scan + 1)
-    sep = np.abs(wrap_phase(x.values_at(t) - y.values_at(t)))
+    fx, fy = branch_lifts((x, y), t)
+    sep = np.abs(wrap_phase(fx - fy))
     out = []
     span = t1 - t0
     for k in range(1, n_scan):
@@ -137,6 +143,7 @@ def _assert_same_branches(got, want):
         assert g.f2.tobytes() == w.f2.tobytes(), g.branch_id
         assert g.t_start == g.times[g.valid][0] and g.t_end == g.times[g.valid][-1]
         assert g.start_phase == g.f2[g.valid][0] and g.end_phase == g.f2[g.valid][-1]
+        assert g.model is w.model
 
 
 class _TableModel:
@@ -323,11 +330,14 @@ class TestBranchLinking:
             assert abs(touch - target) < 0.05
 
     def test_values_at_clamps_outside_support(self, decel_a):
+        """``branch_lifts`` holds a branch at its end samples outside its
+        span."""
         b = decel_a.scts[0]
-        lo = b.values_at(np.array([b.t_start - 1.0]))[0]
-        hi = b.values_at(np.array([b.t_end + 1.0]))[0]
-        assert lo == pytest.approx(b.values_at(np.array([b.t_start]))[0], abs=1e-9)
-        assert hi == pytest.approx(b.values_at(np.array([b.t_end]))[0], abs=1e-9)
+        t = np.array([b.t_start - 1.0, b.t_start, b.t_end, b.t_end + 1.0])
+        lo, start, end, hi = branch_lifts([b], t)[0]
+        assert lo == b.start_phase and hi == b.end_phase
+        assert start == pytest.approx(b.start_phase, abs=1e-9)
+        assert end == pytest.approx(b.end_phase, abs=1e-9)
 
     def test_winding_branch_is_not_connected(self, decel_a):
         # ends one full turn away from the start: closed only modulo 2 pi
@@ -338,6 +348,39 @@ class TestBranchLinking:
         chained = sta30.plan.branches[0]
         assert chained.is_connected()
         assert chained.spans_full_domain()
+
+
+class TestBranchLifts:
+    @pytest.mark.parametrize(
+        "name", ["decel_a", "decel_b", "accel", "sta10", "sta20", "sta30"]
+    )
+    def test_every_fixture_branch_is_a_root(self, request, name):
+        """Between its scan samples a branch is a root of the residual, to
+        rounding; an interpolant of the samples was off by up to 6.3e-6."""
+        bundle = request.getfixturevalue(name)
+        branches = bundle.scts if hasattr(bundle, "scts") else bundle.branches
+        assert branches
+        for b in branches:
+            inside = b.times[b.valid]
+            mid = 0.5 * (inside[1:] + inside[:-1])
+            c, d, phi0 = sample_params(b.model, mid)
+            err = np.abs(residual(c, d, phi0, branch_lifts([b], mid)[0]))
+            assert np.all(err <= 1e-12 * (1.0 + d)), b.branch_id
+
+    def test_samples_are_kept(self, accel):
+        """At its own scan samples a branch keeps its lift, to rounding."""
+        for b in accel.scts:
+            lift = branch_lifts([b], b.times[b.valid])[0]
+            assert np.max(np.abs(lift - b.f2[b.valid])) < 1e-12, b.branch_id
+
+    def test_one_root_table_per_model(self, monkeypatch, decel_a):
+        calls = []
+        monkeypatch.setattr(
+            zerocurves, "root_table", lambda *a: calls.append(1) or root_table(*a)
+        )
+        x, y = zerocurves.x_and_y(decel_a.scts)
+        branch_lifts((x, y, x), np.linspace(0.0, 1.1, 11))
+        assert len(calls) == 1
 
 
 class TestRootTable:
