@@ -1,14 +1,16 @@
 """Command line front end: scaled-schedule synthesis and verification.
 
-Subcommands walk one pipeline to increasing depth:
+Every run solves the reference, then takes the stages that ``_STAGES``
+lists for its subcommand, one function each (on scenario ``device-map``,
+every subcommand but ``reference`` maps the sweep alone):
 
-  reference    solve and export the reference trajectory
+  reference    nothing more
   map          sample the phase residual, extract branches and gaps
-  synthesize   plan the travel path, optimize bridges, emit the control
-  verify       re-integrate every arm and score it against the target
-  sta          eigenstate-following pipeline (requires scenario: sta)
+  synthesize   map, then plan the travel path, optimize bridges, emit the control
+  verify       synthesize, then re-integrate every arm and score it
+  sta          verify on the eigenstate-following pipeline (scenario: sta)
   device       map the reference sweep onto the flux axis
-  full         verify plus the device mapping
+  full         verify, then the device mapping
 
 Exit codes: 0 success, 2 configuration problem, 3 synthesis,
 construction or verification failure (a re-integration that is not
@@ -71,22 +73,15 @@ from .numerics import format_g17
 from .sta import StaPhaseModel, adiabatic_target, synthesize_sta_control
 from .zerocurves import ScanError, detect_gaps, link_branches, sample_params, x_and_y
 
-DEPTH = {
-    "reference": 0,
-    "map": 1,
-    "synthesize": 2,
-    "verify": 3,
-    "sta": 3,
-    "device": 0,
-    "full": 3,
-}
-
-SETTINGS_KIND = {
-    "accelerate": "accelerate",
-    "decelerate": "decelerate",
-    "sta": "sta",
-    "reference-only": "accelerate",
-    "device-map": "accelerate",
+#: The stages each subcommand takes after the reference, in order.
+_STAGES = {
+    "reference": (),
+    "map": ("map",),
+    "synthesize": ("map", "synthesize"),
+    "verify": ("map", "synthesize", "verify"),
+    "sta": ("map", "synthesize", "verify"),
+    "device": ("device",),
+    "full": ("map", "synthesize", "verify", "device"),
 }
 
 
@@ -240,15 +235,163 @@ def _device_section(cfg: RunConfig, sweep_control, primary_control, out_dir: str
     return section
 
 
-def run_single(
-    cfg: RunConfig,
-    t_final: float,
-    out_dir: str,
-    depth: int,
-    do_device: bool,
-    stage: str,
-) -> dict:
-    """One scenario at one duration; writes tables and returns the summary."""
+def _stages(command: str, scenario: str) -> tuple[str, ...]:
+    """The stages a run of ``command`` takes after its reference."""
+    if scenario == "device-map":
+        return () if command == "reference" else ("device",)
+    return _STAGES[command]
+
+
+def _reference(cfg: RunConfig, t_final, out_dir):
+    """The reference, the sta model, which sets its initial state (the ffst
+    model needs the control grid, so the map stage builds it), and its section."""
+    duration = t_final if cfg.scenario == "sta" else cfg.t_ref
+    sweep = CosineSweepSpec(cfg.delta_omega0, duration)
+    grid = TimeGrid(duration, cfg.reference_steps or default_step_count(duration))
+    model = StaPhaseModel(sweep) if cfg.scenario == "sta" else None
+    initial = None if model is None else model.initial_state()
+    ref = solve_reference(sweep, grid, initial=initial)
+    ref_end = _write_populations(os.path.join(out_dir, "populations_reference.tsv"), ref)
+    ref_peak, ref_slew = _rates(ref.drive)
+    return ref, model, {
+        "n_steps": int(ref.grid.n_steps),
+        "final_populations": ref_end,
+        "norm_drift": ref.norm_drift(),
+        "max_abs_delta_omega": ref_peak,
+        "max_abs_slew": ref_slew,
+    }
+
+
+def _map(cfg: RunConfig, t_final, out_dir, ref, model):
+    """The residual model on the control grid, its branches and gaps."""
+    grid_c = TimeGrid(t_final, cfg.control_steps or default_step_count(t_final))
+    if model is None:
+        model = FfstPhaseModel(ref, build_magnification(cfg.t_ref, grid_c))
+    scts = link_branches(model, n_scan=cfg.scan_points)
+    gaps = detect_gaps(model, scts, n_scan=cfg.scan_points)
+    _write_residual(os.path.join(out_dir, "residual.tsv"), model)
+    _write_branches(os.path.join(out_dir, "branches.tsv"), scts)
+    return model, grid_c, scts, gaps, {
+        "branches": [_branch_record(b) for b in scts],
+        "gaps": [
+            {"t_start": float(g.t_start), "t_end": float(g.t_end), "width": float(g.width)}
+            for g in gaps
+        ],
+    }
+
+
+def _synthesize(cfg: RunConfig, out_dir, model, grid_c, scts, gaps):
+    """The primary control along the planned travel path over ``grid_c``."""
+    t_final = grid_c.t_end
+    plan = plan_travel(cfg.plan_kind, scts, gaps, t_final)
+    # a reference-only run synthesizes like an acceleration
+    kind = "accelerate" if cfg.scenario == "reference-only" else cfg.scenario
+    settings = default_bridge_settings(kind, t_final)
+    vt, cost = optimize_virtual_trajectory(
+        plan, model, grid_c, settings, n_cost=cfg.cost_points
+    )
+    if cfg.scenario == "sta":
+        control = synthesize_sta_control(vt.f2_lift, model, grid_c, label="sta")
+    else:
+        control = synthesize_control(vt.f2_lift, model, label="itt")
+    _write_control(os.path.join(out_dir, "control.tsv"), control, vt.f2)
+    return control, {
+        "plan": {
+            "kind": cfg.plan_kind,
+            "branches": [b.branch_id for b in plan.branches],
+            "crossings": [[float(lo), float(hi)] for lo, hi in plan.crossings],
+        },
+        "bridges": [
+            {"center": c, "width": w, "amplitude": a} for c, w, a in vt.bridge_params
+        ],
+        "cost": {
+            "integrated_residual": float(cost.integrated_residual),
+            "per_gap_residual": [float(v) for v in cost.per_gap_residual],
+            "evaluations": int(cost.evaluations),
+            "max_evaluations": int(cost.max_evaluations),
+            "converged": bool(cost.converged),
+            "bridge_evaluations": [int(n) for n in cost.bridge_evaluations],
+            "bridge_converged": [bool(ok) for ok in cost.bridge_converged],
+        },
+        "bridge_mode": vt.bridge_mode,
+    }
+
+
+def _verify_arm(arm, initial, target, out_dir, where, analysis):
+    """Re-integrate one arm, write its populations and return its scores;
+    given ``analysis``, the run's (branches, model), also its shifts."""
+    # the drive's rates are read before its trajectory exists
+    peak, slew = _rates(arm)
+    # the shift analysis samples the residual to evaluate branches
+    try:
+        report = verify_control(arm, initial, target)
+        if analysis is not None:
+            series = trajectory_shift_analysis(report.trajectory, *analysis)
+    except (VerificationError, IntegrationError, ScanError) as exc:
+        raise VerificationError(f"arm {arm.label!r} {where}: {exc}") from exc
+    _write_populations(
+        os.path.join(out_dir, f"populations_{arm.label}.tsv"), report.trajectory
+    )
+    scores = {
+        "fidelities": float(report.fidelity),
+        "step_error": float(report.step_error),
+        "norm_drift": report.trajectory.norm_drift(),
+        "h_max_delta_omega": arm.grid.h * peak,
+        "max_abs_delta_omega": peak,
+        "max_abs_slew": slew,
+    }
+    if analysis is None:
+        return scores, None
+    _write_table(
+        os.path.join(out_dir, "shifts.tsv"),
+        ["t", "overlap_x", "overlap_y", "dominant"],
+        [series.times, series.overlap_x, series.overlap_y, series.dominant],
+    )
+    return scores, {
+        "count": int(series.shift_count),
+        "times": [float(t) for t in series.shift_times],
+    }
+
+
+def _verify(cfg: RunConfig, out_dir, where, ref, model, grid_c, scts, control):
+    """Score the primary control and each baseline arm, one at a time."""
+    arms = [control]
+    if cfg.scenario == "sta":
+        initial = model.initial_state()
+        target = adiabatic_target(model.spec, grid_c).state
+        if "unmodified" in cfg.baselines:
+            zero = np.zeros_like(grid_c.half_times)
+            arms.append(synthesize_sta_control(zero, model, grid_c, label="unmodified"))
+    else:
+        initial = TwoLevelState(1.0 + 0.0j, 0.0j)
+        target = ref.final_state
+        if "naive" in cfg.baselines:
+            arms.append(naive_control(model))
+        if "alpha-scaled" in cfg.baselines:
+            arms.append(alpha_scaled_control(model))
+    # the shift analysis reads the primary arm's trajectory
+    shift_analysis = cfg.scenario != "sta" and x_and_y(scts) is not None
+    sections: dict = {}
+    for arm in arms:
+        analysis = (scts, model) if shift_analysis and arm is control else None
+        scores, shifts = _verify_arm(arm, initial, target, out_dir, where, analysis)
+        for key, value in scores.items():
+            sections.setdefault(key, {})[arm.label] = value
+        if shifts is not None:
+            sections["shift_analysis"] = shifts
+    sections["target_populations"] = [float(v) for v in target.populations()]
+    floor = cfg.require_fidelity
+    if floor is not None:
+        sections["require_fidelity"] = float(floor)
+        sections["fidelity_ok"] = bool(sections["fidelities"][control.label] >= floor)
+    return sections
+
+
+def run_single(cfg: RunConfig, t_final: float, out_dir: str, stage: str) -> dict:
+    """One scenario at one duration: the reference, then the stages that
+    the subcommand ``stage`` takes; writes tables and returns the summary."""
+    stages = _stages(stage, cfg.scenario)
+    where = f"at stage {stage!r}, t_final={t_final!r}"
     os.makedirs(out_dir, exist_ok=True)
     summary: dict = {
         "schema_version": cfg.schema_version,
@@ -259,164 +402,23 @@ def run_single(
         "t_final": float(t_final),
         "delta_omega0": float(cfg.delta_omega0),
     }
-    is_sta = cfg.scenario == "sta"
-
-    # reference stage: the trajectory everything else is scored against.
-    # The sta model sets its initial state, so it is built here; the ffst
-    # model needs the control grid and is built in the map stage.
-    if is_sta:
-        sweep = CosineSweepSpec(cfg.delta_omega0, t_final)
-        n_ref = cfg.reference_steps or default_step_count(t_final)
-        model = StaPhaseModel(sweep)
-        ref = solve_reference(
-            sweep, TimeGrid(t_final, n_ref), initial=model.initial_state()
-        )
-    else:
-        sweep = CosineSweepSpec(cfg.delta_omega0, cfg.t_ref)
-        n_ref = cfg.reference_steps or default_step_count(cfg.t_ref)
-        model = None
-        ref = solve_reference(sweep, TimeGrid(cfg.t_ref, n_ref))
-    ref_end = _write_populations(os.path.join(out_dir, "populations_reference.tsv"), ref)
-    ref_peak, ref_slew = _rates(ref.drive)
-    summary["reference"] = {
-        "n_steps": int(ref.grid.n_steps),
-        "final_populations": ref_end,
-        "norm_drift": ref.norm_drift(),
-        "max_abs_delta_omega": ref_peak,
-        "max_abs_slew": ref_slew,
-    }
-
-    scts: list = []
-    gaps: list = []
+    ref, model, summary["reference"] = _reference(cfg, t_final, out_dir)
     control = None
     # the scan, residual.tsv and the bridge cost each sample the residual's
     # parameters, and each rejects a value that is not finite
     try:
-        if depth >= 1:
-            n_ctrl = cfg.control_steps or default_step_count(t_final)
-            grid_c = TimeGrid(t_final, n_ctrl)
-            if not is_sta:
-                model = FfstPhaseModel(ref, build_magnification(cfg.t_ref, grid_c))
-            scts = link_branches(model, n_scan=cfg.scan_points)
-            gaps = detect_gaps(model, scts, n_scan=cfg.scan_points)
-            _write_residual(os.path.join(out_dir, "residual.tsv"), model)
-            _write_branches(os.path.join(out_dir, "branches.tsv"), scts)
-            summary["branches"] = [_branch_record(b) for b in scts]
-            summary["gaps"] = [
-                {"t_start": float(g.t_start), "t_end": float(g.t_end), "width": float(g.width)}
-                for g in gaps
-            ]
-
-        if depth >= 2:
-            plan = plan_travel(cfg.plan_kind, scts, gaps, t_final)
-            settings = default_bridge_settings(SETTINGS_KIND[cfg.scenario], t_final)
-            vt, cost = optimize_virtual_trajectory(
-                plan, model, grid_c, settings, n_cost=cfg.cost_points
-            )
-            if is_sta:
-                control = synthesize_sta_control(vt.f2_lift, model, grid_c, label="sta")
-            else:
-                control = synthesize_control(vt.f2_lift, model, label="itt")
-            _write_control(os.path.join(out_dir, "control.tsv"), control, vt.f2)
-            summary["plan"] = {
-                "kind": cfg.plan_kind,
-                "branches": [b.branch_id for b in plan.branches],
-                "crossings": [[float(lo), float(hi)] for lo, hi in plan.crossings],
-            }
-            summary["bridges"] = [
-                {"center": c, "width": w, "amplitude": a} for c, w, a in vt.bridge_params
-            ]
-            summary["cost"] = {
-                "integrated_residual": float(cost.integrated_residual),
-                "per_gap_residual": [float(v) for v in cost.per_gap_residual],
-                "evaluations": int(cost.evaluations),
-                "max_evaluations": int(cost.max_evaluations),
-                "converged": bool(cost.converged),
-                "bridge_evaluations": [int(n) for n in cost.bridge_evaluations],
-                "bridge_converged": [bool(ok) for ok in cost.bridge_converged],
-            }
-            summary["bridge_mode"] = vt.bridge_mode
-            # nothing below reads the path; its half-grid lift (2 n_steps + 1
-            # samples) would otherwise stay alive through the verification
-            del vt
+        if "map" in stages:
+            model, grid_c, scts, gaps, section = _map(cfg, t_final, out_dir, ref, model)
+            summary.update(section)
+        if "synthesize" in stages:
+            control, section = _synthesize(cfg, out_dir, model, grid_c, scts, gaps)
+            summary.update(section)
     except ScanError as exc:
-        raise SynthesisError(
-            f"residual scan at stage {stage!r}, t_final={t_final!r}: {exc}"
-        ) from exc
-
-    if depth >= 3:
-        if is_sta:
-            initial = model.initial_state()
-            target = adiabatic_target(sweep, grid_c).state
-            arms = [control]
-            if "unmodified" in cfg.baselines:
-                zero = np.zeros_like(grid_c.half_times)
-                arms.append(synthesize_sta_control(zero, model, grid_c, label="unmodified"))
-        else:
-            initial = TwoLevelState(1.0 + 0.0j, 0.0j)
-            target = ref.final_state
-            arms = [control]
-            if "naive" in cfg.baselines:
-                arms.append(naive_control(model))
-            if "alpha-scaled" in cfg.baselines:
-                arms.append(alpha_scaled_control(model))
-        # the shift analysis reads the primary arm's trajectory; it runs
-        # before the next arm, and each report is dropped before the next
-        # integration, so one re-integrated trajectory is alive at a time
-        shift_analysis = not is_sta and x_and_y(scts) is not None
-        fidelities, step_error, norm_drift, h_max_delta_omega = {}, {}, {}, {}
-        max_abs_delta_omega, max_abs_slew = {}, {}
-        for arm in arms:
-            # the drive's rates are read before its trajectory exists
-            peak, slew = _rates(arm)
-            max_abs_delta_omega[arm.label] = peak
-            max_abs_slew[arm.label] = slew
-            h_max_delta_omega[arm.label] = arm.grid.h * peak
-            # the shift analysis samples the residual to evaluate branches
-            try:
-                report = verify_control(arm, initial, target)
-                if shift_analysis and arm is control:
-                    series = trajectory_shift_analysis(report.trajectory, scts, model)
-            except (VerificationError, IntegrationError, ScanError) as exc:
-                raise VerificationError(
-                    f"arm {arm.label!r} at stage {stage!r}, t_final={t_final!r}: {exc}"
-                ) from exc
-            fidelities[arm.label] = float(report.fidelity)
-            step_error[arm.label] = float(report.step_error)
-            norm_drift[arm.label] = report.trajectory.norm_drift()
-            _write_populations(
-                os.path.join(out_dir, f"populations_{arm.label}.tsv"), report.trajectory
-            )
-            if shift_analysis and arm is control:
-                _write_table(
-                    os.path.join(out_dir, "shifts.tsv"),
-                    ["t", "overlap_x", "overlap_y", "dominant"],
-                    [series.times, series.overlap_x, series.overlap_y, series.dominant],
-                )
-                shifts = {
-                    "count": int(series.shift_count),
-                    "times": [float(t) for t in series.shift_times],
-                }
-            del report
-        summary["fidelities"] = fidelities
-        summary["step_error"] = step_error
-        summary["norm_drift"] = norm_drift
-        summary["h_max_delta_omega"] = h_max_delta_omega
-        summary["max_abs_delta_omega"] = max_abs_delta_omega
-        summary["max_abs_slew"] = max_abs_slew
-        summary["target_populations"] = [float(v) for v in target.populations()]
-        if shift_analysis:
-            summary["shift_analysis"] = shifts
-
-        floor = cfg.require_fidelity
-        if floor is not None:
-            primary = fidelities[control.label]
-            summary["require_fidelity"] = float(floor)
-            summary["fidelity_ok"] = bool(primary >= floor)
-
-    if do_device:
+        raise SynthesisError(f"residual scan {where}: {exc}") from exc
+    if "verify" in stages:
+        summary.update(_verify(cfg, out_dir, where, ref, model, grid_c, scts, control))
+    if "device" in stages:
         summary["device"] = _device_section(cfg, ref.drive, control, out_dir)
-
     _write_summary(os.path.join(out_dir, "summary.json"), summary)
     return summary
 
@@ -433,19 +435,16 @@ def run_pipeline(cfg: RunConfig, out_dir: str, stage: str) -> dict:
     ``verify``, or scenario ``device-map``) is rejected before anything
     is written.
     """
-    depth = 0 if cfg.scenario == "device-map" else DEPTH[stage]
-    if cfg.require_fidelity is not None and depth < 3:
+    verifies = "verify" in _stages(stage, cfg.scenario)
+    if cfg.require_fidelity is not None and not verifies:
         raise ConfigError(
             [
                 f"require_fidelity: stage {stage!r} of scenario {cfg.scenario!r} "
                 "verifies no arm, so it has no fidelity to hold to a floor"
             ]
         )
-    do_device = stage in ("device", "full") or (
-        cfg.scenario == "device-map" and stage != "reference"
-    )
     if len(cfg.t_final) == 1:
-        return run_single(cfg, cfg.t_final[0], out_dir, depth, do_device, stage)
+        return run_single(cfg, cfg.t_final[0], out_dir, stage)
 
     os.makedirs(out_dir, exist_ok=True)
     runs: dict[str, dict] = {}
@@ -454,7 +453,7 @@ def run_pipeline(cfg: RunConfig, out_dir: str, stage: str) -> dict:
         label = sweep_label(tf)
         sub = os.path.join(out_dir, "tf-" + label)
         try:
-            runs[label] = run_single(cfg, tf, sub, depth, do_device, stage)
+            runs[label] = run_single(cfg, tf, sub, stage)
         except Exception as exc:
             errors.append((label, exc))
 

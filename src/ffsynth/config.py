@@ -177,6 +177,14 @@ def parse_config(text: str) -> RunConfig:
     delta_omega0 = chk.number(doc, "delta_omega0", "", default=30.0)
 
     t_final_raw = doc.get("t_final")
+    if scenario == "device-map" and t_final_raw is not None:
+        # a device-map run maps the reference sweep over t_ref and nothing
+        # runs over a t_final, so each sweep value would go unused
+        chk.fail(
+            "t_final",
+            "not used by scenario 'device-map', which maps the sweep over t_ref",
+        )
+        t_final_raw = None
     t_final: tuple[float, ...]
     if t_final_raw is None:
         if scenario in ("sta", "accelerate", "decelerate"):

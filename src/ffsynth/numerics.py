@@ -46,10 +46,16 @@ class PiecewiseCubic:
         i = np.searchsorted(self.x, flat, side="right") - 1
         np.clip(i, 0, len(self.x) - 2, out=i)
         s = flat - self.x[i]
-        c0, c1, c2, c3 = (row[i] for row in self.c)
-        # PPoly's order: lowest power first, powers accumulated as z *= s
+        # PPoly's order: lowest power first, powers accumulated as z *= s;
+        # one coefficient row is gathered at a time, so beside the sum and
+        # the powers only one gathered row and one product are alive
+        c0, c1, c2, c3 = self.c
+        out = 0.0 + c3[i]
+        out += c2[i] * s
         z = s * s
-        out = 0.0 + c3 + c2 * s + c1 * z + c0 * (z * s)
+        out += c1[i] * z
+        z *= s
+        out += c0[i] * z
         return out.reshape(t.shape)
 
 

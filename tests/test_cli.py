@@ -26,6 +26,7 @@ from ffsynth.cli import (
 )
 from ffsynth.dynamics import ReferenceTrajectory, TimeGrid
 from ffsynth.ffst import FfstPhaseModel
+from ffsynth.itt import VirtualTrajectory
 
 DECEL_FAST = """\
 schema_version: 1
@@ -231,6 +232,94 @@ class TestTableWriter:
             ):
                 fh.write("%.17g\t%.17g\t%.17g\t%s\n" % (t, ox, oy, dom))
         assert ours.read_bytes() == ref.read_bytes()
+
+
+#: What each stage adds to a run: its tables and its top-level summary keys.
+#: The verify stage's tables are named after the scenario's arms.
+STAGE_WRITES = {
+    "reference": (
+        {"populations_reference.tsv"},
+        {"schema_version", "output_schema", "stage", "scenario", "t_ref", "t_final",
+         "delta_omega0", "reference"},
+    ),
+    "map": ({"residual.tsv", "branches.tsv"}, {"branches", "gaps"}),
+    "synthesize": ({"control.tsv"}, {"plan", "bridges", "cost", "bridge_mode"}),
+    "verify": (
+        set(),
+        {"fidelities", "step_error", "norm_drift", "h_max_delta_omega",
+         "max_abs_delta_omega", "max_abs_slew", "target_populations"},
+    ),
+    "device": ({"device_reference.tsv"}, {"device"}),
+}
+
+VERIFYING = ("reference", "map", "synthesize", "verify")
+
+#: The stages each subcommand takes on a scenario that synthesizes.
+COMMAND_STAGES = {
+    "reference": ("reference",),
+    "map": ("reference", "map"),
+    "synthesize": ("reference", "map", "synthesize"),
+    "verify": VERIFYING,
+    "sta": VERIFYING,
+    "device": ("reference", "device"),
+    "full": VERIFYING + ("device",),
+}
+
+#: Per scenario: its config, the verify stage's tables and keys beyond
+#: STAGE_WRITES, and whether a full run's control maps onto the flux axis
+#: (``device_control.tsv``).
+RUN_CONFIGS = {
+    "decelerate": (
+        DECEL_FAST,
+        {"populations_itt.tsv", "populations_naive.tsv",
+         "populations_alpha-scaled.tsv", "shifts.tsv"},
+        {"shift_analysis"},
+        False,
+    ),
+    "sta": (
+        STA_FAST, {"populations_sta.tsv", "populations_unmodified.tsv"}, set(), True
+    ),
+    "reference-only": (
+        REFERENCE_ONLY, {"populations_itt.tsv", "shifts.tsv"}, {"shift_analysis"}, True
+    ),
+    "device-map": (DEVICE_MAP, set(), set(), False),
+}
+
+
+def _expected_stages(command: str, scenario: str):
+    """The stages a run takes, or None where the subcommand exits 2."""
+    if command == "sta" and scenario != "sta":
+        return None
+    if scenario == "device-map":
+        # the reference sweep is all there is: every subcommand but
+        # ``reference`` maps it onto the flux axis, and nothing synthesizes
+        return ("reference",) if command == "reference" else ("reference", "device")
+    return COMMAND_STAGES[command]
+
+
+@pytest.mark.parametrize("scenario", list(RUN_CONFIGS))
+@pytest.mark.parametrize("command", list(COMMAND_STAGES))
+def test_what_each_run_writes(tmp_path, capsys, command, scenario):
+    """The tables and summary keys of every (subcommand, scenario) pair."""
+    text, arm_tables, arm_keys, control_feasible = RUN_CONFIGS[scenario]
+    out = tmp_path / "out"
+    rc = main([command, "--config", _config(tmp_path, text), "--out", str(out)])
+    stages = _expected_stages(command, scenario)
+    if stages is None:
+        assert rc == 2
+        assert "the sta subcommand needs scenario: sta" in capsys.readouterr().err
+        assert not out.exists()
+        return
+    assert rc == 0
+    tables = set().union(*(STAGE_WRITES[s][0] for s in stages))
+    keys = set().union(*(STAGE_WRITES[s][1] for s in stages))
+    if "verify" in stages:
+        tables |= arm_tables
+        keys |= arm_keys
+    if "synthesize" in stages and "device" in stages and control_feasible:
+        tables.add("device_control.tsv")
+    assert {p.name for p in out.iterdir()} == tables | {"summary.json"}
+    assert set(_read_summary(str(out))) == keys
 
 
 class TestReferenceStage:
@@ -754,6 +843,33 @@ class TestOneTrajectoryAtATime:
         assert len(arrays) >= 1 and alive_at_entry
         assert alive_at_entry[0] == 0
 
+    @pytest.mark.parametrize(
+        "command, text", [("verify", DECEL_FAST), ("sta", STA_FAST)],
+        ids=["decelerate", "sta"],
+    )
+    def test_virtual_trajectories_are_freed(self, tmp_path, monkeypatch, command, text):
+        """When the first arm's verification starts, no virtual trajectory
+        (its half-grid lift holds 2 n_steps + 1 samples) is still alive."""
+        construct = VirtualTrajectory.__init__
+        verify = cli.verify_control
+        paths = []
+        alive_at_entry = []
+
+        def recording(self, *args, **kwargs):
+            construct(self, *args, **kwargs)
+            paths.append(weakref.ref(self))
+
+        def tracking(*args, **kwargs):
+            alive_at_entry.append(sum(ref() is not None for ref in paths))
+            return verify(*args, **kwargs)
+
+        monkeypatch.setattr(VirtualTrajectory, "__init__", recording)
+        monkeypatch.setattr(cli, "verify_control", tracking)
+        cfg = _config(tmp_path, text)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert len(paths) >= 1 and alive_at_entry
+        assert alive_at_entry[0] == 0
+
 
 class TestDeviceStage:
     def test_reference_sweep_maps_to_flux(self, tmp_path):
@@ -876,6 +992,16 @@ class TestFailureModes:
         rc = main(["sta", "--config", cfg, "--out", str(out)])
         assert rc == 2
         assert "t_ref: not used by scenario 'sta'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_device_map_t_final_exits_2(self, tmp_path, capsys):
+        # every device-map run maps the reference sweep over t_ref; a sweep
+        # of t_final values used to write identical runs under their names
+        cfg = _config(tmp_path, DEVICE_MAP + "t_final: [0.5, 2.0]\n")
+        out = tmp_path / "out"
+        rc = main(["device", "--config", cfg, "--out", str(out)])
+        assert rc == 2
+        assert "t_final: not used by scenario 'device-map'" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -157,6 +157,15 @@ require_fidelity: 1.5
             "t_ref: not used by scenario 'sta', whose reference runs over t_final"
         ]
 
+    @pytest.mark.parametrize("value", ["1.0", "[0.5, 2.0]", "-1.0", "fast"])
+    def test_device_map_rejects_t_final(self, value):
+        # a device-map run maps the reference sweep over t_ref, so every
+        # t_final, well-formed or not, would go unused
+        errors = _errors_of(f"schema_version: 1\nscenario: device-map\nt_final: {value}")
+        assert errors == [
+            "t_final: not used by scenario 'device-map', which maps the sweep over t_ref"
+        ]
+
     def test_device_positivity(self):
         errors = _errors_of(MINIMAL + "device: {g_ghz: -3}")
         assert errors == ["device.g_ghz: must be positive, got -3"]

@@ -72,6 +72,22 @@ class TestHermite:
         assert np.array_equal(p1.c[2], (-1j * (dw * phi1 + g * phi2))[:-1])
         assert np.array_equal(p2.c[2], (-1j * (g * phi1))[:-1])
 
+    def test_matches_one_expression_form_bitwise(self, reference):
+        """Gathering one coefficient row at a time keeps every bit of the
+        one-expression form ``0.0 + c3 + c2 s + c1 s^2 + c0 (s^2 s)`` on the
+        reference's complex and real interpolants, inside and outside the
+        knots."""
+        ours = reference.interpolators() + reference.drive.interpolators()
+        assert {interp.c.dtype.kind for interp in ours} == {"c", "f"}
+        t = _probe_times(reference.grid.times, 200_000)
+        for interp in ours:
+            x, c = interp.x, interp.c
+            i = np.clip(np.searchsorted(x, t, side="right") - 1, 0, len(x) - 2)
+            s = t - x[i]
+            z = s * s
+            expected = 0.0 + c[3, i] + c[2, i] * s + c[1, i] * z + c[0, i] * (z * s)
+            assert np.array_equal(interp(t), expected)
+
     def test_unit_coupling_is_exact(self, reference):
         _, g = reference.drive.interpolators()
         t = _probe_times(reference.grid.times, 200_000)
