@@ -1,8 +1,7 @@
 """Command line front end: scaled-schedule synthesis and verification.
 
 Every run solves the reference, then takes the stages that ``_STAGES``
-lists for its subcommand, one function each (on scenario ``device-map``,
-every subcommand but ``reference`` maps the sweep alone):
+lists for its subcommand, one function each:
 
   reference    nothing more
   map          sample the phase residual, extract branches and gaps
@@ -12,10 +11,11 @@ every subcommand but ``reference`` maps the sweep alone):
   device       map the reference sweep onto the flux axis
   full         verify, then the device mapping
 
-Exit codes: 0 success, 2 configuration problem, 3 synthesis,
-construction or verification failure (a re-integration that is not
-finite or scores a fidelity above 1), 4 verified fidelity below the
-required floor.
+Exit codes: 0 success, 1 random numbers drawn under ``--seed-free``,
+2 configuration problem, 3 a failure of the reference integration,
+synthesis, construction, verification (a re-integration that is not
+finite or scores a fidelity above 1) or the reference sweep's device
+map, 4 verified fidelity below ``--require-fidelity``.
 
 All outputs are deterministic: rerunning a config produces byte-identical
 tables and summaries.  Numbers are written with 17 significant digits,
@@ -235,13 +235,6 @@ def _device_section(cfg: RunConfig, sweep_control, primary_control, out_dir: str
     return section
 
 
-def _stages(command: str, scenario: str) -> tuple[str, ...]:
-    """The stages a run of ``command`` takes after its reference."""
-    if scenario == "device-map":
-        return () if command == "reference" else ("device",)
-    return _STAGES[command]
-
-
 def _reference(cfg: RunConfig, t_final, out_dir):
     """The reference, the sta model, which sets its initial state (the ffst
     model needs the control grid, so the map stage builds it), and its section."""
@@ -284,9 +277,7 @@ def _synthesize(cfg: RunConfig, out_dir, model, grid_c, scts, gaps):
     """The primary control along the planned travel path over ``grid_c``."""
     t_final = grid_c.t_end
     plan = plan_travel(cfg.plan_kind, scts, gaps, t_final)
-    # a reference-only run synthesizes like an acceleration
-    kind = "accelerate" if cfg.scenario == "reference-only" else cfg.scenario
-    settings = default_bridge_settings(kind, t_final)
+    settings = default_bridge_settings(cfg.scenario, t_final)
     vt, cost = optimize_virtual_trajectory(
         plan, model, grid_c, settings, n_cost=cfg.cost_points
     )
@@ -390,7 +381,7 @@ def _verify(cfg: RunConfig, out_dir, where, ref, model, grid_c, scts, control):
 def run_single(cfg: RunConfig, t_final: float, out_dir: str, stage: str) -> dict:
     """One scenario at one duration: the reference, then the stages that
     the subcommand ``stage`` takes; writes tables and returns the summary."""
-    stages = _stages(stage, cfg.scenario)
+    stages = _STAGES[stage]
     where = f"at stage {stage!r}, t_final={t_final!r}"
     os.makedirs(out_dir, exist_ok=True)
     summary: dict = {
@@ -402,7 +393,10 @@ def run_single(cfg: RunConfig, t_final: float, out_dir: str, stage: str) -> dict
         "t_final": float(t_final),
         "delta_omega0": float(cfg.delta_omega0),
     }
-    ref, model, summary["reference"] = _reference(cfg, t_final, out_dir)
+    try:
+        ref, model, summary["reference"] = _reference(cfg, t_final, out_dir)
+    except IntegrationError as exc:
+        raise SynthesisError(f"reference integration {where}: {exc}") from exc
     control = None
     # the scan, residual.tsv and the bridge cost each sample the residual's
     # parameters, and each rejects a value that is not finite
@@ -418,7 +412,10 @@ def run_single(cfg: RunConfig, t_final: float, out_dir: str, stage: str) -> dict
     if "verify" in stages:
         summary.update(_verify(cfg, out_dir, where, ref, model, grid_c, scts, control))
     if "device" in stages:
-        summary["device"] = _device_section(cfg, ref.drive, control, out_dir)
+        try:
+            summary["device"] = _device_section(cfg, ref.drive, control, out_dir)
+        except FluxRangeError as exc:
+            raise SynthesisError(f"device map {where}: {exc}") from exc
     _write_summary(os.path.join(out_dir, "summary.json"), summary)
     return summary
 
@@ -431,12 +428,10 @@ def run_pipeline(cfg: RunConfig, out_dir: str, stage: str) -> dict:
     under ``failed``; then the first failure is re-raised with a message
     naming every failed value.
 
-    A fidelity floor on a run that verifies nothing (a stage below
-    ``verify``, or scenario ``device-map``) is rejected before anything
-    is written.
+    A fidelity floor on a run whose stages do not include ``verify`` is
+    rejected before anything is written.
     """
-    verifies = "verify" in _stages(stage, cfg.scenario)
-    if cfg.require_fidelity is not None and not verifies:
+    if cfg.require_fidelity is not None and "verify" not in _STAGES[stage]:
         raise ConfigError(
             [
                 f"require_fidelity: stage {stage!r} of scenario {cfg.scenario!r} "
@@ -507,6 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
             default=None,
             help="fail with exit code 4 if the primary arm scores below this",
         )
+        # opt-in: the check imports numpy.random, 6 MB of RSS a run never loads
         p.add_argument(
             "--seed-free",
             action="store_true",
@@ -554,10 +550,10 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(exc, file=sys.stderr)
         return 2
-    except (SynthesisError, ConstructionError, OptimizerError, FluxRangeError) as exc:
+    except (SynthesisError, ConstructionError, OptimizerError) as exc:
         print(f"synthesis failed: {exc}", file=sys.stderr)
         return 3
-    except (VerificationError, IntegrationError) as exc:
+    except VerificationError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 3
 

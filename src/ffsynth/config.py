@@ -8,6 +8,7 @@ tagged with the dotted path of the offending field.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import yaml
@@ -17,14 +18,18 @@ from .itt import PLAN_KINDS
 
 SCHEMA_VERSION = 1
 
-SCENARIOS = ("accelerate", "decelerate", "sta", "reference-only", "device-map")
+SCENARIOS = ("accelerate", "decelerate", "sta")
 BASELINES = {
     "accelerate": ("naive", "alpha-scaled"),
     "decelerate": ("naive", "alpha-scaled"),
     "sta": ("unmodified",),
-    "reference-only": (),
-    "device-map": (),
 }
+
+
+def _finite(v: int | float) -> bool:
+    """Whether a YAML number is a finite float: nan, the infinities and
+    integers beyond the float range are not."""
+    return abs(v) <= sys.float_info.max
 
 
 def sweep_label(t_final: float) -> str:
@@ -44,7 +49,8 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated inputs for one pipeline invocation."""
+    """Validated inputs for one pipeline invocation; ``require_fidelity``
+    comes from the command line's ``--require-fidelity``, not the config."""
 
     scenario: str
     t_ref: float
@@ -56,10 +62,10 @@ class RunConfig:
     cost_points: int
     plan_kind: str
     baselines: tuple[str, ...]
-    require_fidelity: float | None
     out_dir: str
     g_ghz: float
     schema_version: int = SCHEMA_VERSION
+    require_fidelity: float | None = None
 
 
 class _Checker:
@@ -92,6 +98,9 @@ class _Checker:
         v = mapping[key]
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             self.fail(f"{path}{key}", f"expected a number, got {type(v).__name__}")
+            return default
+        if not _finite(v):
+            self.fail(f"{path}{key}", f"must be finite, got {v}")
             return default
         if positive and v <= 0:
             self.fail(f"{path}{key}", f"must be positive, got {v}")
@@ -149,7 +158,6 @@ def parse_config(text: str) -> RunConfig:
             "crossing_plan",
             "bridge",
             "baselines",
-            "require_fidelity",
             "output",
             "device",
         },
@@ -177,46 +185,37 @@ def parse_config(text: str) -> RunConfig:
     delta_omega0 = chk.number(doc, "delta_omega0", "", default=30.0)
 
     t_final_raw = doc.get("t_final")
-    if scenario == "device-map" and t_final_raw is not None:
-        # a device-map run maps the reference sweep over t_ref and nothing
-        # runs over a t_final, so each sweep value would go unused
-        chk.fail(
-            "t_final",
-            "not used by scenario 'device-map', which maps the sweep over t_ref",
-        )
-        t_final_raw = None
-    t_final: tuple[float, ...]
+    if isinstance(t_final_raw, (int, float)) and not isinstance(t_final_raw, bool):
+        t_final_raw = [t_final_raw]
+    # each usable sweep value with its path, for the step budget below
+    sweep: list[tuple[str, float]] = []
     if t_final_raw is None:
-        if scenario in ("sta", "accelerate", "decelerate"):
-            chk.fail("t_final", f"required for scenario {scenario!r}")
-        t_final = (t_ref,) if t_ref else (1.0,)
-    elif isinstance(t_final_raw, (int, float)) and not isinstance(t_final_raw, bool):
-        t_final = (float(t_final_raw),)
-    elif isinstance(t_final_raw, list) and t_final_raw:
-        vals = []
-        for i, v in enumerate(t_final_raw):
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                chk.fail(f"t_final[{i}]", f"expected a number, got {type(v).__name__}")
-            else:
-                vals.append(float(v))
-        t_final = tuple(vals) if vals else (1.0,)
-    else:
+        chk.fail("t_final", "required field missing")
+    elif not isinstance(t_final_raw, list) or not t_final_raw:
         chk.fail("t_final", "expected a number or a non-empty list of numbers")
-        t_final = (1.0,)
-    first_named: dict[str, int] = {}
-    for i, v in enumerate(t_final):
-        if v <= 0:
-            chk.fail(f"t_final[{i}]", f"must be positive, got {v}")
-        name = sweep_label(v)
-        if name in first_named:
-            j = first_named[name]
-            chk.fail(
-                f"t_final[{i}]",
-                f"{v!r} and t_final[{j}] = {t_final[j]!r} share the sweep name "
-                f"{name!r}, so one run would overwrite the other",
-            )
-        else:
-            first_named[name] = i
+    else:
+        named: dict[str, str] = {}  # sweep name -> the value that took it
+        for i, v in enumerate(t_final_raw):
+            path = f"t_final[{i}]"
+            if isinstance(v, bool) or not isinstance(v, (int, float)):
+                chk.fail(path, f"expected a number, got {type(v).__name__}")
+                continue
+            if not _finite(v):
+                chk.fail(path, f"must be finite, got {v}")
+                continue
+            v, name = float(v), sweep_label(v)
+            if v <= 0:
+                chk.fail(path, f"must be positive, got {v}")
+            elif name in named:
+                chk.fail(
+                    path,
+                    f"{v!r} and {named[name]} share the sweep name {name!r}, "
+                    "so one run would overwrite the other",
+                )
+            else:
+                named[name] = f"{path} = {v!r}"
+                sweep.append((path, v))
+    t_final = tuple(v for _, v in sweep)
 
     grid = chk.expect_mapping(doc.get("grid"), "grid")
     chk.reject_unknown(
@@ -237,10 +236,8 @@ def parse_config(text: str) -> RunConfig:
     defaulted = []
     if reference_steps is None and scenario != "sta":
         defaulted.append(("t_ref", t_ref))
-    if t_final_raw is not None and (
-        control_steps is None or (reference_steps is None and scenario == "sta")
-    ):
-        defaulted.extend((f"t_final[{i}]", v) for i, v in enumerate(t_final))
+    if control_steps is None or (reference_steps is None and scenario == "sta"):
+        defaulted.extend(sweep)
     for path, duration in defaulted:
         n_default = default_step_count(duration)
         if n_default > MAX_STEPS:
@@ -284,10 +281,6 @@ def parse_config(text: str) -> RunConfig:
                 names.append(v)
         baselines = tuple(names)
 
-    require_fidelity = chk.number(doc, "require_fidelity", "")
-    if require_fidelity is not None and not (0.0 < require_fidelity <= 1.0):
-        chk.fail("require_fidelity", f"must be in (0, 1], got {require_fidelity}")
-
     output = chk.expect_mapping(doc.get("output"), "output")
     chk.reject_unknown(output, {"directory"}, "output")
     out_dir = chk.text(output, "directory", "output.", default="out")
@@ -310,7 +303,6 @@ def parse_config(text: str) -> RunConfig:
         cost_points=cost_points,
         plan_kind=plan_kind,
         baselines=baselines,
-        require_fidelity=require_fidelity,
         out_dir=out_dir,
         g_ghz=g_ghz,
         schema_version=SCHEMA_VERSION,

@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import json
 import os
+import shlex
 import subprocess
 import sys
 import weakref
@@ -28,6 +29,8 @@ from ffsynth.dynamics import ReferenceTrajectory, TimeGrid
 from ffsynth.ffst import FfstPhaseModel
 from ffsynth.itt import VirtualTrajectory
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
 DECEL_FAST = """\
 schema_version: 1
 scenario: decelerate
@@ -39,9 +42,12 @@ grid:
   cost_points: 1000
 """
 
-REFERENCE_ONLY = """\
+# the shape of configs/reference-sweep.yaml: the sweep at its own duration
+REFERENCE_SWEEP = """\
 schema_version: 1
-scenario: reference-only
+scenario: accelerate
+t_final: 1.0
+baselines: []
 grid:
   reference_steps: 4000
 """
@@ -55,13 +61,6 @@ grid:
   control_steps: 4000
   scan_points: 4000
   cost_points: 1000
-"""
-
-DEVICE_MAP = """\
-schema_version: 1
-scenario: device-map
-grid:
-  reference_steps: 4000
 """
 
 ACCEL_SWEEP = """\
@@ -89,6 +88,8 @@ REMOVED_KEYS = [
     ("device: {ecc: 0.01}", "device.ecc: unknown key"),
     ("device: {d: 0.85}", "device.d: unknown key"),
     ("device: {omega2: 6.5}", "device.omega2: unknown key"),
+    # the floor belongs to the invocation: --require-fidelity
+    ("require_fidelity: 0.999", "require_fidelity: unknown key"),
 ]
 
 
@@ -254,7 +255,7 @@ STAGE_WRITES = {
 
 VERIFYING = ("reference", "map", "synthesize", "verify")
 
-#: The stages each subcommand takes on a scenario that synthesizes.
+#: The stages each subcommand takes.
 COMMAND_STAGES = {
     "reference": ("reference",),
     "map": ("reference", "map"),
@@ -279,10 +280,9 @@ RUN_CONFIGS = {
     "sta": (
         STA_FAST, {"populations_sta.tsv", "populations_unmodified.tsv"}, set(), True
     ),
-    "reference-only": (
-        REFERENCE_ONLY, {"populations_itt.tsv", "shifts.tsv"}, {"shift_analysis"}, True
+    "accelerate": (
+        REFERENCE_SWEEP, {"populations_itt.tsv", "shifts.tsv"}, {"shift_analysis"}, True
     ),
-    "device-map": (DEVICE_MAP, set(), set(), False),
 }
 
 
@@ -290,10 +290,6 @@ def _expected_stages(command: str, scenario: str):
     """The stages a run takes, or None where the subcommand exits 2."""
     if command == "sta" and scenario != "sta":
         return None
-    if scenario == "device-map":
-        # the reference sweep is all there is: every subcommand but
-        # ``reference`` maps it onto the flux axis, and nothing synthesizes
-        return ("reference",) if command == "reference" else ("reference", "device")
     return COMMAND_STAGES[command]
 
 
@@ -324,7 +320,7 @@ def test_what_each_run_writes(tmp_path, capsys, command, scenario):
 
 class TestReferenceStage:
     def test_run_and_summary(self, tmp_path, capsys):
-        cfg = _config(tmp_path, REFERENCE_ONLY)
+        cfg = _config(tmp_path, REFERENCE_SWEEP)
         out = str(tmp_path / "out")
         rc = main(["reference", "--config", cfg, "--out", out])
         captured = capsys.readouterr()
@@ -333,7 +329,7 @@ class TestReferenceStage:
 
         summary = _read_summary(out)
         assert summary["stage"] == "reference"
-        assert summary["scenario"] == "reference-only"
+        assert summary["scenario"] == "accelerate"
         assert summary["reference"]["n_steps"] == 4000
         assert summary["reference"]["norm_drift"] < 1e-9
 
@@ -343,7 +339,7 @@ class TestReferenceStage:
         assert raw == json.dumps(summary, sort_keys=True, indent=2) + "\n"
 
     def test_population_table_round_trips(self, tmp_path):
-        cfg = _config(tmp_path, REFERENCE_ONLY)
+        cfg = _config(tmp_path, REFERENCE_SWEEP)
         out = str(tmp_path / "out")
         assert main(["reference", "--config", cfg, "--out", out]) == 0
 
@@ -358,10 +354,46 @@ class TestReferenceStage:
         assert data[-1, 2] == summary["reference"]["final_populations"][1]
 
     def test_seed_free(self, tmp_path):
-        cfg = _config(tmp_path, REFERENCE_ONLY)
+        cfg = _config(tmp_path, REFERENCE_SWEEP)
         out = str(tmp_path / "out")
         rc = main(["reference", "--config", cfg, "--out", out, "--seed-free"])
         assert rc == 0
+
+    def test_seed_free_violation_exits_1(self, tmp_path, monkeypatch, capsys):
+        """A stage that draws from ``np.random`` fails ``--seed-free`` with
+        exit 1, and passes without the flag."""
+        reference = cli._reference
+
+        def drawing(*args):
+            np.random.random()
+            return reference(*args)
+
+        monkeypatch.setattr(cli, "_reference", drawing)
+        cfg = _config(tmp_path, REFERENCE_SWEEP)
+        out = str(tmp_path / "out")
+        state = np.random.get_state()
+        try:
+            rc = main(["reference", "--config", cfg, "--out", out, "--seed-free"])
+            assert rc == 1
+            err = capsys.readouterr().err
+            assert err == "seed-free assertion failed: RNG state changed\n"
+            assert main(["reference", "--config", cfg, "--out", out]) == 0
+        finally:
+            np.random.set_state(state)
+
+    def test_reference_failure_names_stage(self, tmp_path, capsys):
+        """A reference integration that is not finite is reported as the
+        reference's failure, with the stage and the sweep value."""
+        cfg = _config(tmp_path, DECEL_FAST + "delta_omega0: 1.0e+300\n")
+        out = tmp_path / "out"
+        rc = main(["verify", "--config", cfg, "--out", str(out)])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            "synthesis failed: reference integration at stage 'verify', "
+            "t_final=1.1: integration produced a non-finite amplitude at time "
+            "index 1 (t = 0.00025)\n"
+        )
+        assert not (out / "populations_reference.tsv").exists()
 
 
 class TestVerifyStage:
@@ -431,8 +463,7 @@ class TestVerifyStage:
             return verify(control, initial, target)
 
         monkeypatch.setattr(cli, "verify_control", recording)
-        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        config = os.path.join(root, "configs", "accelerate-chain.yaml")
+        config = os.path.join(ROOT, "configs", "accelerate-chain.yaml")
         out = str(tmp_path / "out")
         assert main(["verify", "--config", config, "--out", out]) == 0
         value = _read_summary(out)["h_max_delta_omega"]
@@ -549,8 +580,7 @@ def test_control_table_gives_back_dropped_columns(tmp_path, request, bundle):
 def test_decelerated_itt_varies_no_faster_than_reference(tmp_path):
     """The paper's claim for deceleration: the slowed-down control reaches
     the target while varying its parameters more slowly than the reference."""
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    config = os.path.join(root, "configs", "decelerate-single-shift.yaml")
+    config = os.path.join(ROOT, "configs", "decelerate-single-shift.yaml")
     out = str(tmp_path / "out")
     if main(["verify", "--config", config, "--out", out]) != 0:
         pytest.fail("the shipped decelerate-single-shift config did not verify")
@@ -562,8 +592,7 @@ def test_unscaled_itt_varies_like_the_reference(tmp_path):
     """With T_F = T the itt path follows one branch, which crosses the other
     between scan samples; a branch evaluated off the crossing root would
     make the control's slew jump there."""
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    config = os.path.join(root, "configs", "reference-sweep.yaml")
+    config = os.path.join(ROOT, "configs", "reference-sweep.yaml")
     out = str(tmp_path / "out")
     assert main(["verify", "--config", config, "--out", out]) == 0
     summary = _read_summary(out)
@@ -873,7 +902,7 @@ class TestOneTrajectoryAtATime:
 
 class TestDeviceStage:
     def test_reference_sweep_maps_to_flux(self, tmp_path):
-        cfg = _config(tmp_path, REFERENCE_ONLY)
+        cfg = _config(tmp_path, REFERENCE_SWEEP)
         out = str(tmp_path / "out")
         rc = main(["device", "--config", cfg, "--out", out])
         assert rc == 0
@@ -886,6 +915,22 @@ class TestDeviceStage:
         assert 10.0 <= dev["duration_ns"] <= 1000.0
         assert os.path.exists(os.path.join(out, "device_reference.tsv"))
         assert "control_map" not in dev
+
+    def test_sweep_outside_band_names_stage(self, tmp_path, capsys):
+        """A reference sweep the device cannot reach is reported as the
+        device map's failure, with the stage and the sweep value."""
+        cfg = _config(tmp_path, REFERENCE_SWEEP + "delta_omega0: 100.0\n")
+        out = tmp_path / "out"
+        rc = main(["device", "--config", cfg, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.startswith(
+            "synthesis failed: device map at stage 'device', t_final=1.0: "
+            "target frequency 5.604070896 GHz"
+        )
+        assert err.rstrip().endswith("is outside the tunable band "
+                                     "[6.232215614, 6.776971347] GHz")
+        assert not (out / "summary.json").exists()
 
     def test_feasible_control_map(self, tmp_path):
         """The slow sta sweep stays inside the tunable band: its control is
@@ -963,15 +1008,15 @@ class TestFailureModes:
             ("map", DECEL_FAST, "decelerate"),
             ("synthesize", DECEL_FAST, "decelerate"),
             ("device", DECEL_FAST, "decelerate"),
-            ("full", DEVICE_MAP, "device-map"),
         ],
-        ids=["reference", "map", "synthesize", "device", "full-device-map"],
+        ids=["reference", "map", "synthesize", "device"],
     )
     def test_floor_without_verification_exits_2(
         self, tmp_path, capsys, source, command, text, scenario
     ):
         """A fidelity floor on a run that scores no fidelity used to be
-        dropped without a word; it is rejected before anything is written."""
+        dropped without a word; it is rejected before anything is written.
+        A config holds no floor: the floor belongs to the invocation."""
         args = ["--require-fidelity", "0.999"] if source == "flag" else []
         if source == "config":
             text += "require_fidelity: 0.999\n"
@@ -979,10 +1024,14 @@ class TestFailureModes:
         out = tmp_path / "out"
         rc = main([command, "--config", cfg, "--out", str(out), *args])
         assert rc == 2
-        assert (
-            f"require_fidelity: stage {command!r} of scenario {scenario!r} "
-            "verifies no arm" in capsys.readouterr().err
-        )
+        if source == "flag":
+            message = (
+                f"require_fidelity: stage {command!r} of scenario {scenario!r} "
+                "verifies no arm"
+            )
+        else:
+            message = "require_fidelity: unknown key"
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_sta_t_ref_exits_2(self, tmp_path, capsys):
@@ -992,16 +1041,6 @@ class TestFailureModes:
         rc = main(["sta", "--config", cfg, "--out", str(out)])
         assert rc == 2
         assert "t_ref: not used by scenario 'sta'" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_device_map_t_final_exits_2(self, tmp_path, capsys):
-        # every device-map run maps the reference sweep over t_ref; a sweep
-        # of t_final values used to write identical runs under their names
-        cfg = _config(tmp_path, DEVICE_MAP + "t_final: [0.5, 2.0]\n")
-        out = tmp_path / "out"
-        rc = main(["device", "--config", cfg, "--out", str(out)])
-        assert rc == 2
-        assert "t_final: not used by scenario 'device-map'" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -1014,6 +1053,23 @@ class TestFailureModes:
         assert rc == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+
+def _readme_commands() -> list[str]:
+    """The ``ffsynth`` lines of the code block in README's "Command line"."""
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        section = fh.read().split("\n## Command line\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("ffsynth ")]
+
+
+@pytest.mark.parametrize("line", _readme_commands())
+def test_readme_command_runs(tmp_path, monkeypatch, line):
+    """Every documented command runs as written, from the repository root,
+    so none outlives its config or flag."""
+    monkeypatch.chdir(ROOT)
+    argv = shlex.split(line)[1:]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 0
 
 
 #: A whole run in a subprocess; ``{command}``, ``{config}`` and ``{out}``
