@@ -71,7 +71,14 @@ from .itt import (
 )
 from .numerics import format_g17
 from .sta import StaPhaseModel, adiabatic_target, synthesize_sta_control
-from .zerocurves import ScanError, detect_gaps, link_branches, sample_params, x_and_y
+from .zerocurves import (
+    ScanError,
+    detect_gaps,
+    link_branches,
+    sample_params,
+    wrap_phase,
+    x_and_y,
+)
 
 #: The stages each subcommand takes after the reference, in order.
 _STAGES = {
@@ -148,14 +155,13 @@ def _branch_record(b) -> dict:
 
 def _write_branches(path: str, scts) -> None:
     # the trailing [] lets a run without branches write just the header
-    counts = [np.count_nonzero(b.valid) for b in scts]
     _write_table(
         path,
         ["branch", "t", "f2"],
         [
-            np.repeat([b.branch_id for b in scts], counts),
-            np.concatenate([b.times[b.valid] for b in scts] + [[]]),
-            np.concatenate([b.f2_canonical[b.valid] for b in scts] + [[]]),
+            np.repeat([b.branch_id for b in scts], [len(b.times) for b in scts]),
+            np.concatenate([b.times for b in scts] + [[]]),
+            np.concatenate([wrap_phase(b.f2) for b in scts] + [[]]),
         ],
     )
 
@@ -276,7 +282,7 @@ def _map(cfg: RunConfig, t_final, out_dir, ref, model):
 def _synthesize(cfg: RunConfig, out_dir, model, grid_c, scts, gaps):
     """The primary control along the planned travel path over ``grid_c``."""
     t_final = grid_c.t_end
-    plan = plan_travel(cfg.plan_kind, scts, gaps, t_final)
+    plan = plan_travel(cfg.plan_kind, scts, gaps, t_final, n_scan=cfg.scan_points)
     settings = default_bridge_settings(cfg.scenario, t_final)
     vt, cost = optimize_virtual_trajectory(
         plan, model, grid_c, settings, n_cost=cfg.cost_points
@@ -434,7 +440,7 @@ def run_pipeline(cfg: RunConfig, out_dir: str, stage: str) -> dict:
     if cfg.require_fidelity is not None and "verify" not in _STAGES[stage]:
         raise ConfigError(
             [
-                f"require_fidelity: stage {stage!r} of scenario {cfg.scenario!r} "
+                f"--require-fidelity: stage {stage!r} of scenario {cfg.scenario!r} "
                 "verifies no arm, so it has no fidelity to hold to a floor"
             ]
         )

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import yaml
 
 from .drives import MAX_STEPS, default_step_count
-from .itt import PLAN_KINDS
+from .itt import COST_POINTS, PLAN_KINDS
+from .zerocurves import SCAN_POINTS
 
 SCHEMA_VERSION = 1
 
@@ -223,8 +224,8 @@ def parse_config(text: str) -> RunConfig:
     )
     reference_steps = chk.integer(grid, "reference_steps", "grid.", minimum=100)
     control_steps = chk.integer(grid, "control_steps", "grid.", minimum=100)
-    scan_points = chk.integer(grid, "scan_points", "grid.", default=16_000, minimum=100)
-    cost_points = chk.integer(grid, "cost_points", "grid.", default=4_000, minimum=100)
+    scan_points = chk.integer(grid, "scan_points", "grid.", default=SCAN_POINTS, minimum=100)
+    cost_points = chk.integer(grid, "cost_points", "grid.", default=COST_POINTS, minimum=100)
     for key, steps in (
         ("reference_steps", reference_steps),
         ("control_steps", control_steps),

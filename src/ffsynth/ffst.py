@@ -32,6 +32,7 @@ import numpy as np
 
 from .dynamics import DriveSchedule, ReferenceTrajectory, TimeGrid
 from .zerocurves import (
+    SCAN_POINTS,
     Gap,
     SpeedControlledTrajectory,
     detect_gaps,
@@ -129,7 +130,7 @@ class FfstPhaseModel:
 def extract_scts(
     ref: ReferenceTrajectory,
     prof: MagnificationProfile,
-    n_scan: int = 16_000,
+    n_scan: int = SCAN_POINTS,
 ) -> list[SpeedControlledTrajectory]:
     """Link the residual's zero curves into speed-controlled trajectories.
 
@@ -144,7 +145,7 @@ def detect_phase_gaps(
     ref: ReferenceTrajectory,
     prof: MagnificationProfile,
     branches,
-    n_scan: int = 16_000,
+    n_scan: int = SCAN_POINTS,
 ) -> list[Gap]:
     """Time intervals with no speed-controlled trajectory to follow.
 

@@ -24,6 +24,7 @@ from .dynamics import TimeGrid
 from .numerics import erf, nelder_mead
 from .zerocurves import (
     LINKING_THRESHOLD,
+    SCAN_POINTS,
     TWO_PI,
     Gap,
     SpeedControlledTrajectory,
@@ -37,6 +38,9 @@ from .zerocurves import (
 
 #: Largest admissible bridge amplitude, in radians.
 AMP_MAX = 4.0 * np.pi
+
+#: Cost intervals of the bridge search unless ``grid.cost_points`` sets them.
+COST_POINTS = 4_000
 
 #: The travel plans ``plan_travel`` builds.
 PLAN_KINDS = ("auto", "vt-a", "vt-b")
@@ -195,7 +199,9 @@ def plan_with_crossings(
     return TravelPlan(branches=branches, crossings=crossings, t_final=t_final)
 
 
-def plan_travel(kind: str, branches, gaps, t_final: float) -> TravelPlan:
+def plan_travel(
+    kind: str, branches, gaps, t_final: float, n_scan: int = SCAN_POINTS
+) -> TravelPlan:
     """The travel plan of one of the ``PLAN_KINDS``: "auto" chains across
     the root-free gaps; "vt-a" crosses from X to Y at the median corridor
     (touch time) and "vt-b" alternates at every corridor."""
@@ -203,7 +209,8 @@ def plan_travel(kind: str, branches, gaps, t_final: float) -> TravelPlan:
         raise ValueError(f"plan kind must be one of {list(PLAN_KINDS)}, got {kind!r}")
     if kind == "auto":
         return plan_through_gaps(branches, gaps, t_final)
-    touches = branch_touch_times(*_x_and_y(branches, f"crossing plan {kind!r}"))
+    x, y = _x_and_y(branches, f"crossing plan {kind!r}")
+    touches = branch_touch_times(x, y, n_scan=n_scan)
     if not touches:
         raise ConstructionError("no corridor found between the X and Y branches")
     times = [touches[len(touches) // 2]] if kind == "vt-a" else touches
@@ -479,7 +486,7 @@ def optimize_virtual_trajectory(
     grid: TimeGrid,
     settings: BridgeSettings,
     init=None,
-    n_cost: int = 4000,
+    n_cost: int = COST_POINTS,
     maxfev: int = 2000,
 ) -> tuple[VirtualTrajectory, IttCostReport]:
     """Minimize the integrated residual over bridge parameters.

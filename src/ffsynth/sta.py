@@ -11,7 +11,8 @@ and the detuning realizing a chosen path is
 
     dw_ff = dw + g * (v/u - u/v) * (1 - cos f2) + df2/dt,
 
-which returns the input sweep bitwise for the zero path.
+which returns the input sweep bitwise for the zero path.  The coupling
+is the time unit, g = 1, as for the FFST reference's sweep.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 from .drives import CosineSweepSpec, default_step_count
 from .dynamics import DriveSchedule, TimeGrid, TwoLevelState
 from .ffst import _fill_singular, _half_grid_samples
-from .zerocurves import SpeedControlledTrajectory, link_branches
+from .zerocurves import SCAN_POINTS, SpeedControlledTrajectory, link_branches
 
 #: Amplitude below which the eigenstate components count as singular.
 EIGEN_FLOOR = 1e-9
@@ -32,9 +33,8 @@ EIGEN_FLOOR = 1e-9
 class StaPhaseModel:
     """Phase residual of an eigenstate-following sweep (phi0 = 0)."""
 
-    def __init__(self, spec: CosineSweepSpec, g: float = 1.0):
+    def __init__(self, spec: CosineSweepSpec):
         self.spec = spec
-        self.g = g
         self.t_final = spec.duration
 
     def _angles(self, t):
@@ -42,13 +42,10 @@ class StaPhaseModel:
         chi = atan2(g, dw/2) / 2, and chi's time derivative."""
         dw = self.spec.delta_omega(t)
         half = 0.5 * np.asarray(dw, dtype=float)
-        chi = 0.5 * np.arctan2(self.g, half)
-        chi_dot = (
-            -0.25
-            * self.g
-            * self.spec.delta_omega_rate(t)
-            / (half**2 + self.g**2)
-        )
+        chi = 0.5 * np.arctan2(1.0, half)
+        # a huge detuning overflows half**2 to inf: chi_dot becomes -0, its limit
+        with np.errstate(over="ignore"):
+            chi_dot = -0.25 * self.spec.delta_omega_rate(t) / (half**2 + 1.0)
         return np.cos(chi), np.sin(chi), chi_dot
 
     def initial_state(self) -> TwoLevelState:
@@ -57,7 +54,7 @@ class StaPhaseModel:
 
     def sine_params(self, t):
         u, v, chi_dot = self._angles(t)
-        return -v * chi_dot, self.g * v, np.zeros_like(v)
+        return -v * chi_dot, v, np.zeros_like(v)
 
 
 @dataclass(frozen=True)
@@ -69,7 +66,7 @@ class AdiabaticTarget:
 
 
 def adiabatic_target(
-    spec: CosineSweepSpec, grid: TimeGrid | None = None, g: float = 1.0
+    spec: CosineSweepSpec, grid: TimeGrid | None = None
 ) -> AdiabaticTarget:
     """Final upper-branch eigenstate with the accumulated dynamical phase.
 
@@ -80,15 +77,15 @@ def adiabatic_target(
         grid = TimeGrid(spec.duration, default_step_count(spec.duration))
     t = grid.times
     half = 0.5 * spec.delta_omega(t)
-    energy = half + np.hypot(half, g)
+    energy = half + np.hypot(half, 1.0)
     theta = float(np.trapezoid(energy, t))
-    u, v, _ = StaPhaseModel(spec, g)._angles(spec.duration)
+    u, v, _ = StaPhaseModel(spec)._angles(spec.duration)
     phase = np.exp(-1j * theta)
     return AdiabaticTarget(TwoLevelState(u * phase, v * phase), phase_integral=theta)
 
 
 def extract_sta_branches(
-    model: StaPhaseModel, n_scan: int = 16_000
+    model: StaPhaseModel, n_scan: int = SCAN_POINTS
 ) -> list[SpeedControlledTrajectory]:
     """Link the residual's zero curves into followable branches.
 
@@ -115,11 +112,11 @@ def synthesize_sta_control(
 
     u, v, _ = model._angles(th)
     with np.errstate(divide="ignore", invalid="ignore"):
-        dw_ff = dw + model.g * (v / u - u / v) * (1.0 - np.cos(f2)) + df2
+        dw_ff = dw + (v / u - u / v) * (1.0 - np.cos(f2)) + df2
 
     bad = (np.abs(u) < EIGEN_FLOOR) | (np.abs(v) < EIGEN_FLOOR) | ~np.isfinite(dw_ff)
     brackets = np.abs(1.0 - np.cos(f2))
     brackets[~bad] = 0.0
     dw_ff = _fill_singular(th, dw_ff, bad, brackets)
 
-    return DriveSchedule(grid, dw_ff, np.full_like(th, model.g), label=label)
+    return DriveSchedule(grid, dw_ff, np.ones_like(th), label=label)

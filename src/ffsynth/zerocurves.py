@@ -14,8 +14,9 @@ that is not finite.  This module evaluates the residual
 form on a whole scan at once (``root_table``, the one place that
 decides where roots exist), links the roots into continuous branches,
 labels the two full-span ones X and Y, and detects the time intervals
-where no root exists.  A branch between its scan samples is a root as
-well: ``branch_lifts`` evaluates it from the run's model.
+where no root exists.  A branch holds only the scan samples where it
+exists, with its lift at each; between them it is a root as well:
+``branch_lifts`` evaluates it from the run's model.
 
 There are at most two roots per sample, so linking pairs the roots of
 each sample with those of the sample before it through a 2x2 table of
@@ -42,6 +43,9 @@ TWO_PI = 2.0 * np.pi
 #: Below this residual amplitude D the residual is flat in f: every phase
 #: is a root when C vanishes as well, and no phase is when it does not.
 DEGENERATE_FLOOR = 1e-12
+
+#: Scan intervals of the residual unless ``grid.scan_points`` sets them.
+SCAN_POINTS = 16_000
 
 #: Largest phase step (radians) the branch linker will follow between
 #: consecutive scan samples.
@@ -103,16 +107,15 @@ def mask_runs(mask) -> list[tuple[int, int]]:
 class SpeedControlledTrajectory:
     """One continuous zero curve f(t) of the residual.
 
-    ``f2`` holds the unwrapped lift of the curve on the scan grid (nan
-    where the branch does not exist) and ``valid`` the existence mask.
-    The lift is continuous; its canonical image may jump by 2*pi.
-    ``model`` is the residual model whose roots the branch follows (see
-    ``branch_lifts``).
+    ``times`` holds the scan samples where the branch exists, in time
+    order, and ``f2`` the unwrapped lift of the curve at them.  The lift
+    is continuous; its canonical image may jump by 2*pi.  ``model`` is
+    the residual model whose roots the branch follows (see
+    ``branch_lifts``); the scan runs over [0, ``model.t_final``].
     """
 
     times: np.ndarray
     f2: np.ndarray
-    valid: np.ndarray
     branch_id: str
     model: object = field(repr=False, compare=False)
 
@@ -122,22 +125,14 @@ class SpeedControlledTrajectory:
     end_phase: float = field(init=False)
 
     def __post_init__(self) -> None:
-        idx = np.flatnonzero(self.valid)
-        self.t_start = float(self.times[idx[0]])
-        self.t_end = float(self.times[idx[-1]])
-        self.start_phase = float(self.f2[idx[0]])
-        self.end_phase = float(self.f2[idx[-1]])
-
-    @property
-    def f2_canonical(self) -> np.ndarray:
-        out = np.full_like(self.f2, np.nan)
-        out[self.valid] = wrap_phase(self.f2[self.valid])
-        return out
+        self.t_start = float(self.times[0])
+        self.t_end = float(self.times[-1])
+        self.start_phase = float(self.f2[0])
+        self.end_phase = float(self.f2[-1])
 
     def spans_full_domain(self) -> bool:
         """True when the branch covers at least 99% of the scan."""
-        span = self.times[-1] - self.times[0]
-        return (self.t_end - self.t_start) >= 0.99 * span
+        return (self.t_end - self.t_start) >= 0.99 * self.model.t_final
 
     def is_connected(self) -> bool:
         """True when the lift starts and ends within 0.05 of phase 0.
@@ -146,10 +141,8 @@ class SpeedControlledTrajectory:
         modulo 2*pi has wound around the cylinder and is not counted as
         connecting the endpoints.
         """
-        full = self.times[-1] - self.times[0]
-        if (self.t_start - self.times[0]) > 0.01 * full:
-            return False
-        if (self.times[-1] - self.t_end) > 0.01 * full:
+        full = self.model.t_final
+        if self.t_start > 0.01 * full or (full - self.t_end) > 0.01 * full:
             return False
         return abs(self.start_phase) < 0.05 and abs(self.end_phase) < 0.05
 
@@ -269,7 +262,7 @@ def _settle_row(j, roots, head, lift):
 
 def link_branches(
     model,
-    n_scan: int = 16_000,
+    n_scan: int = SCAN_POINTS,
     min_samples: int = 6,
 ) -> list[SpeedControlledTrajectory]:
     """Scan the residual over time and link roots into branches.
@@ -308,16 +301,8 @@ def link_branches(
         if j - i < min_samples:
             continue
         slots = order[i:j]
-        ks = keep[slots // 2]
-        f2 = np.full(n_scan + 1, np.nan)
-        valid = np.zeros(n_scan + 1, dtype=bool)
-        f2[ks] = lift[slots]
-        valid[ks] = True
-        out.append(
-            SpeedControlledTrajectory(
-                times=t, f2=f2, valid=valid, branch_id="", model=model
-            )
-        )
+        times, f2 = t[keep[slots // 2]], lift[slots]
+        out.append(SpeedControlledTrajectory(times, f2, branch_id="", model=model))
     # no two branches share a first sample and root, so this order does not
     # depend on the order the chains were found in
     out.sort(key=lambda b: (b.t_start, b.start_phase))
@@ -355,7 +340,7 @@ def branch_lifts(branches, t) -> list[np.ndarray]:
         if id(b.model) not in tables:
             tables[id(b.model)] = np.stack(root_table(*sample_params(b.model, t))[:2])
         roots = tables[id(b.model)]
-        chord = np.interp(t, b.times[b.valid], b.f2[b.valid])
+        chord = np.interp(t, b.times, b.f2)
         lifted = roots + TWO_PI * np.round((chord - roots) / TWO_PI)
         miss = np.abs(lifted - chord)
         # a missing x2 compares False and leaves x1, which is nan only
@@ -390,7 +375,7 @@ class Gap:
 def detect_gaps(
     model,
     branches: Sequence[SpeedControlledTrajectory],
-    n_scan: int = 16_000,
+    n_scan: int = SCAN_POINTS,
 ) -> list[Gap]:
     """Maximal intervals not covered by any branch.
 
@@ -417,7 +402,7 @@ def branch_touch_times(
     x: SpeedControlledTrajectory,
     y: SpeedControlledTrajectory,
     separation_threshold: float = 1.2,
-    n_scan: int = 16_000,
+    n_scan: int = SCAN_POINTS,
 ) -> list[float]:
     """Times where two full-span branches approach each other.
 

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import ffsynth
-from ffsynth import analysis, cli
+from ffsynth import analysis, cli, zerocurves
 from ffsynth.cli import (
     TABLE_CHUNK_ROWS,
     _slew,
@@ -208,9 +208,20 @@ class TestTableWriter:
             with open(ref, "w", encoding="utf-8") as fh:
                 fh.write("branch\tt\tf2\n")
                 for b in scts:
-                    for t, f in zip(b.times[b.valid], b.f2_canonical[b.valid]):
+                    for t, f in zip(b.times, ffsynth.wrap_phase(b.f2)):
                         fh.write("%s\t%.17g\t%.17g\n" % (b.branch_id, t, f))
             assert ours.read_bytes() == ref.read_bytes()
+
+    @pytest.mark.parametrize(
+        "name", ["decel_a", "decel_b", "accel", "sta10", "sta20", "sta30"]
+    )
+    def test_branch_table_has_a_row_per_branch_sample(self, tmp_path, request, name):
+        bundle = request.getfixturevalue(name)
+        scts = bundle.scts if hasattr(bundle, "scts") else bundle.branches
+        path = tmp_path / "branches.tsv"
+        _write_branches(str(path), scts)
+        rows = path.read_text(encoding="utf-8").splitlines()[1:]
+        assert len(rows) == sum(len(b.times) for b in scts)
 
     def test_shift_table_matches_row_writer(self, tmp_path, decel_b):
         """``shifts.tsv`` keeps the bytes of the per-row writer it replaced,
@@ -380,6 +391,15 @@ class TestReferenceStage:
             assert main(["reference", "--config", cfg, "--out", out]) == 0
         finally:
             np.random.set_state(state)
+
+    def test_sta_reference_failure_names_stage(self, tmp_path, capsys):
+        """A detuning whose square overflows used to warn from the eigenstate
+        angles, an error under the suite's filter, before the reference
+        integration failed; the overflow only takes chi_dot to its limit -0."""
+        cfg = _config(tmp_path, STA_FAST + "delta_omega0: 1.0e+300\n")
+        rc = main(["sta", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert rc == 3
+        assert "reference integration at stage 'sta'" in capsys.readouterr().err
 
     def test_reference_failure_names_stage(self, tmp_path, capsys):
         """A reference integration that is not finite is reported as the
@@ -819,6 +839,19 @@ class TestOneModelPerRun:
         assert len(built) == builds
 
 
+def test_corridor_search_scans_scan_points(tmp_path, monkeypatch):
+    """``grid.scan_points`` sets the vt plans' corridor search as well; it
+    used to scan 16,001 samples whatever the config said."""
+    sizes = []
+    lifts = zerocurves.branch_lifts
+    monkeypatch.setattr(
+        zerocurves, "branch_lifts", lambda b, t: sizes.append(len(t)) or lifts(b, t)
+    )
+    cfg = _config(tmp_path, DECEL_FAST)
+    assert main(["synthesize", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert sizes == [4001]
+
+
 class TestOneTrajectoryAtATime:
     @pytest.mark.parametrize(
         "command, text", [("verify", DECEL_FAST), ("sta", STA_FAST)],
@@ -1026,7 +1059,7 @@ class TestFailureModes:
         assert rc == 2
         if source == "flag":
             message = (
-                f"require_fidelity: stage {command!r} of scenario {scenario!r} "
+                f"--require-fidelity: stage {command!r} of scenario {scenario!r} "
                 "verifies no arm"
             )
         else:

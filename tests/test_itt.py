@@ -122,7 +122,6 @@ def _flat_branch(times, phase, branch_id):
     return SpeedControlledTrajectory(
         times=times,
         f2=np.full_like(times, phase),
-        valid=np.ones(len(times), dtype=bool),
         branch_id=branch_id,
         model=_ConstantPhase(phase),
     )

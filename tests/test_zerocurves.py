@@ -96,13 +96,9 @@ def _oracle_link(model, n_scan=16_000, threshold=LINKING_THRESHOLD, min_samples=
     for br in done:
         if len(br["ks"]) < min_samples:
             continue
-        f2 = np.full(n_scan + 1, np.nan)
-        valid = np.zeros(n_scan + 1, dtype=bool)
-        f2[br["ks"]] = br["fs"]
-        valid[br["ks"]] = True
         out.append(
             SpeedControlledTrajectory(
-                times=t, f2=f2, valid=valid, branch_id="", model=model
+                times=t[br["ks"]], f2=np.array(br["fs"]), branch_id="", model=model
             )
         )
     out.sort(key=lambda b: (b.t_start, b.start_phase))
@@ -139,10 +135,10 @@ def _oracle_touch_times(x, y, separation_threshold=1.2, n_scan=16_000):
 def _assert_same_branches(got, want):
     assert [b.branch_id for b in got] == [b.branch_id for b in want]
     for g, w in zip(got, want):
-        assert np.array_equal(g.valid, w.valid), g.branch_id
+        assert g.times.tobytes() == w.times.tobytes(), g.branch_id
         assert g.f2.tobytes() == w.f2.tobytes(), g.branch_id
-        assert g.t_start == g.times[g.valid][0] and g.t_end == g.times[g.valid][-1]
-        assert g.start_phase == g.f2[g.valid][0] and g.end_phase == g.f2[g.valid][-1]
+        assert g.t_start == g.times[0] and g.t_end == g.times[-1]
+        assert g.start_phase == g.f2[0] and g.end_phase == g.f2[-1]
         assert g.model is w.model
 
 
@@ -209,14 +205,21 @@ def _assert_links_like_oracle(c, d, phi0, threshold=LINKING_THRESHOLD):
     return want
 
 
+def _lift_at(b, k):
+    """A ``_TableModel`` branch's lift at sample ``k`` (at time k), nan where
+    the branch does not exist."""
+    i = np.searchsorted(b.times, k)
+    return float(b.f2[i]) if i < len(b.times) and b.times[i] == k else np.nan
+
+
 def _lift_distances(branches, k, c, d, phi0):
     """The loop's |wrap(root - lift)| from each branch alive at sample k - 1
     (in start order) to each root at sample k."""
     roots = _table_roots(c[k], d[k], phi0[k])[0]
     return [
-        [abs(float(wrap_phase(r - b.f2[k - 1]))) for r in roots]
+        [abs(float(wrap_phase(r - _lift_at(b, k - 1)))) for r in roots]
         for b in sorted(branches, key=lambda b: b.t_start)
-        if b.valid[k - 1]
+        if not np.isnan(_lift_at(b, k - 1))
     ]
 
 
@@ -350,10 +353,25 @@ class TestBranchLinking:
         assert chained.spans_full_domain()
 
 
+FIXTURES = ["decel_a", "decel_b", "accel", "sta10", "sta20", "sta30"]
+
+
+class TestBranchShape:
+    @pytest.mark.parametrize("name", FIXTURES)
+    def test_branch_holds_only_its_samples(self, request, name):
+        """A branch holds the scan samples where it exists, in time order,
+        and no placeholder for the others."""
+        bundle = request.getfixturevalue(name)
+        branches = bundle.scts if hasattr(bundle, "scts") else bundle.branches
+        assert branches
+        for b in branches:
+            assert len(b.times) == len(b.f2), b.branch_id
+            assert np.all(np.diff(b.times) > 0.0), b.branch_id
+            assert not np.isnan(b.f2).any(), b.branch_id
+
+
 class TestBranchLifts:
-    @pytest.mark.parametrize(
-        "name", ["decel_a", "decel_b", "accel", "sta10", "sta20", "sta30"]
-    )
+    @pytest.mark.parametrize("name", FIXTURES)
     def test_every_fixture_branch_is_a_root(self, request, name):
         """Between its scan samples a branch is a root of the residual, to
         rounding; an interpolant of the samples was off by up to 6.3e-6."""
@@ -361,8 +379,7 @@ class TestBranchLifts:
         branches = bundle.scts if hasattr(bundle, "scts") else bundle.branches
         assert branches
         for b in branches:
-            inside = b.times[b.valid]
-            mid = 0.5 * (inside[1:] + inside[:-1])
+            mid = 0.5 * (b.times[1:] + b.times[:-1])
             c, d, phi0 = sample_params(b.model, mid)
             err = np.abs(residual(c, d, phi0, branch_lifts([b], mid)[0]))
             assert np.all(err <= 1e-12 * (1.0 + d)), b.branch_id
@@ -370,8 +387,8 @@ class TestBranchLifts:
     def test_samples_are_kept(self, accel):
         """At its own scan samples a branch keeps its lift, to rounding."""
         for b in accel.scts:
-            lift = branch_lifts([b], b.times[b.valid])[0]
-            assert np.max(np.abs(lift - b.f2[b.valid])) < 1e-12, b.branch_id
+            lift = branch_lifts([b], b.times)[0]
+            assert np.max(np.abs(lift - b.f2)) < 1e-12, b.branch_id
 
     def test_one_root_table_per_model(self, monkeypatch, decel_a):
         calls = []
@@ -438,7 +455,7 @@ class TestLinkerOracle:
             assert got
             _assert_same_branches(got, want)
         # some lift leaves the canonical interval, so a seam was crossed
-        assert any(np.nanmax(np.abs(b.f2)) > np.pi for b in got)
+        assert any(np.max(np.abs(b.f2)) > np.pi for b in got)
 
     def test_touch_times_match_loop(self, decel_a):
         labeled = {b.branch_id: b for b in decel_a.scts}
@@ -464,7 +481,7 @@ class TestLinkerDecisionEdges:
         (e00, e01), (e10, e11) = _lift_distances(want, 3, c, d, phi0)
         assert e00 == e10 == e11 < e01 < LINKING_THRESHOLD
         # the older branch is root 0's, so identity wins the tie
-        assert [b.valid.sum() for b in want] == [6, 6]
+        assert [len(b.times) for b in want] == [6, 6]
 
     def test_tie_after_a_swap_follows_branch_age(self):
         # C -> -C with phi0 -> phi0 + pi swaps the two roots at sample 3, so
@@ -477,9 +494,9 @@ class TestLinkerDecisionEdges:
         want = _assert_links_like_oracle(c, d, phi0)
         (older_0, older_1), (newer_0, newer_1) = _lift_distances(want, 6, c, d, phi0)
         assert older_0 == newer_0 == newer_1 < older_1 < LINKING_THRESHOLD
-        older = min(want, key=lambda b: b.f2[5])  # root 1 at sample 5
+        older = min(want, key=lambda b: _lift_at(b, 5))  # root 1 at sample 5
         x1, x2, _ = root_table(c, d, phi0)
-        assert older.f2[5] == x2[5] and older.f2[6] == x1[6]
+        assert _lift_at(older, 5) == x2[5] and _lift_at(older, 6) == x1[6]
         # the canonical table keeps identity, the settlement swaps
         canonical, near = _pair_rows(np.stack((x1, x2), axis=1))
         assert near[6] and canonical[12:14].tolist() == [10, 11]
@@ -491,7 +508,7 @@ class TestLinkerDecisionEdges:
         want = _assert_links_like_oracle(c, d, phi0)
         (older,), (newer,) = _lift_distances(want, 6, c, d, phi0)
         assert older == newer < LINKING_THRESHOLD
-        assert min(want, key=lambda b: b.t_start).valid[6]
+        assert not np.isnan(_lift_at(min(want, key=lambda b: b.t_start), 6))
 
     @staticmethod
     def _step_to(target, above):
@@ -535,7 +552,7 @@ class TestLinkerDecisionEdges:
         counts = [2] * 4 + [1] * 2 + [2] * 3 + [0] + [2] * 4 + [1] + [2] * 2
         assert root_table(c, d, phi0)[2].tolist() == counts
         want = _assert_links_like_oracle(c, d, phi0)
-        assert np.isclose(a, want[0].f2[0])
+        assert np.isclose(a, _lift_at(want[0], 0))
         # the empty sample ends every branch; the collapses end one of two
         assert min(b.t_end for b in want) < 4.0 and max(b.t_start for b in want) > 9.0
 
@@ -545,10 +562,10 @@ class TestLinkerDecisionEdges:
         assert root_table(c, d, phi0)[2].tolist() == [2] * 4 + [-1] * 5 + [2] * 4
         want = _assert_links_like_oracle(c, d, phi0)
         # both branches pass the run, each continuing into the other root
-        assert [b.valid.sum() for b in want] == [8, 8]
+        assert [len(b.times) for b in want] == [8, 8]
         x1, x2, _ = root_table(c, d, phi0)
         for b in want:
-            assert (b.f2[3] == x1[3]) == (b.f2[9] == x2[9])
+            assert (_lift_at(b, 3) == x1[3]) == (_lift_at(b, 9) == x2[9])
 
 
 #: Per-sample residual lattice for the property test.  A two-root sample
