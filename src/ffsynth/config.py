@@ -19,6 +19,10 @@ from .zerocurves import SCAN_POINTS
 
 SCHEMA_VERSION = 1
 
+#: Largest ``grid.scan_points`` and ``grid.cost_points``: the rounding
+#: argument of ``zerocurves.NEAR_TIE`` covers up to a million samples.
+MAX_POINTS = 1_000_000
+
 SCENARIOS = ("accelerate", "decelerate", "sta")
 BASELINES = {
     "accelerate": ("naive", "alpha-scaled"),
@@ -108,7 +112,7 @@ class _Checker:
             return default
         return float(v)
 
-    def integer(self, mapping, key, path, default=None, minimum=None):
+    def integer(self, mapping, key, path, default=None, minimum=None, maximum=None):
         if key not in mapping or mapping[key] is None:
             return default
         v = mapping[key]
@@ -117,6 +121,9 @@ class _Checker:
             return default
         if minimum is not None and v < minimum:
             self.fail(f"{path}{key}", f"must be at least {minimum}, got {v}")
+            return default
+        if maximum is not None and v > maximum:
+            self.fail(f"{path}{key}", f"must be at most {maximum}, got {v}")
             return default
         return v
 
@@ -222,22 +229,25 @@ def parse_config(text: str) -> RunConfig:
     chk.reject_unknown(
         grid, {"reference_steps", "control_steps", "scan_points", "cost_points"}, "grid"
     )
-    reference_steps = chk.integer(grid, "reference_steps", "grid.", minimum=100)
-    control_steps = chk.integer(grid, "control_steps", "grid.", minimum=100)
-    scan_points = chk.integer(grid, "scan_points", "grid.", default=SCAN_POINTS, minimum=100)
-    cost_points = chk.integer(grid, "cost_points", "grid.", default=COST_POINTS, minimum=100)
-    for key, steps in (
-        ("reference_steps", reference_steps),
-        ("control_steps", control_steps),
-    ):
-        if steps is not None and steps > MAX_STEPS:
-            chk.fail(f"grid.{key}", f"must be at most {MAX_STEPS}, got {steps}")
-    # durations that get the default grid: the reference runs over t_ref
-    # (over t_final for sta), the control over t_final
+    reference_steps = chk.integer(
+        grid, "reference_steps", "grid.", minimum=100, maximum=MAX_STEPS
+    )
+    control_steps = chk.integer(
+        grid, "control_steps", "grid.", minimum=100, maximum=MAX_STEPS
+    )
+    scan_points = chk.integer(
+        grid, "scan_points", "grid.", SCAN_POINTS, minimum=100, maximum=MAX_POINTS
+    )
+    cost_points = chk.integer(
+        grid, "cost_points", "grid.", COST_POINTS, minimum=100, maximum=MAX_POINTS
+    )
+    # durations with no step count given get the default grid: the reference
+    # runs over t_ref (over t_final for sta), the control over t_final
+    ref_default = grid.get("reference_steps") is None
     defaulted = []
-    if reference_steps is None and scenario != "sta":
+    if ref_default and scenario != "sta":
         defaulted.append(("t_ref", t_ref))
-    if control_steps is None or (reference_steps is None and scenario == "sta"):
+    if grid.get("control_steps") is None or (ref_default and scenario == "sta"):
         defaulted.extend(sweep)
     for path, duration in defaulted:
         n_default = default_step_count(duration)

@@ -3,11 +3,13 @@
 A virtual trajectory follows speed-controlled branches where they exist
 and crosses gaps (or deliberate branch crossings) through Gaussian-bump
 bridges.  Each bridge has three parameters (center, width, amplitude);
-the bump rides on a monotone erf connector between the incoming and
-outgoing branch lifts, with outgoing lifts re-aligned by whole turns so
-the connector never sweeps a spurious 2 pi.  A final linear ramp pins
-f2(0) = f2(T_F) = 0 exactly; a path that would need a ramp larger than
-the branch linker's step is rejected.
+the bump rides on a quintic smoothstep connector between the incoming
+and outgoing branch lifts, with outgoing lifts re-aligned by whole turns
+so the connector never sweeps a spurious 2 pi.  The connector and the
+bump's taper have zero slope at both ends of the bridge window, so the
+lift has no kink there and the synthesized detuning no jump.  A final
+linear ramp pins f2(0) = f2(T_F) = 0 exactly; a path that would need a
+ramp larger than the branch linker's step is rejected.
 
 Bridge parameters are chosen by minimizing the integrated residual
 |beta| along the path with a deterministic Nelder-Mead simplex, one
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import TimeGrid
-from .numerics import erf, nelder_mead
+from .numerics import nelder_mead
 from .zerocurves import (
     LINKING_THRESHOLD,
     SCAN_POINTS,
@@ -310,7 +312,10 @@ def _assemble_lift(
 
     Each bridge changes only the samples after its window opens: inside
     ``(lo, hi)`` the shifted branches are blended, and from ``hi`` on the
-    path is the outgoing shifted branch.
+    path is the outgoing shifted branch.  With u = (t - lo) / (hi - lo)
+    the blend weight is the quintic smoothstep u^3 (10 - 15 u + 6 u^2),
+    and the Gaussian bump is tapered by 16 u^2 (1 - u)^2; both meet the
+    branches with matching value and slope at ``lo`` and ``hi``.
     """
     t_f = plan.t_final
     bridges = _bridges(plan, params, settings)
@@ -326,32 +331,18 @@ def _assemble_lift(
 
     values, shifts = samples
     f = values[0].copy()
-    windows, args = [], []
-    for c, sig, _, lo, hi in bridges:
+    for i, (c, sig, amp, lo, hi) in enumerate(bridges):
         start = int(np.searchsorted(t_eval, lo, side="right"))
         stop = int(np.searchsorted(t_eval, hi, side="left"))
-        windows.append((start, stop))
-        args.append((np.append(t_eval[start:stop], (lo, hi)) - c) / (np.sqrt(2.0) * sig))
-    # one erf call per lift, on every window and its two ends: a call
-    # costs far more than its samples
-    z = erf(np.concatenate(args)) if args else None
-
-    k = 0
-    for i, ((c, sig, amp, lo, hi), (start, stop)) in enumerate(zip(bridges, windows)):
         t = t_eval[start:stop]
-        n = stop - start
-        z_t, (z_lo, z_hi) = z[k : k + n], z[k + n : k + n + 2]
-        k += n + 2
-        w = np.clip((z_t - z_lo) / (z_hi - z_lo), 0.0, 1.0)
-
-        g = np.exp(-((t - c) ** 2) / (2.0 * sig**2))
-        g_lo = np.exp(-((lo - c) ** 2) / (2.0 * sig**2))
-        g_hi = np.exp(-((hi - c) ** 2) / (2.0 * sig**2))
-        base = g_lo + (g_hi - g_lo) * (t - lo) / (hi - lo)
+        u = (t - lo) / (hi - lo)
+        w = u * u * u * (10.0 - 15.0 * u + 6.0 * u * u)
+        v = u * (1.0 - u)
+        bump = np.exp(-((t - c) ** 2) / (2.0 * sig**2)) * (16.0 * v * v)
 
         fi = values[i][start:stop] + shifts[i]
         fo = values[i + 1][start:stop] + shifts[i + 1]
-        f[start:stop] = fi * (1.0 - w) + fo * w + amp * (g - base)
+        f[start:stop] = fi * (1.0 - w) + fo * w + amp * bump
         np.add(values[i + 1][stop:], shifts[i + 1], out=f[stop:])
     return f
 

@@ -1,18 +1,15 @@
-"""Interpolation, the error function, a simplex search and exact number
-text on numpy alone.
+"""Interpolation, a simplex search and exact number text on numpy alone.
 
-The package needs four numerical routines: a cubic Hermite interpolant
-of given values and slopes, ``erf``, a Nelder-Mead search and the text
-of ``'%.17g' % v`` for every float in an array.  They are written here
-in numpy so that a run imports nothing heavier.
+The package needs three numerical routines: a cubic Hermite interpolant
+of given values and slopes, a Nelder-Mead search and the text of
+``'%.17g' % v`` for every float in an array.  They are written here in
+numpy so that a run imports nothing heavier.
 
 The interpolant is a :class:`PiecewiseCubic` value evaluated in SciPy's
 ``PPoly`` term order.  The other routines follow the operation order of
 the established implementation each mirrors, so their results are
 reproducible bit for bit:
 
-- ``erf`` is the Cephes rational approximation (``ndtr.c``; the erfc
-  branch after Cody, Math. Comp. 23, 631 (1969));
 - :func:`nelder_mead` is the simplex method of Nelder and Mead, Comput.
   J. 7, 308 (1965), with the standard coefficients (1, 2, 1/2, 1/2);
 - :func:`format_g17` writes the bytes of CPython's correctly rounded
@@ -92,85 +89,6 @@ def hermite(x, y, dydx) -> PiecewiseCubic:
     t = (dydx[:-1] + dydx[1:] - 2 * slope) / dx
     c = np.stack((t / dx, (slope - dydx[:-1]) / dx - t, dydx[:-1], y[:-1]))
     return PiecewiseCubic(x=x, c=c)
-
-
-# Cephes ndtr.c: erf(x) = x T(x^2) / U(x^2) for |x| <= 1, and
-# erfc(x) = exp(-x^2) P(x) / Q(x) for 1 < x < 8 (U and Q are monic).
-_ERF_T = (
-    9.60497373987051638749e0,
-    9.00260197203842689217e1,
-    2.23200534594684319226e3,
-    7.00332514112805075473e3,
-    5.55923013010394962768e4,
-)
-_ERF_U = (
-    3.35617141647503099647e1,
-    5.21357949780152679795e2,
-    4.59432382970980127987e3,
-    2.26290000613890934246e4,
-    4.92673942608635921086e4,
-)
-_ERFC_P = (
-    2.46196981473530512524e-10,
-    5.64189564831068821977e-1,
-    7.46321056442269912687e0,
-    4.86371970985681366614e1,
-    1.96520832956077098242e2,
-    5.26445194995477358631e2,
-    9.34528527171957607540e2,
-    1.02755188689515710272e3,
-    5.57535335369399327526e2,
-)
-_ERFC_Q = (
-    1.32281951154744992508e1,
-    8.67072140885989742329e1,
-    3.54937778887819891062e2,
-    9.75708501743205489753e2,
-    1.82390916687909736289e3,
-    2.24633760818710981792e3,
-    1.65666309194161350182e3,
-    5.57535340817727675546e2,
-)
-
-#: Above this |x|, 1 - erfc(x) rounds to 1.0 (erfc(6) ~ 2e-17).
-_ERF_SATURATION = 6.0
-
-
-def _polevl(x: np.ndarray, coef, monic: bool) -> np.ndarray:
-    # Horner's rule; a monic polynomial omits its leading 1
-    acc = x + coef[0] if monic else np.full_like(x, coef[0])
-    for c in coef[1:]:
-        acc *= x
-        acc += c
-    return acc
-
-
-def erf(x):
-    """The error function, elementwise: Cephes' ``erf`` bit for bit.
-
-    exp(-x^2) is the real part of numpy's complex ``exp``, which calls
-    the C library's ``cexp`` and so agrees with the ``exp`` that Cephes
-    calls.  numpy's real ``exp`` is a SIMD routine that differs from it
-    in the last bit on about a quarter of arguments in [-36, 0], which
-    would move ``erf`` by an ulp and the bridge search with it.
-    """
-    x = np.asarray(x, dtype=float)
-    a = np.minimum(np.abs(x.ravel()), _ERF_SATURATION)
-    out = np.empty_like(a)
-    tail = a > 1.0
-    # each rational on its own elements only; NaN falls to the head
-    head = ~tail
-    ah = a[head]
-    zh = ah * ah
-    erf_head = ah * _polevl(zh, _ERF_T, False)
-    erf_head /= _polevl(zh, _ERF_U, True)
-    out[head] = erf_head
-    at = a[tail]
-    erfc = np.exp((-(at * at)).astype(complex)).real
-    erfc *= _polevl(at, _ERFC_P, False)
-    erfc /= _polevl(at, _ERFC_Q, True)
-    out[tail] = 1.0 - erfc
-    return np.copysign(out, x.ravel()).reshape(x.shape)
 
 
 @dataclass(frozen=True)

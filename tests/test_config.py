@@ -204,9 +204,19 @@ class TestStepBudget:
 
     def test_explicit_budget_edge_passes(self):
         cfg = parse_config(
-            MINIMAL + "grid: {reference_steps: 100000, control_steps: 100000}"
+            MINIMAL + "grid: {reference_steps: 100000, control_steps: 100000, "
+            "scan_points: 1000000, cost_points: 1000000}"
         )
         assert cfg.reference_steps == cfg.control_steps == 100_000
+        assert cfg.scan_points == cfg.cost_points == 1_000_000
+
+    @pytest.mark.parametrize("key", ["scan_points", "cost_points"])
+    @pytest.mark.parametrize("points", [1_000_001, 10_000_000_000_000])
+    def test_sample_counts_bounded(self, key, points):
+        """Past a million samples the linker's tie rounding is not argued
+        for; a huge count used to fail allocating the scan."""
+        errors = _errors_of(MINIMAL + f"grid: {{{key}: {points}}}")
+        assert errors == [f"grid.{key}: must be at most 1000000, got {points}"]
 
     def test_long_default_grid_rejected(self):
         errors = _errors_of(
@@ -219,6 +229,15 @@ class TestStepBudget:
         errors = _errors_of(MINIMAL + "t_ref: 1550.0")
         assert len(errors) == 1
         assert errors[0].startswith("t_ref: 1550.0 needs 103334 integration steps")
+
+    @pytest.mark.parametrize("steps", [50, 100001])
+    def test_rejected_count_is_not_a_default_grid(self, steps):
+        """A step count out of range is named alone; the duration it would
+        have covered is not also checked against the default grid."""
+        grid = f"grid: {{reference_steps: {steps}}}"
+        errors = _errors_of(MINIMAL + "t_ref: 1550.0\n" + grid)
+        assert len(errors) == 1
+        assert errors[0].startswith("grid.reference_steps: must be at")
 
     def test_duration_1500_is_exactly_the_budget(self):
         assert parse_config(

@@ -46,25 +46,18 @@ def _oracle_lift(t_eval, plan, params, settings):
     """The raw lift evaluated on the whole of ``t_eval`` for every bridge,
     re-evaluating each branch on every call: the reference for the
     windowed lift on per-plan samples."""
-    from scipy.special import erf
-
     bridges = _bridges(plan, params, settings)
     branches = plan.branches
     shifts = _realignment_shifts(plan)
     f = branch_lifts(branches[:1], t_eval)[0]
     for i, (c, sig, amp, lo, hi) in enumerate(bridges):
-        z_lo = erf((lo - c) / (np.sqrt(2.0) * sig))
-        z_hi = erf((hi - c) / (np.sqrt(2.0) * sig))
-        w = np.clip(
-            (erf((t_eval - c) / (np.sqrt(2.0) * sig)) - z_lo) / (z_hi - z_lo), 0.0, 1.0
-        )
+        u = (t_eval - lo) / (hi - lo)
+        w = u * u * u * (10.0 - 15.0 * u + 6.0 * u * u)
         w = np.where(t_eval <= lo, 0.0, np.where(t_eval >= hi, 1.0, w))
 
         g = np.exp(-((t_eval - c) ** 2) / (2.0 * sig**2))
-        g_lo = np.exp(-((lo - c) ** 2) / (2.0 * sig**2))
-        g_hi = np.exp(-((hi - c) ** 2) / (2.0 * sig**2))
-        base = g_lo + (g_hi - g_lo) * (t_eval - lo) / (hi - lo)
-        bump = np.where((t_eval > lo) & (t_eval < hi), g - base, 0.0)
+        v = u * (1.0 - u)
+        bump = np.where((t_eval > lo) & (t_eval < hi), g * (16.0 * v * v), 0.0)
 
         fi, fo = branch_lifts(branches[i : i + 2], t_eval)
         fi, fo = fi + shifts[i], fo + shifts[i + 1]
