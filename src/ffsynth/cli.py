@@ -70,7 +70,7 @@ from .itt import (
     plan_travel,
 )
 from .numerics import format_g17
-from .sta import StaPhaseModel, adiabatic_target, synthesize_sta_control
+from .sta import StaPhaseModel, adiabatic_target, eigenstate, synthesize_sta_control
 from .zerocurves import (
     ScanError,
     detect_gaps,
@@ -242,17 +242,17 @@ def _device_section(cfg: RunConfig, sweep_control, primary_control, out_dir: str
 
 
 def _reference(cfg: RunConfig, t_final, out_dir):
-    """The reference, the sta model, which sets its initial state (the ffst
-    model needs the control grid, so the map stage builds it), and its section."""
+    """The reference and its section.  The sta sweep starts in its
+    eigenstate at t = 0, the ffst sweep in the bare upper level; the map
+    stage builds the run's model."""
     duration = t_final if cfg.scenario == "sta" else cfg.t_ref
     sweep = CosineSweepSpec(cfg.delta_omega0, duration)
     grid = TimeGrid(duration, cfg.reference_steps or default_step_count(duration))
-    model = StaPhaseModel(sweep) if cfg.scenario == "sta" else None
-    initial = None if model is None else model.initial_state()
+    initial = TwoLevelState(*eigenstate(sweep, 0.0)) if cfg.scenario == "sta" else None
     ref = solve_reference(sweep, grid, initial=initial)
     ref_end = _write_populations(os.path.join(out_dir, "populations_reference.tsv"), ref)
     ref_peak, ref_slew = _rates(ref.drive)
-    return ref, model, {
+    return ref, {
         "n_steps": int(ref.grid.n_steps),
         "final_populations": ref_end,
         "norm_drift": ref.norm_drift(),
@@ -261,10 +261,12 @@ def _reference(cfg: RunConfig, t_final, out_dir):
     }
 
 
-def _map(cfg: RunConfig, t_final, out_dir, ref, model):
-    """The residual model on the control grid, its branches and gaps."""
+def _map(cfg: RunConfig, t_final, out_dir, ref):
+    """The run's residual model on the control grid, its branches and gaps."""
     grid_c = TimeGrid(t_final, cfg.control_steps or default_step_count(t_final))
-    if model is None:
+    if cfg.scenario == "sta":
+        model = StaPhaseModel(CosineSweepSpec(cfg.delta_omega0, t_final), grid_c)
+    else:
         model = FfstPhaseModel(ref, build_magnification(cfg.t_ref, grid_c))
     scts = link_branches(model, n_scan=cfg.scan_points)
     gaps = detect_gaps(model, scts, n_scan=cfg.scan_points)
@@ -287,10 +289,8 @@ def _synthesize(cfg: RunConfig, out_dir, model, grid_c, scts, gaps):
     vt, cost = optimize_virtual_trajectory(
         plan, model, grid_c, settings, n_cost=cfg.cost_points
     )
-    if cfg.scenario == "sta":
-        control = synthesize_sta_control(vt.f2_lift, model, grid_c, label="sta")
-    else:
-        control = synthesize_control(vt.f2_lift, model, label="itt")
+    label = "sta" if cfg.scenario == "sta" else "itt"
+    control = synthesize_control(vt.f2_lift, model, label=label)
     _write_control(os.path.join(out_dir, "control.tsv"), control, vt.f2)
     return control, {
         "plan": {
@@ -358,7 +358,7 @@ def _verify(cfg: RunConfig, out_dir, where, ref, model, grid_c, scts, control):
         target = adiabatic_target(model.spec, grid_c).state
         if "unmodified" in cfg.baselines:
             zero = np.zeros_like(grid_c.half_times)
-            arms.append(synthesize_sta_control(zero, model, grid_c, label="unmodified"))
+            arms.append(synthesize_sta_control(zero, model, label="unmodified"))
     else:
         initial = TwoLevelState(1.0 + 0.0j, 0.0j)
         target = ref.final_state
@@ -400,7 +400,7 @@ def run_single(cfg: RunConfig, t_final: float, out_dir: str, stage: str) -> dict
         "delta_omega0": float(cfg.delta_omega0),
     }
     try:
-        ref, model, summary["reference"] = _reference(cfg, t_final, out_dir)
+        ref, summary["reference"] = _reference(cfg, t_final, out_dir)
     except IntegrationError as exc:
         raise SynthesisError(f"reference integration {where}: {exc}") from exc
     control = None
@@ -408,7 +408,7 @@ def run_single(cfg: RunConfig, t_final: float, out_dir: str, stage: str) -> dict
     # parameters, and each rejects a value that is not finite
     try:
         if "map" in stages:
-            model, grid_c, scts, gaps, section = _map(cfg, t_final, out_dir, ref, model)
+            model, grid_c, scts, gaps, section = _map(cfg, t_final, out_dir, ref)
             summary.update(section)
         if "synthesize" in stages:
             control, section = _synthesize(cfg, out_dir, model, grid_c, scts, gaps)

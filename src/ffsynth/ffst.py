@@ -21,7 +21,9 @@ g_ff = alpha * g.
 A run builds one :class:`FfstPhaseModel` from its (reference,
 magnification) pair; the residual scan, the synthesis and the baselines
 all take that model, and every waveform they return is a
-:class:`~ffsynth.dynamics.DriveSchedule`.
+:class:`~ffsynth.dynamics.DriveSchedule`.  Synthesis reads a model's
+``prof``, ``states_at(lam)`` and drive accessors ``delta_omega_at(lam)``
+and ``coupling_at(lam)``; the sta model has them at alpha = 1.
 """
 
 from __future__ import annotations
@@ -105,7 +107,7 @@ class FfstPhaseModel:
         self.prof = prof
         self.t_final = prof.t_final
         self._p1, self._p2 = ref.interpolators()
-        self._dw, self._g = ref.drive.interpolators()
+        self.delta_omega_at, self.coupling_at = ref.drive.interpolators()
 
     def states_at(self, lam):
         """Renormalized reference amplitudes at rescaled times."""
@@ -120,7 +122,7 @@ class FfstPhaseModel:
         alpha = self.prof.alpha_at(t)
         lam = self.prof.lambda_at(t)
         p1, p2 = self.states_at(lam)
-        g = self._g(lam)
+        g = self.coupling_at(lam)
         prod = np.conj(p1) * p2
         a = prod.real
         b = prod.imag
@@ -215,8 +217,8 @@ def synthesize_control(
     alpha = prof.alpha_at(th)
     lam = prof.lambda_at(th)
     p1, p2 = model.states_at(lam)
-    g_ref = model._g(lam)
-    dw_ref = model._dw(lam)
+    g_ref = model.coupling_at(lam)
+    dw_ref = model.delta_omega_at(lam)
 
     if coupling_ff is None:
         g_ff = np.asarray(g_ref, dtype=float)
@@ -264,7 +266,9 @@ def naive_control(model: FfstPhaseModel) -> DriveSchedule:
     """
     prof = model.prof
     lam = prof.lambda_at(prof.grid.half_times)
-    return DriveSchedule(prof.grid, model._dw(lam), model._g(lam), label="naive")
+    return DriveSchedule(
+        prof.grid, model.delta_omega_at(lam), model.coupling_at(lam), label="naive"
+    )
 
 
 def alpha_scaled_control(model: FfstPhaseModel) -> DriveSchedule:
@@ -279,7 +283,7 @@ def alpha_scaled_control(model: FfstPhaseModel) -> DriveSchedule:
     lam = prof.lambda_at(th)
     return DriveSchedule(
         prof.grid,
-        prof.alpha_at(th) * model._dw(lam),
-        model._g(lam),
+        prof.alpha_at(th) * model.delta_omega_at(lam),
+        model.coupling_at(lam),
         label="alpha-scaled",
     )

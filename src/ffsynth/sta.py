@@ -5,14 +5,14 @@ ansatz (u, v) = (cos chi, sin chi) with chi = atan2(g, dw/2) / 2 replaces
 the integrated reference amplitudes.  The residual that the phase path
 must null is
 
-    beta(t, f2) = -v * chi_dot - g * v * sin f2,
+    beta(t, f2) = -v * chi_dot - g * v * sin f2.
 
-and the detuning realizing a chosen path is
+Synthesis is FFST's at alpha = 1 with g_ff = g = 1 (the time unit) and
+(u, v) as the reference, where its detuning is the special case
 
     dw_ff = dw + g * (v/u - u/v) * (1 - cos f2) + df2/dt,
 
-which returns the input sweep bitwise for the zero path.  The coupling
-is the time unit, g = 1, as for the FFST reference's sweep.
+which returns the input sweep bitwise for the zero path.
 """
 
 from __future__ import annotations
@@ -23,34 +23,49 @@ import numpy as np
 
 from .drives import CosineSweepSpec, default_step_count
 from .dynamics import DriveSchedule, TimeGrid, TwoLevelState
-from .ffst import _fill_singular, _half_grid_samples
+from .ffst import MagnificationProfile, synthesize_control
 from .zerocurves import SCAN_POINTS, SpeedControlledTrajectory, link_branches
 
-#: Amplitude below which the eigenstate components count as singular.
-EIGEN_FLOOR = 1e-9
+
+def eigenstate(spec: CosineSweepSpec, t):
+    """(u, v) = (cos chi, sin chi), the sweep's upper eigenstate at ``t``."""
+    chi = 0.5 * np.arctan2(1.0, 0.5 * np.asarray(spec.delta_omega(t), dtype=float))
+    return np.cos(chi), np.sin(chi)
 
 
 class StaPhaseModel:
-    """Phase residual of an eigenstate-following sweep (phi0 = 0)."""
+    """Phase residual of an eigenstate-following sweep (phi0 = 0), with the
+    model interface of :func:`~ffsynth.ffst.synthesize_control` on the
+    control grid: the identity magnification ``prof``, the eigenstate for
+    the reference amplitudes, and the sweep's drive."""
 
-    def __init__(self, spec: CosineSweepSpec):
+    def __init__(self, spec: CosineSweepSpec, grid: TimeGrid):
+        if abs(grid.t_end - spec.duration) > 1e-12 * grid.t_end:
+            raise ValueError(f"grid [0, {grid.t_end}] must span [0, {spec.duration}]")
         self.spec = spec
+        self.prof = MagnificationProfile(grid, t_ref=grid.t_end)
         self.t_final = spec.duration
 
+    def delta_omega_at(self, lam):
+        return self.spec.delta_omega(lam)
+
+    def coupling_at(self, lam):
+        return np.ones_like(lam)
+
+    def states_at(self, lam):
+        u, v = eigenstate(self.spec, lam)
+        return u.astype(complex), v.astype(complex)
+
     def _angles(self, t):
-        """(u, v) = (cos chi, sin chi) of the upper eigenstate, with
-        chi = atan2(g, dw/2) / 2, and chi's time derivative."""
-        dw = self.spec.delta_omega(t)
-        half = 0.5 * np.asarray(dw, dtype=float)
-        chi = 0.5 * np.arctan2(1.0, half)
+        """(u, v) of the upper eigenstate and chi's time derivative."""
+        half = 0.5 * np.asarray(self.spec.delta_omega(t), dtype=float)
         # a huge detuning overflows half**2 to inf: chi_dot becomes -0, its limit
         with np.errstate(over="ignore"):
             chi_dot = -0.25 * self.spec.delta_omega_rate(t) / (half**2 + 1.0)
-        return np.cos(chi), np.sin(chi), chi_dot
+        return *eigenstate(self.spec, t), chi_dot
 
     def initial_state(self) -> TwoLevelState:
-        u, v, _ = self._angles(0.0)
-        return TwoLevelState(complex(u), complex(v))
+        return TwoLevelState(*eigenstate(self.spec, 0.0))
 
     def sine_params(self, t):
         u, v, chi_dot = self._angles(t)
@@ -79,7 +94,7 @@ def adiabatic_target(
     half = 0.5 * spec.delta_omega(t)
     energy = half + np.hypot(half, 1.0)
     theta = float(np.trapezoid(energy, t))
-    u, v, _ = StaPhaseModel(spec)._angles(spec.duration)
+    u, v = eigenstate(spec, spec.duration)
     phase = np.exp(-1j * theta)
     return AdiabaticTarget(TwoLevelState(u * phase, v * phase), phase_integral=theta)
 
@@ -95,28 +110,7 @@ def extract_sta_branches(
     return link_branches(model, n_scan=n_scan)
 
 
-def synthesize_sta_control(
-    path, model: StaPhaseModel, grid: TimeGrid, label: str = ""
-) -> DriveSchedule:
-    """Detuning waveform realizing ``path`` on top of the sweep.
-
-    ``path`` is the phase lift sampled on ``grid.half_times`` (a virtual
-    trajectory's ``f2_lift``); zeros reproduce the input sweep exactly.
-    """
-    th = grid.half_times
-    h2 = th[1] - th[0]
-
-    dw = model.spec.delta_omega(th)
-    f2 = _half_grid_samples("path", path, th)
-    df2 = np.gradient(f2, h2, edge_order=2)
-
-    u, v, _ = model._angles(th)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        dw_ff = dw + (v / u - u / v) * (1.0 - np.cos(f2)) + df2
-
-    bad = (np.abs(u) < EIGEN_FLOOR) | (np.abs(v) < EIGEN_FLOOR) | ~np.isfinite(dw_ff)
-    brackets = np.abs(1.0 - np.cos(f2))
-    brackets[~bad] = 0.0
-    dw_ff = _fill_singular(th, dw_ff, bad, brackets)
-
-    return DriveSchedule(grid, dw_ff, np.ones_like(th), label=label)
+def synthesize_sta_control(path, model: StaPhaseModel, label: str = "") -> DriveSchedule:
+    """Same as :func:`~ffsynth.ffst.synthesize_control`; the name stays
+    because ``bench/layers.py`` probes it."""
+    return synthesize_control(path, model, label=label)

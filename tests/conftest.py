@@ -121,16 +121,16 @@ def accel_baselines(reference, accel):
 
 def _sta_bundle(duration: float, n_steps: int | None = None):
     sweep = CosineSweepSpec(30.0, duration)
-    model = StaPhaseModel(sweep)
     grid = TimeGrid(duration, n_steps or default_step_count(duration))
+    model = StaPhaseModel(sweep, grid)
     branches = link_branches(model)
     gaps = detect_gaps(model, branches)
     plan = plan_travel("auto", branches, gaps, duration)
     settings = default_bridge_settings("sta", duration)
     vt, cost = optimize_virtual_trajectory(plan, model, grid, settings)
-    control = synthesize_sta_control(vt.f2_lift, model, grid, label="sta")
+    control = synthesize_sta_control(vt.f2_lift, model, label="sta")
     zero = np.zeros_like(grid.half_times)
-    unmodified = synthesize_sta_control(zero, model, grid, label="unmodified")
+    unmodified = synthesize_sta_control(zero, model, label="unmodified")
     initial = model.initial_state()
     target = adiabatic_target(sweep, grid).state
     report = verify_control(control, initial, target)

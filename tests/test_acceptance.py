@@ -16,6 +16,7 @@ from ffsynth import (
     CosineSweepSpec,
     DriveSchedule,
     FfstPhaseModel,
+    StaPhaseModel,
     TimeGrid,
     TravelPlan,
     TwoLevelState,
@@ -209,8 +210,9 @@ def test_criterion_07_integrator_quality(reference, sta30):
     # unitarity over the budget's longest grid: the sta-30 path (a branch
     # without bridges) synthesized and integrated on 1e5 steps
     grid = TimeGrid(sta30.duration, MAX_STEPS)
-    vt, _ = optimize_virtual_trajectory(sta30.plan, sta30.model, grid, sta30.settings)
-    control = synthesize_sta_control(vt.f2_lift, sta30.model, grid, label="sta")
+    model = StaPhaseModel(sta30.sweep, grid)
+    vt, _ = optimize_virtual_trajectory(sta30.plan, model, grid, sta30.settings)
+    control = synthesize_sta_control(vt.f2_lift, model, label="sta")
     traj = verify_control(control, sta30.initial, sta30.target).trajectory
     drift = traj.norm_drift()
     drift_ok = traj.grid.n_steps == MAX_STEPS and drift < 1e-9

@@ -114,7 +114,9 @@ def test_traced_sta_run_reads_every_count(installed, tmp_path):
     """An ``sta`` run passes through the sta synthesis, the adiabatic
     target, the branch scan and the integrator, and the traced step count
     is the reference's plus every arm's, each arm once on its grid and
-    once at twice the step for its error estimate."""
+    once at twice the step for its error estimate.  Every arm is
+    synthesized once by ``ffst.synthesize_control``, and each
+    ``sta.synthesize_sta_control`` span holds one of those."""
     t, _ = installed
     layers = importlib.import_module("layers")
     cfg = tmp_path / "run.yaml"
@@ -135,3 +137,7 @@ def test_traced_sta_run_reads_every_count(installed, tmp_path):
     want = summary["reference"]["n_steps"] + (4000 + 2000) * len(arms)
     assert summary["reference"]["n_steps"] == 3000
     assert layers.layer_metrics(t.spans)["dynamics.steps"] == want
+    synth = [s.parent for s in t.spans if s.name == "ffst.synthesize_control"]
+    assert len(synth) == len(arms)
+    for outer in (s for s in t.spans if s.name == "sta.synthesize_sta_control"):
+        assert synth.count(outer.id) == 1

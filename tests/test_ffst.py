@@ -166,7 +166,7 @@ def _one_pass_control(path, model, coupling_ff=None):
     alpha = prof.alpha_at(th)
     lam = prof.lambda_at(th)
     p1, p2 = model.states_at(lam)
-    g_ref = model._g(lam)
+    g_ref = model.coupling_at(lam)
     g_ff = np.asarray(g_ref, dtype=float) if coupling_ff is None else coupling_ff
     df2 = np.gradient(path, th[1] - th[0], edge_order=2)
     eif = np.exp(1j * path)
@@ -177,7 +177,7 @@ def _one_pass_control(path, model, coupling_ff=None):
         t2 = (p1 / p2 * br2).real
     t1[np.abs(br1) == 0.0] = 0.0
     t2[np.abs(br2) == 0.0] = 0.0
-    dw = t1 - t2 + alpha * model._dw(lam) + df2
+    dw = t1 - t2 + alpha * model.delta_omega_at(lam) + df2
     scale = 1.0 + np.abs(alpha * g_ref) + np.abs(g_ff)
     sing1 = (np.abs(p1) < ffst.SINGULAR_POPULATION) & (np.abs(br1) != 0.0)
     sing2 = (np.abs(p2) < ffst.SINGULAR_POPULATION) & (np.abs(br2) != 0.0)
@@ -189,14 +189,14 @@ def _one_pass_control(path, model, coupling_ff=None):
 
 
 class TestSynthesis:
-    @pytest.mark.parametrize("name", ["accel", "decel_a"])
+    @pytest.mark.parametrize("name", ["accel", "decel_a", "sta30", "sta20", "sta10"])
     @pytest.mark.parametrize("coupling", ["reference", "alpha-scaled"])
     def test_matches_one_pass_formula_bitwise(self, request, name, coupling):
         bundle = request.getfixturevalue(name)
         g_ff = None
         if coupling == "alpha-scaled":
             # g_ff = alpha g on a zero path: every bracket vanishes exactly
-            g_ff = bundle.prof.alpha_at(bundle.grid.half_times)
+            g_ff = bundle.model.prof.alpha_at(bundle.grid.half_times)
         path = bundle.vt.f2_lift if g_ff is None else np.zeros_like(g_ff)
         control = synthesize_control(path, bundle.model, coupling_ff=g_ff)
         dw, coupling_ff = _one_pass_control(path, bundle.model, g_ff)

@@ -8,6 +8,7 @@ import pytest
 from ffsynth import (
     CosineSweepSpec,
     StaPhaseModel,
+    SynthesisError,
     TimeGrid,
     adiabatic_target,
     synthesize_sta_control,
@@ -23,7 +24,7 @@ def _eigenpair(dw: float, branch: str):
     """(energy, eigenvector) of H at detuning ``dw``: the model's (u, v) at
     t = 0 of a sweep starting at ``dw`` for the upper branch, and its
     orthogonal complement (-v, u) for the lower one."""
-    u, v, _ = StaPhaseModel(CosineSweepSpec(dw, 1.0))._angles(0.0)
+    u, v, _ = StaPhaseModel(CosineSweepSpec(dw, 1.0), TimeGrid(1.0, 100))._angles(0.0)
     half = 0.5 * dw
     if branch == "upper":
         return half + np.hypot(half, 1.0), np.array([u, v])
@@ -47,7 +48,7 @@ class TestEigenpair:
 
     def test_no_sign_flips_along_sweep(self):
         spec = CosineSweepSpec(30.0, 20.0)
-        model = StaPhaseModel(spec)
+        model = StaPhaseModel(spec, TimeGrid(20.0, 4000))
         t = np.linspace(0.0, 20.0, 5001)
         u, v, _ = model._angles(t)
         assert np.all(u > 0.0)
@@ -88,12 +89,12 @@ class TestAdiabaticTarget:
 
 class TestStaResidual:
     def test_phase_offset_is_zero(self):
-        model = StaPhaseModel(CosineSweepSpec(30.0, 20.0))
+        model = StaPhaseModel(CosineSweepSpec(30.0, 20.0), TimeGrid(20.0, 4000))
         _, _, phi0 = model.sine_params(np.linspace(0.0, 20.0, 100))
         assert np.all(phi0 == 0.0)
 
     def test_zero_path_residual_matches_direct_formula(self):
-        model = StaPhaseModel(CosineSweepSpec(30.0, 20.0))
+        model = StaPhaseModel(CosineSweepSpec(30.0, 20.0), TimeGrid(20.0, 4000))
         t = np.linspace(0.0, 20.0, 500)
         c, d, phi0 = model.sine_params(t)
         assert np.allclose(residual(c, d, phi0, np.zeros_like(t)), c, atol=1e-14)
@@ -101,7 +102,7 @@ class TestStaResidual:
 
     @pytest.mark.parametrize("duration", [10.0, 20.0])
     def test_root_count_two_zero_two(self, duration):
-        model = StaPhaseModel(CosineSweepSpec(30.0, duration))
+        model = StaPhaseModel(CosineSweepSpec(30.0, duration), TimeGrid(duration, 4000))
         t = np.linspace(0.01, duration - 0.01, 801)
         counts = np.maximum(root_table(*model.sine_params(t))[2], 0)
         assert counts[0] == 2 and counts[-1] == 2
@@ -111,7 +112,7 @@ class TestStaResidual:
         assert len(changes) == 2
 
     def test_root_count_stays_two_for_long_sweep(self):
-        model = StaPhaseModel(CosineSweepSpec(30.0, 30.0))
+        model = StaPhaseModel(CosineSweepSpec(30.0, 30.0), TimeGrid(30.0, 4000))
         t = np.linspace(0.01, 29.99, 801)
         counts = np.maximum(root_table(*model.sine_params(t))[2], 0)
         assert all(c == 2 for c in counts)
@@ -120,9 +121,9 @@ class TestStaResidual:
 class TestStaSynthesis:
     def test_zero_path_reproduces_sweep_bitwise(self):
         spec = CosineSweepSpec(30.0, 20.0)
-        model = StaPhaseModel(spec)
         grid = TimeGrid(20.0, 4000)
-        control = synthesize_sta_control(np.zeros_like(grid.half_times), model, grid)
+        model = StaPhaseModel(spec, grid)
+        control = synthesize_sta_control(np.zeros_like(grid.half_times), model)
         # the synthesis samples the sweep on the interleaved half grid, so
         # the bitwise claim is made against that same sampling
         sweep = np.asarray(spec.delta_omega(grid.half_times))
@@ -131,13 +132,13 @@ class TestStaSynthesis:
         assert np.all(control.coupling == 1.0)
 
     def test_path_sample_count_checked(self):
-        model = StaPhaseModel(CosineSweepSpec(30.0, 20.0))
         grid = TimeGrid(20.0, 4000)
+        model = StaPhaseModel(CosineSweepSpec(30.0, 20.0), grid)
         with pytest.raises(
             ValueError,
             match=r"path must have 8001 node/midpoint samples, got \(4001,\)",
         ):
-            synthesize_sta_control(np.zeros_like(grid.times), model, grid)
+            synthesize_sta_control(np.zeros_like(grid.times), model)
 
     def test_state_derivative_identity_second_order(self):
         # d phi1 / dt must match -i (dw phi1 + g phi2) to O(h^2) when the
@@ -145,13 +146,11 @@ class TestStaSynthesis:
         from ffsynth import TwoLevelState, integrate_schrodinger
 
         spec = CosineSweepSpec(30.0, 1.0)
-        model = StaPhaseModel(spec)
         errs = []
         for n in (2000, 4000):
             grid = TimeGrid(1.0, n)
-            control = synthesize_sta_control(
-                np.zeros_like(grid.half_times), model, grid
-            )
+            model = StaPhaseModel(spec, grid)
+            control = synthesize_sta_control(np.zeros_like(grid.half_times), model)
             traj = integrate_schrodinger(control, model.initial_state())
             h = grid.h
             numeric = (traj.phi1[2:] - traj.phi1[:-2]) / (2.0 * h)
@@ -177,6 +176,63 @@ class TestStaSynthesis:
         for bundle, mid in ((sta20, 10.0), (sta10, 5.0)):
             gap = bundle.gaps[0]
             assert abs(0.5 * (gap.t_start + gap.t_end) - mid) < 0.5
+
+
+def _closed_form_control(path, model):
+    """The sta detuning dw + (v/u - u/v)(1 - cos f2) + f2' in its own closed
+    form, with g = 1 and no singular-sample filling: the oracle for the
+    shared FFST synthesis at alpha = 1."""
+    th = model.prof.grid.half_times
+    u, v, _ = model._angles(th)
+    df2 = np.gradient(path, th[1] - th[0], edge_order=2)
+    return model.spec.delta_omega(th) + (v / u - u / v) * (1.0 - np.cos(path)) + df2
+
+
+class TestSharedSynthesis:
+    @pytest.mark.parametrize("name", ["sta30", "sta20", "sta10"])
+    def test_matches_closed_form_within_8_ulp(self, request, name):
+        bundle = request.getfixturevalue(name)
+        oracle = _closed_form_control(bundle.vt.f2_lift, bundle.model)
+        ulp = np.spacing(np.maximum(np.abs(oracle), 1.0))
+        assert np.all(np.abs(bundle.control.delta_omega - oracle) <= 8.0 * ulp)
+        assert np.all(bundle.control.coupling == 1.0)
+
+    def test_identity_magnification(self, sta20):
+        prof = sta20.model.prof
+        th = prof.grid.half_times
+        assert prof.grid is sta20.grid
+        assert np.all(prof.alpha_at(th) == 1.0)
+        assert np.array_equal(prof.lambda_at(th), th)
+
+    def test_grid_must_span_the_sweep(self):
+        with pytest.raises(ValueError, match="must span"):
+            StaPhaseModel(CosineSweepSpec(30.0, 20.0), TimeGrid(10.0, 4000))
+
+
+class TestSingularFloor:
+    """At delta_omega0 = 1e7 the eigenstate's |v(0)| is about 1e-7: below
+    the shared floor ``SINGULAR_POPULATION`` (1e-6), above the 1e-9 that
+    the sta closed form used to apply."""
+
+    @pytest.fixture
+    def model(self):
+        return StaPhaseModel(CosineSweepSpec(1e7, 10.0), TimeGrid(10.0, 4000))
+
+    def test_amplitude_lies_between_the_floors(self, model):
+        u, v, _ = model._angles(0.0)
+        assert 1e-9 < abs(v) < 1e-6
+
+    def test_zero_path_returns_the_sweep_bitwise(self, model):
+        th = model.prof.grid.half_times
+        control = synthesize_sta_control(np.zeros_like(th), model)
+        assert np.array_equal(control.delta_omega, model.spec.delta_omega(th))
+
+    def test_nonzero_path_is_not_scalable(self, model):
+        path = np.full_like(model.prof.grid.half_times, 0.5)
+        # the closed form alone returns a finite control here
+        assert np.all(np.isfinite(_closed_form_control(path, model)))
+        with pytest.raises(SynthesisError, match=r"not scalable at t = 0:"):
+            synthesize_sta_control(path, model)
 
 
 class TestDefaultGridResolution:

@@ -435,11 +435,11 @@ class TestLinkerOracle:
         + [("sta", 30.0), ("sta", 20.0), ("sta", 10.0)],
     )
     def test_shipped_scenarios(self, reference, kind, t_final):
+        grid = TimeGrid(t_final, default_step_count(t_final))
         if kind == "ffst":
-            grid = TimeGrid(t_final, default_step_count(t_final))
             model = FfstPhaseModel(reference, build_magnification(1.0, grid))
         else:
-            model = StaPhaseModel(CosineSweepSpec(30.0, t_final))
+            model = StaPhaseModel(CosineSweepSpec(30.0, t_final), grid)
         _assert_same_branches(link_branches(model), _oracle_link(model))
 
     @pytest.mark.parametrize("seed", range(6))
