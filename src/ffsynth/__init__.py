@@ -67,7 +67,6 @@ from .itt import (
     plan_with_crossings,
 )
 from .sta import (
-    AdiabaticTarget,
     StaPhaseModel,
     adiabatic_target,
     synthesize_sta_control,
@@ -86,7 +85,6 @@ from .zerocurves import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdiabaticTarget",
     "BridgeSettings",
     "ConfigError",
     "ConstructionError",

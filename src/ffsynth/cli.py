@@ -243,8 +243,9 @@ def _device_section(cfg: RunConfig, sweep_control, primary_control, out_dir: str
 
 def _reference(cfg: RunConfig, t_final, out_dir):
     """The reference and its section.  The sta sweep starts in its
-    eigenstate at t = 0, the ffst sweep in the bare upper level; the map
-    stage builds the run's model."""
+    eigenstate at t = 0, the ffst sweep in the bare upper level, and every
+    verified arm starts from the reference's first state; the map stage
+    builds the run's model."""
     duration = t_final if cfg.scenario == "sta" else cfg.t_ref
     sweep = CosineSweepSpec(cfg.delta_omega0, duration)
     grid = TimeGrid(duration, cfg.reference_steps or default_step_count(duration))
@@ -353,14 +354,13 @@ def _verify_arm(arm, initial, target, out_dir, where, analysis):
 def _verify(cfg: RunConfig, out_dir, where, ref, model, grid_c, scts, control):
     """Score the primary control and each baseline arm, one at a time."""
     arms = [control]
+    initial = ref.state(0)
     if cfg.scenario == "sta":
-        initial = model.initial_state()
-        target = adiabatic_target(model.spec, grid_c).state
+        target = adiabatic_target(model.spec)
         if "unmodified" in cfg.baselines:
             zero = np.zeros_like(grid_c.half_times)
             arms.append(synthesize_sta_control(zero, model, label="unmodified"))
     else:
-        initial = TwoLevelState(1.0 + 0.0j, 0.0j)
         target = ref.final_state
         if "naive" in cfg.baselines:
             arms.append(naive_control(model))
@@ -415,6 +415,8 @@ def run_single(cfg: RunConfig, t_final: float, out_dir: str, stage: str) -> dict
             summary.update(section)
     except ScanError as exc:
         raise SynthesisError(f"residual scan {where}: {exc}") from exc
+    except (ConstructionError, OptimizerError, SynthesisError) as exc:
+        raise SynthesisError(f"control synthesis {where}: {exc}") from exc
     if "verify" in stages:
         summary.update(_verify(cfg, out_dir, where, ref, model, grid_c, scts, control))
     if "device" in stages:

@@ -288,6 +288,8 @@ def parse_config(text: str) -> RunConfig:
                     f"not available for scenario {scenario!r}; "
                     f"allowed: {list(allowed_baselines)}",
                 )
+            elif v in names:
+                chk.fail(f"baselines[{i}]", f"{v!r} is listed twice")
             else:
                 names.append(v)
         baselines = tuple(names)

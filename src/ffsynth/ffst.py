@@ -103,7 +103,6 @@ class FfstPhaseModel:
     """
 
     def __init__(self, ref: ReferenceTrajectory, prof: MagnificationProfile):
-        self.ref = ref
         self.prof = prof
         self.t_final = prof.t_final
         self._p1, self._p2 = ref.interpolators()

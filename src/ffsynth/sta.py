@@ -13,15 +13,17 @@ Synthesis is FFST's at alpha = 1 with g_ff = g = 1 (the time unit) and
     dw_ff = dw + g * (v/u - u/v) * (1 - cos f2) + df2/dt,
 
 which returns the input sweep bitwise for the zero path.
+
+Each arm is scored against :func:`adiabatic_target`, the upper eigenstate
+at the sweep's end.  It carries no dynamical phase: the fidelity is
+|<target|psi(T)>|, which a global phase does not change.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .drives import CosineSweepSpec, default_step_count
+from .drives import CosineSweepSpec
 from .dynamics import DriveSchedule, TimeGrid, TwoLevelState
 from .ffst import MagnificationProfile, synthesize_control
 from .zerocurves import SCAN_POINTS, SpeedControlledTrajectory, link_branches
@@ -56,47 +58,18 @@ class StaPhaseModel:
         u, v = eigenstate(self.spec, lam)
         return u.astype(complex), v.astype(complex)
 
-    def _angles(self, t):
-        """(u, v) of the upper eigenstate and chi's time derivative."""
+    def sine_params(self, t):
         half = 0.5 * np.asarray(self.spec.delta_omega(t), dtype=float)
         # a huge detuning overflows half**2 to inf: chi_dot becomes -0, its limit
         with np.errstate(over="ignore"):
             chi_dot = -0.25 * self.spec.delta_omega_rate(t) / (half**2 + 1.0)
-        return *eigenstate(self.spec, t), chi_dot
-
-    def initial_state(self) -> TwoLevelState:
-        return TwoLevelState(*eigenstate(self.spec, 0.0))
-
-    def sine_params(self, t):
-        u, v, chi_dot = self._angles(t)
+        _, v = eigenstate(self.spec, t)
         return -v * chi_dot, v, np.zeros_like(v)
 
 
-@dataclass(frozen=True)
-class AdiabaticTarget:
-    """End state of perfect eigenstate following, with its phase."""
-
-    state: TwoLevelState
-    phase_integral: float
-
-
-def adiabatic_target(
-    spec: CosineSweepSpec, grid: TimeGrid | None = None
-) -> AdiabaticTarget:
-    """Final upper-branch eigenstate with the accumulated dynamical phase.
-
-    The phase is the time integral of the upper eigenvalue; the state is
-    (u, v) at the final detuning times exp(-i * integral).
-    """
-    if grid is None:
-        grid = TimeGrid(spec.duration, default_step_count(spec.duration))
-    t = grid.times
-    half = 0.5 * spec.delta_omega(t)
-    energy = half + np.hypot(half, 1.0)
-    theta = float(np.trapezoid(energy, t))
-    u, v = eigenstate(spec, spec.duration)
-    phase = np.exp(-1j * theta)
-    return AdiabaticTarget(TwoLevelState(u * phase, v * phase), phase_integral=theta)
+def adiabatic_target(spec: CosineSweepSpec) -> TwoLevelState:
+    """The upper eigenstate at the sweep's end; fidelity ignores its phase."""
+    return TwoLevelState(*eigenstate(spec, spec.duration))
 
 
 def extract_sta_branches(

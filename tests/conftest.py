@@ -34,6 +34,7 @@ from ffsynth import (
     synthesize_sta_control,
     verify_control,
 )
+from ffsynth.sta import eigenstate
 
 
 @pytest.fixture(scope="session")
@@ -131,8 +132,8 @@ def _sta_bundle(duration: float, n_steps: int | None = None):
     control = synthesize_sta_control(vt.f2_lift, model, label="sta")
     zero = np.zeros_like(grid.half_times)
     unmodified = synthesize_sta_control(zero, model, label="unmodified")
-    initial = model.initial_state()
-    target = adiabatic_target(sweep, grid).state
+    initial = TwoLevelState(*eigenstate(sweep, 0.0))
+    target = adiabatic_target(sweep)
     report = verify_control(control, initial, target)
     report_unmodified = verify_control(unmodified, initial, target)
     return SimpleNamespace(

@@ -471,6 +471,27 @@ class TestVerifyStage:
         assert summary["target_populations"] == data[-1, 1:].tolist()
         assert summary["reference"]["final_populations"] == data[-1, 1:].tolist()
 
+    @pytest.mark.parametrize(
+        "command, name", [("sta", "sta-sweep"), ("verify", "decelerate-single-shift")]
+    )
+    def test_every_arm_starts_from_the_reference(self, tmp_path, command, name):
+        """Each arm is integrated from the reference's first state: the
+        first data row of every ``populations_<arm>.tsv`` is the bytes of
+        the first data row of ``populations_reference.tsv``."""
+        config = os.path.join(ROOT, "configs", f"{name}.yaml")
+        out = str(tmp_path / "out")
+        assert main([command, "--config", config, "--out", out]) == 0
+        summary = _read_summary(out)
+        runs = [os.path.join(out, "tf-" + label) for label in summary.get("sweep", [])]
+        for run in runs or [out]:
+            rows = {}
+            for label in ["reference", *_read_summary(run)["fidelities"]]:
+                with open(os.path.join(run, f"populations_{label}.tsv"), "rb") as fh:
+                    fh.readline()
+                    rows[label] = fh.readline()
+            assert len(rows) >= 3
+            assert all(row == rows["reference"] for row in rows.values()), rows
+
     def test_h_max_delta_omega_per_arm(self, tmp_path, monkeypatch):
         """On accelerate-chain each arm's ``h_max_delta_omega`` is its grid
         step times its largest |delta_omega| over node and midpoint
@@ -665,8 +686,14 @@ class TestSweepFanOut:
         rc = main(["verify", "--config", cfg, "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
         assert rc == 3
-        assert err.startswith("synthesis failed: t_final=0.9: crossing plan 'vt-a'")
-        assert "\nt_final=0.95: crossing plan 'vt-a'" in err
+        assert err.startswith(
+            "synthesis failed: t_final=0.9: control synthesis at stage 'verify', "
+            "t_final=0.9: crossing plan 'vt-a'"
+        )
+        assert (
+            "\nt_final=0.95: control synthesis at stage 'verify', "
+            "t_final=0.95: crossing plan 'vt-a'" in err
+        )
         assert "t_final=1.1" not in err
         assert (tmp_path / "out" / "tf-1.1" / "summary.json").exists()
         # the aggregate keeps the value that succeeded and names the others
@@ -675,8 +702,11 @@ class TestSweepFanOut:
         assert set(aggregate["runs"]) == {"1.1"}
         assert aggregate["runs"]["1.1"]["fidelities"]["itt"] > 0.999
         assert set(aggregate["failed"]) == {"0.9", "0.95"}
-        for message in aggregate["failed"].values():
-            assert message.startswith("crossing plan 'vt-a' needs the two full-span")
+        for label, message in aggregate["failed"].items():
+            assert message.startswith(
+                f"control synthesis at stage 'verify', t_final={label}: "
+                "crossing plan 'vt-a' needs the two full-span"
+            )
 
     def test_path_ending_far_from_zero_exits_3(self, tmp_path, capsys):
         # the accelerate plan on a slowdown follows branch X alone, which
@@ -690,7 +720,23 @@ class TestSweepFanOut:
         err = capsys.readouterr().err
         assert rc == 3
         assert err.startswith(
-            "synthesis failed: path ends -1.607 rad from phase zero at t = T_F"
+            "synthesis failed: control synthesis at stage 'synthesize', t_final=1.1: "
+            "path ends -1.607 rad from phase zero at t = T_F"
+        )
+
+    def test_unreachable_bridge_names_stage_and_sweep_value(self, tmp_path, capsys):
+        # at delta_omega0 = 1e4 the sta bridge needs an amplitude beyond its
+        # bound; the optimizer's error names neither the stage nor t_final
+        cfg = _config(
+            tmp_path,
+            "schema_version: 1\nscenario: sta\nt_final: 10.0\ndelta_omega0: 10000.0\n",
+        )
+        rc = main(["sta", "--config", cfg, "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err == (
+            "synthesis failed: control synthesis at stage 'sta', t_final=10.0: "
+            "bridge 0 amplitude -16.03 exceeds the bound 12.57; endpoints unreachable\n"
         )
 
     def test_fidelity_above_one_exits_3(self, tmp_path, monkeypatch, capsys):

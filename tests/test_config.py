@@ -9,6 +9,7 @@ import os
 import pytest
 
 from ffsynth import ConfigError, load_config, parse_config
+from ffsynth.cli import main
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -140,6 +141,17 @@ require_fidelity: 1.5
             "schema_version: 1\nscenario: sta\nt_final: 20.0\nbaselines: [naive]"
         )
         assert any("not available for scenario 'sta'" in e for e in errors)
+
+    def test_repeated_baseline_exits_2(self, tmp_path, capsys):
+        # a repeated name would run its arm once and ignore the rest
+        text = MINIMAL + "baselines: [naive, alpha-scaled, naive]"
+        assert _errors_of(text) == ["baselines[2]: 'naive' is listed twice"]
+        path = tmp_path / "run.yaml"
+        path.write_text(text)
+        rc = main(["verify", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "baselines[2]: 'naive' is listed twice" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_bad_bridge_mode(self):
         # the mode follows the scenario (itt.default_bridge_settings), so the

@@ -10,9 +10,13 @@ from ffsynth import (
     StaPhaseModel,
     SynthesisError,
     TimeGrid,
+    TwoLevelState,
     adiabatic_target,
+    fidelity,
+    integrate_schrodinger,
     synthesize_sta_control,
 )
+from ffsynth.sta import eigenstate
 from ffsynth.zerocurves import residual, root_table
 
 
@@ -21,10 +25,10 @@ def _hamiltonian(delta_omega: float, g: float = 1.0) -> np.ndarray:
 
 
 def _eigenpair(dw: float, branch: str):
-    """(energy, eigenvector) of H at detuning ``dw``: the model's (u, v) at
+    """(energy, eigenvector) of H at detuning ``dw``: the eigenstate (u, v) at
     t = 0 of a sweep starting at ``dw`` for the upper branch, and its
     orthogonal complement (-v, u) for the lower one."""
-    u, v, _ = StaPhaseModel(CosineSweepSpec(dw, 1.0), TimeGrid(1.0, 100))._angles(0.0)
+    u, v = eigenstate(CosineSweepSpec(dw, 1.0), 0.0)
     half = 0.5 * dw
     if branch == "upper":
         return half + np.hypot(half, 1.0), np.array([u, v])
@@ -48,9 +52,8 @@ class TestEigenpair:
 
     def test_no_sign_flips_along_sweep(self):
         spec = CosineSweepSpec(30.0, 20.0)
-        model = StaPhaseModel(spec, TimeGrid(20.0, 4000))
         t = np.linspace(0.0, 20.0, 5001)
-        u, v, _ = model._angles(t)
+        u, v = eigenstate(spec, t)
         assert np.all(u > 0.0)
         assert np.all(v > 0.0)
         assert np.max(np.abs(np.diff(u))) < 0.05  # continuous, no branch jumps
@@ -62,7 +65,7 @@ class TestAdiabaticTarget:
         target = adiabatic_target(spec)
         _, vecs = np.linalg.eigh(_hamiltonian(spec.delta_omega(30.0)))
         u, v = vecs[:, -1]  # the upper eigenvalue comes last
-        p1, p2 = target.state.populations()
+        p1, p2 = target.populations()
         assert p1 == pytest.approx(u**2, abs=1e-12)
         assert p2 == pytest.approx(v**2, abs=1e-12)
 
@@ -70,21 +73,37 @@ class TestAdiabaticTarget:
         # final detuning -30: the upper eigenstate is nearly the bare
         # second level, chi = atan2(1, -15) / 2
         spec = CosineSweepSpec(30.0, 30.0)
-        p1, p2 = adiabatic_target(spec).state.populations()
+        p1, p2 = adiabatic_target(spec).populations()
         chi = 0.5 * np.arctan2(1.0, -15.0)
         assert p1 == pytest.approx(np.cos(chi) ** 2, abs=1e-12)
         # half-angle form: cos^2(chi) = (1 - 15 / sqrt(226)) / 2
         assert p1 == pytest.approx(0.0011074, abs=1e-6)
         assert p2 == pytest.approx(0.9988926, abs=1e-6)
 
-    def test_phase_integral_positive_and_stable(self):
-        spec = CosineSweepSpec(30.0, 10.0)
-        coarse = adiabatic_target(spec, TimeGrid(10.0, 20_000))
-        fine = adiabatic_target(spec, TimeGrid(10.0, 80_000))
-        assert coarse.phase_integral > 0
-        assert coarse.phase_integral == pytest.approx(
-            fine.phase_integral, abs=1e-8
+    @pytest.mark.parametrize("dw0, duration", [(30.0, 30.0), (30.0, 10.0), (7.5, 3.0)])
+    def test_is_the_end_eigenstate_bitwise(self, dw0, duration):
+        spec = CosineSweepSpec(dw0, duration)
+        target = adiabatic_target(spec)
+        expected = TwoLevelState(*eigenstate(spec, duration))
+        assert np.array_equal(
+            np.array([target.phi1, target.phi2]), np.array([expected.phi1, expected.phi2])
         )
+        assert target == expected
+
+    @pytest.mark.parametrize("name", ["sta30", "sta10"])
+    def test_phase_leaves_the_fidelity(self, request, name):
+        # oracle: the end eigenstate times exp(-i theta), theta the trapezoid
+        # of the upper eigenvalue over the control grid; fidelity is |<a|b>|
+        bundle = request.getfixturevalue(name)
+        spec, t = bundle.sweep, bundle.grid.times
+        half = 0.5 * spec.delta_omega(t)
+        theta = float(np.trapezoid(half + np.hypot(half, 1.0), t))
+        u, v = eigenstate(spec, spec.duration)
+        phased = TwoLevelState(u * np.exp(-1j * theta), v * np.exp(-1j * theta))
+        assert bundle.target == adiabatic_target(spec)
+        for report in (bundle.report, bundle.report_unmodified):
+            old = fidelity(report.trajectory.final_state, phased)
+            assert abs(report.fidelity - old) <= 2.3e-16
 
 
 class TestStaResidual:
@@ -143,15 +162,14 @@ class TestStaSynthesis:
     def test_state_derivative_identity_second_order(self):
         # d phi1 / dt must match -i (dw phi1 + g phi2) to O(h^2) when the
         # derivative is formed by central differences of the trajectory
-        from ffsynth import TwoLevelState, integrate_schrodinger
-
         spec = CosineSweepSpec(30.0, 1.0)
         errs = []
         for n in (2000, 4000):
             grid = TimeGrid(1.0, n)
             model = StaPhaseModel(spec, grid)
             control = synthesize_sta_control(np.zeros_like(grid.half_times), model)
-            traj = integrate_schrodinger(control, model.initial_state())
+            initial = TwoLevelState(*eigenstate(spec, 0.0))
+            traj = integrate_schrodinger(control, initial)
             h = grid.h
             numeric = (traj.phi1[2:] - traj.phi1[:-2]) / (2.0 * h)
             dw = control.delta_omega[::2][1:-1]
@@ -183,7 +201,7 @@ def _closed_form_control(path, model):
     form, with g = 1 and no singular-sample filling: the oracle for the
     shared FFST synthesis at alpha = 1."""
     th = model.prof.grid.half_times
-    u, v, _ = model._angles(th)
+    u, v = eigenstate(model.spec, th)
     df2 = np.gradient(path, th[1] - th[0], edge_order=2)
     return model.spec.delta_omega(th) + (v / u - u / v) * (1.0 - np.cos(path)) + df2
 
@@ -219,7 +237,7 @@ class TestSingularFloor:
         return StaPhaseModel(CosineSweepSpec(1e7, 10.0), TimeGrid(10.0, 4000))
 
     def test_amplitude_lies_between_the_floors(self, model):
-        u, v, _ = model._angles(0.0)
+        u, v = eigenstate(model.spec, 0.0)
         assert 1e-9 < abs(v) < 1e-6
 
     def test_zero_path_returns_the_sweep_bitwise(self, model):
