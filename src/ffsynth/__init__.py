@@ -47,7 +47,6 @@ from .ffst import (
     MagnificationProfile,
     SynthesisError,
     alpha_scaled_control,
-    build_magnification,
     naive_control,
     synthesize_control,
 )
@@ -116,7 +115,6 @@ __all__ = [
     "branch_lifts",
     "branch_touch_times",
     "build_cosine_sweep",
-    "build_magnification",
     "build_virtual_trajectory",
     "coupling_strength",
     "default_bridge_params",

@@ -12,10 +12,11 @@ lists for its subcommand, one function each:
   full         verify, then the device mapping
 
 Exit codes: 0 success, 1 random numbers drawn under ``--seed-free``,
-2 configuration problem, 3 a failure of the reference integration,
-synthesis, construction, verification (a re-integration that is not
-finite or scores a fidelity above 1) or the reference sweep's device
-map, 4 verified fidelity below ``--require-fidelity``.
+2 configuration problem or an output directory that cannot be made, 3
+a failure of the reference integration, synthesis, construction,
+verification (a re-integration that is not finite or scores a fidelity
+above 1) or the reference sweep's device map, 4 verified fidelity below
+``--require-fidelity``.
 
 All outputs are deterministic: rerunning a config produces byte-identical
 tables and summaries.  Numbers are written with 17 significant digits,
@@ -56,9 +57,9 @@ from .drives import CosineSweepSpec, default_step_count, solve_reference
 from .dynamics import IntegrationError, TimeGrid, TwoLevelState
 from .ffst import (
     FfstPhaseModel,
+    MagnificationProfile,
     SynthesisError,
     alpha_scaled_control,
-    build_magnification,
     naive_control,
     synthesize_control,
 )
@@ -263,17 +264,16 @@ def _reference(cfg: RunConfig, t_final, out_dir):
 
 
 def _map(cfg: RunConfig, t_final, out_dir, ref):
-    """The run's residual model on the control grid, its branches and gaps."""
-    grid_c = TimeGrid(t_final, cfg.control_steps or default_step_count(t_final))
+    """The run's residual model, its branches and gaps."""
     if cfg.scenario == "sta":
-        model = StaPhaseModel(CosineSweepSpec(cfg.delta_omega0, t_final), grid_c)
+        model = StaPhaseModel(CosineSweepSpec(cfg.delta_omega0, t_final))
     else:
-        model = FfstPhaseModel(ref, build_magnification(cfg.t_ref, grid_c))
+        model = FfstPhaseModel(ref, MagnificationProfile(cfg.t_ref, t_final))
     scts = link_branches(model, n_scan=cfg.scan_points)
     gaps = detect_gaps(model, scts, n_scan=cfg.scan_points)
     _write_residual(os.path.join(out_dir, "residual.tsv"), model)
     _write_branches(os.path.join(out_dir, "branches.tsv"), scts)
-    return model, grid_c, scts, gaps, {
+    return model, scts, gaps, {
         "branches": [_branch_record(b) for b in scts],
         "gaps": [
             {"t_start": float(g.t_start), "t_end": float(g.t_end), "width": float(g.width)}
@@ -282,16 +282,17 @@ def _map(cfg: RunConfig, t_final, out_dir, ref):
     }
 
 
-def _synthesize(cfg: RunConfig, out_dir, model, grid_c, scts, gaps):
-    """The primary control along the planned travel path over ``grid_c``."""
-    t_final = grid_c.t_end
+def _synthesize(cfg: RunConfig, out_dir, model, scts, gaps):
+    """The primary control along the planned travel path, on the control grid."""
+    t_final = model.t_final
+    grid_c = TimeGrid(t_final, cfg.control_steps or default_step_count(t_final))
     plan = plan_travel(cfg.plan_kind, scts, gaps, t_final, n_scan=cfg.scan_points)
     settings = default_bridge_settings(cfg.scenario, t_final)
     vt, cost = optimize_virtual_trajectory(
         plan, model, grid_c, settings, n_cost=cfg.cost_points
     )
     label = "sta" if cfg.scenario == "sta" else "itt"
-    control = synthesize_control(vt.f2_lift, model, label=label)
+    control = synthesize_control(vt.f2_lift, model, grid_c, label=label)
     _write_control(os.path.join(out_dir, "control.tsv"), control, vt.f2)
     return control, {
         "plan": {
@@ -351,21 +352,22 @@ def _verify_arm(arm, initial, target, out_dir, where, analysis):
     }
 
 
-def _verify(cfg: RunConfig, out_dir, where, ref, model, grid_c, scts, control):
-    """Score the primary control and each baseline arm, one at a time."""
+def _verify(cfg: RunConfig, out_dir, where, ref, model, scts, control):
+    """Score the primary control and each baseline arm on its grid, in turn."""
     arms = [control]
+    grid = control.grid
     initial = ref.state(0)
     if cfg.scenario == "sta":
         target = adiabatic_target(model.spec)
         if "unmodified" in cfg.baselines:
-            zero = np.zeros_like(grid_c.half_times)
-            arms.append(synthesize_sta_control(zero, model, label="unmodified"))
+            zero = np.zeros_like(grid.half_times)
+            arms.append(synthesize_sta_control(zero, model, grid, label="unmodified"))
     else:
         target = ref.final_state
         if "naive" in cfg.baselines:
-            arms.append(naive_control(model))
+            arms.append(naive_control(model, grid))
         if "alpha-scaled" in cfg.baselines:
-            arms.append(alpha_scaled_control(model))
+            arms.append(alpha_scaled_control(model, grid))
     # the shift analysis reads the primary arm's trajectory
     shift_analysis = cfg.scenario != "sta" and x_and_y(scts) is not None
     sections: dict = {}
@@ -389,7 +391,6 @@ def run_single(cfg: RunConfig, t_final: float, out_dir: str, stage: str) -> dict
     the subcommand ``stage`` takes; writes tables and returns the summary."""
     stages = _STAGES[stage]
     where = f"at stage {stage!r}, t_final={t_final!r}"
-    os.makedirs(out_dir, exist_ok=True)
     summary: dict = {
         "schema_version": cfg.schema_version,
         "output_schema": OUTPUT_SCHEMA,
@@ -408,17 +409,17 @@ def run_single(cfg: RunConfig, t_final: float, out_dir: str, stage: str) -> dict
     # parameters, and each rejects a value that is not finite
     try:
         if "map" in stages:
-            model, grid_c, scts, gaps, section = _map(cfg, t_final, out_dir, ref)
+            model, scts, gaps, section = _map(cfg, t_final, out_dir, ref)
             summary.update(section)
         if "synthesize" in stages:
-            control, section = _synthesize(cfg, out_dir, model, grid_c, scts, gaps)
+            control, section = _synthesize(cfg, out_dir, model, scts, gaps)
             summary.update(section)
     except ScanError as exc:
         raise SynthesisError(f"residual scan {where}: {exc}") from exc
     except (ConstructionError, OptimizerError, SynthesisError) as exc:
         raise SynthesisError(f"control synthesis {where}: {exc}") from exc
     if "verify" in stages:
-        summary.update(_verify(cfg, out_dir, where, ref, model, grid_c, scts, control))
+        summary.update(_verify(cfg, out_dir, where, ref, model, scts, control))
     if "device" in stages:
         try:
             summary["device"] = _device_section(cfg, ref.drive, control, out_dir)
@@ -437,7 +438,9 @@ def run_pipeline(cfg: RunConfig, out_dir: str, stage: str) -> dict:
     naming every failed value.
 
     A fidelity floor on a run whose stages do not include ``verify`` is
-    rejected before anything is written.
+    rejected before anything is written.  Every output directory, a
+    sweep's one per value included, is made before any stage runs; one
+    that cannot be made is a ``ConfigError`` that names it.
     """
     if cfg.require_fidelity is not None and "verify" not in _STAGES[stage]:
         raise ConfigError(
@@ -446,15 +449,22 @@ def run_pipeline(cfg: RunConfig, out_dir: str, stage: str) -> dict:
                 "verifies no arm, so it has no fidelity to hold to a floor"
             ]
         )
-    if len(cfg.t_final) == 1:
+    subs = {}  # sweep label -> its run's directory; a single run writes in place
+    if len(cfg.t_final) > 1:
+        for tf in cfg.t_final:
+            subs[sweep_label(tf)] = os.path.join(out_dir, "tf-" + sweep_label(tf))
+    for path in (out_dir, *subs.values()):
+        try:
+            os.makedirs(path, exist_ok=True)
+        except OSError as exc:
+            message = f"output directory {path!r} cannot be made: {exc}"
+            raise ConfigError([message]) from exc
+    if not subs:
         return run_single(cfg, cfg.t_final[0], out_dir, stage)
 
-    os.makedirs(out_dir, exist_ok=True)
     runs: dict[str, dict] = {}
     errors: list[tuple[str, Exception]] = []
-    for tf in cfg.t_final:
-        label = sweep_label(tf)
-        sub = os.path.join(out_dir, "tf-" + label)
+    for tf, (label, sub) in zip(cfg.t_final, subs.items()):
         try:
             runs[label] = run_single(cfg, tf, sub, stage)
         except Exception as exc:

@@ -19,6 +19,9 @@ from .zerocurves import SCAN_POINTS
 
 SCHEMA_VERSION = 1
 
+#: The tag of YAML's merge key ``<<``, which may repeat.
+_MERGE = "tag:yaml.org,2002:merge"
+
 #: Largest ``grid.scan_points`` and ``grid.cost_points``: the rounding
 #: argument of ``zerocurves.NEAR_TIE`` covers up to a million samples.
 MAX_POINTS = 1_000_000
@@ -40,6 +43,27 @@ def _finite(v: int | float) -> bool:
 def sweep_label(t_final: float) -> str:
     """Name of one sweep value in output directories and summary keys."""
     return "%g" % t_final
+
+
+class _Loader(yaml.SafeLoader):
+    """``yaml.SafeLoader`` that lists in ``repeated`` each mapping key given
+    twice, where plain loading keeps the last value silently."""
+
+    def __init__(self, stream) -> None:
+        super().__init__(stream)
+        self.repeated: list[str] = []
+
+    def construct_mapping(self, node, deep=False):
+        lines: dict = {}  # key -> the line it first appears on
+        for key_node, _ in node.value:
+            if isinstance(key_node, yaml.ScalarNode) and key_node.tag != _MERGE:
+                key, line = self.construct_object(key_node), key_node.start_mark.line + 1
+                if key in lines:
+                    self.repeated.append(
+                        f"key {key!r} on line {line} repeats line {lines[key]}"
+                    )
+                lines.setdefault(key, line)
+        return super().construct_mapping(node, deep=deep)
 
 
 class ConfigError(ValueError):
@@ -144,10 +168,15 @@ class _Checker:
 
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a YAML config document."""
+    loader = _Loader(text)
     try:
-        doc = yaml.safe_load(text)
+        doc = loader.get_single_data()
     except yaml.YAMLError as exc:
         raise ConfigError([f"document is not valid YAML: {exc}"]) from exc
+    finally:
+        loader.dispose()
+    if loader.repeated:
+        raise ConfigError(loader.repeated)
     if doc is None:
         doc = {}
     if not isinstance(doc, dict):
@@ -297,6 +326,8 @@ def parse_config(text: str) -> RunConfig:
     output = chk.expect_mapping(doc.get("output"), "output")
     chk.reject_unknown(output, {"directory"}, "output")
     out_dir = chk.text(output, "directory", "output.", default="out")
+    if out_dir == "":
+        chk.fail("output.directory", "must not be empty")
 
     dev = chk.expect_mapping(doc.get("device"), "device")
     chk.reject_unknown(dev, {"g_ghz"}, "device")

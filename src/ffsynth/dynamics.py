@@ -16,7 +16,7 @@ two bounding nodes and at the interval midpoint, so a
 :class:`DriveSchedule` holds its waveforms on ``grid.half_times``, nodes
 and midpoints interleaved.  It is the one waveform type of the package:
 reference sweeps, synthesized controls and baselines are all drive
-schedules, and the synthesis modules compute their samples on that grid.
+schedules, each on the grid its caller passes.
 
 One step is the exponential of the Magnus exponent built from those
 samples, a 2x2 unitary in closed form, so the norm is kept to rounding at
@@ -111,12 +111,12 @@ class DriveSchedule:
                 raise ValueError(f"{name} has a non-finite sample at index {k}")
             setattr(self, name, arr)
 
-    def interpolators(self):
-        """delta_omega and coupling as cubic Hermites on the nodes, with
-        fourth-order node slopes from the node and midpoint samples."""
-        t, h = self.grid.times, self.grid.h
-        dw, g = self.delta_omega, self.coupling
-        return hermite(t, dw[::2], _slopes(dw, h)), hermite(t, g[::2], _slopes(g, h))
+    def detuning_interpolant(self):
+        """delta_omega as a cubic Hermite on the nodes, with fourth-order
+        node slopes from the node and midpoint samples.  The coupling is
+        1, the time unit, and needs none."""
+        dw = self.delta_omega
+        return hermite(self.grid.times, dw[::2], _slopes(dw, self.grid.h))
 
 
 def _slopes(f: np.ndarray, h: float) -> np.ndarray:

@@ -18,12 +18,11 @@ which reduces to the fixed-coupling control for g_ff = g and to the
 trivially rescaled drive (alpha * dw(Lambda), with zero path) for
 g_ff = alpha * g.
 
-A run builds one :class:`FfstPhaseModel` from its (reference,
-magnification) pair; the residual scan, the synthesis and the baselines
-all take that model, and every waveform they return is a
-:class:`~ffsynth.dynamics.DriveSchedule`.  Synthesis reads a model's
-``prof``, ``states_at(lam)`` and drive accessors ``delta_omega_at(lam)``
-and ``coupling_at(lam)``; the sta model has them at alpha = 1.
+A run builds one :class:`FfstPhaseModel`, which holds no grid, from its
+(reference, magnification) pair; the scan, the synthesis and the
+baselines sample it on grids of their own.  Synthesis reads a model's
+``t_final``, ``prof``, ``states_at(lam)`` and ``delta_omega_at(lam)``
+(g = 1 is the time unit); the sta model has them at alpha = 1.
 """
 
 from __future__ import annotations
@@ -56,7 +55,7 @@ class SynthesisError(RuntimeError):
 
 @dataclass(frozen=True)
 class MagnificationProfile:
-    """Cosine-bump magnification for running [0, t_ref] in grid.t_end.
+    """Cosine-bump magnification for running [0, t_ref] in [0, t_final].
 
         alpha(t)  = 1 - k (1 - cos(2 pi t / T_F)),   k = (T_F - T) / T_F
         Lambda(t) = t - k (t - (T_F / 2 pi) sin(2 pi t / T_F))
@@ -67,12 +66,8 @@ class MagnificationProfile:
     Lambda = t bit for bit.
     """
 
-    grid: TimeGrid
     t_ref: float
-
-    @property
-    def t_final(self) -> float:
-        return self.grid.t_end
+    t_final: float
 
     @property
     def _k(self) -> float:
@@ -88,25 +83,23 @@ class MagnificationProfile:
         return t - self._k * (t - t_f / (2.0 * np.pi) * np.sin(2.0 * np.pi * t / t_f))
 
 
-def build_magnification(t_ref: float, grid: TimeGrid) -> MagnificationProfile:
-    """The cosine-bump profile taking [0, t_ref] to [0, grid.t_end]."""
-    return MagnificationProfile(grid=grid, t_ref=t_ref)
-
-
 class FfstPhaseModel:
     """Phase residual of a (reference, magnification) pair.
 
     Holds cubic Hermite interpolants of the reference amplitudes and of
-    its drive (:meth:`ReferenceTrajectory.interpolators` and
-    :meth:`DriveSchedule.interpolators`), so the residual's parameters and
-    the rescaled drive can be evaluated at arbitrary times.
+    its detuning (:meth:`ReferenceTrajectory.interpolators` and
+    :meth:`DriveSchedule.detuning_interpolant`), so the residual's
+    parameters and the rescaled drive can be evaluated at arbitrary
+    times.  The reference's coupling must be exactly 1, the time unit.
     """
 
     def __init__(self, ref: ReferenceTrajectory, prof: MagnificationProfile):
+        if not np.all(ref.drive.coupling == 1.0):
+            raise ValueError("the reference drive's coupling must be exactly 1")
         self.prof = prof
         self.t_final = prof.t_final
         self._p1, self._p2 = ref.interpolators()
-        self.delta_omega_at, self.coupling_at = ref.drive.interpolators()
+        self.delta_omega_at = ref.drive.detuning_interpolant()
 
     def states_at(self, lam):
         """Renormalized reference amplitudes at rescaled times."""
@@ -121,11 +114,10 @@ class FfstPhaseModel:
         alpha = self.prof.alpha_at(t)
         lam = self.prof.lambda_at(t)
         p1, p2 = self.states_at(lam)
-        g = self.coupling_at(lam)
         prod = np.conj(p1) * p2
         a = prod.real
         b = prod.imag
-        return alpha * g * b, g * np.hypot(a, b), np.arctan2(b, a)
+        return alpha * b, np.hypot(a, b), np.arctan2(b, a)
 
 
 def extract_scts(
@@ -198,55 +190,59 @@ def _fill_singular(
     return out
 
 
+def _half_times(model, grid: TimeGrid) -> np.ndarray:
+    """``grid.half_times``, checked to span [0, ``model.t_final``]."""
+    if abs(grid.t_end - model.t_final) > 1e-12 * grid.t_end:
+        raise ValueError(f"grid [0, {grid.t_end}] must span [0, {model.t_final}]")
+    return grid.half_times
+
+
 def synthesize_control(
-    path, model: FfstPhaseModel, coupling_ff=None, label: str = ""
+    path, model: FfstPhaseModel, grid: TimeGrid, coupling_ff=None, label: str = ""
 ) -> DriveSchedule:
-    """Detuning waveform that drives the scaled state along ``path``, the
-    phase lift sampled on the interleaved node/midpoint grid
+    """Detuning waveform on ``grid`` that drives the scaled state along
+    ``path``, the phase lift sampled on the interleaved node/midpoint grid
     ``grid.half_times`` (a virtual trajectory's ``f2_lift``).
 
-    ``coupling_ff`` is None (keep the rescaled reference coupling, the
+    ``coupling_ff`` is None (keep the unit reference coupling, the
     fixed-coupling control) or samples on the same grid.
     """
     prof = model.prof
-    grid = prof.grid
-    th = grid.half_times
+    th = _half_times(model, grid)
     h2 = th[1] - th[0]
 
     alpha = prof.alpha_at(th)
     lam = prof.lambda_at(th)
     p1, p2 = model.states_at(lam)
-    g_ref = model.coupling_at(lam)
     dw_ref = model.delta_omega_at(lam)
 
     if coupling_ff is None:
-        g_ff = np.asarray(g_ref, dtype=float)
+        g_ff = np.ones_like(th)
     else:
         g_ff = _half_grid_samples("coupling_ff", coupling_ff, th)
 
     f2 = _half_grid_samples("path", path, th)
-    ag = alpha * g_ref
-    scale = 1.0 + np.abs(ag) + np.abs(g_ff)
+    scale = 1.0 + np.abs(alpha) + np.abs(g_ff)
 
     # one bracket term after the other: each one's temporaries die first
     eif = np.exp(1j * f2)
-    dw, sing1, brackets = _bracket_term(p2, p1, ag, g_ff, eif, scale)
-    t2, sing2, brackets2 = _bracket_term(p1, p2, ag, g_ff, np.conj(eif, out=eif), scale)
+    dw, sing1, brackets = _bracket_term(p2, p1, alpha, g_ff, eif, scale)
+    t2, sing2, br2 = _bracket_term(p1, p2, alpha, g_ff, np.conj(eif, out=eif), scale)
     dw -= t2
     dw += alpha * dw_ref
     dw += np.gradient(f2, h2, edge_order=2)
 
     bad = sing1 | sing2 | ~np.isfinite(dw)
-    np.maximum(brackets, brackets2, out=brackets)
+    np.maximum(brackets, br2, out=brackets)
     dw = _fill_singular(th, dw, bad, brackets)
     return DriveSchedule(grid, dw, g_ff, label=label)
 
 
-def _bracket_term(num, den, ag, g_ff, e, scale):
-    """Re[(num / den)(alpha g - g_ff e)] of the synthesized detuning, the
-    samples where ``den`` is singular, and there the bracket's magnitude
-    relative to ``scale`` (zero elsewhere)."""
-    br = ag - g_ff * e
+def _bracket_term(num, den, alpha, g_ff, e, scale):
+    """Re[(num / den)(alpha - g_ff e)] of the synthesized detuning (g = 1),
+    the samples where ``den`` is singular, and there the bracket's
+    magnitude relative to ``scale`` (zero elsewhere)."""
+    br = alpha - g_ff * e
     with np.errstate(divide="ignore", invalid="ignore"):
         # a copy: the real part's view would keep the complex product alive
         term = (num / den * br).real.copy()
@@ -257,20 +253,18 @@ def _bracket_term(num, den, ag, g_ff, e, scale):
     return term, sing, np.where(sing, mag / scale, 0.0)
 
 
-def naive_control(model: FfstPhaseModel) -> DriveSchedule:
+def naive_control(model: FfstPhaseModel, grid: TimeGrid) -> DriveSchedule:
     """Reference waveform replayed on the compressed/stretched clock.
 
-    No scaling correction at all: dw(Lambda(t)) with the reference
-    coupling.  Serves as the uncorrected baseline.
+    No scaling correction at all: dw(Lambda(t)) on ``grid`` with the unit
+    reference coupling.  Serves as the uncorrected baseline.
     """
-    prof = model.prof
-    lam = prof.lambda_at(prof.grid.half_times)
-    return DriveSchedule(
-        prof.grid, model.delta_omega_at(lam), model.coupling_at(lam), label="naive"
-    )
+    th = _half_times(model, grid)
+    dw = model.delta_omega_at(model.prof.lambda_at(th))
+    return DriveSchedule(grid, dw, np.ones_like(th), label="naive")
 
 
-def alpha_scaled_control(model: FfstPhaseModel) -> DriveSchedule:
+def alpha_scaled_control(model: FfstPhaseModel, grid: TimeGrid) -> DriveSchedule:
     """Magnification-scaled detuning with the coupling left untouched.
 
     Scaling both the detuning and the coupling by alpha would reproduce
@@ -278,11 +272,6 @@ def alpha_scaled_control(model: FfstPhaseModel) -> DriveSchedule:
     the detuning, which is the baseline this constructor provides.
     """
     prof = model.prof
-    th = prof.grid.half_times
-    lam = prof.lambda_at(th)
-    return DriveSchedule(
-        prof.grid,
-        prof.alpha_at(th) * model.delta_omega_at(lam),
-        model.coupling_at(lam),
-        label="alpha-scaled",
-    )
+    th = _half_times(model, grid)
+    dw = prof.alpha_at(th) * model.delta_omega_at(prof.lambda_at(th))
+    return DriveSchedule(grid, dw, np.ones_like(th), label="alpha-scaled")

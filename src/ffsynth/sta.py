@@ -8,7 +8,8 @@ must null is
     beta(t, f2) = -v * chi_dot - g * v * sin f2.
 
 Synthesis is FFST's at alpha = 1 with g_ff = g = 1 (the time unit) and
-(u, v) as the reference, where its detuning is the special case
+(u, v) as the reference, on the control grid its caller passes, where
+its detuning is the special case
 
     dw_ff = dw + g * (v/u - u/v) * (1 - cos f2) + df2/dt,
 
@@ -37,22 +38,17 @@ def eigenstate(spec: CosineSweepSpec, t):
 
 class StaPhaseModel:
     """Phase residual of an eigenstate-following sweep (phi0 = 0), with the
-    model interface of :func:`~ffsynth.ffst.synthesize_control` on the
-    control grid: the identity magnification ``prof``, the eigenstate for
-    the reference amplitudes, and the sweep's drive."""
+    model interface of :func:`~ffsynth.ffst.synthesize_control`: the
+    identity magnification ``prof``, the eigenstate for the reference
+    amplitudes, and the sweep's detuning."""
 
-    def __init__(self, spec: CosineSweepSpec, grid: TimeGrid):
-        if abs(grid.t_end - spec.duration) > 1e-12 * grid.t_end:
-            raise ValueError(f"grid [0, {grid.t_end}] must span [0, {spec.duration}]")
+    def __init__(self, spec: CosineSweepSpec):
         self.spec = spec
-        self.prof = MagnificationProfile(grid, t_ref=grid.t_end)
+        self.prof = MagnificationProfile(spec.duration, spec.duration)
         self.t_final = spec.duration
 
     def delta_omega_at(self, lam):
         return self.spec.delta_omega(lam)
-
-    def coupling_at(self, lam):
-        return np.ones_like(lam)
 
     def states_at(self, lam):
         u, v = eigenstate(self.spec, lam)
@@ -83,7 +79,9 @@ def extract_sta_branches(
     return link_branches(model, n_scan=n_scan)
 
 
-def synthesize_sta_control(path, model: StaPhaseModel, label: str = "") -> DriveSchedule:
+def synthesize_sta_control(
+    path, model: StaPhaseModel, grid: TimeGrid, label: str = ""
+) -> DriveSchedule:
     """Same as :func:`~ffsynth.ffst.synthesize_control`; the name stays
     because ``bench/layers.py`` probes it."""
-    return synthesize_control(path, model, label=label)
+    return synthesize_control(path, model, grid, label=label)

@@ -15,13 +15,13 @@ import pytest
 from ffsynth import (
     CosineSweepSpec,
     FfstPhaseModel,
+    MagnificationProfile,
     StaPhaseModel,
     TimeGrid,
     TwoLevelState,
     adiabatic_target,
     alpha_scaled_control,
     branch_touch_times,
-    build_magnification,
     default_bridge_settings,
     default_step_count,
     detect_gaps,
@@ -45,7 +45,7 @@ def reference():
 
 def _scaling_bundle(reference, t_final: float, plan_kind: str, settings_kind: str):
     grid = TimeGrid(t_final, default_step_count(t_final))
-    prof = build_magnification(1.0, grid)
+    prof = MagnificationProfile(1.0, t_final)
     model = FfstPhaseModel(reference, prof)
     scts = link_branches(model)
     gaps = detect_gaps(model, scts)
@@ -56,7 +56,7 @@ def _scaling_bundle(reference, t_final: float, plan_kind: str, settings_kind: st
         touches = branch_touch_times(labeled["X"], labeled["Y"])
     settings = default_bridge_settings(settings_kind, t_final)
     vt, cost = optimize_virtual_trajectory(plan, model, grid, settings)
-    control = synthesize_control(vt.f2_lift, model, label="itt")
+    control = synthesize_control(vt.f2_lift, model, grid, label="itt")
     initial = TwoLevelState(1.0 + 0.0j, 0.0j)
     target = reference.final_state
     report = verify_control(control, initial, target)
@@ -106,32 +106,34 @@ def accel_overlap(reference):
 
 @pytest.fixture(scope="session")
 def decel_baselines(reference, decel_a):
-    naive = verify_control(naive_control(decel_a.model), decel_a.initial, decel_a.target)
-    scaled = verify_control(
-        alpha_scaled_control(decel_a.model), decel_a.initial, decel_a.target
-    )
+    naive = naive_control(decel_a.model, decel_a.grid)
+    scaled = alpha_scaled_control(decel_a.model, decel_a.grid)
+    naive = verify_control(naive, decel_a.initial, decel_a.target)
+    scaled = verify_control(scaled, decel_a.initial, decel_a.target)
     return SimpleNamespace(naive=naive, alpha_scaled=scaled)
 
 
 @pytest.fixture(scope="session")
 def accel_baselines(reference, accel):
-    naive = verify_control(naive_control(accel.model), accel.initial, accel.target)
-    scaled = verify_control(alpha_scaled_control(accel.model), accel.initial, accel.target)
+    naive = naive_control(accel.model, accel.grid)
+    scaled = alpha_scaled_control(accel.model, accel.grid)
+    naive = verify_control(naive, accel.initial, accel.target)
+    scaled = verify_control(scaled, accel.initial, accel.target)
     return SimpleNamespace(naive=naive, alpha_scaled=scaled)
 
 
 def _sta_bundle(duration: float, n_steps: int | None = None):
     sweep = CosineSweepSpec(30.0, duration)
     grid = TimeGrid(duration, n_steps or default_step_count(duration))
-    model = StaPhaseModel(sweep, grid)
+    model = StaPhaseModel(sweep)
     branches = link_branches(model)
     gaps = detect_gaps(model, branches)
     plan = plan_travel("auto", branches, gaps, duration)
     settings = default_bridge_settings("sta", duration)
     vt, cost = optimize_virtual_trajectory(plan, model, grid, settings)
-    control = synthesize_sta_control(vt.f2_lift, model, label="sta")
+    control = synthesize_sta_control(vt.f2_lift, model, grid, label="sta")
     zero = np.zeros_like(grid.half_times)
-    unmodified = synthesize_sta_control(zero, model, label="unmodified")
+    unmodified = synthesize_sta_control(zero, model, grid, label="unmodified")
     initial = TwoLevelState(*eigenstate(sweep, 0.0))
     target = adiabatic_target(sweep)
     report = verify_control(control, initial, target)

@@ -19,7 +19,7 @@ from ffsynth.dynamics import (
     fidelity,
     integrate_schrodinger,
 )
-from ffsynth.ffst import FfstPhaseModel, build_magnification
+from ffsynth.ffst import FfstPhaseModel, MagnificationProfile
 from ffsynth.zerocurves import mask_runs, residual, root_table
 
 
@@ -56,10 +56,9 @@ def gap_direction_scan(
     t_ref = ref.grid.t_end
     out: dict[float, GapDirectionProfile] = {}
     for t_f in t_f_values:
-        grid = TimeGrid(t_f, n_scan)
-        prof = build_magnification(t_ref, grid)
+        prof = MagnificationProfile(t_ref, t_f)
         model = FfstPhaseModel(ref, prof)
-        times = grid.times
+        times = TimeGrid(t_f, n_scan).times
         counts = root_table(*model.sine_params(times))[2]
         interior_zero = np.any(counts[1:-1] == 0)
         alpha = prof.alpha_at(times)

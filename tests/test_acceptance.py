@@ -16,11 +16,10 @@ from ffsynth import (
     CosineSweepSpec,
     DriveSchedule,
     FfstPhaseModel,
-    StaPhaseModel,
+    MagnificationProfile,
     TimeGrid,
     TravelPlan,
     TwoLevelState,
-    build_magnification,
     default_bridge_settings,
     default_transmon_spec,
     fidelity,
@@ -210,9 +209,8 @@ def test_criterion_07_integrator_quality(reference, sta30):
     # unitarity over the budget's longest grid: the sta-30 path (a branch
     # without bridges) synthesized and integrated on 1e5 steps
     grid = TimeGrid(sta30.duration, MAX_STEPS)
-    model = StaPhaseModel(sta30.sweep, grid)
-    vt, _ = optimize_virtual_trajectory(sta30.plan, model, grid, sta30.settings)
-    control = synthesize_sta_control(vt.f2_lift, model, label="sta")
+    vt, _ = optimize_virtual_trajectory(sta30.plan, sta30.model, grid, sta30.settings)
+    control = synthesize_sta_control(vt.f2_lift, sta30.model, grid, label="sta")
     traj = verify_control(control, sta30.initial, sta30.target).trajectory
     drift = traj.norm_drift()
     drift_ok = traj.grid.n_steps == MAX_STEPS and drift < 1e-9
@@ -264,7 +262,7 @@ def test_criterion_08_scaling_consistency(reference, decel_a):
     plan = TravelPlan(branches=(y,), crossings=(), t_final=decel_a.t_final)
     settings = default_bridge_settings("decelerate", decel_a.t_final)
     vt, cost = optimize_virtual_trajectory(plan, decel_a.model, decel_a.grid, settings)
-    control = synthesize_control(vt.f2_lift, decel_a.model, label="y-only")
+    control = synthesize_control(vt.f2_lift, decel_a.model, decel_a.grid, label="y-only")
     f_y = verify_control(control, decel_a.initial, decel_a.target).fidelity
     branch_ok = f_y > 1.0 - 1e-6 and cost.evaluations == 0
 
@@ -272,9 +270,9 @@ def test_criterion_08_scaling_consistency(reference, decel_a):
     # bitwise at the grid nodes; midpoint samples pass through the Hermite
     # interpolant of the reference detuning and may move by about 1e-14
     grid = TimeGrid(1.0, reference.grid.n_steps)
-    prof_id = build_magnification(1.0, grid)
+    prof_id = MagnificationProfile(1.0, 1.0)
     ident = synthesize_control(
-        np.zeros_like(grid.half_times), FfstPhaseModel(reference, prof_id)
+        np.zeros_like(grid.half_times), FfstPhaseModel(reference, prof_id), grid
     )
     mid_err = float(
         np.max(np.abs(ident.delta_omega[1::2] - reference.drive.delta_omega[1::2]))
@@ -290,6 +288,7 @@ def test_criterion_08_scaling_consistency(reference, decel_a):
     trivial = synthesize_control(
         np.zeros_like(half),
         decel_a.model,
+        decel_a.grid,
         coupling_ff=decel_a.prof.alpha_at(half),
         label="trivial",
     )

@@ -152,9 +152,9 @@ class TestGapDirectionScan:
 
     def test_reference_keeps_zero_path(self, scan, reference, decel_a):
         # on the unscaled run the zero path solves the residual everywhere
-        from ffsynth import FfstPhaseModel, build_magnification, TimeGrid
+        from ffsynth import FfstPhaseModel, MagnificationProfile
 
-        prof = build_magnification(1.0, TimeGrid(1.0, 2000))
+        prof = MagnificationProfile(1.0, 1.0)
         t = np.linspace(0.0, 1.0, 300)
         beta = residual(*FfstPhaseModel(reference, prof).sine_params(t), np.zeros_like(t))
         assert np.max(np.abs(beta)) < 1e-9

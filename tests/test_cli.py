@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -391,6 +392,26 @@ class TestReferenceStage:
             assert main(["reference", "--config", cfg, "--out", out]) == 0
         finally:
             np.random.set_state(state)
+
+    @pytest.mark.parametrize(
+        "text, taken",
+        [(REFERENCE_SWEEP, ""), (ACCEL_SWEEP, ""), (ACCEL_SWEEP, "tf-0.95")],
+        ids=["single", "sweep", "sweep-value"],
+    )
+    def test_out_that_cannot_be_made_exits_2(self, tmp_path, capsys, text, taken):
+        """An output directory that names a file, ``--out`` itself or one
+        sweep value's, is a configuration problem named before any stage
+        runs, not a traceback with exit 1."""
+        cfg = _config(tmp_path, text)
+        out = tmp_path / "out"
+        if taken:
+            out.mkdir()
+        blocked = out / taken
+        blocked.write_text("")
+        assert main(["reference", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"output directory {str(blocked)!r} cannot be made" in err
+        assert not [p for p in tmp_path.rglob("*") if p.suffix in (".tsv", ".json")]
 
     def test_sta_reference_failure_names_stage(self, tmp_path, capsys):
         """A detuning whose square overflows used to warn from the eigenstate
@@ -1177,6 +1198,24 @@ def test_readme_command_runs(tmp_path, monkeypatch, line):
     assert main([*argv, "--out", str(tmp_path / "out")]) == 0
 
 
+def _readme_quick_start() -> str:
+    """The code block of README's "Library quick start"."""
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        section = fh.read().split("\n## Library quick start\n", 1)[1]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_quick_start_runs(tmp_path, monkeypatch, capsys):
+    """The library example runs as written and prints a verified fidelity."""
+    monkeypatch.chdir(tmp_path)
+    exec(compile(_readme_quick_start(), "README.md", "exec"), {})
+    printed = re.fullmatch(
+        r"fidelity (\d\.\d{7}) after \d+ cost calls\n", capsys.readouterr().out
+    )
+    assert printed is not None
+    assert float(printed[1]) > 0.999
+
+
 #: A whole run in a subprocess; ``{command}``, ``{config}`` and ``{out}``
 #: are filled in by the test.
 RUN = (
@@ -1191,9 +1230,9 @@ RUN = (
         ("import ffsynth.cli", None, None),
         # the magnification profile is closed form: no interpolant behind it
         (
-            "from ffsynth import TimeGrid, build_magnification; "
-            "p = build_magnification(1.0, TimeGrid(1.1, 100)); "
-            "p.alpha_at(p.grid.times); p.lambda_at(p.grid.half_times)",
+            "from ffsynth import MagnificationProfile, TimeGrid; "
+            "g = TimeGrid(1.1, 100); p = MagnificationProfile(1.0, 1.1); "
+            "p.alpha_at(g.times); p.lambda_at(g.half_times)",
             None,
             None,
         ),

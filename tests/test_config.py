@@ -309,6 +309,34 @@ class TestDocumentShape:
         errors = _errors_of("")
         assert "schema_version: required field missing" in errors
 
+    def test_repeated_keys_exit_2(self, tmp_path, capsys):
+        """Plain YAML loading keeps a repeated key's last value, which would
+        run t_final 1.1 and scan 8000 points here; each repeat is named
+        with its line instead."""
+        text = MINIMAL + "t_final: 0.9\ngrid: {scan_points: 4000, scan_points: 8000}\n"
+        assert _errors_of(text) == [
+            "key 't_final' on line 5 repeats line 4",
+            "key 'scan_points' on line 6 repeats line 6",
+        ]
+        path = tmp_path / "run.yaml"
+        path.write_text(text)
+        rc = main(["map", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "key 't_final' on line 5 repeats" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_empty_output_directory_exits_2(self, tmp_path, capsys, monkeypatch):
+        """An empty directory name cannot be made; it used to end in a
+        traceback with exit 1, the code ``--seed-free`` reserves."""
+        text = MINIMAL + "output: {directory: ''}\n"
+        assert _errors_of(text) == ["output.directory: must not be empty"]
+        path = tmp_path / "run.yaml"
+        path.write_text(text)
+        monkeypatch.chdir(tmp_path)
+        assert main(["reference", "--config", str(path)]) == 2
+        assert "output.directory: must not be empty" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["run.yaml"]
+
 
 class TestLoadConfig:
     def test_reads_file(self, tmp_path):

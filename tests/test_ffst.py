@@ -2,18 +2,22 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from ffsynth import (
     DriveSchedule,
     FfstPhaseModel,
+    MagnificationProfile,
     SynthesisError,
     TimeGrid,
     TwoLevelState,
-    build_magnification,
+    alpha_scaled_control,
     fidelity,
     integrate_schrodinger,
+    naive_control,
     synthesize_control,
     verify_control,
 )
@@ -41,7 +45,7 @@ class TestMagnification:
     @pytest.mark.parametrize("t_final", [0.9, 1.1])
     def test_profile_shape(self, t_final):
         grid = TimeGrid(t_final, 4000)
-        prof = build_magnification(1.0, grid)
+        prof = MagnificationProfile(1.0, t_final)
         alpha = prof.alpha_at(grid.times)
         lam = prof.lambda_at(grid.times)
         assert alpha[0] == pytest.approx(1.0, abs=1e-12)
@@ -51,26 +55,26 @@ class TestMagnification:
 
     def test_alpha_symmetric_about_midpoint(self):
         grid = TimeGrid(1.1, 4000)
-        alpha = build_magnification(1.0, grid).alpha_at(grid.times)
+        alpha = MagnificationProfile(1.0, 1.1).alpha_at(grid.times)
         assert np.allclose(alpha, alpha[::-1], atol=1e-12)
 
     def test_decel_slows_and_accel_hurries(self):
         grid_d = TimeGrid(1.1, 2000)
         grid_a = TimeGrid(0.9, 2000)
-        decel = build_magnification(1.0, grid_d).alpha_at(grid_d.times)
-        accel = build_magnification(1.0, grid_a).alpha_at(grid_a.times)
+        decel = MagnificationProfile(1.0, 1.1).alpha_at(grid_d.times)
+        accel = MagnificationProfile(1.0, 0.9).alpha_at(grid_a.times)
         assert np.min(decel) < 1.0 and np.max(decel) <= 1.0 + 1e-12
         assert np.max(accel) > 1.0 and np.min(accel) >= 1.0 - 1e-12
 
     def test_identity_time_map_is_bitwise(self):
         grid = TimeGrid(1.0, 2000)
-        prof = build_magnification(1.0, grid)
+        prof = MagnificationProfile(1.0, 1.0)
         assert np.array_equal(prof.lambda_at(grid.times), grid.times)
         assert np.all(prof.alpha_at(grid.times) == 1.0)
 
     def test_lambda_monotone(self):
         grid = TimeGrid(1.1, 2000)
-        lam = build_magnification(1.0, grid).lambda_at(grid.times)
+        lam = MagnificationProfile(1.0, 1.1).lambda_at(grid.times)
         assert np.all(np.diff(lam) > 0)
 
     @pytest.mark.parametrize(
@@ -82,7 +86,7 @@ class TestMagnification:
         # The first interval attains that bound to about 1e-7 relative, so
         # the two sums' rounding (under an ulp of t) is allowed on top.
         grid = TimeGrid(t_final, n_steps)
-        prof = build_magnification(1.0, grid)
+        prof = MagnificationProfile(1.0, t_final)
         alpha, lam_trap = _sampled_profile(1.0, grid)
         assert np.array_equal(prof.alpha_at(grid.times), alpha)
         k = (t_final - 1.0) / t_final
@@ -157,16 +161,17 @@ class TestResidualMap:
         assert ln_beta[k, j] == pytest.approx(np.log(abs(direct[0])), abs=1e-12)
 
 
-def _one_pass_control(path, model, coupling_ff=None):
+def _one_pass_control(path, model, grid, coupling_ff=None):
     """The synthesis with every bracket array alive at once, as it was
-    written before the two terms were taken one after the other: the
-    oracle for the detuning's bits."""
+    written before the two terms were taken one after the other, with the
+    reference coupling g_ref = 1 as an array: the oracle for the
+    detuning's bits."""
     prof = model.prof
-    th = prof.grid.half_times
+    th = grid.half_times
     alpha = prof.alpha_at(th)
     lam = prof.lambda_at(th)
     p1, p2 = model.states_at(lam)
-    g_ref = model.coupling_at(lam)
+    g_ref = np.ones_like(th)
     g_ff = np.asarray(g_ref, dtype=float) if coupling_ff is None else coupling_ff
     df2 = np.gradient(path, th[1] - th[0], edge_order=2)
     eif = np.exp(1j * path)
@@ -192,32 +197,36 @@ class TestSynthesis:
     @pytest.mark.parametrize("name", ["accel", "decel_a", "sta30", "sta20", "sta10"])
     @pytest.mark.parametrize("coupling", ["reference", "alpha-scaled"])
     def test_matches_one_pass_formula_bitwise(self, request, name, coupling):
+        """On the run's grid and, with the run's one model, at twice its
+        step: the path's every other sample on half the steps."""
         bundle = request.getfixturevalue(name)
-        g_ff = None
-        if coupling == "alpha-scaled":
-            # g_ff = alpha g on a zero path: every bracket vanishes exactly
-            g_ff = bundle.model.prof.alpha_at(bundle.grid.half_times)
-        path = bundle.vt.f2_lift if g_ff is None else np.zeros_like(g_ff)
-        control = synthesize_control(path, bundle.model, coupling_ff=g_ff)
-        dw, coupling_ff = _one_pass_control(path, bundle.model, g_ff)
-        assert np.array_equal(control.delta_omega, dw)
-        assert np.array_equal(control.coupling, coupling_ff)
+        coarse = TimeGrid(bundle.grid.t_end, bundle.grid.n_steps // 2)
+        lift = bundle.vt.f2_lift
+        for grid, lift in ((bundle.grid, lift), (coarse, lift[::2])):
+            g_ff = None
+            if coupling == "alpha-scaled":
+                # g_ff = alpha g on a zero path: every bracket vanishes exactly
+                g_ff = bundle.model.prof.alpha_at(grid.half_times)
+            path = lift if g_ff is None else np.zeros_like(g_ff)
+            control = synthesize_control(path, bundle.model, grid, coupling_ff=g_ff)
+            dw, coupling_ff = _one_pass_control(path, bundle.model, grid, g_ff)
+            assert control.grid is grid
+            assert np.array_equal(control.delta_omega, dw)
+            assert np.array_equal(control.coupling, coupling_ff)
 
     def test_identity_reproduces_reference_nodes_bitwise(self, reference):
         grid = TimeGrid(1.0, 20_000)
-        prof = build_magnification(1.0, grid)
+        prof = MagnificationProfile(1.0, 1.0)
         zero = np.zeros_like(grid.half_times)
-        control = synthesize_control(zero, FfstPhaseModel(reference, prof))
+        control = synthesize_control(zero, FfstPhaseModel(reference, prof), grid)
         assert np.array_equal(control.delta_omega[::2], reference.drive.delta_omega[::2])
         assert np.array_equal(control.coupling[::2], reference.drive.coupling[::2])
 
     def test_trivial_scaling_round_trip(self, reference, decel_a):
         # scaling detuning AND coupling by alpha replays the reference
-        prof = decel_a.prof
-        alpha_half = prof.alpha_at(prof.grid.half_times)
-        control = synthesize_control(
-            np.zeros_like(alpha_half), decel_a.model, coupling_ff=alpha_half
-        )
+        alpha_half = decel_a.prof.alpha_at(decel_a.grid.half_times)
+        zero = np.zeros_like(alpha_half)
+        control = synthesize_control(zero, decel_a.model, decel_a.grid, alpha_half)
         report = verify_control(control, START, reference.final_state)
         assert report.fidelity > 1.0 - 1e-8
         assert np.allclose(control.coupling[::2], alpha_half[::2], atol=1e-12)
@@ -226,11 +235,10 @@ class TestSynthesis:
         # with g_ff = alpha * g the correction terms cancel identically:
         # the waveform is exactly alpha * dw(Lambda) plus the path slope
         prof = decel_a.prof
-        alpha_half = prof.alpha_at(prof.grid.half_times)
-        control = synthesize_control(
-            np.zeros_like(alpha_half), decel_a.model, coupling_ff=alpha_half
-        )
-        t = prof.grid.times
+        alpha_half = prof.alpha_at(decel_a.grid.half_times)
+        zero = np.zeros_like(alpha_half)
+        control = synthesize_control(zero, decel_a.model, decel_a.grid, alpha_half)
+        t = decel_a.grid.times
         expected = prof.alpha_at(t) * np.interp(
             prof.lambda_at(t), reference.grid.times, reference.drive.delta_omega[::2]
         )
@@ -251,13 +259,13 @@ class TestSynthesis:
         # amplitude is exactly zero: the required detuning diverges
         with pytest.raises(SynthesisError, match="t = "):
             synthesize_control(
-                np.full_like(decel_a.grid.half_times, np.pi), decel_a.model
+                np.full_like(decel_a.grid.half_times, np.pi), decel_a.model, decel_a.grid
             )
 
     def test_coupling_sample_count_checked(self, reference, decel_a):
         zero = np.zeros_like(decel_a.grid.half_times)
         with pytest.raises(ValueError, match="samples"):
-            synthesize_control(zero, decel_a.model, coupling_ff=np.ones(7))
+            synthesize_control(zero, decel_a.model, decel_a.grid, coupling_ff=np.ones(7))
 
     @pytest.mark.parametrize("arg", ["path", "coupling_ff"])
     def test_node_samples_rejected(self, decel_a, arg):
@@ -271,26 +279,54 @@ class TestSynthesis:
             ValueError,
             match=rf"{arg} must have {len(half)} node/midpoint samples, got \({n},\)",
         ):
-            synthesize_control(model=decel_a.model, **args)
+            synthesize_control(model=decel_a.model, grid=decel_a.grid, **args)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda model, grid: synthesize_control(
+                np.zeros_like(grid.half_times), model, grid
+            ),
+            naive_control,
+            alpha_scaled_control,
+        ],
+        ids=["synthesis", "naive", "alpha-scaled"],
+    )
+    @pytest.mark.parametrize("t_end", [1.0, 1.2])
+    def test_grid_must_span_the_model(self, decel_a, make, t_end):
+        """The control grid is the caller's, checked against the model's
+        [0, t_final] (1.1) by every constructor that samples on it."""
+        want = rf"grid \[0, {t_end}\] must span \[0, 1\.1\]"
+        with pytest.raises(ValueError, match=want):
+            make(decel_a.model, TimeGrid(t_end, 4000))
+
+
+class TestUnitCoupling:
+    """The model reads the reference coupling as exactly 1, the time unit,
+    and holds no interpolant of it."""
+
+    @pytest.mark.parametrize("scale", [2.0, 1.0 + 2.0**-52])
+    def test_non_unit_coupling_is_rejected(self, reference, scale):
+        """A coupling that is not exactly 1, even by one ulp at one
+        sample, would be misread as 1, so the model refuses it."""
+        coupling = reference.drive.coupling.copy()
+        coupling[7] *= scale
+        ref = replace(reference, drive=replace(reference.drive, coupling=coupling))
+        with pytest.raises(ValueError, match="coupling must be exactly 1"):
+            FfstPhaseModel(ref, MagnificationProfile(1.0, 1.1))
 
 
 class TestBaselines:
     def test_labels(self, decel_a):
-        from ffsynth import alpha_scaled_control, naive_control
-
-        assert naive_control(decel_a.model).label == "naive"
-        assert alpha_scaled_control(decel_a.model).label == "alpha-scaled"
+        assert naive_control(decel_a.model, decel_a.grid).label == "naive"
+        assert alpha_scaled_control(decel_a.model, decel_a.grid).label == "alpha-scaled"
 
     def test_alpha_scaled_leaves_coupling_alone(self, decel_a):
-        from ffsynth import alpha_scaled_control
-
-        control = alpha_scaled_control(decel_a.model)
+        control = alpha_scaled_control(decel_a.model, decel_a.grid)
         assert np.allclose(control.coupling, 1.0, atol=1e-12)
 
     def test_naive_replays_reference_samples(self, reference, decel_a):
-        from ffsynth import naive_control
-
-        control = naive_control(decel_a.model)
+        control = naive_control(decel_a.model, decel_a.grid)
         t = decel_a.grid.times
         expected = np.interp(
             decel_a.prof.lambda_at(t),

@@ -35,16 +35,11 @@ def _probe_times(x, n: int, seed: int = 0, margin: float = 0.01) -> np.ndarray:
 
 class TestHermite:
     def test_reference_grid(self, reference):
-        """psi_1, psi_2 (complex), the detuning and the coupling on the
-        20,001-knot reference grid, against SciPy's spline."""
+        """psi_1, psi_2 (complex) and the detuning on the 20,001-knot
+        reference grid, against SciPy's spline."""
         x = reference.grid.times
-        ours = reference.interpolators() + reference.drive.interpolators()
-        ys = (
-            reference.phi1,
-            reference.phi2,
-            reference.drive.delta_omega[::2],
-            reference.drive.coupling[::2],
-        )
+        ours = reference.interpolators() + (reference.drive.detuning_interpolant(),)
+        ys = (reference.phi1, reference.phi2, reference.drive.delta_omega[::2])
         t = _probe_times(x, 200_000, margin=0.0)
         for interp, y in zip(ours, ys):
             assert np.max(np.abs(interp(t) - CubicSpline(x, y)(t))) < SPLINE_TOLERANCE
@@ -55,7 +50,7 @@ class TestHermite:
     def test_sweep_matches_closed_form(self, n_steps, bound):
         spec = CosineSweepSpec(30.0, 1.0)
         drive = build_cosine_sweep(spec, TimeGrid(1.0, n_steps))
-        dw, _ = drive.interpolators()
+        dw = drive.detuning_interpolant()
         t = _probe_times(drive.grid.times, 200_000, margin=0.0)
         assert np.max(np.abs(dw(t) - spec.delta_omega(t))) < bound
 
@@ -72,7 +67,7 @@ class TestHermite:
         one-expression form ``0.0 + c3 + c2 s + c1 s^2 + c0 (s^2 s)`` on the
         reference's complex and real interpolants, inside and outside the
         knots."""
-        ours = reference.interpolators() + reference.drive.interpolators()
+        ours = reference.interpolators() + (reference.drive.detuning_interpolant(),)
         assert {interp.c.dtype.kind for interp in ours} == {"c", "f"}
         t = _probe_times(reference.grid.times, 200_000)
         for interp in ours:
@@ -82,11 +77,6 @@ class TestHermite:
             z = s * s
             expected = 0.0 + c[3, i] + c[2, i] * s + c[1, i] * z + c[0, i] * (z * s)
             assert np.array_equal(interp(t), expected)
-
-    def test_unit_coupling_is_exact(self, reference):
-        _, g = reference.drive.interpolators()
-        t = _probe_times(reference.grid.times, 200_000)
-        assert np.all(g(t) == 1.0)
 
     def test_shapes(self):
         x = np.linspace(0.0, 1.0, 50)

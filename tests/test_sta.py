@@ -7,6 +7,7 @@ import pytest
 
 from ffsynth import (
     CosineSweepSpec,
+    MagnificationProfile,
     StaPhaseModel,
     SynthesisError,
     TimeGrid,
@@ -107,12 +108,12 @@ class TestAdiabaticTarget:
 
 class TestStaResidual:
     def test_phase_offset_is_zero(self):
-        model = StaPhaseModel(CosineSweepSpec(30.0, 20.0), TimeGrid(20.0, 4000))
+        model = StaPhaseModel(CosineSweepSpec(30.0, 20.0))
         _, _, phi0 = model.sine_params(np.linspace(0.0, 20.0, 100))
         assert np.all(phi0 == 0.0)
 
     def test_zero_path_residual_matches_direct_formula(self):
-        model = StaPhaseModel(CosineSweepSpec(30.0, 20.0), TimeGrid(20.0, 4000))
+        model = StaPhaseModel(CosineSweepSpec(30.0, 20.0))
         t = np.linspace(0.0, 20.0, 500)
         c, d, phi0 = model.sine_params(t)
         assert np.allclose(residual(c, d, phi0, np.zeros_like(t)), c, atol=1e-14)
@@ -120,7 +121,7 @@ class TestStaResidual:
 
     @pytest.mark.parametrize("duration", [10.0, 20.0])
     def test_root_count_two_zero_two(self, duration):
-        model = StaPhaseModel(CosineSweepSpec(30.0, duration), TimeGrid(duration, 4000))
+        model = StaPhaseModel(CosineSweepSpec(30.0, duration))
         t = np.linspace(0.01, duration - 0.01, 801)
         counts = np.maximum(root_table(*model.sine_params(t))[2], 0)
         assert counts[0] == 2 and counts[-1] == 2
@@ -130,7 +131,7 @@ class TestStaResidual:
         assert len(changes) == 2
 
     def test_root_count_stays_two_for_long_sweep(self):
-        model = StaPhaseModel(CosineSweepSpec(30.0, 30.0), TimeGrid(30.0, 4000))
+        model = StaPhaseModel(CosineSweepSpec(30.0, 30.0))
         t = np.linspace(0.01, 29.99, 801)
         counts = np.maximum(root_table(*model.sine_params(t))[2], 0)
         assert all(c == 2 for c in counts)
@@ -140,8 +141,8 @@ class TestStaSynthesis:
     def test_zero_path_reproduces_sweep_bitwise(self):
         spec = CosineSweepSpec(30.0, 20.0)
         grid = TimeGrid(20.0, 4000)
-        model = StaPhaseModel(spec, grid)
-        control = synthesize_sta_control(np.zeros_like(grid.half_times), model)
+        model = StaPhaseModel(spec)
+        control = synthesize_sta_control(np.zeros_like(grid.half_times), model, grid)
         # the synthesis samples the sweep on the interleaved half grid, so
         # the bitwise claim is made against that same sampling
         sweep = np.asarray(spec.delta_omega(grid.half_times))
@@ -151,12 +152,12 @@ class TestStaSynthesis:
 
     def test_path_sample_count_checked(self):
         grid = TimeGrid(20.0, 4000)
-        model = StaPhaseModel(CosineSweepSpec(30.0, 20.0), grid)
+        model = StaPhaseModel(CosineSweepSpec(30.0, 20.0))
         with pytest.raises(
             ValueError,
             match=r"path must have 8001 node/midpoint samples, got \(4001,\)",
         ):
-            synthesize_sta_control(np.zeros_like(grid.times), model)
+            synthesize_sta_control(np.zeros_like(grid.times), model, grid)
 
     def test_state_derivative_identity_second_order(self):
         # d phi1 / dt must match -i (dw phi1 + g phi2) to O(h^2) when the
@@ -165,8 +166,8 @@ class TestStaSynthesis:
         errs = []
         for n in (2000, 4000):
             grid = TimeGrid(1.0, n)
-            model = StaPhaseModel(spec, grid)
-            control = synthesize_sta_control(np.zeros_like(grid.half_times), model)
+            model = StaPhaseModel(spec)
+            control = synthesize_sta_control(np.zeros_like(grid.half_times), model, grid)
             initial = TwoLevelState(*eigenstate(spec, 0.0))
             traj = integrate_schrodinger(control, initial)
             h = grid.h
@@ -195,11 +196,11 @@ class TestStaSynthesis:
             assert abs(0.5 * (gap.t_start + gap.t_end) - mid) < 0.5
 
 
-def _closed_form_control(path, model):
-    """The sta detuning dw + (v/u - u/v)(1 - cos f2) + f2' in its own closed
-    form, with g = 1 and no singular-sample filling: the oracle for the
-    shared FFST synthesis at alpha = 1."""
-    th = model.prof.grid.half_times
+def _closed_form_control(path, model, grid):
+    """The sta detuning dw + (v/u - u/v)(1 - cos f2) + f2' on ``grid`` in
+    its own closed form, with g = 1 and no singular-sample filling: the
+    oracle for the shared FFST synthesis at alpha = 1."""
+    th = grid.half_times
     u, v = eigenstate(model.spec, th)
     df2 = np.gradient(path, th[1] - th[0], edge_order=2)
     return model.spec.delta_omega(th) + (v / u - u / v) * (1.0 - np.cos(path)) + df2
@@ -209,21 +210,25 @@ class TestSharedSynthesis:
     @pytest.mark.parametrize("name", ["sta30", "sta20", "sta10"])
     def test_matches_closed_form_within_8_ulp(self, request, name):
         bundle = request.getfixturevalue(name)
-        oracle = _closed_form_control(bundle.vt.f2_lift, bundle.model)
+        oracle = _closed_form_control(bundle.vt.f2_lift, bundle.model, bundle.grid)
         ulp = np.spacing(np.maximum(np.abs(oracle), 1.0))
         assert np.all(np.abs(bundle.control.delta_omega - oracle) <= 8.0 * ulp)
         assert np.all(bundle.control.coupling == 1.0)
 
     def test_identity_magnification(self, sta20):
         prof = sta20.model.prof
-        th = prof.grid.half_times
-        assert prof.grid is sta20.grid
+        th = sta20.grid.half_times
+        assert prof == MagnificationProfile(20.0, 20.0)
         assert np.all(prof.alpha_at(th) == 1.0)
         assert np.array_equal(prof.lambda_at(th), th)
 
-    def test_grid_must_span_the_sweep(self):
-        with pytest.raises(ValueError, match="must span"):
-            StaPhaseModel(CosineSweepSpec(30.0, 20.0), TimeGrid(10.0, 4000))
+    def test_grid_must_span_the_sweep(self, sta20):
+        """The model holds no grid; the synthesis checks the one it is
+        given against the sweep's [0, 20]."""
+        grid = TimeGrid(10.0, 4000)
+        want = r"grid \[0, 10\.0\] must span \[0, 20\.0\]"
+        with pytest.raises(ValueError, match=want):
+            synthesize_sta_control(np.zeros_like(grid.half_times), sta20.model, grid)
 
 
 class TestSingularFloor:
@@ -231,25 +236,27 @@ class TestSingularFloor:
     the shared floor ``SINGULAR_POPULATION`` (1e-6), above the 1e-9 that
     the sta closed form used to apply."""
 
+    GRID = TimeGrid(10.0, 4000)
+
     @pytest.fixture
     def model(self):
-        return StaPhaseModel(CosineSweepSpec(1e7, 10.0), TimeGrid(10.0, 4000))
+        return StaPhaseModel(CosineSweepSpec(1e7, 10.0))
 
     def test_amplitude_lies_between_the_floors(self, model):
         u, v = eigenstate(model.spec, 0.0)
         assert 1e-9 < abs(v) < 1e-6
 
     def test_zero_path_returns_the_sweep_bitwise(self, model):
-        th = model.prof.grid.half_times
-        control = synthesize_sta_control(np.zeros_like(th), model)
+        th = self.GRID.half_times
+        control = synthesize_sta_control(np.zeros_like(th), model, self.GRID)
         assert np.array_equal(control.delta_omega, model.spec.delta_omega(th))
 
     def test_nonzero_path_is_not_scalable(self, model):
-        path = np.full_like(model.prof.grid.half_times, 0.5)
+        path = np.full_like(self.GRID.half_times, 0.5)
         # the closed form alone returns a finite control here
-        assert np.all(np.isfinite(_closed_form_control(path, model)))
+        assert np.all(np.isfinite(_closed_form_control(path, model, self.GRID)))
         with pytest.raises(SynthesisError, match=r"not scalable at t = 0:"):
-            synthesize_sta_control(path, model)
+            synthesize_sta_control(path, model, self.GRID)
 
 
 class TestDefaultGridResolution:

@@ -13,13 +13,11 @@ from diagnostics import gap_direction_scan
 from ffsynth import (
     CosineSweepSpec,
     FfstPhaseModel,
+    MagnificationProfile,
     SpeedControlledTrajectory,
     StaPhaseModel,
-    TimeGrid,
     branch_lifts,
     branch_touch_times,
-    build_magnification,
-    default_step_count,
     detect_gaps,
     link_branches,
     wrap_phase,
@@ -435,11 +433,10 @@ class TestLinkerOracle:
         + [("sta", 30.0), ("sta", 20.0), ("sta", 10.0)],
     )
     def test_shipped_scenarios(self, reference, kind, t_final):
-        grid = TimeGrid(t_final, default_step_count(t_final))
         if kind == "ffst":
-            model = FfstPhaseModel(reference, build_magnification(1.0, grid))
+            model = FfstPhaseModel(reference, MagnificationProfile(1.0, t_final))
         else:
-            model = StaPhaseModel(CosineSweepSpec(30.0, t_final), grid)
+            model = StaPhaseModel(CosineSweepSpec(30.0, t_final))
         _assert_same_branches(link_branches(model), _oracle_link(model))
 
     @pytest.mark.parametrize("seed", range(6))
