@@ -262,13 +262,14 @@ def _bridges(plan: TravelPlan, params, settings: BridgeSettings) -> list[tuple]:
     landscape there.
     """
     sig_lo, sig_hi = settings.width_bounds
+    detached = bridge_mode(plan, settings) == "detached"
     out = []
     for i, (glo, ghi) in enumerate(plan.crossings):
         c, sig, amp = params[3 * i : 3 * i + 3]
         sig = min(max(abs(sig), sig_lo), sig_hi)
         gc = 0.5 * (glo + ghi)
         c = min(max(c, gc - settings.center_slack), gc + settings.center_slack)
-        if bridge_mode(plan, settings) == "detached":
+        if detached:
             lo, hi = 0.0, plan.t_final
         else:
             lo = max(0.0, min(c - 3.0 * sig, glo))
@@ -277,83 +278,66 @@ def _bridges(plan: TravelPlan, params, settings: BridgeSettings) -> list[tuple]:
     return out
 
 
-def _realignment_shifts(plan: TravelPlan) -> list[float]:
-    """Whole turns added to each branch so it meets the previous one at
-    the crossing center; the connector then never sweeps a spurious 2 pi."""
-    at_centers = branch_lifts(plan.branches, [0.5 * (lo + hi) for lo, hi in plan.crossings])
-    shifts = [0.0]
-    for i, (fin, fout) in enumerate(zip(at_centers, at_centers[1:])):
-        step = fout[i] - (fin[i] + shifts[-1])
-        shifts.append(-TWO_PI * np.round(step / TWO_PI))
-    return shifts
+def _splice(t: np.ndarray, plan: TravelPlan, settings: BridgeSettings):
+    """The raw spliced lift on ascending ``t``, before endpoint pinning, as
+    a function of the flat bridge parameters.
 
-
-def _branch_samples(
-    t: np.ndarray, plan: TravelPlan, settings: BridgeSettings
-) -> tuple[list[np.ndarray], list[float]]:
-    """Each plan branch's samples on ``t`` and its realignment shift, or
-    nothing for the detached family, which ignores the branches.  They
-    depend on the plan alone, so a search over bridge parameters takes
-    them once."""
-    if bridge_mode(plan, settings) == "detached":
-        return [], []
-    return branch_lifts(plan.branches, t), _realignment_shifts(plan)
-
-
-def _assemble_lift(
-    t_eval: np.ndarray,
-    plan: TravelPlan,
-    params: np.ndarray,
-    settings: BridgeSettings,
-    samples: tuple[list[np.ndarray], list[float]],
-) -> np.ndarray:
-    """Raw spliced lift before endpoint pinning, on ascending ``t_eval``
-    with the ``_branch_samples`` taken there.
-
-    Each bridge changes only the samples after its window opens: inside
-    ``(lo, hi)`` the shifted branches are blended, and from ``hi`` on the
-    path is the outgoing shifted branch.  With u = (t - lo) / (hi - lo)
-    the blend weight is the quintic smoothstep u^3 (10 - 15 u + 6 u^2),
-    and the Gaussian bump is tapered by 16 u^2 (1 - u)^2; both meet the
-    branches with matching value and slope at ``lo`` and ``hi``.
+    The branches and the whole turns that realign each one with the one
+    before it at the crossing center (so the connector never sweeps a
+    spurious 2 pi) depend on the plan alone: they are sampled and added
+    here, once.  Each bridge then changes only the samples after its
+    window opens: inside ``(lo, hi)`` the branches are blended, and from
+    ``hi`` on the path is the outgoing branch.  With u = (t - lo) /
+    (hi - lo) the blend weight is the quintic smoothstep
+    u^3 (10 - 15 u + 6 u^2), and the Gaussian bump is tapered by
+    16 u^2 (1 - u)^2; both meet the branches with matching value and
+    slope at ``lo`` and ``hi``.  The detached family ignores the
+    branches: each bump minus its chord from t = 0 to T_F.
     """
-    t_f = plan.t_final
-    bridges = _bridges(plan, params, settings)
-
     if bridge_mode(plan, settings) == "detached":
-        f = np.zeros_like(t_eval)
-        for c, sig, amp, _, _ in bridges:
-            g = np.exp(-((t_eval - c) ** 2) / (2.0 * sig**2))
-            g0 = np.exp(-(c**2) / (2.0 * sig**2))
-            g1 = np.exp(-((t_f - c) ** 2) / (2.0 * sig**2))
-            f = f + amp * (g - (g0 + (g1 - g0) * t_eval / t_f))
+        t_f = plan.t_final
+
+        def detached(params) -> np.ndarray:
+            f = np.zeros_like(t)
+            for c, sig, amp, _, _ in _bridges(plan, params, settings):
+                g = np.exp(-((t - c) ** 2) / (2.0 * sig**2))
+                g0 = np.exp(-(c**2) / (2.0 * sig**2))
+                g1 = np.exp(-((t_f - c) ** 2) / (2.0 * sig**2))
+                f = f + amp * (g - (g0 + (g1 - g0) * t / t_f))
+            return f
+
+        return detached
+
+    lifts = branch_lifts(plan.branches, t)
+    at_centers = branch_lifts(plan.branches, [0.5 * (lo + hi) for lo, hi in plan.crossings])
+    shift = 0.0
+    for i, (fin, fout) in enumerate(zip(at_centers, at_centers[1:])):
+        shift = -TWO_PI * np.round((fout[i] - (fin[i] + shift)) / TWO_PI)
+        lifts[i + 1] += shift
+
+    def local(params) -> np.ndarray:
+        f = lifts[0].copy()
+        for i, (c, sig, amp, lo, hi) in enumerate(_bridges(plan, params, settings)):
+            start = int(np.searchsorted(t, lo, side="right"))
+            stop = int(np.searchsorted(t, hi, side="left"))
+            s = t[start:stop]
+            u = (s - lo) / (hi - lo)
+            w = u * u * u * (10.0 - 15.0 * u + 6.0 * u * u)
+            v = u * (1.0 - u)
+            bump = np.exp(-((s - c) ** 2) / (2.0 * sig**2)) * (16.0 * v * v)
+            fi, fo = lifts[i][start:stop], lifts[i + 1][start:stop]
+            f[start:stop] = fi * (1.0 - w) + fo * w + amp * bump
+            f[stop:] = lifts[i + 1][stop:]
         return f
 
-    values, shifts = samples
-    f = values[0].copy()
-    for i, (c, sig, amp, lo, hi) in enumerate(bridges):
-        start = int(np.searchsorted(t_eval, lo, side="right"))
-        stop = int(np.searchsorted(t_eval, hi, side="left"))
-        t = t_eval[start:stop]
-        u = (t - lo) / (hi - lo)
-        w = u * u * u * (10.0 - 15.0 * u + 6.0 * u * u)
-        v = u * (1.0 - u)
-        bump = np.exp(-((t - c) ** 2) / (2.0 * sig**2)) * (16.0 * v * v)
-
-        fi = values[i][start:stop] + shifts[i]
-        fo = values[i + 1][start:stop] + shifts[i + 1]
-        f[start:stop] = fi * (1.0 - w) + fo * w + amp * bump
-        np.add(values[i + 1][stop:], shifts[i + 1], out=f[stop:])
-    return f
+    return local
 
 
-def _pinned_lift(t, plan: TravelPlan, params, settings: BridgeSettings, samples):
-    """Spliced lift minus the linear ramp that pins both ends to zero, and
-    the ramp's ends: the wrapped raw lift at ``t[0]`` = 0 and ``t[-1]`` =
-    T_F."""
-    raw = _assemble_lift(t, plan, params, settings, samples)
+def _pin(t: np.ndarray, raw: np.ndarray, t_f: float):
+    """``raw`` minus the linear ramp that pins both ends to zero, and the
+    ramp's ends: the wrapped raw lift at ``t[0]`` = 0 and ``t[-1]`` = T_F."""
     e0, e1 = float(wrap_phase(raw[0])), float(wrap_phase(raw[-1]))
-    return raw - (e0 + (e1 - e0) * t / plan.t_final), (e0, e1)
+    return raw - (e0 + (e1 - e0) * t / t_f), (e0, e1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -409,8 +393,7 @@ def build_virtual_trajectory(
             )
 
     th = grid.half_times
-    samples = _branch_samples(th, plan, settings)
-    lift, ends = _pinned_lift(th, plan, p, settings, samples)
+    lift, ends = _pin(th, _splice(th, plan, settings)(p), plan.t_final)
     for end, e in zip(("t = 0", "t = T_F"), ends):
         if abs(e) > LINKING_THRESHOLD:
             raise ConstructionError(
@@ -507,10 +490,10 @@ def optimize_virtual_trajectory(
     c, d, phi0 = sample_params(model, tt)
     t_f = plan.t_final
     detached = bridge_mode(plan, settings) == "detached"
-    samples = _branch_samples(tt, plan, settings)
+    splice = _splice(tt, plan, settings)
 
     def abs_residual(p: np.ndarray) -> np.ndarray:
-        f = _pinned_lift(tt, plan, p, settings, samples)[0]
+        f = _pin(tt, splice(p), t_f)[0]
         return np.abs(residual(c, d, phi0, f))
 
     def cost(p: np.ndarray) -> float:

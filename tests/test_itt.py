@@ -27,11 +27,9 @@ from ffsynth import (
     plan_with_crossings,
     wrap_phase,
 )
-from ffsynth.itt import (
-    AMP_MAX, PLAN_KINDS, _branch_samples, _bridges, _realignment_shifts,
-)
+from ffsynth.itt import AMP_MAX, PLAN_KINDS, _bridges
 from ffsynth.numerics import nelder_mead
-from ffsynth.zerocurves import LINKING_THRESHOLD, ScanError, residual
+from ffsynth.zerocurves import LINKING_THRESHOLD, TWO_PI, ScanError, residual
 
 OTHER_NON_FINITE = {
     "nan-width": (0.9, np.nan, 0.1),
@@ -44,11 +42,15 @@ NON_FINITE = {"nan-center": (np.nan, 0.02, 0.1), **OTHER_NON_FINITE}
 
 def _oracle_lift(t_eval, plan, params, settings):
     """The raw lift evaluated on the whole of ``t_eval`` for every bridge,
-    re-evaluating each branch on every call: the reference for the
-    windowed lift on per-plan samples."""
+    re-evaluating each branch and its realignment turns on every call:
+    the reference for the windowed lift on per-plan samples."""
     bridges = _bridges(plan, params, settings)
     branches = plan.branches
-    shifts = _realignment_shifts(plan)
+    at_centers = branch_lifts(branches, [0.5 * (lo + hi) for lo, hi in plan.crossings])
+    shifts = [0.0]
+    for i in range(plan.n_bridges):
+        step = at_centers[i + 1][i] - (at_centers[i][i] + shifts[-1])
+        shifts.append(-TWO_PI * np.round(step / TWO_PI))
     f = branch_lifts(branches[:1], t_eval)[0]
     for i, (c, sig, amp, lo, hi) in enumerate(bridges):
         u = (t_eval - lo) / (hi - lo)
@@ -121,8 +123,7 @@ def _flat_branch(times, phase, branch_id):
 
 
 def _lift(t, plan, params, settings):
-    samples = _branch_samples(t, plan, settings)
-    return itt._assemble_lift(t, plan, params, settings, samples)
+    return itt._splice(t, plan, settings)(params)
 
 
 class TestBridgeSettings:
@@ -417,10 +418,10 @@ class TestOptimizer:
         p0 = np.ravel(default_bridge_params(plan, settings)).astype(float)
         tt = np.linspace(0.0, plan.t_final, 4001)
         c, d, phi0 = bundle.model.sine_params(tt)
-        samples = _branch_samples(tt, plan, settings)
+        splice = itt._splice(tt, plan, settings)
 
         def cost(p):
-            f = itt._pinned_lift(tt, plan, p, settings, samples)[0]
+            f = itt._pin(tt, splice(p), plan.t_final)[0]
             return float(np.trapezoid(np.abs(c - d * np.sin(f + phi0)), tt))
 
         sig_lo, sig_hi = settings.width_bounds
@@ -651,8 +652,8 @@ class TestLiftOracle:
         )
         monkeypatch.setattr(
             itt,
-            "_assemble_lift",
-            lambda t, plan, params, settings, samples: _oracle_lift(
+            "_splice",
+            lambda t, plan, settings: lambda params: _oracle_lift(
                 t, plan, params, settings
             ),
         )
@@ -662,6 +663,49 @@ class TestLiftOracle:
         assert cost.evaluations == bundle.cost.evaluations
         assert vt.bridge_params == bundle.vt.bridge_params
         assert cost.integrated_residual == bundle.cost.integrated_residual
+
+
+class TestDetachedLift:
+    """The detached family's splice against its closed form: each clamped
+    bump minus its chord from t = 0 to T_F."""
+
+    @staticmethod
+    def _assert_closed_form(plan, settings, params, t):
+        p = np.asarray(params, dtype=float).reshape(-1)
+        t_f = plan.t_final
+        expected = np.zeros_like(t)
+        for c, sig, amp, _, _ in _bridges(plan, p, settings):
+            g = np.exp(-((t - c) ** 2) / (2.0 * sig**2))
+            g0 = np.exp(-(c**2) / (2.0 * sig**2))
+            g1 = np.exp(-((t_f - c) ** 2) / (2.0 * sig**2))
+            expected = expected + amp * (g - (g0 + (g1 - g0) * t / t_f))
+        assert np.array_equal(_lift(t, plan, p, settings), expected), p
+
+    @pytest.mark.parametrize("name", ["sta20", "sta10"])
+    def test_seed_optimum_and_random_triples(self, request, name):
+        bundle = request.getfixturevalue(name)
+        plan, settings = bundle.plan, bundle.settings
+        assert bundle.vt.bridge_mode == "detached"
+        tt = np.linspace(0.0, plan.t_final, 4001)
+        seed = default_bridge_params(plan, settings)
+        for params in (seed, bundle.vt.bridge_params):
+            for t in (tt, bundle.grid.half_times):
+                self._assert_closed_form(plan, settings, params, t)
+
+        rng = np.random.default_rng(20)
+        sig_hi = settings.width_bounds[1]
+        slack = settings.center_slack
+        centers = np.array([0.5 * (lo + hi) for lo, hi in plan.crossings])
+        n = len(centers)
+        for _ in range(50):
+            params = np.column_stack(
+                [
+                    centers + rng.uniform(-2.0, 2.0, n) * slack,
+                    rng.uniform(-1.5, 1.5, n) * sig_hi,
+                    rng.uniform(-AMP_MAX, AMP_MAX, n),
+                ]
+            )
+            self._assert_closed_form(plan, settings, params, tt)
 
 
 def test_branch_evaluations_do_not_grow_with_the_search(monkeypatch, accel):
