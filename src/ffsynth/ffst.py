@@ -22,7 +22,8 @@ A run builds one :class:`FfstPhaseModel`, which holds no grid, from its
 (reference, magnification) pair; the scan, the synthesis and the
 baselines sample it on grids of their own.  Synthesis reads a model's
 ``t_final``, ``prof``, ``states_at(lam)`` and ``delta_omega_at(lam)``
-(g = 1 is the time unit); the sta model has them at alpha = 1.
+(g = 1 is the time unit); the sta model has them at alpha = 1, with the
+real eigenstate (u, v) as its states.
 """
 
 from __future__ import annotations

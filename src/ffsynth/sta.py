@@ -8,8 +8,8 @@ must null is
     beta(t, f2) = -v * chi_dot - g * v * sin f2.
 
 Synthesis is FFST's at alpha = 1 with g_ff = g = 1 (the time unit) and
-(u, v) as the reference, on the control grid its caller passes, where
-its detuning is the special case
+the real (u, v) as the reference, on the control grid its caller passes,
+where its detuning is the special case
 
     dw_ff = dw + g * (v/u - u/v) * (1 - cos f2) + df2/dt,
 
@@ -39,8 +39,8 @@ def eigenstate(spec: CosineSweepSpec, t):
 class StaPhaseModel:
     """Phase residual of an eigenstate-following sweep (phi0 = 0), with the
     model interface of :func:`~ffsynth.ffst.synthesize_control`: the
-    identity magnification ``prof``, the eigenstate for the reference
-    amplitudes, and the sweep's detuning."""
+    identity magnification ``prof``, the real eigenstate (u, v) for the
+    reference amplitudes, and the sweep's detuning."""
 
     def __init__(self, spec: CosineSweepSpec):
         self.spec = spec
@@ -51,8 +51,7 @@ class StaPhaseModel:
         return self.spec.delta_omega(lam)
 
     def states_at(self, lam):
-        u, v = eigenstate(self.spec, lam)
-        return u.astype(complex), v.astype(complex)
+        return eigenstate(self.spec, lam)
 
     def sine_params(self, t):
         half = 0.5 * np.asarray(self.spec.delta_omega(t), dtype=float)

@@ -51,6 +51,10 @@ SCAN_POINTS = 16_000
 #: consecutive scan samples.
 LINKING_THRESHOLD = 0.2
 
+#: Largest canonical phase separation (radians) of two full-span branches
+#: that ``branch_touch_times`` counts as a corridor between them.
+SEPARATION_THRESHOLD = 1.2
+
 #: Pairing decisions closer than this (radians) to another outcome are
 #: re-decided on the exact lifts.  A lift differs from its canonical root
 #: by a multiple of 2*pi and a few ulps of itself; lifts move by less than
@@ -401,13 +405,13 @@ def detect_gaps(
 def branch_touch_times(
     x: SpeedControlledTrajectory,
     y: SpeedControlledTrajectory,
-    separation_threshold: float = 1.2,
     n_scan: int = SCAN_POINTS,
 ) -> list[float]:
     """Times where two full-span branches approach each other.
 
-    Local minima of the canonical phase separation below the threshold
-    mark the narrow corridors where travel between the branches is cheap.
+    Local minima of the canonical phase separation below
+    ``SEPARATION_THRESHOLD`` mark the narrow corridors where travel
+    between the branches is cheap.
     """
     t0 = max(x.t_start, y.t_start)
     t1 = min(x.t_end, y.t_end)
@@ -418,7 +422,7 @@ def branch_touch_times(
     hit = (
         (mid < sep[:-2])
         & (mid <= sep[2:])
-        & (mid < separation_threshold)
+        & (mid < SEPARATION_THRESHOLD)
         & ((t[1:-1] - t0) > 0.05 * (t1 - t0))
     )
     return t[1:-1][hit].tolist()

@@ -7,6 +7,7 @@ import json
 import os
 import re
 import shlex
+import shutil
 import subprocess
 import sys
 import weakref
@@ -603,6 +604,27 @@ def test_sta_control_table_has_four_columns(tmp_path):
     assert summary["output_schema"] == 3
     slope = np.gradient(data[:, 1], 10.0 / 4000, edge_order=2)
     assert summary["max_abs_slew"]["sta"] == np.max(np.abs(slope))
+
+
+def test_sta_reruns_are_byte_identical(tmp_path, capsys):
+    """Two sta runs into the same directory write the same files with the
+    same bytes, and print the same lines."""
+    cfg = _config(tmp_path, STA_FAST)
+    out = tmp_path / "out"
+
+    def run():
+        assert main(["sta", "--config", cfg, "--out", str(out)]) == 0
+        files = {
+            str(path.relative_to(out)): path.read_bytes()
+            for path in sorted(out.rglob("*"))
+            if path.is_file()
+        }
+        shutil.rmtree(out)
+        return files, capsys.readouterr()
+
+    first, second = run(), run()
+    assert "control.tsv" in first[0] and "summary.json" in first[0]
+    assert first == second
 
 
 @pytest.mark.parametrize("bundle", ["decel_a", "accel", "sta20"])

@@ -215,6 +215,15 @@ class TestSharedSynthesis:
         assert np.all(np.abs(bundle.control.delta_omega - oracle) <= 8.0 * ulp)
         assert np.all(bundle.control.coupling == 1.0)
 
+    def test_states_are_the_real_eigenstate(self, sta20):
+        """The reference amplitudes stay real: the shared synthesis divides
+        float64 arrays, not complex copies of them."""
+        th = sta20.grid.half_times
+        u, v = sta20.model.states_at(th)
+        assert u.dtype == v.dtype == np.float64
+        expected = eigenstate(sta20.model.spec, th)
+        assert np.array_equal(u, expected[0]) and np.array_equal(v, expected[1])
+
     def test_identity_magnification(self, sta20):
         prof = sta20.model.prof
         th = sta20.grid.half_times

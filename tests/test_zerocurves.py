@@ -454,11 +454,13 @@ class TestLinkerOracle:
         # some lift leaves the canonical interval, so a seam was crossed
         assert any(np.max(np.abs(b.f2)) > np.pi for b in got)
 
-    def test_touch_times_match_loop(self, decel_a):
+    def test_touch_times_match_loop(self, monkeypatch, decel_a):
         labeled = {b.branch_id: b for b in decel_a.scts}
         x, y = labeled["X"], labeled["Y"]
+        assert zerocurves.SEPARATION_THRESHOLD == 1.2
         for threshold, n_scan in ((1.2, 16_000), (0.5, 16_000), (3.0, 999)):
-            got = branch_touch_times(x, y, threshold, n_scan)
+            monkeypatch.setattr(zerocurves, "SEPARATION_THRESHOLD", threshold)
+            got = branch_touch_times(x, y, n_scan=n_scan)
             assert got == _oracle_touch_times(x, y, threshold, n_scan)
 
 
