@@ -24,13 +24,21 @@ the bytes of ``'%.17g' % v``: :func:`~ffsynth.numerics.format_g17` turns
 each block of a table's rows into fixed-width byte fields padded with
 NULs, and the block is written with the NULs deleted.
 
-``summary.json`` names the table layout in ``output_schema``.  Layout 3
-writes the residual's closed form instead of a map of it: ``residual.tsv``
-holds (t, C, D, phi0) at 501 uniform times, from which ln|beta| at any
-phase f2 is log(max(|C - D sin(f2 + phi0)|, 1e-14)).  Every scenario's
-``control.tsv`` holds t, delta_omega, coupling and f2; the slope of
-delta_omega and the magnification's alpha and lambda are closed forms of
-those columns and of the config.
+``summary.json`` names the table layout in ``output_schema``.  Layout 4
+writes no time column where the times are a uniform grid the summary
+already fixes: a table of ``rows`` data rows over [0, t_end] was sampled
+at exactly ``np.linspace(0.0, t_end, rows)``.  The populations tables
+hold (p1, p2) at the nodes of their arm's grid (``reference.t_end`` for
+``populations_reference.tsv``, ``t_final`` for every verified arm);
+``control.tsv`` holds delta_omega, coupling and f2 at the control's nodes
+over [0, t_final]; ``residual.tsv`` holds the residual's closed form (C,
+D, phi0) at 501 times over [0, t_final], from which ln|beta| at any phase
+f2 is log(max(|C - D sin(f2 + phi0)|, 1e-14)); ``device_*.tsv`` hold the
+flux at the nodes over [0, ``duration_ns``] of their map.  ``branches.tsv``
+holds (branch, k, f2): k indexes the scan's ``np.linspace(0.0, t_final,
+scan_points + 1)``.  ``shifts.tsv``, a stride-10 subsample, keeps its t.
+The slope of delta_omega and the magnification's alpha and lambda are
+closed forms of these columns and of the config.
 """
 
 from __future__ import annotations
@@ -97,7 +105,7 @@ _STAGES = {
 TABLE_CHUNK_ROWS = 4096
 
 #: The table layout, ``output_schema`` in ``summary.json`` (see above).
-OUTPUT_SCHEMA = 3
+OUTPUT_SCHEMA = 4
 
 
 def _labels(c) -> np.ndarray:
@@ -154,14 +162,16 @@ def _branch_record(b) -> dict:
     }
 
 
-def _write_branches(path: str, scts) -> None:
+def _write_branches(path: str, scts, t_scan) -> None:
+    """``branches.tsv``: each branch sample's index into the scan times
+    ``t_scan``, of which its times are elements, and its wrapped phase."""
     # the trailing [] lets a run without branches write just the header
     _write_table(
         path,
-        ["branch", "t", "f2"],
+        ["branch", "k", "f2"],
         [
             np.repeat([b.branch_id for b in scts], [len(b.times) for b in scts]),
-            np.concatenate([b.times for b in scts] + [[]]),
+            np.searchsorted(t_scan, np.concatenate([b.times for b in scts] + [[]])),
             np.concatenate([wrap_phase(b.f2) for b in scts] + [[]]),
         ],
     )
@@ -170,7 +180,7 @@ def _write_branches(path: str, scts) -> None:
 def _write_residual(path: str, model) -> None:
     """``residual.tsv``: the residual's (C, D, phi0) at 501 uniform times."""
     t = np.linspace(0.0, model.t_final, 501)
-    _write_table(path, ["t", "C", "D", "phi0"], [t, *sample_params(model, t)])
+    _write_table(path, ["C", "D", "phi0"], sample_params(model, t))
 
 
 def _slew(drive) -> np.ndarray:
@@ -189,8 +199,8 @@ def _write_control(path: str, control, f2) -> None:
     """``control.tsv``: the control's node samples and its phase path."""
     _write_table(
         path,
-        ["t", "delta_omega", "coupling", "f2"],
-        [control.grid.times, control.delta_omega[::2], control.coupling[::2], f2],
+        ["delta_omega", "coupling", "f2"],
+        [control.delta_omega[::2], control.coupling[::2], f2],
     )
 
 
@@ -198,16 +208,14 @@ def _write_populations(path: str, traj) -> list[float]:
     """A populations table; the array dies with the call, and its last row,
     the final populations, is returned."""
     pops = traj.populations()
-    _write_table(path, ["t", "p1", "p2"], [traj.grid.times, pops[:, 0], pops[:, 1]])
+    _write_table(path, ["p1", "p2"], [pops[:, 0], pops[:, 1]])
     return pops[-1].tolist()
 
 
 def _device_section(cfg: RunConfig, sweep_control, primary_control, out_dir: str):
     spec = default_transmon_spec(cfg.g_ghz)
     t_ns, flux = flux_schedule_for(sweep_control, spec, g_phys=cfg.g_ghz)
-    _write_table(
-        os.path.join(out_dir, "device_reference.tsv"), ["t_ns", "flux"], [t_ns, flux]
-    )
+    _write_table(os.path.join(out_dir, "device_reference.tsv"), ["flux"], [flux])
     section = {
         "band_ghz": list(spec.band),
         "omega2_ghz": spec.omega2,
@@ -228,13 +236,10 @@ def _device_section(cfg: RunConfig, sweep_control, primary_control, out_dir: str
         section["control_rwa"] = rwa_emulation_map(primary_control)
         try:
             t_ns, flux = flux_schedule_for(primary_control, spec, g_phys=cfg.g_ghz)
-            _write_table(
-                os.path.join(out_dir, "device_control.tsv"),
-                ["t_ns", "flux"],
-                [t_ns, flux],
-            )
+            _write_table(os.path.join(out_dir, "device_control.tsv"), ["flux"], [flux])
             section["control_map"] = {
                 "feasible": True,
+                "duration_ns": float(t_ns[-1]),
                 "flux_range": [float(np.min(flux)), float(np.max(flux))],
             }
         except FluxRangeError as exc:
@@ -256,6 +261,7 @@ def _reference(cfg: RunConfig, t_final, out_dir):
     ref_peak, ref_slew = _rates(ref.drive)
     return ref, {
         "n_steps": int(ref.grid.n_steps),
+        "t_end": float(ref.grid.t_end),
         "final_populations": ref_end,
         "norm_drift": ref.norm_drift(),
         "max_abs_delta_omega": ref_peak,
@@ -272,8 +278,10 @@ def _map(cfg: RunConfig, t_final, out_dir, ref):
     scts = link_branches(model, n_scan=cfg.scan_points)
     gaps = detect_gaps(model, scts, n_scan=cfg.scan_points)
     _write_residual(os.path.join(out_dir, "residual.tsv"), model)
-    _write_branches(os.path.join(out_dir, "branches.tsv"), scts)
+    t_scan = np.linspace(0.0, model.t_final, cfg.scan_points + 1)
+    _write_branches(os.path.join(out_dir, "branches.tsv"), scts, t_scan)
     return model, scts, gaps, {
+        "scan_points": cfg.scan_points,
         "branches": [_branch_record(b) for b in scts],
         "gaps": [
             {"t_start": float(g.t_start), "t_end": float(g.t_end), "width": float(g.width)}

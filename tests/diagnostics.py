@@ -108,9 +108,13 @@ MAP_PHASES = -np.pi + 2.0 * np.pi * np.arange(512) / 512
 LN_BETA_FLOOR = 1e-14
 
 
-def beta_map_from_residual(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def beta_map_from_residual(
+    path: str, t_final: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Times, phases and ln|beta| (times x phases) rebuilt from a
-    ``residual.tsv``: the matrix output schema 2 wrote as ``beta_map.tsv``."""
-    t, c, d, phi0 = np.loadtxt(path, skiprows=1, unpack=True)
+    ``residual.tsv`` over [0, ``t_final``]: the matrix output schema 2
+    wrote as ``beta_map.tsv``.  The table's rows are uniform times."""
+    c, d, phi0 = np.loadtxt(path, skiprows=1, unpack=True)
+    t = np.linspace(0.0, t_final, len(c))
     beta = residual(c[:, None], d[:, None], phi0[:, None], MAP_PHASES[None, :])
     return t, MAP_PHASES, np.log(np.maximum(np.abs(beta), LN_BETA_FLOOR))

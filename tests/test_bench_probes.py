@@ -1,8 +1,12 @@
-"""The benchmark's layer probes still find every function they trace.
+"""The benchmark's layer probes still find every function they trace, and
+its gate still reads the tables a run writes.
 
 ``bench/layers.py`` names package functions, and the arguments its counts
 read, by string.  A rename in the package would otherwise surface only as
 a failing traced benchmark run (``bench/run_bench.py --trace 1``).
+``bench/gate.py`` counts each arm's integration steps from the rows of its
+population table, so a layout change that moved them would change what
+the budget check sees.
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ import importlib
 import json
 import os
 import sys
+from types import SimpleNamespace
 
 import pytest
 
@@ -141,3 +146,32 @@ def test_traced_sta_run_reads_every_count(installed, tmp_path):
     assert len(synth) == len(arms)
     for outer in (s for s in t.spans if s.name == "sta.synthesize_sta_control"):
         assert synth.count(outer.id) == 1
+
+
+@pytest.mark.parametrize(
+    "command, text, primary",
+    [("verify", DECEL_FAST, "itt"), ("sta", STA_FAST, "sta")],
+    ids=["verify", "sta"],
+)
+def test_gate_reads_layout_4_steps(monkeypatch, tmp_path, command, text, primary):
+    """``gate._steps`` reads each arm's step count, and the reference's,
+    from a layout-4 ``populations_<arm>.tsv``, which has no time column;
+    the gate passes the run."""
+    monkeypatch.syspath_prepend(BENCH)
+    gate = importlib.import_module("gate")
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+    assert summary["output_schema"] == 4
+    steps = dict.fromkeys(summary["fidelities"], 4000)
+    steps["reference"] = summary["reference"]["n_steps"]
+    assert len(steps) >= 3
+    for label, n in steps.items():
+        table = out / f"populations_{label}.tsv"
+        assert table.read_text(encoding="utf-8").split("\n", 1)[0] == "p1\tp2"
+        assert gate._steps(str(table)) == n, label
+    floors = {summary["t_final"]: None}
+    runs = gate.read_runs(str(out))
+    assert gate.check_runs(SimpleNamespace(primary=primary), floors, runs) == []

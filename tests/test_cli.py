@@ -30,6 +30,7 @@ from ffsynth.cli import (
 from ffsynth.dynamics import ReferenceTrajectory, TimeGrid
 from ffsynth.ffst import FfstPhaseModel
 from ffsynth.itt import VirtualTrajectory
+from ffsynth.zerocurves import SCAN_POINTS
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -202,28 +203,38 @@ class TestTableWriter:
 
 
     def test_branch_table_matches_row_writer(self, tmp_path, decel_a, accel):
-        """``branches.tsv`` keeps the bytes of the per-row writer it replaced."""
-        for scts in (decel_a.scts, accel.scts, []):
+        """``branches.tsv`` keeps the bytes of the per-row writer it replaced,
+        with each sample's time given as its index into the scan."""
+        for bundle in (decel_a, accel, None):
+            scts = bundle.scts if bundle else []
+            t_scan = np.linspace(0.0, bundle.t_final if bundle else 1.0, SCAN_POINTS + 1)
             ours = tmp_path / "ours.tsv"
-            _write_branches(str(ours), scts)
+            _write_branches(str(ours), scts, t_scan)
             ref = tmp_path / "ref.tsv"
+            index = {t: k for k, t in enumerate(t_scan.tolist())}
             with open(ref, "w", encoding="utf-8") as fh:
-                fh.write("branch\tt\tf2\n")
+                fh.write("branch\tk\tf2\n")
                 for b in scts:
-                    for t, f in zip(b.times, ffsynth.wrap_phase(b.f2)):
-                        fh.write("%s\t%.17g\t%.17g\n" % (b.branch_id, t, f))
+                    for t, f in zip(b.times.tolist(), ffsynth.wrap_phase(b.f2)):
+                        fh.write("%s\t%d\t%.17g\n" % (b.branch_id, index[t], f))
             assert ours.read_bytes() == ref.read_bytes()
 
     @pytest.mark.parametrize(
         "name", ["decel_a", "decel_b", "accel", "sta10", "sta20", "sta30"]
     )
     def test_branch_table_has_a_row_per_branch_sample(self, tmp_path, request, name):
+        """A row per branch sample, whose scan index gives back the
+        sample's time bit for bit."""
         bundle = request.getfixturevalue(name)
         scts = bundle.scts if hasattr(bundle, "scts") else bundle.branches
+        t_scan = np.linspace(0.0, scts[0].model.t_final, SCAN_POINTS + 1)
         path = tmp_path / "branches.tsv"
-        _write_branches(str(path), scts)
-        rows = path.read_text(encoding="utf-8").splitlines()[1:]
+        _write_branches(str(path), scts, t_scan)
+        rows = [r.split("\t") for r in path.read_text(encoding="utf-8").splitlines()[1:]]
         assert len(rows) == sum(len(b.times) for b in scts)
+        for b in scts:
+            k = np.array([int(r[1]) for r in rows if r[0] == b.branch_id])
+            assert np.array_equal(t_scan[k], b.times), b.branch_id
 
     def test_shift_table_matches_row_writer(self, tmp_path, decel_b):
         """``shifts.tsv`` keeps the bytes of the per-row writer it replaced,
@@ -256,7 +267,7 @@ STAGE_WRITES = {
         {"schema_version", "output_schema", "stage", "scenario", "t_ref", "t_final",
          "delta_omega0", "reference"},
     ),
-    "map": ({"residual.tsv", "branches.tsv"}, {"branches", "gaps"}),
+    "map": ({"residual.tsv", "branches.tsv"}, {"scan_points", "branches", "gaps"}),
     "synthesize": ({"control.tsv"}, {"plan", "bridges", "cost", "bridge_mode"}),
     "verify": (
         set(),
@@ -359,12 +370,12 @@ class TestReferenceStage:
         path = os.path.join(out, "populations_reference.tsv")
         with open(path, "r", encoding="utf-8") as fh:
             header = fh.readline().strip()
-        assert header == "t\tp1\tp2"
+        assert header == "p1\tp2"
         data = np.loadtxt(path, skiprows=1)
-        assert data.shape == (4001, 3)
+        assert data.shape == (4001, 2)
         summary = _read_summary(out)
-        assert data[-1, 1] == summary["reference"]["final_populations"][0]
-        assert data[-1, 2] == summary["reference"]["final_populations"][1]
+        assert data[-1, 0] == summary["reference"]["final_populations"][0]
+        assert data[-1, 1] == summary["reference"]["final_populations"][1]
 
     def test_seed_free(self, tmp_path):
         cfg = _config(tmp_path, REFERENCE_SWEEP)
@@ -473,7 +484,7 @@ class TestVerifyStage:
         assert set(_read_summary(out_a)["h_max_delta_omega"]) == set(drift)
         for label, value in drift.items():
             data = np.loadtxt(os.path.join(out_a, f"populations_{label}.tsv"), skiprows=1)
-            want = np.max(np.abs(np.sqrt(data[:, 1] + data[:, 2]) - 1.0))
+            want = np.max(np.abs(np.sqrt(data[:, 0] + data[:, 1]) - 1.0))
             assert abs(value - want) <= 1e-12, label
 
     def test_step_error_per_arm(self, decel_runs):
@@ -490,8 +501,8 @@ class TestVerifyStage:
         _, out_a, _, _ = decel_runs
         summary = _read_summary(out_a)
         data = np.loadtxt(os.path.join(out_a, "populations_reference.tsv"), skiprows=1)
-        assert summary["target_populations"] == data[-1, 1:].tolist()
-        assert summary["reference"]["final_populations"] == data[-1, 1:].tolist()
+        assert summary["target_populations"] == data[-1].tolist()
+        assert summary["reference"]["final_populations"] == data[-1].tolist()
 
     @pytest.mark.parametrize(
         "command, name", [("sta", "sta-sweep"), ("verify", "decelerate-single-shift")]
@@ -564,14 +575,15 @@ class TestVerifyStage:
         the reference cosine sweep peaks at 30 and slews at about 30 pi."""
         _, out_a, _, _ = decel_runs
         summary = _read_summary(out_a)
-        assert summary["output_schema"] == 3
+        assert summary["output_schema"] == 4
         peak, slew = summary["max_abs_delta_omega"], summary["max_abs_slew"]
         assert set(peak) == set(slew) == set(summary["fidelities"])
         data = np.loadtxt(os.path.join(out_a, "control.tsv"), skiprows=1)
         h = summary["t_final"] / (len(data) - 1)
-        assert slew["itt"] == np.max(np.abs(np.gradient(data[:, 1], h, edge_order=2)))
-        assert peak["itt"] >= np.max(np.abs(data[:, 1]))
-        h = data[1, 0] - data[0, 0]
+        assert slew["itt"] == np.max(np.abs(np.gradient(data[:, 0], h, edge_order=2)))
+        assert peak["itt"] >= np.max(np.abs(data[:, 0]))
+        t = np.linspace(0.0, summary["t_final"], len(data))
+        h = t[1] - t[0]
         for label, value in summary["h_max_delta_omega"].items():
             assert value == pytest.approx(h * peak[label], rel=1e-12), label
         ref = summary["reference"]
@@ -583,26 +595,26 @@ class TestVerifyStage:
         path = os.path.join(out_a, "control.tsv")
         with open(path, "r", encoding="utf-8") as fh:
             header = fh.readline().strip().split("\t")
-        assert header == ["t", "delta_omega", "coupling", "f2"]
+        assert header == ["delta_omega", "coupling", "f2"]
         data = np.loadtxt(path, skiprows=1)
-        assert data.shape == (4001, 4)
-        assert data[0, 3] == 0.0 and data[-1, 3] == 0.0
+        assert data.shape == (4001, 3)
+        assert data[0, 2] == 0.0 and data[-1, 2] == 0.0
 
 
-def test_sta_control_table_has_four_columns(tmp_path):
-    """An sta run writes the same four control columns as every scenario."""
+def test_sta_control_table_has_three_columns(tmp_path):
+    """An sta run writes the same three control columns as every scenario."""
     cfg = _config(tmp_path, STA_FAST)
     out = str(tmp_path / "out")
     assert main(["sta", "--config", cfg, "--out", out]) == 0
     path = os.path.join(out, "control.tsv")
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split("\t")
-    assert header == ["t", "delta_omega", "coupling", "f2"]
+    assert header == ["delta_omega", "coupling", "f2"]
     data = np.loadtxt(path, skiprows=1)
-    assert data.shape == (4001, 4)
+    assert data.shape == (4001, 3)
     summary = _read_summary(out)
-    assert summary["output_schema"] == 3
-    slope = np.gradient(data[:, 1], 10.0 / 4000, edge_order=2)
+    assert summary["output_schema"] == 4
+    slope = np.gradient(data[:, 0], 10.0 / 4000, edge_order=2)
     assert summary["max_abs_slew"]["sta"] == np.max(np.abs(slope))
 
 
@@ -629,16 +641,18 @@ def test_sta_reruns_are_byte_identical(tmp_path, capsys):
 
 @pytest.mark.parametrize("bundle", ["decel_a", "accel", "sta20"])
 def test_control_table_gives_back_dropped_columns(tmp_path, request, bundle):
-    """The ``derivative``, ``alpha`` and ``lambda`` columns that layout 3
-    drops come back from ``control.tsv`` bit for bit: the slope by
+    """The ``t``, ``derivative``, ``alpha`` and ``lambda`` columns that
+    layout 4 drops come back from ``control.tsv`` bit for bit: the times
+    as the table's rows spread uniformly over [0, t_final], the slope by
     second-order differences of ``delta_omega`` at step t_final / n, alpha
-    and lambda by the magnification's closed forms at the table's times
-    (alpha 1 and lambda t for sta, which runs in real time)."""
+    and lambda by the magnification's closed forms at those times (alpha 1
+    and lambda t for sta, which runs in real time)."""
     run = request.getfixturevalue(bundle)
     path = tmp_path / "control.tsv"
     _write_control(str(path), run.control, run.vt.f2)
-    t, delta_omega, coupling, f2 = np.loadtxt(path, skiprows=1, unpack=True)
+    delta_omega, coupling, f2 = np.loadtxt(path, skiprows=1, unpack=True)
     grid = run.control.grid
+    t = np.linspace(0.0, grid.t_end, len(delta_omega))
     t_final, n = grid.t_end, len(t) - 1
     assert n == grid.n_steps
     assert np.array_equal(t, grid.times)
@@ -652,6 +666,72 @@ def test_control_table_gives_back_dropped_columns(tmp_path, request, bundle):
         lam = t - k * (t - t_final / (2.0 * np.pi) * np.sin(2.0 * np.pi * t / t_final))
         assert np.array_equal(alpha, run.prof.alpha_at(grid.times))
         assert np.array_equal(lam, run.prof.lambda_at(grid.times))
+
+
+@pytest.mark.parametrize("scenario", list(RUN_CONFIGS))
+def test_time_axes_rebuild_from_rows_and_summary(tmp_path, monkeypatch, scenario):
+    """Layout 4 writes no uniform time axis: each table's, rebuilt from its
+    row count and ``summary.json``, is bit for bit the grid its writer was
+    given, a trajectory's or the control's nodes, the residual's 501 times
+    or a device map's ``t_ns``; each branch sample's scan index gives back
+    its time."""
+    given, scts = {}, []
+    write_populations, write_control = cli._write_populations, cli._write_control
+    sample_params, flux_schedule_for = cli.sample_params, cli.flux_schedule_for
+    link_branches = cli.link_branches
+
+    def populations(path, traj):
+        given[os.path.basename(path)] = traj.grid.times
+        return write_populations(path, traj)
+
+    def control(path, ctl, f2):
+        given["control.tsv"] = ctl.grid.times
+        write_control(path, ctl, f2)
+
+    def params(model, t):
+        given["residual.tsv"] = t
+        return sample_params(model, t)
+
+    def flux(ctl, spec, g_phys):
+        t_ns, phi = flux_schedule_for(ctl, spec, g_phys=g_phys)
+        # the reference sweep is mapped first
+        name = "device_control" if "device_reference.tsv" in given else "device_reference"
+        given[name + ".tsv"] = t_ns
+        return t_ns, phi
+
+    def branches(*args, **kwargs):
+        scts.extend(link_branches(*args, **kwargs))
+        return scts
+
+    for name, spy in [("_write_populations", populations), ("_write_control", control),
+                      ("sample_params", params), ("flux_schedule_for", flux),
+                      ("link_branches", branches)]:
+        monkeypatch.setattr(cli, name, spy)
+    out = tmp_path / "out"
+    text = RUN_CONFIGS[scenario][0]
+    assert main(["full", "--config", _config(tmp_path, text), "--out", str(out)]) == 0
+
+    summary = _read_summary(str(out))
+    assert summary["output_schema"] == 4
+    device = summary["device"]
+    t_end = {
+        "populations_reference.tsv": summary["reference"]["t_end"],
+        "device_reference.tsv": device["duration_ns"],
+        "device_control.tsv": device["control_map"].get("duration_ns"),
+    }
+    tables = {p.name for p in out.glob("*.tsv")} - {"branches.tsv", "shifts.tsv"}
+    assert tables == set(given)
+    for name in tables:
+        rows = (out / name).read_bytes().count(b"\n") - 1
+        t = np.linspace(0.0, t_end.get(name, summary["t_final"]), rows)
+        assert np.array_equal(t, given[name]), name
+
+    t_scan = np.linspace(0.0, summary["t_final"], summary["scan_points"] + 1)
+    rows = [r.split("\t") for r in (out / "branches.tsv").read_text().splitlines()[1:]]
+    assert [b.branch_id for b in scts] == [b["id"] for b in summary["branches"]]
+    for b in scts:
+        k = np.array([int(r[1]) for r in rows if r[0] == b.branch_id])
+        assert np.array_equal(t_scan[k], b.times), b.branch_id
 
 
 @pytest.mark.xfail(
@@ -1083,9 +1163,9 @@ class TestDeviceStage:
         assert control_map["feasible"] is True
         lo, hi = control_map["flux_range"]
         assert 0.0 <= lo <= hi <= 0.5
-        data = np.loadtxt(os.path.join(out, "device_control.tsv"), skiprows=1)
-        assert data.shape == (4001, 2)
-        assert (data[:, 1].min(), data[:, 1].max()) == (lo, hi)
+        flux = np.loadtxt(os.path.join(out, "device_control.tsv"), skiprows=1)
+        assert flux.shape == (4001,)
+        assert (flux.min(), flux.max()) == (lo, hi)
 
     def test_infeasible_control_map(self, tmp_path):
         """The decelerated itt control overshoots the band: the run still
@@ -1218,6 +1298,44 @@ def test_readme_command_runs(tmp_path, monkeypatch, line):
     monkeypatch.chdir(ROOT)
     argv = shlex.split(line)[1:]
     assert main([*argv, "--out", str(tmp_path / "out")]) == 0
+
+
+def _readme_tables() -> dict[str, list[str]]:
+    """The rows of README's "Tables": each named table and its columns,
+    the backquoted names that open the row's second cell."""
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        section = fh.read().split("\n### Tables\n", 1)[1].split("\n#", 1)[0]
+    tables = {}
+    for line in section.splitlines():
+        row = re.match(r"\| (`.+?`) \| ((?:`\w+`(?:, )?)+)", line)
+        if row:
+            for name in re.findall(r"`([^`]+)`", row.group(1)):
+                tables[name] = re.findall(r"`(\w+)`", row.group(2))
+    return tables
+
+
+def test_readme_tables_match_the_headers(tmp_path):
+    """Each table a fast ``full`` run of the decelerate and the sta config
+    writes has the header README's "Tables" gives it, and every table
+    there is written by one of the runs."""
+    documented = _readme_tables()
+    patterns = {
+        name: re.escape(name).replace(re.escape("<arm>"), r"[\w-]+") for name in documented
+    }
+    seen = set()
+    for scenario in ("decelerate", "sta"):
+        out = tmp_path / scenario
+        cfg = _config(tmp_path, RUN_CONFIGS[scenario][0])
+        assert main(["full", "--config", cfg, "--out", str(out)]) == 0
+        for path in out.glob("*.tsv"):
+            rows = [n for n, p in patterns.items() if re.fullmatch(p, path.name)]
+            assert rows, f"{path.name} is not in README's Tables"
+            with open(path, encoding="utf-8") as fh:
+                header = fh.readline().rstrip("\n").split("\t")
+            for name in rows:
+                assert header == documented[name], (path.name, name)
+            seen.update(rows)
+    assert seen == set(documented)
 
 
 def _readme_quick_start() -> str:

@@ -100,7 +100,7 @@ def _rebuilt_map(model, tmp_path):
     """The ln|beta| map rebuilt from the ``residual.tsv`` a run writes."""
     path = tmp_path / "residual.tsv"
     _write_residual(str(path), model)
-    return beta_map_from_residual(str(path))
+    return beta_map_from_residual(str(path), model.t_final)
 
 
 class TestResidualMap:
