@@ -254,45 +254,98 @@ def _flatten_params(params) -> np.ndarray:
     return arr
 
 
-def _bridges(plan: TravelPlan, params, settings: BridgeSettings) -> list[tuple]:
-    """Clamped ``(center, width, amplitude, lo, hi)`` of each bridge, where
-    ``[lo, hi]`` is its window (the whole run for a detached bump).  Total
-    in its inputs: widths and centers outside bounds are clamped, never
-    rejected, so the simplex search sees a flat (not discontinuous)
-    landscape there.
+def _bridge(plan: TravelPlan, settings: BridgeSettings, i: int, triple) -> tuple:
+    """Clamped ``(center, width, amplitude, lo, hi)`` of bridge ``i`` from
+    its (center, width, amplitude) ``triple``, where ``[lo, hi]`` is its
+    window (the whole run for a detached bump).  Total in its inputs:
+    widths and centers outside bounds are clamped, never rejected, so the
+    simplex search sees a flat (not discontinuous) landscape there.
     """
+    c, sig, amp = triple
     sig_lo, sig_hi = settings.width_bounds
-    detached = bridge_mode(plan, settings) == "detached"
-    out = []
-    for i, (glo, ghi) in enumerate(plan.crossings):
-        c, sig, amp = params[3 * i : 3 * i + 3]
-        sig = min(max(abs(sig), sig_lo), sig_hi)
-        gc = 0.5 * (glo + ghi)
-        c = min(max(c, gc - settings.center_slack), gc + settings.center_slack)
-        if detached:
-            lo, hi = 0.0, plan.t_final
-        else:
-            lo = max(0.0, min(c - 3.0 * sig, glo))
-            hi = min(plan.t_final, max(c + 3.0 * sig, ghi))
-        out.append((c, sig, amp, lo, hi))
-    return out
+    sig = min(max(abs(sig), sig_lo), sig_hi)
+    glo, ghi = plan.crossings[i]
+    gc = 0.5 * (glo + ghi)
+    c = min(max(c, gc - settings.center_slack), gc + settings.center_slack)
+    if bridge_mode(plan, settings) == "detached":
+        lo, hi = 0.0, plan.t_final
+    else:
+        lo = max(0.0, min(c - 3.0 * sig, glo))
+        hi = min(plan.t_final, max(c + 3.0 * sig, ghi))
+    return c, sig, amp, lo, hi
+
+
+def _bridges(plan: TravelPlan, params, settings: BridgeSettings) -> list[tuple]:
+    """``_bridge`` of every bridge, from the flat parameters."""
+    return [
+        _bridge(plan, settings, i, params[3 * i : 3 * i + 3])
+        for i in range(plan.n_bridges)
+    ]
+
+
+def _window(t: np.ndarray, bridge: tuple) -> tuple[int, int]:
+    """``[start, stop)``, the indices of ascending ``t`` strictly inside the
+    window of the clamped ``bridge``.  On a grid from 0 to T_F, ``t[0]``
+    <= lo and hi <= ``t[-1]``, so 1 <= start and stop < len(t): no window
+    reaches either end."""
+    *_, lo, hi = bridge
+    return (
+        int(np.searchsorted(t, lo, side="right")),
+        int(np.searchsorted(t, hi, side="left")),
+    )
+
+
+def _aligned_lifts(t: np.ndarray, plan: TravelPlan) -> list[np.ndarray]:
+    """Each plan branch's lift on ``t``, shifted by the whole turns that
+    realign it with the branch before it at the crossing center, so the
+    connector never sweeps a spurious 2 pi."""
+    lifts = branch_lifts(plan.branches, t)
+    at_centers = branch_lifts(plan.branches, [0.5 * (lo + hi) for lo, hi in plan.crossings])
+    shift = 0.0
+    for i, (fin, fout) in enumerate(zip(at_centers, at_centers[1:])):
+        shift = -TWO_PI * np.round((fout[i] - (fin[i] + shift)) / TWO_PI)
+        lifts[i + 1] += shift
+    return lifts
+
+
+def _blend(t, lifts, i: int, bridge: tuple, start: int, stop: int) -> np.ndarray:
+    """The raw lift of bridge ``i`` on ``t[start:stop]``, inside its window:
+    with u = (t - lo) / (hi - lo) the branches are blended by the quintic
+    smoothstep u^3 (10 - 15 u + 6 u^2) and the Gaussian bump is tapered
+    by 16 u^2 (1 - u)^2; both meet the branches with matching value and
+    slope at ``lo`` and ``hi``."""
+    c, sig, amp, lo, hi = bridge
+    s = t[start:stop]
+    u = (s - lo) / (hi - lo)
+    w = u * u * u * (10.0 - 15.0 * u + 6.0 * u * u)
+    v = u * (1.0 - u)
+    bump = np.exp(-((s - c) ** 2) / (2.0 * sig**2)) * (16.0 * v * v)
+    return lifts[i][start:stop] * (1.0 - w) + lifts[i + 1][start:stop] * w + amp * bump
+
+
+def _spliced(t: np.ndarray, lifts, bridges) -> np.ndarray:
+    """The first branch with ``bridges`` applied in plan order: each one
+    blends inside its window and copies the outgoing branch after it, over
+    whatever the bridges before it wrote there."""
+    f = lifts[0].copy()
+    for i, bridge in enumerate(bridges):
+        start, stop = _window(t, bridge)
+        f[start:stop] = _blend(t, lifts, i, bridge, start, stop)
+        f[stop:] = lifts[i + 1][stop:]
+    return f
 
 
 def _splice(t: np.ndarray, plan: TravelPlan, settings: BridgeSettings):
     """The raw spliced lift on ascending ``t``, before endpoint pinning, as
     a function of the flat bridge parameters.
 
-    The branches and the whole turns that realign each one with the one
-    before it at the crossing center (so the connector never sweeps a
-    spurious 2 pi) depend on the plan alone: they are sampled and added
-    here, once.  Each bridge then changes only the samples after its
-    window opens: inside ``(lo, hi)`` the branches are blended, and from
-    ``hi`` on the path is the outgoing branch.  With u = (t - lo) /
-    (hi - lo) the blend weight is the quintic smoothstep
-    u^3 (10 - 15 u + 6 u^2), and the Gaussian bump is tapered by
-    16 u^2 (1 - u)^2; both meet the branches with matching value and
-    slope at ``lo`` and ``hi``.  The detached family ignores the
-    branches: each bump minus its chord from t = 0 to T_F.
+    The realigned branch lifts depend on the plan alone: they are sampled
+    here, once, and each call applies the clamped bridges to them
+    (``_spliced``).  The search on the local family does not call this on
+    every evaluation: it assembles the same path from pieces fixed per
+    search and the searched bridge's window (``optimize_virtual_trajectory``),
+    with the same ``_blend``.  The detached family ignores the branches:
+    each bump minus its chord from t = 0 to T_F.
     """
     if bridge_mode(plan, settings) == "detached":
         t_f = plan.t_final
@@ -308,36 +361,15 @@ def _splice(t: np.ndarray, plan: TravelPlan, settings: BridgeSettings):
 
         return detached
 
-    lifts = branch_lifts(plan.branches, t)
-    at_centers = branch_lifts(plan.branches, [0.5 * (lo + hi) for lo, hi in plan.crossings])
-    shift = 0.0
-    for i, (fin, fout) in enumerate(zip(at_centers, at_centers[1:])):
-        shift = -TWO_PI * np.round((fout[i] - (fin[i] + shift)) / TWO_PI)
-        lifts[i + 1] += shift
-
-    def local(params) -> np.ndarray:
-        f = lifts[0].copy()
-        for i, (c, sig, amp, lo, hi) in enumerate(_bridges(plan, params, settings)):
-            start = int(np.searchsorted(t, lo, side="right"))
-            stop = int(np.searchsorted(t, hi, side="left"))
-            s = t[start:stop]
-            u = (s - lo) / (hi - lo)
-            w = u * u * u * (10.0 - 15.0 * u + 6.0 * u * u)
-            v = u * (1.0 - u)
-            bump = np.exp(-((s - c) ** 2) / (2.0 * sig**2)) * (16.0 * v * v)
-            fi, fo = lifts[i][start:stop], lifts[i + 1][start:stop]
-            f[start:stop] = fi * (1.0 - w) + fo * w + amp * bump
-            f[stop:] = lifts[i + 1][stop:]
-        return f
-
-    return local
+    lifts = _aligned_lifts(t, plan)
+    return lambda params: _spliced(t, lifts, _bridges(plan, params, settings))
 
 
-def _pin(t: np.ndarray, raw: np.ndarray, t_f: float):
-    """``raw`` minus the linear ramp that pins both ends to zero, and the
-    ramp's ends: the wrapped raw lift at ``t[0]`` = 0 and ``t[-1]`` = T_F."""
+def _ramp(t: np.ndarray, raw: np.ndarray, t_f: float):
+    """The linear ramp whose removal pins both ends of ``raw`` to zero, and
+    its ends: the wrapped raw lift at ``t[0]`` = 0 and ``t[-1]`` = T_F."""
     e0, e1 = float(wrap_phase(raw[0])), float(wrap_phase(raw[-1]))
-    return raw - (e0 + (e1 - e0) * t / t_f), (e0, e1)
+    return e0 + (e1 - e0) * t / t_f, (e0, e1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -393,7 +425,9 @@ def build_virtual_trajectory(
             )
 
     th = grid.half_times
-    lift, ends = _pin(th, _splice(th, plan, settings)(p), plan.t_final)
+    raw = _splice(th, plan, settings)(p)
+    ramp, ends = _ramp(th, raw, plan.t_final)
+    lift = raw - ramp
     for end, e in zip(("t = 0", "t = T_F"), ends):
         if abs(e) > LINKING_THRESHOLD:
             raise ConstructionError(
@@ -416,6 +450,14 @@ def build_virtual_trajectory(
         ),
         bridge_mode=bridge_mode(plan, settings),
     )
+
+
+def _check_finite(i: int, q: np.ndarray) -> None:
+    """Raise ``OptimizerError`` unless bridge ``i``'s triple ``q`` is finite."""
+    if not np.all(np.isfinite(q)):
+        raise OptimizerError(
+            f"non-finite bridge parameters {np.array2string(q)} for bridge {i}"
+        )
 
 
 @dataclass(frozen=True)
@@ -472,8 +514,12 @@ def optimize_virtual_trajectory(
     an explicit initial simplex over the bridge's own triple; each stops
     by its tolerance rule or when the searches together have made
     ``maxfev`` cost evaluations.  The default start follows
-    ``default_bridge_params``.  A plan with no bridges returns the
-    (pinned) branch path unchanged.  The report integrates the same
+    ``default_bridge_params``.  A local search evaluates only its own
+    bridge's window on the fixed rest of the path, bit for bit the cost
+    of the whole path; a detached one costs the whole path.  A plan with
+    no bridges returns the (pinned) branch path unchanged.  Raises
+    ``OptimizerError`` naming the bridge when a seed triple is not finite,
+    before any sampling.  The report integrates the same
     |beta| samples at the chosen parameters, whole and restricted to
     each bridge window.  Raises ``ScanError`` when C, D or phi0 is not
     finite on the cost grid.
@@ -485,34 +531,90 @@ def optimize_virtual_trajectory(
         raise ConstructionError(
             f"expected {3 * plan.n_bridges} initial parameters, got {len(p0)}"
         )
+    for i in range(plan.n_bridges):
+        _check_finite(i, p0[3 * i : 3 * i + 3])
 
     tt = np.linspace(0.0, plan.t_final, n_cost + 1)
+    dt = np.diff(tt)
     c, d, phi0 = sample_params(model, tt)
     t_f = plan.t_final
     detached = bridge_mode(plan, settings) == "detached"
-    splice = _splice(tt, plan, settings)
+    if detached:
+        splice = _splice(tt, plan, settings)
+    else:
+        lifts = _aligned_lifts(tt, plan)
 
-    def abs_residual(p: np.ndarray) -> np.ndarray:
-        f = _pin(tt, splice(p), t_f)[0]
-        return np.abs(residual(c, d, phi0, f))
+        def splice(p: np.ndarray) -> np.ndarray:
+            return _spliced(tt, lifts, _bridges(plan, p, settings))
 
-    def cost(p: np.ndarray) -> float:
-        if not np.all(np.isfinite(p)):
-            raise OptimizerError(f"non-finite bridge parameters {np.array2string(p)}")
-        value = float(np.trapezoid(abs_residual(p), tt))
+    def beta(f: np.ndarray, k: slice = slice(None)) -> np.ndarray:
+        """|beta| of the pinned lift ``f`` on the cost samples ``k``."""
+        return np.abs(residual(c[k], d[k], phi0[k], f))
+
+    def pinned_beta(p: np.ndarray) -> np.ndarray:
+        raw = splice(p)
+        return beta(raw - _ramp(tt, raw, t_f)[0])
+
+    def integrate(samples: np.ndarray, i: int, q: np.ndarray) -> float:
+        # np.trapezoid(samples, tt), with the spacing taken once
+        value = float((dt * (samples[1:] + samples[:-1]) / 2.0).sum())
         if not np.isfinite(value):
             raise OptimizerError(
-                f"non-finite cost at bridge parameters {np.array2string(p)}"
+                f"non-finite cost at bridge {i} parameters {np.array2string(q)}"
             )
         return value
 
-    # Each search varies its own triple on the full cost, with the bridges
-    # before it at their optima and those after it at their seeds.  A
-    # bridge's triple moves only the samples inside its window, and the
-    # pinning ramp reads the raw ends, which the plan alone fixes; so with
+    def path_cost(i: int):
+        """Bridge ``i``'s cost on the whole path, the others held at ``x``."""
+
+        def cost(q: np.ndarray) -> float:
+            _check_finite(i, q)
+            p = x.copy()
+            p[3 * i : 3 * i + 3] = q
+            return integrate(pinned_beta(p), i, q)
+
+        return cost
+
+    def window_cost(i: int):
+        """Bridge ``i``'s cost assembled from three |beta| arrays fixed for
+        the search and the samples its window reaches.  Before its window
+        the path is that of the bridges before it (``before``); after its
+        window it is its outgoing branch (``after``), up to ``m``, the
+        first sample a later bridge's window reaches; from ``m`` on the
+        later bridges overwrite bridge ``i`` whatever its triple, so the
+        whole path at ``x`` holds there (``samples``).  Every sample is the
+        same elementwise expression as on the whole path, so each cost is
+        ``path_cost``'s bit for bit, overlapping windows included."""
+        bridges = _bridges(plan, x, settings)
+        m = min((_window(tt, b)[0] for b in bridges[i + 1 :]), default=len(tt))
+        raw = _spliced(tt, lifts, bridges)
+        ramp = _ramp(tt, raw, t_f)[0]  # the raw ends are the plan's alone
+        samples = beta(raw - ramp)
+        before = beta(_spliced(tt, lifts, bridges[:i]) - ramp)
+        after = beta(lifts[i + 1] - ramp)
+
+        def cost(q: np.ndarray) -> float:
+            _check_finite(i, q)
+            bridge = _bridge(plan, settings, i, q)
+            start, stop = (min(k, m) for k in _window(tt, bridge))
+            k = slice(start, stop)
+            samples[:start] = before[:start]
+            samples[k] = beta(_blend(tt, lifts, i, bridge, start, stop) - ramp[k], k)
+            samples[stop:m] = after[stop:m]
+            return integrate(samples, i, q)
+
+        return cost
+
+    # Each search varies its own triple, with the bridges before it at
+    # their optima and those after it at their seeds.  A bridge's triple
+    # moves only the samples inside its window, and the pinning ramp reads
+    # the raw ends, which the plan alone fixes: so the local family's
+    # search evaluates only its window (``window_cost``), and with
     # disjoint windows the cost is a sum of per-bridge terms and one pass
     # finds the joint optimum.  Where windows overlap, the pass is one
-    # sweep of block coordinate descent, never worse than the seed.
+    # sweep of block coordinate descent, never worse than the seed.  A
+    # detached bump spans the whole run, so its search costs the whole
+    # path.
     sig_lo, sig_hi = settings.width_bounds
     if detached:
         steps = (t_f / 8.0, t_f / 8.0, -0.9)
@@ -527,12 +629,7 @@ def optimize_virtual_trajectory(
             counts.append(0)
             flags.append(False)
             continue
-
-        def bridge_cost(q: np.ndarray) -> float:
-            p = x.copy()
-            p[block] = q
-            return cost(p)
-
+        bridge_cost = path_cost(i) if detached else window_cost(i)
         simplex = [x[block]]
         for j, step in enumerate(steps):
             q = x[block].copy()
@@ -544,7 +641,7 @@ def optimize_virtual_trajectory(
         flags.append(res.converged)
 
     vt = build_virtual_trajectory(plan, x, grid, settings)
-    absbeta = abs_residual(x)
+    absbeta = pinned_beta(x)
     per_gap = []
     for _, _, _, lo, hi in _bridges(plan, x, settings):
         mask = (tt >= lo) & (tt <= hi)

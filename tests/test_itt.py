@@ -28,8 +28,14 @@ from ffsynth import (
     wrap_phase,
 )
 from ffsynth.itt import AMP_MAX, PLAN_KINDS, _bridges
-from ffsynth.numerics import nelder_mead
-from ffsynth.zerocurves import LINKING_THRESHOLD, TWO_PI, ScanError, residual
+from ffsynth.numerics import SimplexResult, nelder_mead
+from ffsynth.zerocurves import (
+    LINKING_THRESHOLD,
+    TWO_PI,
+    ScanError,
+    residual,
+    sample_params,
+)
 
 OTHER_NON_FINITE = {
     "nan-width": (0.9, np.nan, 0.1),
@@ -68,13 +74,15 @@ def _oracle_lift(t_eval, plan, params, settings):
     return f
 
 
-def _oracle_cost(bundle, params, n_cost=4000):
-    """The optimizer's objective computed on the oracle lift."""
-    tt = np.linspace(0.0, bundle.plan.t_final, n_cost + 1)
+def _oracle_cost(bundle, params, n_cost=4000, plan=None):
+    """The optimizer's objective computed on the oracle lift of ``plan``
+    (the bundle's unless given)."""
+    plan = plan or bundle.plan
+    tt = np.linspace(0.0, plan.t_final, n_cost + 1)
     p = np.asarray(params, dtype=float).reshape(-1)
-    raw = _oracle_lift(tt, bundle.plan, p, bundle.settings)
+    raw = _oracle_lift(tt, plan, p, bundle.settings)
     e0, e1 = float(wrap_phase(raw[0])), float(wrap_phase(raw[-1]))
-    f = raw - (e0 + (e1 - e0) * tt / bundle.plan.t_final)
+    f = raw - (e0 + (e1 - e0) * tt / plan.t_final)
     c, d, phi0 = bundle.model.sine_params(tt)
     return float(np.trapezoid(np.abs(c - d * np.sin(f + phi0)), tt))
 
@@ -124,6 +132,35 @@ def _flat_branch(times, phase, branch_id):
 
 def _lift(t, plan, params, settings):
     return itt._splice(t, plan, settings)(params)
+
+
+class _Checked(Exception):
+    """Stops the optimizer once every search's cost has been checked."""
+
+
+def _assert_search_costs_match_oracle(monkeypatch, bundle, params, plan=None):
+    """Each search's cost at its own triple of ``params``, with the other
+    bridges at theirs, is the oracle cost of ``params`` bit for bit.  The
+    searches are replaced by that one evaluation, so the bridges stay at
+    ``params`` throughout."""
+    plan = plan or bundle.plan
+    p = np.asarray(params, dtype=float).reshape(-1)
+    expected = _oracle_cost(bundle, p, plan=plan)
+    checked = []
+
+    def checking(func, simplex, **options):
+        value = func(np.copy(simplex[0]))
+        assert value == expected, (len(checked), value - expected, p)
+        checked.append(value)
+        if len(checked) == plan.n_bridges:
+            raise _Checked
+        return SimplexResult(x=simplex[0], fun=value, evaluations=1, converged=True)
+
+    monkeypatch.setattr(itt, "nelder_mead", checking)
+    with pytest.raises(_Checked):
+        optimize_virtual_trajectory(
+            plan, bundle.model, bundle.grid, bundle.settings, init=p
+        )
 
 
 class TestBridgeSettings:
@@ -421,7 +458,8 @@ class TestOptimizer:
         splice = itt._splice(tt, plan, settings)
 
         def cost(p):
-            f = itt._pin(tt, splice(p), plan.t_final)[0]
+            raw = splice(p)
+            f = raw - itt._ramp(tt, raw, plan.t_final)[0]
             return float(np.trapezoid(np.abs(c - d * np.sin(f + phi0)), tt))
 
         sig_lo, sig_hi = settings.width_bounds
@@ -486,25 +524,44 @@ class TestOptimizer:
     def test_cost_samples_the_one_residual(self, request, monkeypatch, name):
         """Every |beta| sample the search integrates is |zerocurves.residual|
         at the model's own (C, D, phi0) on the cost grid, bit for bit, and
-        the report integrates the samples at the chosen parameters."""
+        the report integrates the samples at the chosen parameters.  A
+        local search calls the residual on its three fixed arrays and then
+        on its window alone, so each call's (C, D, phi0) is checked to be
+        the cost grid's samples at the call's own offset."""
         bundle = request.getfixturevalue(name)
         tt = np.linspace(0.0, bundle.plan.t_final, 4001)
-        params = bundle.model.sine_params(tt)
-        calls = []
+        params = np.asarray(bundle.model.sine_params(tt))
+        sampled, calls = [], []
+
+        def sampling(model, t):
+            out = sample_params(model, t)
+            sampled.append(out)
+            return out
 
         def recording(c, d, phi0, f):
             out = residual(c, d, phi0, f)
-            calls.append((f, out))
+            calls.append((c, d, phi0, f, out))
             return out
 
+        monkeypatch.setattr(itt, "sample_params", sampling)
         monkeypatch.setattr(itt, "residual", recording)
         _, cost = optimize_virtual_trajectory(
             bundle.plan, bundle.model, bundle.grid, bundle.settings, maxfev=30
         )
-        assert len(calls) == cost.evaluations + 1
-        for f, out in calls:
-            assert np.array_equal(out, residual(*params, f))
-        assert cost.integrated_residual == float(np.trapezoid(np.abs(calls[-1][1]), tt))
+        searches = sum(n > 0 for n in cost.bridge_evaluations)
+        fixed = 3 * searches if bundle.vt.bridge_mode == "local" else 0
+        assert len(calls) == cost.evaluations + fixed + 1
+        (grid_params,) = sampled
+        for c, d, phi0, f, out in calls:
+            n = len(f)
+            for j, view in enumerate((c, d, phi0)):
+                whole = grid_params[j]
+                assert np.shares_memory(view, whole)
+                at = (view.ctypes.data - whole.ctypes.data) // whole.itemsize
+                assert np.array_equal(view, params[j][at : at + n])
+            assert np.array_equal(out, residual(c, d, phi0, f))
+        assert len(calls[-1][-1]) == len(tt)
+        assert cost.integrated_residual == float(np.trapezoid(np.abs(calls[-1][-1]), tt))
 
     def test_non_finite_cost_grid_sample_raises(self, decel_a):
         """A residual parameter that is not finite on the cost grid used to
@@ -589,7 +646,7 @@ class TestLiftOracle:
             )
 
     @pytest.mark.parametrize("name", BUNDLES)
-    def test_random_triples(self, request, name):
+    def test_random_triples(self, request, monkeypatch, name):
         bundle = request.getfixturevalue(name)
         rng = np.random.default_rng(20)
         sig_hi = bundle.settings.width_bounds[1]
@@ -605,9 +662,10 @@ class TestLiftOracle:
                 ]
             )
             self._assert_equal(bundle.plan, bundle.settings, params)
+            _assert_search_costs_match_oracle(monkeypatch, bundle, params)
 
     @pytest.mark.parametrize("name", BUNDLES)
-    def test_clamp_cases(self, request, name):
+    def test_clamp_cases(self, request, monkeypatch, name):
         bundle = request.getfixturevalue(name)
         plan, settings = bundle.plan, bundle.settings
         sig_lo, sig_hi = settings.width_bounds
@@ -623,7 +681,9 @@ class TestLiftOracle:
             (centers - 3.0 * slack, np.full(n, sig_lo)),
             (centers + 3.0 * slack, np.full(n, sig_hi)),
         ]:
-            self._assert_equal(plan, settings, np.column_stack([c, sig, amp]))
+            params = np.column_stack([c, sig, amp])
+            self._assert_equal(plan, settings, params)
+            _assert_search_costs_match_oracle(monkeypatch, bundle, params)
 
         # windows clipped at 0 and at T_F, on plans bridging near the edges
         t_f = plan.t_final
@@ -634,6 +694,7 @@ class TestLiftOracle:
                 (_, _, _, lo, hi), = _bridges(edge, params, settings)
                 assert lo == 0.0 or hi == t_f
                 self._assert_equal(edge, settings, params)
+                _assert_search_costs_match_oracle(monkeypatch, bundle, params, edge)
 
         # the widest windows of neighbouring bridges overlap
         if n > 1:
@@ -641,28 +702,76 @@ class TestLiftOracle:
             windows = [(lo, hi) for *_, lo, hi in _bridges(plan, wide.ravel(), settings)]
             assert any(hi > lo2 for (_, hi), (lo2, _) in zip(windows, windows[1:]))
             self._assert_equal(plan, settings, wide)
+            _assert_search_costs_match_oracle(monkeypatch, bundle, wide)
 
     @pytest.mark.parametrize("name", ["decel_a", "decel_b"])
     def test_search_matches_oracle(self, request, monkeypatch, name):
         """Nelder-Mead on the oracle cost takes the same steps to the same
-        bits, and the reported residual is the oracle cost at the optimum."""
+        bits, and the reported residual is the oracle cost at the optimum.
+        Each search runs on the oracle cost of its own triple, with the
+        bridges before it at the optima the oracle searches found and
+        those after it at their seeds."""
         bundle = request.getfixturevalue(name)
         assert bundle.cost.integrated_residual == _oracle_cost(
             bundle, bundle.vt.bridge_params
         )
-        monkeypatch.setattr(
-            itt,
-            "_splice",
-            lambda t, plan, settings: lambda params: _oracle_lift(
-                t, plan, params, settings
-            ),
-        )
+        seed = np.ravel(default_bridge_params(bundle.plan, bundle.settings)).astype(float)
+        found = []
+
+        def on_oracle(func, simplex, **options):
+            i = len(found)
+            x = np.concatenate([*(r.x for r in found), seed[3 * i :]])
+
+            def oracle(q):
+                p = x.copy()
+                p[3 * i : 3 * i + 3] = q
+                return _oracle_cost(bundle, p)
+
+            found.append(nelder_mead(oracle, simplex, **options))
+            return found[-1]
+
+        monkeypatch.setattr(itt, "nelder_mead", on_oracle)
         vt, cost = optimize_virtual_trajectory(
             bundle.plan, bundle.model, bundle.grid, bundle.settings
         )
-        assert cost.evaluations == bundle.cost.evaluations
+        assert len(found) == bundle.plan.n_bridges
+        assert cost.bridge_evaluations == bundle.cost.bridge_evaluations
         assert vt.bridge_params == bundle.vt.bridge_params
         assert cost.integrated_residual == bundle.cost.integrated_residual
+
+    @pytest.mark.parametrize("name", BUNDLES)
+    def test_every_search_cost_is_the_oracle_cost(self, request, monkeypatch, name):
+        """Every cost a search evaluates on its window is the oracle cost on
+        the whole path bit for bit, with the bridges before it at their
+        optima and those after it at their seeds; the report's residual is
+        the last search's best cost."""
+        bundle = request.getfixturevalue(name)
+        seed = np.ravel(default_bridge_params(bundle.plan, bundle.settings)).astype(float)
+        found, evaluated = [], []
+
+        def recording(func, simplex, **options):
+            i = len(found)
+            x = np.concatenate([*(r.x for r in found), seed[3 * i :]])
+
+            def cost(q):
+                value = func(q)
+                p = x.copy()
+                p[3 * i : 3 * i + 3] = q
+                evaluated.append((p, value))
+                return value
+
+            found.append(nelder_mead(cost, simplex, **options))
+            return found[-1]
+
+        monkeypatch.setattr(itt, "nelder_mead", recording)
+        vt, cost = optimize_virtual_trajectory(
+            bundle.plan, bundle.model, bundle.grid, bundle.settings
+        )
+        assert vt.bridge_params == bundle.vt.bridge_params
+        assert len(evaluated) == cost.evaluations == bundle.cost.evaluations
+        for p, value in evaluated:
+            assert value == _oracle_cost(bundle, p), p
+        assert cost.integrated_residual == found[-1].fun
 
 
 class TestDetachedLift:
