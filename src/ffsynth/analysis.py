@@ -20,7 +20,6 @@ from .dynamics import (
     fidelity,
     integrate_schrodinger,
 )
-from .ffst import FfstPhaseModel
 from .zerocurves import SpeedControlledTrajectory, branch_lifts, x_and_y
 
 #: Dominance hysteresis for shift counting, suppressing chatter where
@@ -118,16 +117,16 @@ def _branch_overlaps(
 def trajectory_shift_analysis(
     trajectory: ReferenceTrajectory,
     scts: list[SpeedControlledTrajectory],
-    model: FfstPhaseModel,
     stride: int = 10,
 ) -> TrajectoryShiftSeries:
     """Which scaled branch the integrated state is riding, over time.
 
-    Builds the scaled ansatz for each of the two full-span branches and
-    tracks which has the larger overlap with the integrated state.  A
-    shift event is a dominance change larger than the hysteresis; the
-    initial label is deferred until one branch clearly leads.  Raises
-    ``ScanError`` when C, D or phi0 is not finite at an analysis time.
+    Builds the scaled ansatz for each of the two full-span branches, from
+    the FFST model that branch X follows, and tracks which has the larger
+    overlap with the integrated state.  A shift event is a dominance
+    change larger than the hysteresis; the initial label is deferred
+    until one branch clearly leads.  Raises ``ScanError`` when C, D or
+    phi0 is not finite at an analysis time.
     """
     xy = x_and_y(scts)
     if xy is None:
@@ -142,7 +141,7 @@ def trajectory_shift_analysis(
     psi1 = trajectory.phi1[idx]
     psi2 = trajectory.phi2[idx]
 
-    p1, p2 = model.states_at(model.prof.lambda_at(times))
+    p1, p2 = x.model.states_at(x.model.prof.lambda_at(times))
 
     fx, fy = branch_lifts((x, y), times)
     ox = _branch_overlaps(x, fx, p1, p2, times, psi1, psi2)

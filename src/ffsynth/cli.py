@@ -60,6 +60,7 @@ from .device import (
     default_transmon_spec,
     flux_schedule_for,
     rwa_emulation_map,
+    to_physical_time,
 )
 from .drives import CosineSweepSpec, default_step_count, solve_reference
 from .dynamics import IntegrationError, TimeGrid, TwoLevelState
@@ -214,13 +215,13 @@ def _write_populations(path: str, traj) -> list[float]:
 
 def _device_section(cfg: RunConfig, sweep_control, primary_control, out_dir: str):
     spec = default_transmon_spec(cfg.g_ghz)
-    t_ns, flux = flux_schedule_for(sweep_control, spec, g_phys=cfg.g_ghz)
+    flux = flux_schedule_for(sweep_control, spec, g_phys=cfg.g_ghz)
     _write_table(os.path.join(out_dir, "device_reference.tsv"), ["flux"], [flux])
     section = {
         "band_ghz": list(spec.band),
         "omega2_ghz": spec.omega2,
         "coupling_ghz": float(coupling_strength(spec)),
-        "duration_ns": float(t_ns[-1]),
+        "duration_ns": float(to_physical_time(sweep_control.grid.t_end, cfg.g_ghz)),
         "flux_range": [float(np.min(flux)), float(np.max(flux))],
         "spec": {
             "ej_max": float(spec.ej_max),
@@ -235,11 +236,13 @@ def _device_section(cfg: RunConfig, sweep_control, primary_control, out_dir: str
     if primary_control is not None:
         section["control_rwa"] = rwa_emulation_map(primary_control)
         try:
-            t_ns, flux = flux_schedule_for(primary_control, spec, g_phys=cfg.g_ghz)
+            flux = flux_schedule_for(primary_control, spec, g_phys=cfg.g_ghz)
             _write_table(os.path.join(out_dir, "device_control.tsv"), ["flux"], [flux])
             section["control_map"] = {
                 "feasible": True,
-                "duration_ns": float(t_ns[-1]),
+                "duration_ns": float(
+                    to_physical_time(primary_control.grid.t_end, cfg.g_ghz)
+                ),
                 "flux_range": [float(np.min(flux)), float(np.max(flux))],
             }
         except FluxRangeError as exc:
@@ -294,11 +297,9 @@ def _synthesize(cfg: RunConfig, out_dir, model, scts, gaps):
     """The primary control along the planned travel path, on the control grid."""
     t_final = model.t_final
     grid_c = TimeGrid(t_final, cfg.control_steps or default_step_count(t_final))
-    plan = plan_travel(cfg.plan_kind, scts, gaps, t_final, n_scan=cfg.scan_points)
+    plan = plan_travel(cfg.plan_kind, scts, gaps, n_scan=cfg.scan_points)
     settings = default_bridge_settings(cfg.scenario, t_final)
-    vt, cost = optimize_virtual_trajectory(
-        plan, model, grid_c, settings, n_cost=cfg.cost_points
-    )
+    vt, cost = optimize_virtual_trajectory(plan, grid_c, settings, n_cost=cfg.cost_points)
     label = "sta" if cfg.scenario == "sta" else "itt"
     control = synthesize_control(vt.f2_lift, model, grid_c, label=label)
     _write_control(os.path.join(out_dir, "control.tsv"), control, vt.f2)
@@ -324,16 +325,16 @@ def _synthesize(cfg: RunConfig, out_dir, model, scts, gaps):
     }
 
 
-def _verify_arm(arm, initial, target, out_dir, where, analysis):
+def _verify_arm(arm, initial, target, out_dir, where, branches):
     """Re-integrate one arm, write its populations and return its scores;
-    given ``analysis``, the run's (branches, model), also its shifts."""
+    given the run's ``branches``, also its shifts along them."""
     # the drive's rates are read before its trajectory exists
     peak, slew = _rates(arm)
     # the shift analysis samples the residual to evaluate branches
     try:
         report = verify_control(arm, initial, target)
-        if analysis is not None:
-            series = trajectory_shift_analysis(report.trajectory, *analysis)
+        if branches is not None:
+            series = trajectory_shift_analysis(report.trajectory, branches)
     except (VerificationError, IntegrationError, ScanError) as exc:
         raise VerificationError(f"arm {arm.label!r} {where}: {exc}") from exc
     _write_populations(
@@ -347,7 +348,7 @@ def _verify_arm(arm, initial, target, out_dir, where, analysis):
         "max_abs_delta_omega": peak,
         "max_abs_slew": slew,
     }
-    if analysis is None:
+    if branches is None:
         return scores, None
     _write_table(
         os.path.join(out_dir, "shifts.tsv"),
@@ -380,8 +381,8 @@ def _verify(cfg: RunConfig, out_dir, where, ref, model, scts, control):
     shift_analysis = cfg.scenario != "sta" and x_and_y(scts) is not None
     sections: dict = {}
     for arm in arms:
-        analysis = (scts, model) if shift_analysis and arm is control else None
-        scores, shifts = _verify_arm(arm, initial, target, out_dir, where, analysis)
+        branches = scts if shift_analysis and arm is control else None
+        scores, shifts = _verify_arm(arm, initial, target, out_dir, where, branches)
         for key, value in scores.items():
             sections.setdefault(key, {})[arm.label] = value
         if shifts is not None:

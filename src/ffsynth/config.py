@@ -34,6 +34,10 @@ BASELINES = {
 }
 
 
+#: The Python types each kind of ``_Checker.value`` accepts.
+_TYPES = {"a number": (int, float), "an integer": int, "a string": str}
+
+
 def _finite(v: int | float) -> bool:
     """Whether a YAML number is a finite float: nan, the infinities and
     integers beyond the float range are not."""
@@ -106,64 +110,55 @@ class _Checker:
     def fail(self, path: str, message: str) -> None:
         self.errors.append(f"{path}: {message}")
 
-    def expect_mapping(self, value, path: str) -> dict:
+    def unknown(self, mapping: dict, allowed, prefix: str = "") -> None:
+        for key in mapping:
+            if key not in allowed:
+                self.fail(f"{prefix}{key}", "unknown key")
+
+    def section(self, doc: dict, name: str, allowed) -> dict:
+        """The mapping ``doc[name]`` with its unknown keys reported; an
+        absent section, or one that is not a mapping, reads as empty."""
+        value = doc.get(name)
         if value is None:
             return {}
         if not isinstance(value, dict):
-            self.fail(path, f"expected a mapping, got {type(value).__name__}")
+            self.fail(name, f"expected a mapping, got {type(value).__name__}")
             return {}
+        self.unknown(value, allowed, f"{name}.")
         return value
 
-    def reject_unknown(self, mapping: dict, allowed, path: str) -> None:
-        for key in mapping:
-            if key not in allowed:
-                self.fail(f"{path}.{key}" if path else str(key), "unknown key")
+    def value(
+        self, v, path, kind, positive=False, minimum=None, maximum=None, choices=None
+    ):
+        """``v`` as ``kind`` ("a number", "an integer" or "a string") within
+        its bounds, or None with the problem reported under ``path``."""
+        if isinstance(v, bool) or not isinstance(v, _TYPES[kind]):
+            problem = f"expected {kind}, got {type(v).__name__}"
+        elif kind == "a number" and not _finite(v):
+            problem = f"must be finite, got {v}"
+        elif positive and v <= 0:
+            problem = f"must be positive, got {v}"
+        elif minimum is not None and v < minimum:
+            problem = f"must be at least {minimum}, got {v}"
+        elif maximum is not None and v > maximum:
+            problem = f"must be at most {maximum}, got {v}"
+        elif choices is not None and v not in choices:
+            problem = f"must be one of {list(choices)}, got {v!r}"
+        else:
+            return float(v) if kind == "a number" else v
+        self.fail(path, problem)
+        return None
 
-    def number(self, mapping, key, path, default=None, required=False, positive=False):
-        if key not in mapping or mapping[key] is None:
+    def field(self, mapping, path, kind, default=None, required=False, **bounds):
+        """The ``value`` of the field at dotted ``path`` in ``mapping``, or
+        ``default`` when it is absent, null or rejected."""
+        v = mapping.get(path.rsplit(".", 1)[-1])
+        if v is None:
             if required:
-                self.fail(f"{path}{key}", "required field missing")
+                self.fail(path, "required field missing")
             return default
-        v = mapping[key]
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            self.fail(f"{path}{key}", f"expected a number, got {type(v).__name__}")
-            return default
-        if not _finite(v):
-            self.fail(f"{path}{key}", f"must be finite, got {v}")
-            return default
-        if positive and v <= 0:
-            self.fail(f"{path}{key}", f"must be positive, got {v}")
-            return default
-        return float(v)
-
-    def integer(self, mapping, key, path, default=None, minimum=None, maximum=None):
-        if key not in mapping or mapping[key] is None:
-            return default
-        v = mapping[key]
-        if isinstance(v, bool) or not isinstance(v, int):
-            self.fail(f"{path}{key}", f"expected an integer, got {type(v).__name__}")
-            return default
-        if minimum is not None and v < minimum:
-            self.fail(f"{path}{key}", f"must be at least {minimum}, got {v}")
-            return default
-        if maximum is not None and v > maximum:
-            self.fail(f"{path}{key}", f"must be at most {maximum}, got {v}")
-            return default
-        return v
-
-    def text(self, mapping, key, path, default=None, required=False, choices=None):
-        if key not in mapping or mapping[key] is None:
-            if required:
-                self.fail(f"{path}{key}", "required field missing")
-            return default
-        v = mapping[key]
-        if not isinstance(v, str):
-            self.fail(f"{path}{key}", f"expected a string, got {type(v).__name__}")
-            return default
-        if choices is not None and v not in choices:
-            self.fail(f"{path}{key}", f"must be one of {list(choices)}, got {v!r}")
-            return default
-        return v
+        v = self.value(v, path, kind, **bounds)
+        return default if v is None else v
 
 
 def parse_config(text: str) -> RunConfig:
@@ -183,7 +178,7 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(["top level must be a mapping"])
 
     chk = _Checker()
-    chk.reject_unknown(
+    chk.unknown(
         doc,
         {
             "schema_version",
@@ -198,19 +193,16 @@ def parse_config(text: str) -> RunConfig:
             "output",
             "device",
         },
-        "",
     )
 
-    version = chk.integer(doc, "schema_version", "", default=None)
-    if doc.get("schema_version") is None:
-        chk.fail("schema_version", "required field missing")
-    elif version is not None and version != SCHEMA_VERSION:
+    version = chk.field(doc, "schema_version", "an integer", required=True)
+    if version is not None and version != SCHEMA_VERSION:
         chk.fail(
             "schema_version",
             f"this build understands version {SCHEMA_VERSION}, got {version}",
         )
 
-    scenario = chk.text(doc, "scenario", "", required=True, choices=SCENARIOS)
+    scenario = chk.field(doc, "scenario", "a string", required=True, choices=SCENARIOS)
     if scenario == "sta" and doc.get("t_ref") is not None:
         # the sta reference runs over each t_final, so a t_ref would go unused
         chk.fail(
@@ -218,8 +210,8 @@ def parse_config(text: str) -> RunConfig:
         )
         t_ref = 1.0
     else:
-        t_ref = chk.number(doc, "t_ref", "", default=1.0, positive=True)
-    delta_omega0 = chk.number(doc, "delta_omega0", "", default=30.0)
+        t_ref = chk.field(doc, "t_ref", "a number", default=1.0, positive=True)
+    delta_omega0 = chk.field(doc, "delta_omega0", "a number", default=30.0)
 
     t_final_raw = doc.get("t_final")
     if isinstance(t_final_raw, (int, float)) and not isinstance(t_final_raw, bool):
@@ -234,16 +226,11 @@ def parse_config(text: str) -> RunConfig:
         named: dict[str, str] = {}  # sweep name -> the value that took it
         for i, v in enumerate(t_final_raw):
             path = f"t_final[{i}]"
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                chk.fail(path, f"expected a number, got {type(v).__name__}")
+            v = chk.value(v, path, "a number", positive=True)
+            if v is None:
                 continue
-            if not _finite(v):
-                chk.fail(path, f"must be finite, got {v}")
-                continue
-            v, name = float(v), sweep_label(v)
-            if v <= 0:
-                chk.fail(path, f"must be positive, got {v}")
-            elif name in named:
+            name = sweep_label(v)
+            if name in named:
                 chk.fail(
                     path,
                     f"{v!r} and {named[name]} share the sweep name {name!r}, "
@@ -254,22 +241,15 @@ def parse_config(text: str) -> RunConfig:
                 sweep.append((path, v))
     t_final = tuple(v for _, v in sweep)
 
-    grid = chk.expect_mapping(doc.get("grid"), "grid")
-    chk.reject_unknown(
-        grid, {"reference_steps", "control_steps", "scan_points", "cost_points"}, "grid"
+    grid = chk.section(
+        doc, "grid", {"reference_steps", "control_steps", "scan_points", "cost_points"}
     )
-    reference_steps = chk.integer(
-        grid, "reference_steps", "grid.", minimum=100, maximum=MAX_STEPS
-    )
-    control_steps = chk.integer(
-        grid, "control_steps", "grid.", minimum=100, maximum=MAX_STEPS
-    )
-    scan_points = chk.integer(
-        grid, "scan_points", "grid.", SCAN_POINTS, minimum=100, maximum=MAX_POINTS
-    )
-    cost_points = chk.integer(
-        grid, "cost_points", "grid.", COST_POINTS, minimum=100, maximum=MAX_POINTS
-    )
+    steps = {"minimum": 100, "maximum": MAX_STEPS}
+    points = {"minimum": 100, "maximum": MAX_POINTS}
+    reference_steps = chk.field(grid, "grid.reference_steps", "an integer", **steps)
+    control_steps = chk.field(grid, "grid.control_steps", "an integer", **steps)
+    scan_points = chk.field(grid, "grid.scan_points", "an integer", SCAN_POINTS, **points)
+    cost_points = chk.field(grid, "grid.cost_points", "an integer", COST_POINTS, **points)
     # durations with no step count given get the default grid: the reference
     # runs over t_ref (over t_final for sta), the control over t_final
     ref_default = grid.get("reference_steps") is None
@@ -287,17 +267,15 @@ def parse_config(text: str) -> RunConfig:
                 f"default grid, above the budget of {MAX_STEPS}",
             )
 
-    plan = chk.expect_mapping(doc.get("crossing_plan"), "crossing_plan")
-    chk.reject_unknown(plan, {"kind"}, "crossing_plan")
+    plan = chk.section(doc, "crossing_plan", {"kind"})
     default_kind = "vt-a" if scenario == "decelerate" else "auto"
-    plan_kind = chk.text(
-        plan, "kind", "crossing_plan.", default=default_kind, choices=PLAN_KINDS
+    plan_kind = chk.field(
+        plan, "crossing_plan.kind", "a string", default_kind, choices=PLAN_KINDS
     )
 
     # bridge bounds come from itt.default_bridge_settings per scenario;
     # the section accepts no key; it stays so that an old key is named
-    bridge = chk.expect_mapping(doc.get("bridge"), "bridge")
-    chk.reject_unknown(bridge, (), "bridge")
+    chk.section(doc, "bridge", ())
 
     baselines_raw = doc.get("baselines")
     allowed_baselines = BASELINES.get(scenario or "", ())
@@ -309,29 +287,28 @@ def parse_config(text: str) -> RunConfig:
     else:
         names = []
         for i, v in enumerate(baselines_raw):
-            if not isinstance(v, str):
-                chk.fail(f"baselines[{i}]", f"expected a string, got {type(v).__name__}")
-            elif v not in allowed_baselines:
+            path = f"baselines[{i}]"
+            if chk.value(v, path, "a string") is None:
+                continue
+            if v not in allowed_baselines:
                 chk.fail(
-                    f"baselines[{i}]",
+                    path,
                     f"not available for scenario {scenario!r}; "
                     f"allowed: {list(allowed_baselines)}",
                 )
             elif v in names:
-                chk.fail(f"baselines[{i}]", f"{v!r} is listed twice")
+                chk.fail(path, f"{v!r} is listed twice")
             else:
                 names.append(v)
         baselines = tuple(names)
 
-    output = chk.expect_mapping(doc.get("output"), "output")
-    chk.reject_unknown(output, {"directory"}, "output")
-    out_dir = chk.text(output, "directory", "output.", default="out")
+    output = chk.section(doc, "output", {"directory"})
+    out_dir = chk.field(output, "output.directory", "a string", "out")
     if out_dir == "":
         chk.fail("output.directory", "must not be empty")
 
-    dev = chk.expect_mapping(doc.get("device"), "device")
-    chk.reject_unknown(dev, {"g_ghz"}, "device")
-    g_ghz = chk.number(dev, "g_ghz", "device.", default=0.009, positive=True)
+    dev = chk.section(doc, "device", {"g_ghz"})
+    g_ghz = chk.field(dev, "device.g_ghz", "a number", 0.009, positive=True)
 
     if chk.errors:
         raise ConfigError(chk.errors)

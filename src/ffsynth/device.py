@@ -134,14 +134,15 @@ def flux_schedule_for(
     control: DriveSchedule,
     spec: TransmonSpec,
     g_phys: float = 0.009,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Node times in ns and the flux bias Phi/Phi_0 realizing
+) -> np.ndarray:
+    """The flux bias Phi/Phi_0 at the control's nodes realizing
     omega1(t) = omega2 + delta_omega(t) * g_phys, where omega2 is the
-    fixed partner's frequency.
+    fixed partner's frequency.  The nodes lie on the control's grid, in
+    ns ``to_physical_time(control.grid.times, g_phys)``.
 
     Every target the integrator drives, node or midpoint, must lie inside
-    the tunable band; the flux is written at the nodes, and the inversion
-    is verified by a forward round trip at each of them.
+    the tunable band; the inversion is verified by a forward round trip
+    at each node.
     """
     grid = control.grid
     targets = spec.omega2 + control.delta_omega * g_phys
@@ -165,9 +166,7 @@ def flux_schedule_for(
             f"flux inversion round-trip error {worst_rt:.3e} GHz exceeds "
             f"{FLUX_TOLERANCE:.0e} GHz"
         )
-
-    ends_ns = to_physical_time([0.0, grid.t_end], g_phys)
-    return np.linspace(*ends_ns, grid.n_steps + 1), flux
+    return flux
 
 
 def rwa_emulation_map(control: DriveSchedule) -> dict:

@@ -82,8 +82,7 @@ def build_cosine_sweep(spec: CosineSweepSpec, grid: TimeGrid) -> DriveSchedule:
     mirrored so the antisymmetry dw(T - t) = -dw(t) holds at the bit level
     on the grid, which the underlying cosine satisfies only up to rounding.
     """
-    if abs(grid.t_end - spec.duration) > 1e-12 * grid.t_end:
-        raise ValueError(f"grid [0, {grid.t_end}] must span [0, {spec.duration}]")
+    grid.check_span(spec.duration)
     t = grid.times
     dw = np.empty(2 * grid.n_steps + 1)
     dw[::2] = spec.delta_omega(t)

@@ -58,7 +58,10 @@ class TwoLevelState:
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform grid of ``n_steps`` intervals covering [0, t_end]."""
+    """Uniform grid of ``n_steps`` intervals covering [0, t_end].  It
+    holds the two checks of what is laid on it: ``check_span`` for a
+    duration and ``half_samples`` for a waveform's node and midpoint
+    samples."""
 
     t_end: float
     n_steps: int
@@ -82,6 +85,23 @@ class TimeGrid:
         """Nodes and midpoints interleaved: 2*n_steps + 1 samples."""
         return np.linspace(0.0, self.t_end, 2 * self.n_steps + 1)
 
+    def check_span(self, t_end: float) -> None:
+        """Raise ``ValueError`` unless the grid ends at ``t_end``, to a
+        relative 1e-12."""
+        if abs(self.t_end - t_end) > 1e-12 * self.t_end:
+            raise ValueError(f"grid [0, {self.t_end}] must span [0, {t_end}]")
+
+    def half_samples(self, name: str, values) -> np.ndarray:
+        """``values`` as floats, checked to hold one sample per time of
+        ``half_times``; ``name`` names them in the error."""
+        arr = np.asarray(values, dtype=float)
+        want = 2 * self.n_steps + 1
+        if arr.shape != (want,):
+            raise ValueError(
+                f"{name} must have {want} node/midpoint samples, got {arr.shape}"
+            )
+        return arr
+
 
 @dataclass
 class DriveSchedule:
@@ -99,13 +119,8 @@ class DriveSchedule:
     label: str = ""
 
     def __post_init__(self) -> None:
-        want = 2 * self.grid.n_steps + 1
         for name in ("delta_omega", "coupling"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.shape != (want,):
-                raise ValueError(
-                    f"{name} must have {want} node/midpoint samples, got {arr.shape}"
-                )
+            arr = self.grid.half_samples(name, getattr(self, name))
             if not np.all(np.isfinite(arr)):
                 k = int(np.flatnonzero(~np.isfinite(arr))[0])
                 raise ValueError(f"{name} has a non-finite sample at index {k}")
@@ -263,12 +278,7 @@ def integrate_schrodinger(
     g = drive.coupling
 
     if common_shift is not None:
-        common_shift = np.asarray(common_shift, dtype=float)
-        if common_shift.shape != (2 * n + 1,):
-            raise ValueError(
-                f"common_shift must have {2 * n + 1} samples on the "
-                f"node/midpoint grid, got {common_shift.shape}"
-            )
+        common_shift = grid.half_samples("common_shift", common_shift)
 
     phi1 = np.empty(n + 1, dtype=complex)
     phi2 = np.empty(n + 1, dtype=complex)

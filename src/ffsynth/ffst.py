@@ -150,17 +150,6 @@ def detect_phase_gaps(
     return detect_gaps(FfstPhaseModel(ref, prof), branches, n_scan=n_scan)
 
 
-def _half_grid_samples(name: str, values, th: np.ndarray) -> np.ndarray:
-    """``values`` as floats, checked to hold one sample per time of ``th``
-    (the interleaved node/midpoint grid)."""
-    arr = np.asarray(values, dtype=float)
-    if arr.shape != th.shape:
-        raise ValueError(
-            f"{name} must have {len(th)} node/midpoint samples, got {arr.shape}"
-        )
-    return arr
-
-
 def _fill_singular(
     t_half: np.ndarray, dw: np.ndarray, bad: np.ndarray, brackets: np.ndarray
 ) -> np.ndarray:
@@ -191,13 +180,6 @@ def _fill_singular(
     return out
 
 
-def _half_times(model, grid: TimeGrid) -> np.ndarray:
-    """``grid.half_times``, checked to span [0, ``model.t_final``]."""
-    if abs(grid.t_end - model.t_final) > 1e-12 * grid.t_end:
-        raise ValueError(f"grid [0, {grid.t_end}] must span [0, {model.t_final}]")
-    return grid.half_times
-
-
 def synthesize_control(
     path, model: FfstPhaseModel, grid: TimeGrid, coupling_ff=None, label: str = ""
 ) -> DriveSchedule:
@@ -206,10 +188,13 @@ def synthesize_control(
     ``grid.half_times`` (a virtual trajectory's ``f2_lift``).
 
     ``coupling_ff`` is None (keep the unit reference coupling, the
-    fixed-coupling control) or samples on the same grid.
+    fixed-coupling control) or samples on the same grid.  A grid that
+    does not span [0, ``model.t_final``], or samples of another length,
+    raise ``ValueError`` (``TimeGrid.check_span`` and ``half_samples``).
     """
     prof = model.prof
-    th = _half_times(model, grid)
+    grid.check_span(model.t_final)
+    th = grid.half_times
     h2 = th[1] - th[0]
 
     alpha = prof.alpha_at(th)
@@ -220,9 +205,9 @@ def synthesize_control(
     if coupling_ff is None:
         g_ff = np.ones_like(th)
     else:
-        g_ff = _half_grid_samples("coupling_ff", coupling_ff, th)
+        g_ff = grid.half_samples("coupling_ff", coupling_ff)
 
-    f2 = _half_grid_samples("path", path, th)
+    f2 = grid.half_samples("path", path)
     scale = 1.0 + np.abs(alpha) + np.abs(g_ff)
 
     # one bracket term after the other: each one's temporaries die first
@@ -260,7 +245,8 @@ def naive_control(model: FfstPhaseModel, grid: TimeGrid) -> DriveSchedule:
     No scaling correction at all: dw(Lambda(t)) on ``grid`` with the unit
     reference coupling.  Serves as the uncorrected baseline.
     """
-    th = _half_times(model, grid)
+    grid.check_span(model.t_final)
+    th = grid.half_times
     dw = model.delta_omega_at(model.prof.lambda_at(th))
     return DriveSchedule(grid, dw, np.ones_like(th), label="naive")
 
@@ -273,6 +259,7 @@ def alpha_scaled_control(model: FfstPhaseModel, grid: TimeGrid) -> DriveSchedule
     the detuning, which is the baseline this constructor provides.
     """
     prof = model.prof
-    th = _half_times(model, grid)
+    grid.check_span(model.t_final)
+    th = grid.half_times
     dw = prof.alpha_at(th) * model.delta_omega_at(prof.lambda_at(th))
     return DriveSchedule(grid, dw, np.ones_like(th), label="alpha-scaled")

@@ -13,7 +13,8 @@ ramp larger than the branch linker's step is rejected.
 
 Bridge parameters are chosen by minimizing the integrated residual
 |beta| along the path with a deterministic Nelder-Mead simplex, one
-search per bridge.
+search per bridge.  A travel plan holds its branches and crossings; the
+run's residual model and duration are read from the branches.
 """
 
 from __future__ import annotations
@@ -108,12 +109,12 @@ class TravelPlan:
 
     ``crossings`` holds one (lo, hi) interval per bridge; a deliberate
     crossing between coexisting branches has lo == hi.  The plan always
-    has one more branch than bridges.
+    has one more branch than bridges.  The run's residual model and
+    duration are read from the branches, which share them.
     """
 
     branches: tuple[SpeedControlledTrajectory, ...]
     crossings: tuple[tuple[float, float], ...]
-    t_final: float
 
     def __post_init__(self) -> None:
         if len(self.branches) != len(self.crossings) + 1:
@@ -127,6 +128,15 @@ class TravelPlan:
     def n_bridges(self) -> int:
         return len(self.crossings)
 
+    @property
+    def model(self):
+        """The residual model whose roots the branches follow."""
+        return self.branches[0].model
+
+    @property
+    def t_final(self) -> float:
+        return self.model.t_final
+
 
 def bridge_mode(plan: TravelPlan, settings: BridgeSettings) -> str:
     """The bridge family of ``plan``: "detached" only when the settings ask
@@ -135,9 +145,7 @@ def bridge_mode(plan: TravelPlan, settings: BridgeSettings) -> str:
 
 
 def plan_through_gaps(
-    scts: list[SpeedControlledTrajectory],
-    gaps: list[Gap],
-    t_final: float,
+    scts: list[SpeedControlledTrajectory], gaps: list[Gap]
 ) -> TravelPlan:
     """Default chain across root-free gaps.
 
@@ -146,7 +154,7 @@ def plan_through_gaps(
     endpoint is nearest zero modulo 2 pi, breaking ties by the smallest
     phase travel.
     """
-    window = CONTINUATION_WINDOW * t_final
+    window = CONTINUATION_WINDOW * scts[0].model.t_final if scts else 0.0
     starters = [b for b in scts if b.t_start < window]
     if not starters:
         raise ConstructionError("no branch starts near t = 0")
@@ -171,7 +179,7 @@ def plan_through_gaps(
             )
         )
     crossings = tuple((g.t_start, g.t_end) for g in gaps)
-    return TravelPlan(branches=tuple(chain), crossings=crossings, t_final=t_final)
+    return TravelPlan(branches=tuple(chain), crossings=crossings)
 
 
 def _x_and_y(scts, what: str):
@@ -186,37 +194,33 @@ def _x_and_y(scts, what: str):
 
 
 def plan_with_crossings(
-    scts: list[SpeedControlledTrajectory],
-    crossing_times: list[float],
-    t_final: float,
+    scts: list[SpeedControlledTrajectory], crossing_times: list[float]
 ) -> TravelPlan:
     """Alternate between the coexisting branches X and Y, starting on X
     and swapping at every crossing."""
     x, y = _x_and_y(scts, "a crossing plan")
     times = sorted(float(c) for c in crossing_times)
-    if any(not (0.0 < c < t_final) for c in times):
+    if any(not (0.0 < c < x.model.t_final) for c in times):
         raise ConstructionError("crossing times must lie strictly inside the run")
     branches = tuple(x if i % 2 == 0 else y for i in range(len(times) + 1))
     crossings = tuple((c, c) for c in times)
-    return TravelPlan(branches=branches, crossings=crossings, t_final=t_final)
+    return TravelPlan(branches=branches, crossings=crossings)
 
 
-def plan_travel(
-    kind: str, branches, gaps, t_final: float, n_scan: int = SCAN_POINTS
-) -> TravelPlan:
+def plan_travel(kind: str, branches, gaps, n_scan: int = SCAN_POINTS) -> TravelPlan:
     """The travel plan of one of the ``PLAN_KINDS``: "auto" chains across
     the root-free gaps; "vt-a" crosses from X to Y at the median corridor
     (touch time) and "vt-b" alternates at every corridor."""
     if kind not in PLAN_KINDS:
         raise ValueError(f"plan kind must be one of {list(PLAN_KINDS)}, got {kind!r}")
     if kind == "auto":
-        return plan_through_gaps(branches, gaps, t_final)
+        return plan_through_gaps(branches, gaps)
     x, y = _x_and_y(branches, f"crossing plan {kind!r}")
     touches = branch_touch_times(x, y, n_scan=n_scan)
     if not touches:
         raise ConstructionError("no corridor found between the X and Y branches")
     times = [touches[len(touches) // 2]] if kind == "vt-a" else touches
-    return plan_with_crossings(branches, times, t_final)
+    return plan_with_crossings(branches, times)
 
 
 def default_bridge_params(
@@ -247,11 +251,24 @@ def default_bridge_params(
     return init
 
 
-def _flatten_params(params) -> np.ndarray:
-    arr = np.asarray(params, dtype=float).reshape(-1)
-    if arr.size % 3 != 0:
-        raise ValueError("bridge parameters come in (center, width, amplitude) triples")
-    return arr
+def _check_finite(i: int, q: np.ndarray, error: type = OptimizerError) -> None:
+    """Raise ``error`` unless bridge ``i``'s triple ``q`` is finite."""
+    if not np.all(np.isfinite(q)):
+        raise error(f"bridge {i} has non-finite parameters {np.array2string(q)}")
+
+
+def _bridge_params(plan: TravelPlan, params, error: type) -> np.ndarray:
+    """``params`` flattened, checked to hold one (center, width, amplitude)
+    triple per bridge of ``plan``: a wrong count raises
+    ``ConstructionError``, a triple that is not finite ``error``."""
+    p = np.asarray(params, dtype=float).reshape(-1)
+    if len(p) != 3 * plan.n_bridges:
+        raise ConstructionError(
+            f"expected {3 * plan.n_bridges} bridge parameters, got {len(p)}"
+        )
+    for i in range(plan.n_bridges):
+        _check_finite(i, p[3 * i : 3 * i + 3], error)
+    return p
 
 
 def _bridge(plan: TravelPlan, settings: BridgeSettings, i: int, triple) -> tuple:
@@ -400,24 +417,17 @@ def build_virtual_trajectory(
 ) -> VirtualTrajectory:
     """Assemble and endpoint-pin the spliced path on ``grid.half_times``.
 
-    The pinning ramp removes the wrapped residuals of the raw lift at
-    t = 0 and t = T_F, so the canonical path is exactly zero at both
-    ends.  A path whose raw end lies more than ``LINKING_THRESHOLD`` (the
-    largest step the branch linker follows) from phase zero does not
-    reach the target state; it is rejected rather than ramped there.
+    ``params`` holds one finite (center, width, amplitude) triple per
+    bridge, with no amplitude above ``AMP_MAX``; other values raise
+    ``ConstructionError`` naming the bridge.  The pinning ramp removes
+    the wrapped residuals of the raw lift at t = 0 and t = T_F, so the
+    canonical path is exactly zero at both ends.  A path whose raw end
+    lies more than ``LINKING_THRESHOLD`` (the largest step the branch
+    linker follows) from phase zero does not reach the target state; it
+    is rejected rather than ramped there.
     """
-    p = _flatten_params(params)
-    if len(p) != 3 * plan.n_bridges:
-        raise ConstructionError(
-            f"expected {3 * plan.n_bridges} bridge parameters, got {len(p)}"
-        )
-    for i in range(plan.n_bridges):
-        bridge = p[3 * i : 3 * i + 3]
-        if not np.all(np.isfinite(bridge)):
-            raise ConstructionError(
-                f"bridge {i} parameters {np.array2string(bridge)} are not all finite"
-            )
-        amp = bridge[2]
+    p = _bridge_params(plan, params, ConstructionError)
+    for i, amp in enumerate(p[2::3]):
         if abs(amp) > AMP_MAX:
             raise ConstructionError(
                 f"bridge {i} amplitude {amp:.4g} exceeds the bound "
@@ -450,14 +460,6 @@ def build_virtual_trajectory(
         ),
         bridge_mode=bridge_mode(plan, settings),
     )
-
-
-def _check_finite(i: int, q: np.ndarray) -> None:
-    """Raise ``OptimizerError`` unless bridge ``i``'s triple ``q`` is finite."""
-    if not np.all(np.isfinite(q)):
-        raise OptimizerError(
-            f"non-finite bridge parameters {np.array2string(q)} for bridge {i}"
-        )
 
 
 @dataclass(frozen=True)
@@ -498,7 +500,6 @@ class IttCostReport:
 
 def optimize_virtual_trajectory(
     plan: TravelPlan,
-    model,
     grid: TimeGrid,
     settings: BridgeSettings,
     init=None,
@@ -508,8 +509,8 @@ def optimize_virtual_trajectory(
     """Minimize the integrated residual over bridge parameters.
 
     The cost is the trapezoidal integral of |beta| along the pinned path
-    on ``n_cost + 1`` uniform times; ``model`` is any phase-residual
-    model (FFST or eigenstate-following) exposing ``sine_params``.
+    on ``n_cost + 1`` uniform times, with the residual of ``plan.model``,
+    the model (FFST or eigenstate-following) the branches follow.
     One deterministic Nelder-Mead search per bridge, in plan order, from
     an explicit initial simplex over the bridge's own triple; each stops
     by its tolerance rule or when the searches together have made
@@ -517,26 +518,21 @@ def optimize_virtual_trajectory(
     ``default_bridge_params``.  A local search evaluates only its own
     bridge's window on the fixed rest of the path, bit for bit the cost
     of the whole path; a detached one costs the whole path.  A plan with
-    no bridges returns the (pinned) branch path unchanged.  Raises
-    ``OptimizerError`` naming the bridge when a seed triple is not finite,
-    before any sampling.  The report integrates the same
-    |beta| samples at the chosen parameters, whole and restricted to
-    each bridge window.  Raises ``ScanError`` when C, D or phi0 is not
-    finite on the cost grid.
+    no bridges returns the (pinned) branch path unchanged.  Before any
+    sampling the seed takes the parameter check of
+    ``build_virtual_trajectory``, where a triple that is not finite
+    raises ``OptimizerError`` naming its bridge.  The report integrates
+    the same |beta| samples at the chosen parameters, whole and
+    restricted to each bridge window.  Raises ``ScanError`` when C, D or
+    phi0 is not finite on the cost grid.
     """
     if init is None:
         init = default_bridge_params(plan, settings)
-    p0 = _flatten_params(init)
-    if len(p0) != 3 * plan.n_bridges:
-        raise ConstructionError(
-            f"expected {3 * plan.n_bridges} initial parameters, got {len(p0)}"
-        )
-    for i in range(plan.n_bridges):
-        _check_finite(i, p0[3 * i : 3 * i + 3])
+    p0 = _bridge_params(plan, init, OptimizerError)
 
     tt = np.linspace(0.0, plan.t_final, n_cost + 1)
     dt = np.diff(tt)
-    c, d, phi0 = sample_params(model, tt)
+    c, d, phi0 = sample_params(plan.model, tt)
     t_f = plan.t_final
     detached = bridge_mode(plan, settings) == "detached"
     if detached:

@@ -49,13 +49,13 @@ def _scaling_bundle(reference, t_final: float, plan_kind: str, settings_kind: st
     model = FfstPhaseModel(reference, prof)
     scts = link_branches(model)
     gaps = detect_gaps(model, scts)
-    plan = plan_travel(plan_kind, scts, gaps, t_final)
+    plan = plan_travel(plan_kind, scts, gaps)
     touches = []
     if plan_kind != "auto":
         labeled = {b.branch_id: b for b in scts}
         touches = branch_touch_times(labeled["X"], labeled["Y"])
     settings = default_bridge_settings(settings_kind, t_final)
-    vt, cost = optimize_virtual_trajectory(plan, model, grid, settings)
+    vt, cost = optimize_virtual_trajectory(plan, grid, settings)
     control = synthesize_control(vt.f2_lift, model, grid, label="itt")
     initial = TwoLevelState(1.0 + 0.0j, 0.0j)
     target = reference.final_state
@@ -128,9 +128,9 @@ def _sta_bundle(duration: float, n_steps: int | None = None):
     model = StaPhaseModel(sweep)
     branches = link_branches(model)
     gaps = detect_gaps(model, branches)
-    plan = plan_travel("auto", branches, gaps, duration)
+    plan = plan_travel("auto", branches, gaps)
     settings = default_bridge_settings("sta", duration)
-    vt, cost = optimize_virtual_trajectory(plan, model, grid, settings)
+    vt, cost = optimize_virtual_trajectory(plan, grid, settings)
     control = synthesize_sta_control(vt.f2_lift, model, grid, label="sta")
     zero = np.zeros_like(grid.half_times)
     unmodified = synthesize_sta_control(zero, model, grid, label="unmodified")

@@ -119,12 +119,8 @@ def test_criterion_04_eigenstate_following_fast(sta20, sta10):
 
 
 def test_criterion_05_shift_counts(reference, decel_a, decel_b):
-    series_a = trajectory_shift_analysis(
-        decel_a.report.trajectory, decel_a.scts, decel_a.model
-    )
-    series_b = trajectory_shift_analysis(
-        decel_b.report.trajectory, decel_b.scts, decel_b.model
-    )
+    series_a = trajectory_shift_analysis(decel_a.report.trajectory, decel_a.scts)
+    series_b = trajectory_shift_analysis(decel_b.report.trajectory, decel_b.scts)
     ok = series_a.shift_count == 1 and series_b.shift_count == 3
     _line(
         5,
@@ -209,7 +205,7 @@ def test_criterion_07_integrator_quality(reference, sta30):
     # unitarity over the budget's longest grid: the sta-30 path (a branch
     # without bridges) synthesized and integrated on 1e5 steps
     grid = TimeGrid(sta30.duration, MAX_STEPS)
-    vt, _ = optimize_virtual_trajectory(sta30.plan, sta30.model, grid, sta30.settings)
+    vt, _ = optimize_virtual_trajectory(sta30.plan, grid, sta30.settings)
     control = synthesize_sta_control(vt.f2_lift, sta30.model, grid, label="sta")
     traj = verify_control(control, sta30.initial, sta30.target).trajectory
     drift = traj.norm_drift()
@@ -259,9 +255,9 @@ def test_criterion_07_integrator_quality(reference, sta30):
 def test_criterion_08_scaling_consistency(reference, decel_a):
     # riding the winding branch alone must still reach the target
     y = {b.branch_id: b for b in decel_a.scts}["Y"]
-    plan = TravelPlan(branches=(y,), crossings=(), t_final=decel_a.t_final)
+    plan = TravelPlan(branches=(y,), crossings=())
     settings = default_bridge_settings("decelerate", decel_a.t_final)
-    vt, cost = optimize_virtual_trajectory(plan, decel_a.model, decel_a.grid, settings)
+    vt, cost = optimize_virtual_trajectory(plan, decel_a.grid, settings)
     control = synthesize_control(vt.f2_lift, decel_a.model, decel_a.grid, label="y-only")
     f_y = verify_control(control, decel_a.initial, decel_a.target).fidelity
     branch_ok = f_y > 1.0 - 1e-6 and cost.evaluations == 0
@@ -354,7 +350,7 @@ def test_criterion_10_hardware_mapping(reference):
     control = DriveSchedule(
         grid, CosineSweepSpec(30.0, 1.0).delta_omega(half), np.ones_like(half)
     )
-    _, flux = flux_schedule_for(control, spec)
+    flux = flux_schedule_for(control, spec)
     omega2 = float(transmon_frequency(spec.ej_fixed, spec.ec))
     targets = omega2 + control.delta_omega[::2] * 0.009
     back = transmon_frequency(squid_ej(flux, spec.ej_max, spec.d), spec.ec)

@@ -88,16 +88,12 @@ class TestStepError:
 
 class TestShiftAnalysis:
     def test_single_crossing_shifts_once(self, reference, decel_a):
-        series = trajectory_shift_analysis(
-            decel_a.report.trajectory, decel_a.scts, decel_a.model
-        )
+        series = trajectory_shift_analysis(decel_a.report.trajectory, decel_a.scts)
         assert series.shift_count == 1
         assert abs(series.shift_times[0] - decel_a.plan.crossings[0][0]) < 0.02
 
     def test_triple_crossing_shifts_three_times(self, reference, decel_b):
-        series = trajectory_shift_analysis(
-            decel_b.report.trajectory, decel_b.scts, decel_b.model
-        )
+        series = trajectory_shift_analysis(decel_b.report.trajectory, decel_b.scts)
         assert series.shift_count == 3
 
     def test_stride_stability(self, reference, decel_a):
@@ -106,16 +102,13 @@ class TestShiftAnalysis:
             series = trajectory_shift_analysis(
                 decel_a.report.trajectory,
                 decel_a.scts,
-                decel_a.model,
                 stride=stride,
             )
             counts.add(series.shift_count)
         assert counts == {1}
 
     def test_dominance_sequence(self, reference, decel_b):
-        series = trajectory_shift_analysis(
-            decel_b.report.trajectory, decel_b.scts, decel_b.model
-        )
+        series = trajectory_shift_analysis(decel_b.report.trajectory, decel_b.scts)
         labels = [d for d in series.dominant if d]
         # starts on X, ends on Y after an odd number of swaps
         assert labels[0] == "X"
@@ -123,7 +116,7 @@ class TestShiftAnalysis:
 
     def test_requires_labeled_branches(self, reference, accel):
         with pytest.raises(ValueError, match="X and Y"):
-            trajectory_shift_analysis(accel.report.trajectory, accel.scts, accel.model)
+            trajectory_shift_analysis(accel.report.trajectory, accel.scts)
 
 
 @pytest.fixture(scope="module")

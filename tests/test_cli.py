@@ -239,9 +239,7 @@ class TestTableWriter:
     def test_shift_table_matches_row_writer(self, tmp_path, decel_b):
         """``shifts.tsv`` keeps the bytes of the per-row writer it replaced,
         including the empty labels before either branch leads."""
-        series = ffsynth.trajectory_shift_analysis(
-            decel_b.report.trajectory, decel_b.scts, decel_b.model
-        )
+        series = ffsynth.trajectory_shift_analysis(decel_b.report.trajectory, decel_b.scts)
         assert "" in set(series.dominant) and "X" in set(series.dominant)
         ours = tmp_path / "ours.tsv"
         _write_table(
@@ -673,8 +671,9 @@ def test_time_axes_rebuild_from_rows_and_summary(tmp_path, monkeypatch, scenario
     """Layout 4 writes no uniform time axis: each table's, rebuilt from its
     row count and ``summary.json``, is bit for bit the grid its writer was
     given, a trajectory's or the control's nodes, the residual's 501 times
-    or a device map's ``t_ns``; each branch sample's scan index gives back
-    its time."""
+    or a device map's nodes in ns, the axis ``flux_schedule_for`` returned
+    beside the flux up to output layout 4; each branch sample's scan index
+    gives back its time."""
     given, scts = {}, []
     write_populations, write_control = cli._write_populations, cli._write_control
     sample_params, flux_schedule_for = cli.sample_params, cli.flux_schedule_for
@@ -693,11 +692,12 @@ def test_time_axes_rebuild_from_rows_and_summary(tmp_path, monkeypatch, scenario
         return sample_params(model, t)
 
     def flux(ctl, spec, g_phys):
-        t_ns, phi = flux_schedule_for(ctl, spec, g_phys=g_phys)
+        phi = flux_schedule_for(ctl, spec, g_phys=g_phys)
+        ends_ns = ffsynth.to_physical_time([0.0, ctl.grid.t_end], g_phys)
         # the reference sweep is mapped first
         name = "device_control" if "device_reference.tsv" in given else "device_reference"
-        given[name + ".tsv"] = t_ns
-        return t_ns, phi
+        given[name + ".tsv"] = np.linspace(*ends_ns, ctl.grid.n_steps + 1)
+        return phi
 
     def branches(*args, **kwargs):
         scts.extend(link_branches(*args, **kwargs))

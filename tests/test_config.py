@@ -19,6 +19,9 @@ scenario: decelerate
 t_final: 1.1
 """
 
+#: ``MINIMAL`` without its ``t_final``.
+DECEL = "schema_version: 1\nscenario: decelerate\n"
+
 
 def _errors_of(text: str) -> list[str]:
     with pytest.raises(ConfigError) as excinfo:
@@ -202,6 +205,35 @@ require_fidelity: 1.5
     def test_device_positivity(self):
         errors = _errors_of(MINIMAL + "device: {g_ghz: -3}")
         assert errors == ["device.g_ghz: must be positive, got -3"]
+
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            (MINIMAL + "t_ref: 0", "t_ref: must be positive, got 0"),
+            (DECEL + "t_final: 0", "t_final[0]: must be positive, got 0"),
+            (DECEL + "t_final: [1.1, 0]", "t_final[1]: must be positive, got 0"),
+            (DECEL + "t_final: [1.1, .nan]", "t_final[1]: must be finite, got nan"),
+            (MINIMAL + "baselines: [3]", "baselines[0]: expected a string, got int"),
+            (
+                "schema_version: 1\nscenario: 3\nt_final: 1.1",
+                "scenario: expected a string, got int",
+            ),
+        ],
+        ids=["t_ref", "t_final", "t_final-list", "t_final-nan", "baselines", "scenario"],
+    )
+    def test_fields_and_list_elements_share_one_check(self, text, error):
+        """One value check serves every scalar field and every element of
+        ``t_final`` and ``baselines``: the same problem reads the same,
+        and an integer prints as given."""
+        assert _errors_of(text) == [error]
+
+    @pytest.mark.parametrize(
+        "section", ["grid", "crossing_plan", "bridge", "output", "device"]
+    )
+    def test_section_must_be_a_mapping(self, section):
+        assert _errors_of(MINIMAL + f"{section}: 3") == [
+            f"{section}: expected a mapping, got int"
+        ]
 
 
 class TestStepBudget:

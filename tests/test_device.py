@@ -144,22 +144,24 @@ class TestFluxSchedule:
     def test_round_trip_tolerance(self, wave, reference):
         omega2 = transmon_frequency(SPEC.ej_fixed, SPEC.ec)
         targets = omega2 + reference.drive.delta_omega[::2] * 0.009
-        _, flux = wave
+        flux = wave
         back = transmon_frequency(squid_ej(flux, SPEC.ej_max, SPEC.d), SPEC.ec)
         assert np.max(np.abs(back - targets)) < 1e-9
 
     def test_flux_stays_in_range(self, wave):
-        _, flux = wave
+        flux = wave
         assert float(np.min(flux)) == pytest.approx(0.024652073491986018, abs=1e-9)
         assert float(np.max(flux)) == pytest.approx(0.4825456979487186, abs=1e-9)
 
     def test_grid_converted_to_ns(self, wave, reference):
-        """One ns sample per control node, on the axis a ``TimeGrid`` over
-        the converted end points spans, bit for bit."""
-        t_ns, flux = wave
-        assert t_ns.shape == flux.shape == (reference.grid.n_steps + 1,)
-        assert t_ns[-1] == pytest.approx(17.68388256576615, abs=1e-12)
+        """One flux sample per control node.  The node axis in ns that the
+        map returned beside the flux up to output layout 4, the linspace
+        over the converted end points, is bit for bit the axis a
+        ``TimeGrid`` over the converted duration spans."""
         grid = reference.grid
+        assert wave.shape == (grid.n_steps + 1,)
+        t_ns = np.linspace(*to_physical_time([0.0, grid.t_end], 0.009), grid.n_steps + 1)
+        assert t_ns[-1] == pytest.approx(17.68388256576615, abs=1e-12)
         ns_grid = TimeGrid(float(to_physical_time(grid.t_end, 0.009)), grid.n_steps)
         assert np.array_equal(t_ns, ns_grid.times)
 
@@ -203,13 +205,13 @@ class TestClosedFormInversion:
         return build_cosine_sweep(CosineSweepSpec(30.0, duration), grid)
 
     def test_flux_matches_bisection(self, control):
-        _, flux = flux_schedule_for(control, SPEC)
+        flux = flux_schedule_for(control, SPEC)
         oracle = _bisect_flux(_targets(control), SPEC)
         assert np.max(np.abs(flux - oracle)) <= 1e-12
 
     def test_round_trip_within_1e12(self, control):
         targets = _targets(control)
-        _, flux = flux_schedule_for(control, SPEC)
+        flux = flux_schedule_for(control, SPEC)
         back = transmon_frequency(squid_ej(flux, SPEC.ej_max, SPEC.d), SPEC.ec)
         assert np.max(np.abs(back - targets)) <= 1e-12
 

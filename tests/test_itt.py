@@ -87,12 +87,12 @@ def _oracle_cost(bundle, params, n_cost=4000, plan=None):
     return float(np.trapezoid(np.abs(c - d * np.sin(f + phi0)), tt))
 
 
-def _oracle_plan(kind, scts, gaps, t_final):
+def _oracle_plan(kind, scts, gaps):
     """The plan builder of the command line before ``plan_travel``, with
     the crossing plan's own X/Y choice (the two full-span branches, Y the
     one ending nearer phase zero): the reference for ``plan_travel``."""
     if kind == "auto":
-        return plan_through_gaps(scts, gaps, t_final)
+        return plan_through_gaps(scts, gaps)
     labeled = {b.branch_id: b for b in scts if b.spans_full_domain()}
     if "X" not in labeled or "Y" not in labeled:
         raise ConstructionError(
@@ -107,11 +107,14 @@ def _oracle_plan(kind, scts, gaps, t_final):
     y, x = sorted(full, key=lambda b: abs(wrap_phase(b.end_phase)))
     branches = tuple(x if i % 2 == 0 else y for i in range(len(times) + 1))
     crossings = tuple((c, c) for c in sorted(times))
-    return TravelPlan(branches=branches, crossings=crossings, t_final=t_final)
+    return TravelPlan(branches=branches, crossings=crossings)
 
 
 class _ConstantPhase:
-    """Residual sin p - sin f, whose roots are p and pi - p at all times."""
+    """Residual sin p - sin f, whose roots are p and pi - p at all times,
+    over a run of duration 1."""
+
+    t_final = 1.0
 
     def __init__(self, phase):
         self.phase = phase
@@ -159,7 +162,7 @@ def _assert_search_costs_match_oracle(monkeypatch, bundle, params, plan=None):
     monkeypatch.setattr(itt, "nelder_mead", checking)
     with pytest.raises(_Checked):
         optimize_virtual_trajectory(
-            plan, bundle.model, bundle.grid, bundle.settings, init=p
+            plan, bundle.grid, bundle.settings, init=p
         )
 
 
@@ -202,29 +205,27 @@ class TestPlans:
 
     def test_crossing_plan_needs_two_full_span(self, accel):
         with pytest.raises(ConstructionError, match="full-span"):
-            plan_with_crossings(accel.scts, [0.5], accel.t_final)
+            plan_with_crossings(accel.scts, [0.5])
 
     def test_crossing_inside_domain(self, decel_a):
         with pytest.raises(ConstructionError, match="inside"):
-            plan_with_crossings(decel_a.scts, [1.2], decel_a.t_final)
+            plan_with_crossings(decel_a.scts, [1.2])
 
     def test_branch_bridge_count_coupled(self, decel_a):
         labeled = {b.branch_id: b for b in decel_a.scts}
         with pytest.raises(ConstructionError, match="branch"):
-            TravelPlan(
-                branches=(labeled["X"],), crossings=((0.9, 0.9),), t_final=1.1
-            )
+            TravelPlan(branches=(labeled["X"],), crossings=((0.9, 0.9),))
 
     def test_chain_requires_start_branch(self, decel_a):
         with pytest.raises(ConstructionError, match="t = 0"):
-            plan_through_gaps([], [], decel_a.t_final)
+            plan_through_gaps([], [])
 
     @pytest.mark.parametrize(
         "name, kind", [("accel", "auto"), ("decel_a", "vt-a"), ("decel_a", "vt-b")]
     )
     def test_plan_travel_matches_oracle(self, request, name, kind):
         bundle = request.getfixturevalue(name)
-        args = (kind, bundle.scts, bundle.gaps, bundle.t_final)
+        args = (kind, bundle.scts, bundle.gaps)
         ours, oracle = plan_travel(*args), _oracle_plan(*args)
         assert [b.branch_id for b in ours.branches] == [
             b.branch_id for b in oracle.branches
@@ -236,7 +237,7 @@ class TestPlans:
     @pytest.mark.parametrize("kind", ["vt-a", "vt-b"])
     def test_plan_travel_names_missing_x_and_y(self, accel, kind):
         with pytest.raises(ConstructionError) as excinfo:
-            plan_travel(kind, accel.scts, accel.gaps, accel.t_final)
+            plan_travel(kind, accel.scts, accel.gaps)
         assert str(excinfo.value) == (
             f"crossing plan {kind!r} needs the two full-span branches X and Y, "
             "which this run does not have"
@@ -246,13 +247,28 @@ class TestPlans:
         t = np.linspace(0.0, 1.0, 101)
         apart = [_flat_branch(t, 0.0, "X"), _flat_branch(t, 2.0, "Y")]
         with pytest.raises(ConstructionError) as excinfo:
-            plan_travel("vt-a", apart, [], 1.0)
+            plan_travel("vt-a", apart, [])
         assert str(excinfo.value) == "no corridor found between the X and Y branches"
 
     def test_plan_travel_rejects_unknown_kind(self, decel_a):
         assert PLAN_KINDS == ("auto", "vt-a", "vt-b")
         with pytest.raises(ValueError, match="plan kind"):
-            plan_travel("vt-c", decel_a.scts, decel_a.gaps, decel_a.t_final)
+            plan_travel("vt-c", decel_a.scts, decel_a.gaps)
+
+    @pytest.mark.parametrize(
+        "name",
+        ["accel", "accel_overlap", "decel_a", "decel_b",
+         "sta10", "sta20", "sta30", "sta300", "sta300_fine"],
+    )
+    def test_plan_reads_the_run_from_its_branches(self, request, name):
+        """A plan holds no duration or model of its own: both are the
+        branches' model's, the one the run scanned, so a caller cannot pass
+        a duration that disagrees with the branches."""
+        bundle = request.getfixturevalue(name)
+        plan = bundle.plan
+        assert all(b.model is bundle.model for b in plan.branches)
+        assert plan.model is bundle.model
+        assert plan.t_final == bundle.model.t_final == bundle.grid.t_end
 
 
 class TestDefaultParams:
@@ -329,7 +345,7 @@ class TestVirtualTrajectory:
         """A slowdown run with the accelerate plan follows branch X alone,
         which ends 1.6 rad from phase zero: ramping that away used to cost
         the path its target (F = 0.93, below both baselines)."""
-        plan = plan_travel("auto", decel_a.scts, decel_a.gaps, decel_a.t_final)
+        plan = plan_travel("auto", decel_a.scts, decel_a.gaps)
         assert plan.n_bridges == 0
         settings = default_bridge_settings("accelerate", decel_a.t_final)
         with pytest.raises(ConstructionError) as excinfo:
@@ -341,9 +357,7 @@ class TestVirtualTrajectory:
     @pytest.mark.parametrize("phase, rejected", [(0.15, False), (0.25, True)])
     def test_ramp_bounded_by_linking_threshold(self, phase, rejected):
         t = np.linspace(0.0, 1.0, 101)
-        plan = TravelPlan(
-            branches=(_flat_branch(t, phase, "X"),), crossings=(), t_final=1.0
-        )
+        plan = TravelPlan(branches=(_flat_branch(t, phase, "X"),), crossings=())
         settings = default_bridge_settings("accelerate", 1.0)
         grid = TimeGrid(1.0, 50)
         if rejected:
@@ -368,7 +382,7 @@ class TestOptimizer:
 
     def test_deterministic(self, decel_a):
         vt2, cost2 = optimize_virtual_trajectory(
-            decel_a.plan, decel_a.model, decel_a.grid, decel_a.settings
+            decel_a.plan, decel_a.grid, decel_a.settings
         )
         assert vt2.bridge_params == decel_a.vt.bridge_params
         assert cost2.integrated_residual == decel_a.cost.integrated_residual
@@ -423,7 +437,7 @@ class TestOptimizer:
         joint optimum: a second pass from it gains less than 1e-12."""
         bundle = request.getfixturevalue(name)
         _, again = optimize_virtual_trajectory(
-            bundle.plan, bundle.model, bundle.grid, bundle.settings,
+            bundle.plan, bundle.grid, bundle.settings,
             init=bundle.vt.bridge_params,
         )
         gain = bundle.cost.integrated_residual - again.integrated_residual
@@ -434,7 +448,7 @@ class TestOptimizer:
         they make no evaluation and their bridges stay at the seed."""
         seed = default_bridge_params(accel.plan, accel.settings)
         vt, cost = optimize_virtual_trajectory(
-            accel.plan, accel.model, accel.grid, accel.settings, maxfev=50
+            accel.plan, accel.grid, accel.settings, maxfev=50
         )
         assert (cost.evaluations, cost.max_evaluations) == (50, 50)
         assert cost.bridge_evaluations == (50, 0, 0)
@@ -500,11 +514,11 @@ class TestOptimizer:
         preset = default_bridge_settings("sta", sta30.duration)
         assert preset.mode == "detached" and sta30.plan.n_bridges == 0
         vt, cost = optimize_virtual_trajectory(
-            sta30.plan, sta30.model, sta30.grid, preset
+            sta30.plan, sta30.grid, preset
         )
         local = replace(preset, mode="local")
         vt_local, cost_local = optimize_virtual_trajectory(
-            sta30.plan, sta30.model, sta30.grid, local
+            sta30.plan, sta30.grid, local
         )
         assert vt.bridge_mode == vt_local.bridge_mode == "local"
         assert np.array_equal(vt.f2, vt_local.f2)
@@ -546,7 +560,7 @@ class TestOptimizer:
         monkeypatch.setattr(itt, "sample_params", sampling)
         monkeypatch.setattr(itt, "residual", recording)
         _, cost = optimize_virtual_trajectory(
-            bundle.plan, bundle.model, bundle.grid, bundle.settings, maxfev=30
+            bundle.plan, bundle.grid, bundle.settings, maxfev=30
         )
         searches = sum(n > 0 for n in cost.bridge_evaluations)
         fixed = 3 * searches if bundle.vt.bridge_mode == "local" else 0
@@ -566,7 +580,8 @@ class TestOptimizer:
     def test_non_finite_cost_grid_sample_raises(self, decel_a):
         """A residual parameter that is not finite on the cost grid used to
         surface as a non-finite cost at the seed's bridge parameters; it is
-        now named, with its time, before the search starts."""
+        now named, with its time, before the search starts.  The search
+        reads the poisoned model from the plan's branches."""
         tt = np.linspace(0.0, decel_a.t_final, 1002)
 
         class Poisoned:
@@ -576,17 +591,18 @@ class TestOptimizer:
                 c, d, phi0 = decel_a.model.sine_params(t)
                 return np.where(t == tt[500], np.nan, c), d, phi0
 
+        poisoned = Poisoned()
+        branches = tuple(replace(b, model=poisoned) for b in decel_a.plan.branches)
+        plan = replace(decel_a.plan, branches=branches)
+        assert plan.model is poisoned
         message = re.escape(f"residual C is not finite at t = {float(tt[500])!r}")
         with pytest.raises(ScanError, match=message + "$"):
-            optimize_virtual_trajectory(
-                decel_a.plan, Poisoned(), decel_a.grid, decel_a.settings, n_cost=1001
-            )
+            optimize_virtual_trajectory(plan, decel_a.grid, decel_a.settings, n_cost=1001)
 
     def test_nan_seed_raises(self, decel_a):
         with pytest.raises(OptimizerError, match="non-finite"):
             optimize_virtual_trajectory(
                 decel_a.plan,
-                decel_a.model,
                 decel_a.grid,
                 decel_a.settings,
                 init=[(np.nan, 0.02, 0.1)],
@@ -601,17 +617,31 @@ class TestOptimizer:
         with pytest.raises(OptimizerError, match="non-finite"):
             optimize_virtual_trajectory(
                 decel_a.plan,
-                decel_a.model,
                 decel_a.grid,
                 decel_a.settings,
                 init=[bad],
             )
 
+    @pytest.mark.parametrize("bad", NON_FINITE.values(), ids=NON_FINITE.keys())
+    def test_build_and_search_name_the_same_triple(self, decel_b, bad):
+        """One check serves the build and the search's seed: each names the
+        bridge and its triple in the same words, in its own error class."""
+        params = default_bridge_params(decel_b.plan, decel_b.settings)
+        params[1] = bad
+        triple = np.array2string(np.asarray(bad, dtype=float))
+        message = f"bridge 1 has non-finite parameters {triple}"
+        with pytest.raises(ConstructionError) as built:
+            build_virtual_trajectory(decel_b.plan, params, decel_b.grid, decel_b.settings)
+        with pytest.raises(OptimizerError) as searched:
+            optimize_virtual_trajectory(
+                decel_b.plan, decel_b.grid, decel_b.settings, init=params
+            )
+        assert str(built.value) == str(searched.value) == message
+
     def test_init_length_checked(self, decel_a):
-        with pytest.raises(ConstructionError, match="initial parameters"):
+        with pytest.raises(ConstructionError, match="expected 3 bridge parameters, got 9"):
             optimize_virtual_trajectory(
                 decel_a.plan,
-                decel_a.model,
                 decel_a.grid,
                 decel_a.settings,
                 init=[(0.9, 0.02, 0.1)] * 3,
@@ -689,7 +719,7 @@ class TestLiftOracle:
         t_f = plan.t_final
         two = plan.branches[:2]
         for gc in (0.0, 0.01 * t_f, 0.99 * t_f, t_f):
-            edge = TravelPlan(branches=two, crossings=((gc, gc),), t_final=t_f)
+            edge = TravelPlan(branches=two, crossings=((gc, gc),))
             for params in ([gc, sig_hi, -1.3], [gc, sig_lo, 2.0]):
                 (_, _, _, lo, hi), = _bridges(edge, params, settings)
                 assert lo == 0.0 or hi == t_f
@@ -732,7 +762,7 @@ class TestLiftOracle:
 
         monkeypatch.setattr(itt, "nelder_mead", on_oracle)
         vt, cost = optimize_virtual_trajectory(
-            bundle.plan, bundle.model, bundle.grid, bundle.settings
+            bundle.plan, bundle.grid, bundle.settings
         )
         assert len(found) == bundle.plan.n_bridges
         assert cost.bridge_evaluations == bundle.cost.bridge_evaluations
@@ -765,7 +795,7 @@ class TestLiftOracle:
 
         monkeypatch.setattr(itt, "nelder_mead", recording)
         vt, cost = optimize_virtual_trajectory(
-            bundle.plan, bundle.model, bundle.grid, bundle.settings
+            bundle.plan, bundle.grid, bundle.settings
         )
         assert vt.bridge_params == bundle.vt.bridge_params
         assert len(evaluated) == cost.evaluations == bundle.cost.evaluations
@@ -831,7 +861,7 @@ def test_branch_evaluations_do_not_grow_with_the_search(monkeypatch, accel):
     for maxfev in (50, 400):
         calls[0] = 0
         _, cost = optimize_virtual_trajectory(
-            accel.plan, accel.model, accel.grid, accel.settings, maxfev=maxfev
+            accel.plan, accel.grid, accel.settings, maxfev=maxfev
         )
         assert cost.evaluations >= maxfev
         counts.append(calls[0])

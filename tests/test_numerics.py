@@ -166,9 +166,7 @@ def test_bridge_search_matches_scipy(request, monkeypatch, name, converged):
         return ours
 
     monkeypatch.setattr(itt, "nelder_mead", recording)
-    _, cost = itt.optimize_virtual_trajectory(
-        bundle.plan, bundle.model, bundle.grid, bundle.settings
-    )
+    _, cost = itt.optimize_virtual_trajectory(bundle.plan, bundle.grid, bundle.settings)
     assert len(calls) == bundle.plan.n_bridges
     for ours, theirs in calls:
         _assert_same_search(ours, theirs)
